@@ -7,7 +7,8 @@ Subcommands:
   reproduce-figures   write the full set of headline result CSVs
 
 Exit codes: 0 success; 2 bad usage or bad config; 3 a run left the physical
-state space (trace/positivity guard tripped); 4 any other runtime failure.
+state space (trace/positivity guard tripped); 4 any other runtime failure;
+5 ``run`` wrote its outputs but the steady-state solve did not converge.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_RUNTIME = 4
+EXIT_NOT_CONVERGED = 5
 
 
 def _positive_int(text: str) -> int:
@@ -97,6 +99,11 @@ def _cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     print(f"s_along_pump    = {summary['s_along_pump']:.6g} "
           f"(predicted {summary['s_along_pump_predicted']:.6g})")
     print(f"efficiency      = {summary['efficiency']:.6g}")
+    if not summary["ness_converged"]:
+        print(f"warning: the steady-state solve did not converge (residual "
+              f"{summary['ness_residual_per_s']:.3g}/s after {summary['ness_iterations']} "
+              "iterations); summary.csv holds the last iterate", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -20,6 +20,12 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 PUMP_AXES = ("x", "y", "z")
 
+# Spin exchange sets the time unit of every run, and a zero diffusion constant
+# would silently switch wall relaxation off, so these must be positive; a
+# spin-destruction channel may be switched off with a zero cross section.
+POSITIVE_CELL_INPUTS = ("sigma_se_rbrb", "d0_he_cm2_s", "d0_n2_cm2_s")
+NONNEGATIVE_CELL_INPUTS = ("sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2")
+
 # keys that a sweep may vary (numeric scalars only)
 SWEEPABLE = (
     "radius_cm",
@@ -88,6 +94,16 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for key in POSITIVE_CELL_INPUTS:
+            value = getattr(self, key)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        for key in NONNEGATIVE_CELL_INPUTS:
+            value = getattr(self, key)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.d_temp_exponent):
+            raise ConfigError(f"d_temp_exponent must be finite, got {self.d_temp_exponent}")
         if self.pump_axis not in PUMP_AXES:
             raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}")
         if not 0.0 <= self.s_magnitude <= 1.0:

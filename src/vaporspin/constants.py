@@ -11,7 +11,6 @@ K_B_J = 1.380649e-23  # J/K
 
 # Atomic mass unit
 AMU_G = 1.66053906660e-24  # g
-AMU_KG = 1.66053906660e-27  # kg
 
 # Isotope / molecule masses (amu)
 M_RB87 = 86.909180531

@@ -36,6 +36,7 @@ __all__ = [
     "nuclear_part",
     "master_rhs",
     "build_superops",
+    "rhs_block",
     "default_dt",
     "integrate",
     "detect_steady_state",
@@ -43,12 +44,6 @@ __all__ = [
     "fit_spin_temperature",
     "solve_steady_state",
 ]
-
-AXIS_VECTORS = {
-    "x": (1.0, 0.0, 0.0),
-    "y": (0.0, 1.0, 0.0),
-    "z": (0.0, 0.0, 1.0),
-}
 
 # integration guardrails (states are checked at every sample)
 TRACE_TOL = 1e-6
@@ -179,6 +174,18 @@ def _rhs_vec(v: np.ndarray, sup: MasterSuperops) -> np.ndarray:
         gv = (sup.gstack @ v).reshape(3, -1)
         out += sup.two_gamma_se * (sv @ gv)
     return out
+
+
+def rhs_block(states: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+    """drho/dt for a stack of states, shape (n, dim, dim) in and out."""
+    n, d = len(states), sup.dim
+    v = states.reshape(n, d * d)
+    out = v @ sup.lin.T
+    if sup.two_gamma_se != 0.0:
+        sv = (v @ sup.tr_rows.T).real
+        gv = (v @ sup.gstack.T).reshape(n, 3, d * d)
+        out += sup.two_gamma_se * np.einsum("nk,nki->ni", sv, gv)
+    return out.reshape(n, d, d)
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:

@@ -27,15 +27,15 @@ import numpy as np
 
 from .config import RunConfig
 from .dynamics import Trajectory, solve_steady_state
-from .metrology import linear_fit, quantum_fisher_information, reparametrize_monotone
+from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
     SimulationResult,
     build_simulation,
     simulate,
+    stacked_observables,
     steady_state_row,
     write_csv,
 )
-from .thermo import thermo_sample
 
 __all__ = ["reproduce_figures", "S_GRID", "R_OP_GRID", "RADIUS_GRID"]
 
@@ -67,29 +67,11 @@ def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConf
 
 
 def _series_bundle(cfg: RunConfig) -> dict[str, np.ndarray]:
-    """Time-series observables of one run, as plain arrays (picklable)."""
+    """Time-series observables of one run, keyed by trajectory.csv column."""
     result = simulate(cfg)
-    traj, ops = result.traj, result.ops
-    thermo = [thermo_sample(rho, traj.params, ops) for rho in traj.states]
-    qfi = np.array(
-        [[quantum_fisher_information(rho, g) for g in ops.f_ops] for rho in traj.states]
-    )
-    f_exp = np.array(
-        [[float(np.trace(g @ rho).real) for g in ops.f_ops] for rho in traj.states]
-    )
-    s_exp = np.array(
-        [[float(np.trace(g @ rho).real) for g in ops.s_ops] for rho in traj.states]
-    )
-    return {
-        "t_norm": traj.t_norm,
-        "s_vn": np.array([th.s_vn for th in thermo]),
-        "sigma": np.array([th.sigma for th in thermo]),
-        "sigma_rate": np.array([th.sigma_rate for th in thermo]),
-        "efficiency": np.array([th.efficiency for th in thermo]),
-        "qfi": qfi,
-        "f": f_exp,
-        "s": s_exp,
-    }
+    bundle = stacked_observables(result.traj.states, result.params, result.ops)
+    bundle["t_norm"] = result.traj.t_norm
+    return bundle
 
 
 def _tag(value: float) -> str:
@@ -179,46 +161,48 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     emit(
         "fig2a",
         ["t_norm"] + [f"fz_{t}" for t in s_tags] + [f"sz_{t}" for t in s_tags],
-        [grid] + [b["f"][:, 2] for b in s_row] + [b["s"][:, 2] for b in s_row],
+        [grid] + [b["fz"] for b in s_row] + [b["sz"] for b in s_row],
         "collective and electron spin along z under a z pump, three polarizations",
     )
     grid = _shared_grid(x_row)
     emit(
         "fig2b",
         ["t_norm"] + [f"fx_{t}" for t in s_tags] + [f"sx_{t}" for t in s_tags],
-        [grid] + [b["f"][:, 0] for b in x_row] + [b["s"][:, 0] for b in x_row],
+        [grid] + [b["fx"] for b in x_row] + [b["sx"] for b in x_row],
         "collective and electron spin along x under an x pump, three polarizations",
     )
 
     # -- fig3: entropy bookkeeping ---------------------------------------
     grid = _shared_grid(s_row)
-    for name, field, desc in (
-        ("fig3a", "s_vn", "von Neumann entropy vs time, three polarizations"),
-        ("fig3b", "sigma", "cumulative entropy production vs time, three polarizations"),
-        ("fig3c", "sigma_rate", "entropy production rate (1/s) vs time, three polarizations"),
+    for name, field, label, desc in (
+        ("fig3a", "s_vn", "s_vn", "von Neumann entropy vs time, three polarizations"),
+        ("fig3b", "sigma", "sigma", "cumulative entropy production vs time, three polarizations"),
+        ("fig3c", "sigma_rate_per_s", "sigma_rate",
+         "entropy production rate (1/s) vs time, three polarizations"),
     ):
-        emit(name, ["t_norm"] + [f"{field}_{t}" for t in s_tags],
+        emit(name, ["t_norm"] + [f"{label}_{t}" for t in s_tags],
              [grid] + [b[field] for b in s_row], desc)
     grid = _shared_grid(r_row)
-    for name, field, desc in (
-        ("fig3d", "s_vn", "von Neumann entropy vs time, four pumping rates"),
-        ("fig3e", "sigma", "cumulative entropy production vs time, four pumping rates"),
-        ("fig3f", "sigma_rate", "entropy production rate (1/s) vs time, four pumping rates"),
+    for name, field, label, desc in (
+        ("fig3d", "s_vn", "s_vn", "von Neumann entropy vs time, four pumping rates"),
+        ("fig3e", "sigma", "sigma", "cumulative entropy production vs time, four pumping rates"),
+        ("fig3f", "sigma_rate_per_s", "sigma_rate",
+         "entropy production rate (1/s) vs time, four pumping rates"),
     ):
-        emit(name, ["t_norm"] + [f"{field}_{t}" for t in r_tags],
+        emit(name, ["t_norm"] + [f"{label}_{t}" for t in r_tags],
              [grid] + [b[field] for b in r_row], desc)
 
     # -- fig4: rotation QFI ----------------------------------------------
     axis_names = ("x", "y", "z")
     grid = _shared_grid(s_row)
-    for i, (name, axis) in enumerate(zip(("fig4a", "fig4b", "fig4c"), axis_names)):
+    for name, axis in zip(("fig4a", "fig4b", "fig4c"), axis_names):
         emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in s_tags],
-             [grid] + [b["qfi"][:, i] for b in s_row],
+             [grid] + [b[f"qfi_{axis}"] for b in s_row],
              f"QFI for rotations about {axis} vs time, three polarizations")
     grid = _shared_grid(r_row)
-    for i, (name, axis) in enumerate(zip(("fig4d", "fig4e", "fig4f"), axis_names)):
+    for name, axis in zip(("fig4d", "fig4e", "fig4f"), axis_names):
         emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in r_tags],
-             [grid] + [b["qfi"][:, i] for b in r_row],
+             [grid] + [b[f"qfi_{axis}"] for b in r_row],
              f"QFI for rotations about {axis} vs time, four pumping rates")
 
     # -- fig5: steady state vs cell radius -------------------------------
@@ -241,17 +225,17 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     source = bundles[("z", QFI_REPARAM_S, QFI_REPARAM_R_OP)]
     fit_rows = []
     for i, axis in enumerate(axis_names):
-        eff_x, eff_y = reparametrize_monotone(source["efficiency"], source["qfi"][:, i])
+        eff_x, eff_y = reparametrize_monotone(source["efficiency"], source[f"qfi_{axis}"])
         emit(f"fig6{'abc'[i]}", ["efficiency", f"qfi_{axis}"], [eff_x, eff_y],
              f"QFI about {axis} against pumping efficiency along the driven path")
     sigma_final = float(source["sigma"][-1])
     threshold = FIT_SIGMA_FRACTION * sigma_final
     for i, axis in enumerate(axis_names):
-        sig_x, sig_y = reparametrize_monotone(source["sigma"], source["qfi"][:, i])
+        sig_x, sig_y = reparametrize_monotone(source["sigma"], source[f"qfi_{axis}"])
         emit(f"fig6{'def'[i]}", ["sigma", f"qfi_{axis}"], [sig_x, sig_y],
              f"QFI about {axis} against cumulative entropy production")
         fit_x, fit_y = reparametrize_monotone(
-            source["sigma"], source["qfi"][:, i], drop_below=threshold
+            source["sigma"], source[f"qfi_{axis}"], drop_below=threshold
         )
         slope, intercept, r2 = linear_fit(fit_x, fit_y)
         fit_rows.append([axis, slope, intercept, r2, len(fit_x), threshold])

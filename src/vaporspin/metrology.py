@@ -13,23 +13,18 @@ delta_theta >= 1/sqrt(F_Q) per probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .spin_algebra import SpinOperatorSet
 
 __all__ = [
     "quantum_fisher_information",
     "cramer_rao_bound",
-    "QfiSample",
-    "qfi_sample",
     "linear_fit",
     "second_divided_differences",
     "reparametrize_monotone",
 ]
 
 PAIR_CUTOFF = 1e-12
+QFI_FLOOR = 1e-300  # below this the phase bound is reported as inf
 
 
 def quantum_fisher_information(rho: np.ndarray, generator: np.ndarray) -> float:
@@ -49,23 +44,9 @@ def quantum_fisher_information(rho: np.ndarray, generator: np.ndarray) -> float:
 
 def cramer_rao_bound(qfi: float) -> float:
     """Single-shot phase uncertainty bound 1/sqrt(F_Q); inf for F_Q ~ 0."""
-    if qfi <= 1e-300:
+    if qfi <= QFI_FLOOR:
         return float("inf")
     return 1.0 / np.sqrt(qfi)
-
-
-@dataclass
-class QfiSample:
-    """QFI and phase bounds for rotations about the three collective axes."""
-
-    qfi: tuple[float, float, float]
-    crb: tuple[float, float, float]
-
-
-def qfi_sample(rho: np.ndarray, ops: SpinOperatorSet) -> QfiSample:
-    values = tuple(quantum_fisher_information(rho, ops.f_ops[k]) for k in range(3))
-    bounds = tuple(cramer_rao_bound(v) for v in values)
-    return QfiSample(qfi=values, crb=bounds)
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

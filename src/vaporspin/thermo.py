@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, master_rhs
+from .dynamics import master_rhs
 from .spin_algebra import SpinOperatorSet
 
 __all__ = [
@@ -27,10 +27,11 @@ __all__ = [
     "efficiency",
     "ThermoSample",
     "thermo_sample",
-    "thermo_series",
 ]
 
 EIG_CLIP = 1e-15
+# stored energy below this fraction of the spread of H0's spectrum is roundoff
+ENERGY_FLOOR = 1e-12
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
@@ -132,10 +133,13 @@ def mean_energy_above_ground(rho: np.ndarray, h: np.ndarray) -> float:
 def efficiency(rho: np.ndarray, h: np.ndarray) -> float:
     """Ergotropy divided by mean energy above the ground state, in [0, 1].
 
-    Defined as 0 when the stored energy is zero (nothing to extract).
+    Defined as 0 when the stored energy is zero (nothing to extract), which
+    includes energies at roundoff level: a pure ground state of h would
+    otherwise divide roundoff by roundoff.
     """
     energy = mean_energy_above_ground(rho, h)
-    if energy <= 0.0 or not np.isfinite(energy):
+    eps = np.linalg.eigvalsh(h)
+    if not (np.isfinite(energy) and energy > ENERGY_FLOOR * (eps[-1] - eps[0])):
         return 0.0
     value = ergotropy(rho, h) / energy
     return float(min(max(value, 0.0), 1.0))
@@ -164,8 +168,3 @@ def thermo_sample(rho: np.ndarray, params, ops: SpinOperatorSet) -> ThermoSample
         ergotropy=ergotropy(rho, h) / scale,
         efficiency=efficiency(rho, h),
     )
-
-
-def thermo_series(traj: Trajectory, ops: SpinOperatorSet) -> list[ThermoSample]:
-    """Thermodynamic observables along a trajectory."""
-    return [thermo_sample(rho, traj.params, ops) for rho in traj.states]

@@ -53,3 +53,9 @@ def random_density_matrix(rng, dim=8, rank=None):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_unitary(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))

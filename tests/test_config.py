@@ -1,5 +1,6 @@
 import pytest
 
+from vaporspin import cli
 from vaporspin.config import ConfigError, RunConfig, load_config, parse_config
 
 
@@ -105,6 +106,44 @@ class TestValidate:
             RunConfig(sample_every=0).validate()
         with pytest.raises(ConfigError, match="steady_tol"):
             RunConfig(steady_tol=0.0).validate()
+
+    @pytest.mark.parametrize("key", ["sigma_se_rbrb", "sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2"])
+    def test_negative_cross_section_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: -1e-20}).validate()
+
+    def test_zero_spin_exchange_cross_section_rejected(self):
+        with pytest.raises(ConfigError, match="sigma_se_rbrb"):
+            RunConfig(sigma_se_rbrb=0.0).validate()
+        RunConfig(sigma_sd_rbhe=0.0).validate()  # a destruction channel may be off
+
+    @pytest.mark.parametrize("key", ["d0_he_cm2_s", "d0_n2_cm2_s"])
+    def test_nonpositive_diffusion_constant_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: 0.0}).validate()
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: -0.1}).validate()
+
+    def test_non_finite_cell_inputs_rejected(self):
+        with pytest.raises(ConfigError, match="sigma_sd_rbrb"):
+            RunConfig(sigma_sd_rbrb=float("nan")).validate()
+        with pytest.raises(ConfigError, match="d_temp_exponent"):
+            RunConfig(d_temp_exponent=float("inf")).validate()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("sigma_se_rbrb = -1.9e-14\n", "sigma_se_rbrb"),
+            ("d0_he_cm2_s = 0\nd0_n2_cm2_s = 0\n", "d0_he_cm2_s"),
+        ],
+    )
+    def test_bad_cell_input_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_consistency(self):
         with pytest.raises(ConfigError, match="not sweepable"):

@@ -13,6 +13,7 @@ from vaporspin.dynamics import (
     integrate,
     master_rhs,
     nuclear_part,
+    rhs_block,
     solve_steady_state,
     spin_temperature_state,
     _rhs_vec,
@@ -64,11 +65,13 @@ class TestMasterRhs:
     def test_superoperator_route_matches_matrix_route(self, ops, rng):
         p = params(s=(0.3, 0.1, -0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
-        for _ in range(5):
-            rho = random_density_matrix(rng)
+        states = np.stack([random_density_matrix(rng) for _ in range(5)])
+        block = rhs_block(states, sup)
+        for rho, stacked in zip(states, block):
             direct = master_rhs(rho, p, ops)
             vec = _rhs_vec(rho.reshape(-1), sup).reshape(8, 8)
             assert np.max(np.abs(direct - vec)) < 1e-11 * p.a_hfs
+            assert np.max(np.abs(direct - stacked)) < 1e-11 * p.a_hfs
 
     def test_unpolarized_pump_leaves_mixed_state_stationary(self, ops):
         p = params(s=(0, 0, 0))

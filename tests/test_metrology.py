@@ -6,11 +6,11 @@ import pytest
 from vaporspin.metrology import (
     cramer_rao_bound,
     linear_fit,
-    qfi_sample,
     quantum_fisher_information,
     reparametrize_monotone,
     second_divided_differences,
 )
+from vaporspin.pipeline import stacked_observables
 
 from conftest import random_density_matrix
 
@@ -98,14 +98,14 @@ class TestCramerRaoBound:
         assert cramer_rao_bound(0.0) == math.inf
         assert cramer_rao_bound(1e-320) == math.inf
 
-    def test_sample_bundles_three_axes(self, ops8):
-        rho = np.zeros((8, 8), dtype=complex)
-        rho[0, 0] = 1.0
-        sample = qfi_sample(rho, ops8)
-        assert sample.qfi[0] == pytest.approx(4.0, abs=1e-10)
-        assert sample.crb[0] == pytest.approx(0.5, abs=1e-10)
-        assert sample.qfi[2] == pytest.approx(0.0, abs=1e-10)
-        assert sample.crb[2] == math.inf
+    def test_sample_bundles_three_axes(self, ops8, make_params):
+        rho = np.zeros((1, 8, 8), dtype=complex)
+        rho[0, 0, 0] = 1.0
+        sample = stacked_observables(rho, make_params(), ops8)
+        assert sample["qfi_x"][0] == pytest.approx(4.0, abs=1e-10)
+        assert sample["crb_x"][0] == pytest.approx(0.5, abs=1e-10)
+        assert sample["qfi_z"][0] == pytest.approx(0.0, abs=1e-10)
+        assert sample["crb_z"][0] == math.inf
 
 
 class TestLinearFit:

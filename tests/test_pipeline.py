@@ -8,8 +8,15 @@ import pytest
 
 from vaporspin import cli
 from vaporspin.config import RunConfig
-from vaporspin.dynamics import PhysicsViolationError, fit_spin_temperature, solve_steady_state
+from vaporspin.dynamics import (
+    PhysicsViolationError,
+    SteadyStateInfo,
+    fit_spin_temperature,
+    solve_steady_state,
+)
+from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
 from vaporspin.pipeline import (
+    OBSERVABLE_BLOCK,
     TRAJECTORY_COLUMNS,
     build_simulation,
     format_value,
@@ -18,11 +25,15 @@ from vaporspin.pipeline import (
     run_single,
     run_sweep,
     simulate,
+    stacked_observables,
     steady_state_row,
     trajectory_table,
     write_rates_csv,
 )
+from vaporspin.thermo import thermo_sample
 import vaporspin.pipeline as pipeline
+
+from conftest import random_density_matrix, random_unitary
 
 POPULATION_COLUMNS = [
     "p_f2_m2", "p_f2_m1", "p_f2_m0", "p_f2_mm1", "p_f2_mm2",
@@ -104,6 +115,80 @@ class TestRunSingle:
         assert len(header) == len(rows[0])
         t_col = [r[0] for r in rows]
         assert t_col == sorted(t_col)
+
+
+def oracle_observables(rho, params, ops) -> dict[str, float]:
+    """One state's trajectory.csv observables from the scalar routines."""
+    th = thermo_sample(rho, params, ops)
+    ref = {
+        "s_vn": th.s_vn, "sigma": th.sigma, "sigma_rate_per_s": th.sigma_rate,
+        "energy_over_a": th.energy, "ergotropy_over_a": th.ergotropy,
+        "efficiency": th.efficiency,
+    }
+    for axis, f, s in zip("xyz", ops.f_ops, ops.s_ops):
+        qfi = quantum_fisher_information(rho, f)
+        ref[f"qfi_{axis}"] = qfi
+        ref[f"crb_{axis}"] = cramer_rao_bound(qfi)
+        ref[f"f{axis}"] = np.trace(f @ rho).real
+        ref[f"s{axis}"] = np.trace(s @ rho).real
+    return ref
+
+
+class TestStackedObservables:
+    """The one-eigh-per-state pass against the scalar oracles, at 1e-12."""
+
+    def check(self, states, params, ops):
+        got = stacked_observables(states, params, ops)
+        assert set(got) == set(TRAJECTORY_COLUMNS[2:]) | {"populations"}
+        refs = [oracle_observables(rho, params, ops) for rho in states]
+        for key in TRAJECTORY_COLUMNS[2:]:
+            want = np.array([r[key] for r in refs])
+            assert got[key].shape == want.shape
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got[key]), finite), key
+            scale = max(np.abs(want[finite]).max(initial=0.0), 1.0)
+            np.testing.assert_allclose(
+                got[key][finite], want[finite], rtol=0.0, atol=1e-12 * scale, err_msg=key
+            )
+        pops = np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
+        np.testing.assert_array_equal(got["populations"], pops)
+        return got
+
+    @pytest.mark.parametrize("n", [1, OBSERVABLE_BLOCK, 2 * OBSERVABLE_BLOCK + 13])
+    def test_random_full_rank_states(self, ops8, make_params, rng, n):
+        states = np.stack([random_density_matrix(rng) for _ in range(n)])
+        self.check(states, make_params(s=0.7, axis="x"), ops8)
+
+    def test_pure_states(self, ops8, make_params, rng):
+        states = np.stack([random_density_matrix(rng, rank=1) for _ in range(5)])
+        got = self.check(states, make_params(), ops8)
+        assert np.all(got["s_vn"] < 1e-12)
+
+    def test_ground_state_has_no_efficiency(self, ops8, make_params):
+        states = np.zeros((4, 8, 8), dtype=complex)
+        for i, k in enumerate((5, 6, 7)):
+            states[i, k, k] = 1.0
+        states[3, 5:, 5:] = np.eye(3) / 3.0
+        got = self.check(states, make_params(), ops8)
+        assert np.all(np.abs(got["energy_over_a"]) < 1e-12)
+        assert np.all(got["efficiency"] == 0.0)
+
+    def test_near_zero_eigenvalue_pairs(self, ops8, make_params, rng):
+        # pairs straddling the QFI pair cutoff: kept, dropped, and exact zeros
+        spectra = [
+            [0.6, 0.4 - 3e-13, 1e-13, 2e-13, 0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.5 - 2e-12, 1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0],
+            [1.0 - 4e-15, 1e-15, 1e-15, 1e-15, 1e-15, 0.0, 0.0, 0.0],
+        ]
+        states = []
+        for lam in spectra:
+            u = random_unitary(rng, 8)
+            states.append((u * np.array(lam)) @ u.conj().T)
+        self.check(np.stack(states), make_params(s=0.3, axis="y"), ops8)
+
+    def test_trajectory_states(self):
+        result = simulate(fast_config(pump_axis="x", sample_every=20))
+        self.check(result.traj.states, result.params, result.ops)
 
 
 class TestPumpFrame:
@@ -237,6 +322,26 @@ class TestCli:
         monkeypatch.setattr(cli, "run_single", explode)
         assert cli.main(["run", "--out", str(tmp_path)]) == 3
         assert "physics violation" in capsys.readouterr().err
+
+    def test_unconverged_steady_state_exits_5(self, tmp_path, monkeypatch, capsys):
+        solve = pipeline.solve_steady_state
+
+        def stalled(params, ops, seed=None, **kwargs):
+            rho, info = solve(params, ops, seed=seed, **kwargs)
+            return rho, SteadyStateInfo(converged=False, residual=1.0, iterations=80)
+
+        monkeypatch.setattr(pipeline, "solve_steady_state", stalled)
+        cfg_path = tmp_path / "fast.cfg"
+        cfg_path.write_text(
+            "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 2\n"
+            "stop_at_steady = false\nsample_every = 100\n"
+        )
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NOT_CONVERGED == 5
+        assert "did not converge" in capsys.readouterr().err
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+        header, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert rows[0][header.index("ness_converged")] == "false"
 
     def test_runtime_error_exits_4(self, tmp_path, monkeypatch, capsys):
         def explode(cfg, out_dir):

@@ -15,19 +15,13 @@ from vaporspin.thermo import (
     passive_state,
     relative_entropy,
     thermo_sample,
-    thermo_series,
     von_neumann_entropy,
 )
+from vaporspin.pipeline import stacked_observables
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary
 
 LN8 = math.log(8.0)
-
-
-def random_unitary(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def spin_temp_efficiency(beta):
@@ -207,6 +201,13 @@ class TestEfficiency:
         assert mean_energy_above_ground(rho, ops8.h0) == pytest.approx(0.0, abs=1e-9)
         assert efficiency(rho, ops8.h0) == 0.0
 
+    def test_pure_ground_state_stores_nothing(self, ops8):
+        # energy and ergotropy are both roundoff here; their ratio is not 1
+        for k in (5, 6, 7):
+            rho = np.zeros((8, 8), dtype=complex)
+            rho[k, k] = 1.0
+            assert efficiency(rho, ops8.h0) == 0.0
+
     def test_bounded(self, ops8, rng):
         for _ in range(20):
             rho = random_density_matrix(rng)
@@ -234,8 +235,8 @@ class TestThermoSample:
         traj = integrate(
             ops8.maximally_mixed(), p, ops8, t_end=0.5 * p.t_se, sample_every=500
         )
-        series = thermo_series(traj, ops8)
-        assert len(series) == len(traj)
+        series = stacked_observables(traj.states, p, ops8)
+        assert len(series["sigma"]) == len(traj)
         one = thermo_sample(traj.states[-1], p, ops8)
-        assert series[-1].sigma == pytest.approx(one.sigma, abs=1e-14)
-        assert series[-1].efficiency == pytest.approx(one.efficiency, abs=1e-14)
+        assert series["sigma"][-1] == pytest.approx(one.sigma, abs=1e-14)
+        assert series["efficiency"][-1] == pytest.approx(one.efficiency, abs=1e-14)
