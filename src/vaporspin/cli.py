@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success; 2 bad usage or bad config; 3 a run left the physical
 state space (trace/positivity guard tripped); 4 any other runtime failure;
-5 ``run`` wrote its outputs but the steady-state solve did not converge.
+5 ``run``/``sweep`` wrote its outputs but a steady-state solve did not converge.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .dynamics import PhysicsViolationError
 from .figures import reproduce_figures
 from .pipeline import (
     SWEEP_STATUS_ERROR,
+    SWEEP_STATUS_NOT_CONVERGED,
     SWEEP_STATUS_OK,
     SWEEP_STATUS_PHYSICS,
     build_simulation,
@@ -108,16 +109,16 @@ def _cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    if not cfg.sweep_variable:
-        raise ConfigError("sweep requires sweep_variable and sweep_values in the config")
     path, statuses = run_sweep(cfg, out_dir, jobs=jobs)
     n_ok = statuses.count(SWEEP_STATUS_OK)
     print(f"wrote {path} ({n_ok}/{len(statuses)} points ok)")
-    if all(s == SWEEP_STATUS_OK for s in statuses):
-        return EXIT_OK
     if SWEEP_STATUS_PHYSICS in statuses:
         return EXIT_PHYSICS
-    return EXIT_RUNTIME
+    if SWEEP_STATUS_ERROR in statuses:
+        return EXIT_RUNTIME
+    if SWEEP_STATUS_NOT_CONVERGED in statuses:
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def _cmd_figures(cfg: RunConfig, out_dir: Path, jobs: int) -> int:

@@ -38,6 +38,7 @@ __all__ = [
     "build_superops",
     "rhs_block",
     "default_dt",
+    "sampling_plan",
     "integrate",
     "detect_steady_state",
     "spin_temperature_state",
@@ -196,6 +197,12 @@ def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
     return 1.0 / (steps_per_rate * fastest)
 
 
+def sampling_plan(t_end: float, dt: float, sample_every: int) -> tuple[int, int]:
+    """RK4 steps and stored samples of :func:`integrate` over ``t_end``."""
+    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    return n_steps, n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
+
+
 @dataclass
 class Trajectory:
     """Sampled solution of one integration run."""
@@ -266,11 +273,10 @@ def integrate(
     d = ops.dim
     rho0 = _validate_state(rho0, d)
 
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     sup = build_superops(params, ops)
     steady_threshold = steady_tol * params.gamma_se
 
-    n_samples = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
     times = np.empty(n_samples)
     samples = np.empty((n_samples, d * d), dtype=complex)
     rhs_norms = np.empty(n_samples)

@@ -20,20 +20,20 @@ Panel layout:
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import Trajectory, solve_steady_state
+from .dynamics import default_dt, solve_steady_state
 from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
-    SimulationResult,
     build_simulation,
+    fan_out,
     simulate,
     stacked_observables,
-    steady_state_row,
+    steady_state_columns,
     write_csv,
 )
 
@@ -61,14 +61,12 @@ def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConf
         t_end_over_t_se=FIGURE_T_END,
         sample_every=FIGURE_STRIDE,
         stop_at_steady=False,
-        sweep_variable="",
-        sweep_values=(),
     )
 
 
-def _series_bundle(cfg: RunConfig) -> dict[str, np.ndarray]:
+def _series_bundle(cfg: RunConfig, dt: float) -> dict[str, np.ndarray]:
     """Time-series observables of one run, keyed by trajectory.csv column."""
-    result = simulate(cfg)
+    result = simulate(cfg, dt=dt)
     bundle = stacked_observables(result.traj.states, result.params, result.ops)
     bundle["t_norm"] = result.traj.t_norm
     return bundle
@@ -78,14 +76,6 @@ def _tag(value: float) -> str:
     return f"{int(round(100 * value)):03d}"
 
 
-def _shared_grid(bundles: list[dict[str, np.ndarray]]) -> np.ndarray:
-    grid = bundles[0]["t_norm"]
-    for b in bundles[1:]:
-        if b["t_norm"].shape != grid.shape or not np.allclose(b["t_norm"], grid):
-            raise RuntimeError("figure runs disagree on the sampling grid")
-    return grid
-
-
 def _radius_point(base: RunConfig, radius: float) -> dict[str, object]:
     cfg = dataclasses.replace(
         base,
@@ -93,31 +83,17 @@ def _radius_point(base: RunConfig, radius: float) -> dict[str, object]:
         pump_axis="z",
         s_magnitude=0.5,
         r_op_over_gamma_se=RADIUS_SWEEP_R_OP,
-        sweep_variable="",
-        sweep_values=(),
     )
-    ops, rates, params = build_simulation(cfg)
+    ops, _, params = build_simulation(cfg)
     rho, info = solve_steady_state(params, ops)
     if not info.converged:
         raise RuntimeError(f"steady-state solve failed at radius {radius} cm")
-    # reuse the summary machinery via a one-sample stand-in trajectory
-    traj = Trajectory(
-        times=np.array([0.0]),
-        states=rho[None, :, :],
-        rhs_norms=np.array([info.residual]),
-        params=params,
-        dt=1.0,
-        reached_steady=True,
-        steady_index=0,
-        max_trace_drift=0.0,
-        max_herm_defect=0.0,
-        min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-    )
-    sim = SimulationResult(
-        config=cfg, ops=ops, rates=rates, params=params,
-        traj=traj, ness_rho=rho, ness_info=info,
-    )
-    return steady_state_row(sim)
+    return {
+        "radius_cm": cfg.radius_cm,
+        "gamma_se_per_s": params.gamma_se,
+        "gamma_sd_per_s": params.gamma_sd,
+        **steady_state_columns(cfg, ops, params, rho),
+    }
 
 
 def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
@@ -137,11 +113,13 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         keys.append(("x", s, 1.0))
 
     configs = [_series_config(base, *key) for key in keys]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            bundles = dict(zip(keys, pool.map(_series_bundle, configs)))
-    else:
-        bundles = dict(zip(keys, (_series_bundle(c) for c in configs)))
+    # one RK4 step for every series, set by the fastest pump, so that all
+    # series share one sampling grid
+    _, _, fastest = build_simulation(max(configs, key=lambda c: c.r_op_over_gamma_se))
+    dt = default_dt(fastest, steps_per_rate=base.dt_steps_per_rate)
+    bundles = dict(zip(keys, fan_out(functools.partial(_series_bundle, dt=dt), configs, jobs)))
+    grid = bundles[keys[0]]["t_norm"]
+    assert all(np.array_equal(b["t_norm"], grid) for b in bundles.values()), "series grids differ"
 
     s_row = [bundles[("z", s, 1.0)] for s in S_GRID]
     r_row = [bundles[("z", 0.5, r)] for r in R_OP_GRID]
@@ -157,14 +135,12 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         manifest.append((f"{name}.csv", len(rows), len(header), description))
 
     # -- fig2: spin buildup along the pump axis --------------------------
-    grid = _shared_grid(s_row)
     emit(
         "fig2a",
         ["t_norm"] + [f"fz_{t}" for t in s_tags] + [f"sz_{t}" for t in s_tags],
         [grid] + [b["fz"] for b in s_row] + [b["sz"] for b in s_row],
         "collective and electron spin along z under a z pump, three polarizations",
     )
-    grid = _shared_grid(x_row)
     emit(
         "fig2b",
         ["t_norm"] + [f"fx_{t}" for t in s_tags] + [f"sx_{t}" for t in s_tags],
@@ -173,7 +149,6 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     )
 
     # -- fig3: entropy bookkeeping ---------------------------------------
-    grid = _shared_grid(s_row)
     for name, field, label, desc in (
         ("fig3a", "s_vn", "s_vn", "von Neumann entropy vs time, three polarizations"),
         ("fig3b", "sigma", "sigma", "cumulative entropy production vs time, three polarizations"),
@@ -182,7 +157,6 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     ):
         emit(name, ["t_norm"] + [f"{label}_{t}" for t in s_tags],
              [grid] + [b[field] for b in s_row], desc)
-    grid = _shared_grid(r_row)
     for name, field, label, desc in (
         ("fig3d", "s_vn", "s_vn", "von Neumann entropy vs time, four pumping rates"),
         ("fig3e", "sigma", "sigma", "cumulative entropy production vs time, four pumping rates"),
@@ -194,12 +168,10 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
 
     # -- fig4: rotation QFI ----------------------------------------------
     axis_names = ("x", "y", "z")
-    grid = _shared_grid(s_row)
     for name, axis in zip(("fig4a", "fig4b", "fig4c"), axis_names):
         emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in s_tags],
              [grid] + [b[f"qfi_{axis}"] for b in s_row],
              f"QFI for rotations about {axis} vs time, three polarizations")
-    grid = _shared_grid(r_row)
     for name, axis in zip(("fig4d", "fig4e", "fig4f"), axis_names):
         emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in r_tags],
              [grid] + [b[f"qfi_{axis}"] for b in r_row],
@@ -211,15 +183,9 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         "beta_fit", "s_vn", "sigma", "energy_over_a", "ergotropy_over_a",
         "efficiency", "qfi_x", "qfi_y", "qfi_z",
     ]
-    fig5_rows = []
-    for radius in RADIUS_GRID:
-        row = _radius_point(base, float(radius))
-        fig5_rows.append([row[c] for c in fig5_cols])
-    write_csv(out_dir / "fig5.csv", fig5_cols, fig5_rows)
-    manifest.append(
-        ("fig5.csv", len(fig5_rows), len(fig5_cols),
+    points = [_radius_point(base, float(radius)) for radius in RADIUS_GRID]
+    emit("fig5", fig5_cols, [[p[c] for p in points] for c in fig5_cols],
          "steady state vs cell radius; small cells are wall-relaxation dominated")
-    )
 
     # -- fig6: QFI against efficiency and against entropy production -----
     source = bundles[("z", QFI_REPARAM_S, QFI_REPARAM_R_OP)]
@@ -239,15 +205,10 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         )
         slope, intercept, r2 = linear_fit(fit_x, fit_y)
         fit_rows.append([axis, slope, intercept, r2, len(fit_x), threshold])
-    write_csv(
-        out_dir / "fit_summary.csv",
-        ["axis", "slope", "intercept", "r_squared", "n_points", "sigma_threshold"],
-        fit_rows,
-    )
-    manifest.append(
-        ("fit_summary.csv", len(fit_rows), 6,
+    emit("fit_summary",
+         ["axis", "slope", "intercept", "r_squared", "n_points", "sigma_threshold"],
+         list(zip(*fit_rows)),
          "linear fit of QFI vs entropy production past the initial transient")
-    )
 
     manifest_path = write_csv(
         out_dir / "manifest.csv",

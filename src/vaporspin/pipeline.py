@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cell_rates import CellConfig, CrossSections, DiffusionParams, RateSet, compute_rates
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .dynamics import (
     MasterSuperops,
     PumpParams,
@@ -32,6 +32,7 @@ from .dynamics import (
     fit_spin_temperature,
     integrate,
     rhs_block,
+    sampling_plan,
     solve_steady_state,
 )
 from .metrology import PAIR_CUTOFF, QFI_FLOOR, cramer_rao_bound, quantum_fisher_information
@@ -43,6 +44,7 @@ __all__ = [
     "build_cell",
     "build_simulation",
     "simulate",
+    "steady_state_columns",
     "steady_state_row",
     "stacked_observables",
     "trajectory_table",
@@ -50,6 +52,7 @@ __all__ = [
     "write_rates_csv",
     "run_single",
     "run_sweep",
+    "fan_out",
     "format_value",
 ]
 
@@ -59,6 +62,10 @@ AXIS_UNIT = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0]), "z"
 # keeps the pass's scratch memory independent of the trajectory length
 OBSERVABLE_BLOCK = 64
 
+# largest sample store simulate lets integrate preallocate; the built-in
+# defaults need 78 MB, t_end_over_t_se = 1e5 would need 52 GB
+MAX_TRAJECTORY_BYTES = 2**30
+
 
 def format_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -66,10 +73,7 @@ def format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.12g}"
+        return f"{float(value):.12g}"
     return str(value)
 
 
@@ -130,20 +134,32 @@ class SimulationResult:
     ness_info: SteadyStateInfo
 
 
-def simulate(cfg: RunConfig) -> SimulationResult:
+def simulate(cfg: RunConfig, *, dt: float | None = None) -> SimulationResult:
     """Integrate from the maximally mixed state, then polish the steady state.
 
     The Newton polish is seeded with the trajectory endpoint, so it converges
     in a few iterations and gives steady-state observables at solver precision
-    regardless of how long the time integration ran.
+    regardless of how long the time integration ran.  ``dt`` overrides the step
+    set by ``cfg.dt_steps_per_rate``.  A run whose samples would need more than
+    ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError` before integrating.
     """
     ops, rates, params = build_simulation(cfg)
+    if dt is None:
+        dt = default_dt(params, steps_per_rate=cfg.dt_steps_per_rate)
+    t_end = cfg.t_end_over_t_se * params.t_se
+    _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
+    # each sample stores a d x d complex state, its time and its residual norm
+    n_bytes = n_samples * (ops.dim**2 + 1) * 16
+    if n_bytes > MAX_TRAJECTORY_BYTES:
+        raise ConfigError(f"t_end_over_t_se = {cfg.t_end_over_t_se:g} at dt_steps_per_rate = "
+                          f"{cfg.dt_steps_per_rate:g} and sample_every = {cfg.sample_every} needs "
+                          f"{n_samples} samples, {n_bytes >> 20} MiB, over the {MAX_TRAJECTORY_BYTES >> 20} MiB cap")
     traj = integrate(
         ops.maximally_mixed(),
         params,
         ops,
-        t_end=cfg.t_end_over_t_se * params.t_se,
-        dt=default_dt(params, steps_per_rate=cfg.dt_steps_per_rate),
+        t_end=t_end,
+        dt=dt,
         sample_every=cfg.sample_every,
         stop_at_steady=cfg.stop_at_steady,
         steady_tol=cfg.steady_tol,
@@ -280,12 +296,10 @@ def off_diagonal_mass(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2) - np.sum(np.abs(np.diag(rho)) ** 2))
 
 
-def steady_state_row(result: SimulationResult) -> dict[str, object]:
-    """Steady-state summary (one flat dict, the row of summary.csv)."""
-    cfg, ops, params = result.config, result.ops, result.params
-    rho = result.ness_rho
-    traj = result.traj
-
+def steady_state_columns(
+    cfg: RunConfig, ops: SpinOperatorSet, params: PumpParams, rho: np.ndarray
+) -> dict[str, object]:
+    """Observables of a steady state ``rho`` (the closing columns of summary.csv)."""
     frame = rotation_to_pump_frame(ops, cfg.pump_axis)
     rho_pump = frame.conj().T @ rho @ frame
     pops = np.clip(np.diag(rho_pump).real, 0.0, None)
@@ -298,9 +312,32 @@ def steady_state_row(result: SimulationResult) -> dict[str, object]:
 
     th = thermo_sample(rho, params, ops)
     qfi = [quantum_fisher_information(rho, g) for g in ops.f_ops]
-    steady_time = traj.times[traj.steady_index] if traj.steady_index is not None else float("nan")
+    return {
+        "s_along_pump": s_along,
+        "s_along_pump_predicted": s_pred,
+        "beta_fit": beta_fit,
+        "beta_fit_residual": beta_resid,
+        "off_diag_mass_pump_frame": off_diagonal_mass(rho_pump),
+        "s_vn": th.s_vn,
+        "sigma": th.sigma,
+        "sigma_rate_per_s": th.sigma_rate,
+        "energy_over_a": th.energy,
+        "ergotropy_over_a": th.ergotropy,
+        "efficiency": th.efficiency,
+        "qfi_x": qfi[0],
+        "qfi_y": qfi[1],
+        "qfi_z": qfi[2],
+        "crb_x": cramer_rao_bound(qfi[0]),
+        "crb_y": cramer_rao_bound(qfi[1]),
+        "crb_z": cramer_rao_bound(qfi[2]),
+    }
 
-    row: dict[str, object] = {
+
+def steady_state_row(result: SimulationResult) -> dict[str, object]:
+    """Steady-state summary (one flat dict, the row of summary.csv)."""
+    cfg, params, traj = result.config, result.params, result.traj
+    steady_time = traj.times[traj.steady_index] if traj.steady_index is not None else float("nan")
+    return {
         "radius_cm": cfg.radius_cm,
         "temperature_c": cfg.temperature_c,
         "p_he_torr": cfg.p_he_torr,
@@ -322,25 +359,8 @@ def steady_state_row(result: SimulationResult) -> dict[str, object]:
         "ness_converged": result.ness_info.converged,
         "ness_residual_per_s": result.ness_info.residual,
         "ness_iterations": result.ness_info.iterations,
-        "s_along_pump": s_along,
-        "s_along_pump_predicted": s_pred,
-        "beta_fit": beta_fit,
-        "beta_fit_residual": beta_resid,
-        "off_diag_mass_pump_frame": off_diagonal_mass(rho_pump),
-        "s_vn": th.s_vn,
-        "sigma": th.sigma,
-        "sigma_rate_per_s": th.sigma_rate,
-        "energy_over_a": th.energy,
-        "ergotropy_over_a": th.ergotropy,
-        "efficiency": th.efficiency,
-        "qfi_x": qfi[0],
-        "qfi_y": qfi[1],
-        "qfi_z": qfi[2],
-        "crb_x": cramer_rao_bound(qfi[0]),
-        "crb_y": cramer_rao_bound(qfi[1]),
-        "crb_z": cramer_rao_bound(qfi[2]),
+        **steady_state_columns(cfg, result.ops, params, result.ness_rho),
     }
-    return row
 
 
 RATES_COLUMNS = [
@@ -382,6 +402,7 @@ def run_single(cfg: RunConfig, out_dir: Path) -> dict[str, object]:
 
 
 SWEEP_STATUS_OK = "ok"
+SWEEP_STATUS_NOT_CONVERGED = "not_converged"
 SWEEP_STATUS_PHYSICS = "physics_violation"
 SWEEP_STATUS_ERROR = "error"
 
@@ -391,11 +412,23 @@ def _sweep_point(args: tuple[RunConfig, str, float, Path]) -> tuple[float, str, 
     cfg = dataclasses.replace(base, sweep_variable="", sweep_values=(), **{variable: value})
     try:
         summary = run_single(cfg, point_dir)
-        return value, SWEEP_STATUS_OK, "", summary
+        status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
+        return value, status, "", summary
     except PhysicsViolationError as exc:
         return value, SWEEP_STATUS_PHYSICS, str(exc), {}
     except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
         return value, SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {}
+
+
+def fan_out(fn, items: list, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]``, in ``jobs`` worker processes when ``jobs > 1``.
+
+    ``fn`` is pickled: a module-level function or a ``functools.partial`` of one.
+    """
+    if jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> tuple[Path, list[str]]:
@@ -406,18 +439,14 @@ def run_sweep(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> tuple[Path, list[
     Returns the aggregate path and the list of per-point statuses.
     """
     if not cfg.sweep_variable:
-        raise ValueError("config has no sweep_variable")
+        raise ConfigError("sweep requires sweep_variable and sweep_values in the config")
     out_dir = Path(out_dir)
     values = sorted(cfg.sweep_values)
     tasks = [
         (cfg, cfg.sweep_variable, value, out_dir / f"point_{i:02d}")
         for i, value in enumerate(values)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_point, tasks))
-    else:
-        outcomes = [_sweep_point(t) for t in tasks]
+    outcomes = fan_out(_sweep_point, tasks, jobs)
 
     first_summary = next((o[3] for o in outcomes if o[3]), {})
     summary_cols = [c for c in first_summary if c != cfg.sweep_variable]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vaporspin import cli
-from vaporspin.config import RunConfig
+from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
@@ -59,6 +59,17 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def stall_steady_state(monkeypatch) -> None:
+    """Make every Newton solve report non-convergence (it still returns its iterate)."""
+    solve = pipeline.solve_steady_state
+
+    def stalled(params, ops, seed=None, **kwargs):
+        rho, info = solve(params, ops, seed=seed, **kwargs)
+        return rho, SteadyStateInfo(converged=False, residual=1.0, iterations=80)
+
+    monkeypatch.setattr(pipeline, "solve_steady_state", stalled)
+
+
 class TestFormatValue:
     def test_floats_and_special_values(self):
         assert format_value(0.1) == "0.1"
@@ -106,6 +117,29 @@ class TestRunSingle:
         assert summary["beta_fit_residual"] < 1e-6
         assert summary["off_diag_mass_pump_frame"] < 1e-12
         assert summary["efficiency"] == pytest.approx(0.792, abs=0.01)
+
+    def test_oversized_trajectory_refused_before_integrating(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate ran")
+
+        monkeypatch.setattr(pipeline, "integrate", forbidden)
+        with pytest.raises(ConfigError, match="t_end_over_t_se"):
+            simulate(RunConfig(t_end_over_t_se=1e5).validate())
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text("t_end_over_t_se = 1e5\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "t_end_over_t_se" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_trajectory_cap_counts_the_preallocated_bytes(self, monkeypatch):
+        cfg = fast_config(sample_every=7)
+        traj = simulate(cfg).traj
+        n_bytes = traj.states.nbytes + traj.times.nbytes + traj.rhs_norms.nbytes
+        monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", n_bytes)
+        simulate(cfg)
+        monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", n_bytes - 1)
+        with pytest.raises(ConfigError, match="cap"):
+            simulate(cfg)
 
     def test_trajectory_table_row_per_sample(self):
         cfg = fast_config(sample_every=200)
@@ -324,13 +358,7 @@ class TestCli:
         assert "physics violation" in capsys.readouterr().err
 
     def test_unconverged_steady_state_exits_5(self, tmp_path, monkeypatch, capsys):
-        solve = pipeline.solve_steady_state
-
-        def stalled(params, ops, seed=None, **kwargs):
-            rho, info = solve(params, ops, seed=seed, **kwargs)
-            return rho, SteadyStateInfo(converged=False, residual=1.0, iterations=80)
-
-        monkeypatch.setattr(pipeline, "solve_steady_state", stalled)
+        stall_steady_state(monkeypatch)
         cfg_path = tmp_path / "fast.cfg"
         cfg_path.write_text(
             "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 2\n"
@@ -342,6 +370,28 @@ class TestCli:
         assert (tmp_path / "out" / "trajectory.csv").exists()
         header, rows = read_csv(tmp_path / "out" / "summary.csv")
         assert rows[0][header.index("ness_converged")] == "false"
+
+    def test_unconverged_sweep_point_exits_5(self, tmp_path, monkeypatch, capsys):
+        stall_steady_state(monkeypatch)
+        fast = (
+            "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 2\n"
+            "stop_at_steady = false\nsample_every = 100\nsweep_variable = radius_cm\n"
+        )
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(fast + "sweep_values = 1.0, 1.5\n")
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sw")])
+        assert code == cli.EXIT_NOT_CONVERGED == 5
+        assert "0/2 points ok" in capsys.readouterr().out
+        header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        assert [r[header.index("status")] for r in rows] == ["not_converged"] * 2
+        assert [r[header.index("ness_converged")] for r in rows] == ["false"] * 2
+
+        # a failed point outranks a non-converged one
+        cfg_path.write_text(fast + "sweep_values = -1.0, 1.5\n")
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sw2")])
+        assert code == cli.EXIT_RUNTIME
+        _, rows = read_csv(tmp_path / "sw2" / "sweep.csv")
+        assert [r[1] for r in rows] == ["error", "not_converged"]
 
     def test_runtime_error_exits_4(self, tmp_path, monkeypatch, capsys):
         def explode(cfg, out_dir):
