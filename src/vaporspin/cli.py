@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=None, metavar="DIR",
                          help="output directory (default: out_dir from the config)")
         cmd.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="worker processes for sweep points / figure runs")
+                         help="worker processes for sweep points / chunks of the figure series")
         return cmd
 
     add_command("rates", "compute the cell's collision and wall rates")
@@ -123,7 +123,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
 
 def _cmd_figures(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     manifest = reproduce_figures(cfg, out_dir, jobs=jobs)
-    n_files = sum(1 for _ in open(manifest)) - 1
+    with open(manifest) as fh:
+        n_files = sum(1 for _ in fh) - 1
     print(f"wrote {n_files} files, manifest at {manifest}")
     return EXIT_OK
 

@@ -13,20 +13,23 @@ anticommutator form is the Hermitian symmetrization of the operator products
 ``phi*(1 + 2 s.S)`` and ``phi*(1 + 4<S>.S)``.
 
 Two equivalent evaluation routes are provided: a readable matrix form
-(:func:`master_rhs`) and a vectorized superoperator form used by the
-fixed-step RK4 integrator (:func:`integrate`).  Steady states can be
-detected along a trajectory or solved for directly with a Newton iteration
-(:func:`solve_steady_state`).
+(:func:`master_rhs`, the oracle) and an exact low-rank form over a block of
+states (:func:`block_rhs`), used by the fixed-step RK4 integrator
+(:func:`integrate_block`, :func:`integrate`), the Newton solve and the
+entropy production rate.  Steady states can be detected along a trajectory
+or solved for directly with a Newton iteration (:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import SpinOperatorSet
+from .spin_algebra import SpinOperatorSet, build_spin_matrices
 
 __all__ = [
     "PumpParams",
@@ -36,10 +39,11 @@ __all__ = [
     "nuclear_part",
     "master_rhs",
     "build_superops",
-    "rhs_block",
+    "block_rhs",
     "default_dt",
     "sampling_plan",
     "integrate",
+    "integrate_block",
     "detect_steady_state",
     "spin_temperature_state",
     "fit_spin_temperature",
@@ -52,12 +56,20 @@ EIGENVALUE_FLOOR = -1e-6
 
 
 class PhysicsViolationError(RuntimeError):
-    """A trajectory left the physical state space (trace or positivity)."""
+    """A trajectory left the physical state space (trace or positivity).
 
-    def __init__(self, message: str, step: int, t: float):
-        super().__init__(f"{message} at step {step} (t = {t:.6e} s)")
+    ``column`` is the offending column of an :func:`integrate_block` block.
+    """
+
+    def __init__(self, reason: str, step: int, t: float, column: int = 0):
+        super().__init__(f"{reason} at step {step} (t = {t:.6e} s)")
+        self.reason = reason
         self.step = step
         self.t = t
+        self.column = int(column)
+
+    def __reduce__(self):  # pickled across fan_out's worker processes
+        return type(self), (self.reason, self.step, self.t, self.column)
 
 
 @dataclass(frozen=True)
@@ -121,72 +133,91 @@ def master_rhs(rho: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> np.
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterSuperops:
-    """Vectorized (row-major vec) form of the equation of motion.
+    """Exact low-rank form of the equation of motion for a block of B columns.
 
-    drho/dt = lin @ v + two_gamma_se * sum_k Re(tr_rows[k] @ v) * (g[k] @ v)
-    with g stacked into one (3*dim^2, dim^2) matrix for BLAS-friendly calls.
+    The electron-depolarized part is phi = Tr_S(rho) (x) 1/2 (Appelt et al.,
+    PRA 58, 1412 (1998)), so in row-major vec form, with n = Tr_S(rho) taken in
+    the uncoupled |m_I> x |m_S> basis (m^2 entries, m = dim/2; rank 16 for
+    I = 3/2),
+
+        f(v) = (omega - c) * v + c K_0 n + sum_k alpha_k K_k n,
+        c = R_op + G_SE + G_SD,  alpha_k = R_op s_k + 2 G_SE <S_k>,
+
+    where K_0 n = vec(n (x) 1/2) and K_k n = vec(n (x) S_k), both mapped back to
+    the coupled basis, and omega is the diagonal of -i[H0, .] (H0 is diagonal
+    in |F, m_F>).  Column b's scalars live in ``diag[b]``, ``two_gamma_se[b]``
+    and the first m^2 rows of ``expand[b]``, which hold the constant part
+    c K_0 + sum_k R_op s_k K_k.
     """
 
-    dim: int
-    lin: np.ndarray = field(repr=False)
-    gstack: np.ndarray = field(repr=False)
-    tr_rows: np.ndarray = field(repr=False)
-    two_gamma_se: float = 0.0
-    gamma_se: float = 0.0
+    reduce: np.ndarray = field(repr=False)  # (d^2, m^2 + 3): v @ reduce = (n, Tr S_k rho)
+    expand: np.ndarray = field(repr=False)  # (B, 4 m^2, d^2): (c K_0 + R_op s.K)^T, K_x^T, K_y^T, K_z^T
+    diag: np.ndarray = field(repr=False)  # (B, d^2): omega - c
+    two_gamma_se: np.ndarray = field(repr=False)  # (B, 1, 1)
+
+    def take(self, columns: np.ndarray) -> MasterSuperops:
+        """The columns selected by an index or boolean array."""
+        return dataclasses.replace(
+            self,
+            expand=self.expand[columns],
+            diag=self.diag[columns],
+            two_gamma_se=self.two_gamma_se[columns],
+        )
 
 
-def build_superops(params: PumpParams, ops: SpinOperatorSet) -> MasterSuperops:
-    d = ops.dim
-    eye = np.eye(d, dtype=complex)
+def build_superops(
+    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet
+) -> MasterSuperops:
+    """Low-rank factors for one parameter set, or one column per set of a sequence."""
+    params_seq = [params] if isinstance(params, PumpParams) else list(params)
+    # w[s] = U (1 (x) |m_S = s>): coupled images of the uncoupled states with
+    # electron projection s, so Tr_S(U^dag rho U) = sum_s w[s]^dag rho w[s]
+    w = [ops.u[:, s::2] for s in range(2)]
+    partial_trace = sum(np.kron(ws.conj().T, ws.T) for ws in w)
+    pairs = {(s, t): np.kron(w[s], w[t].conj()) for s in range(2) for t in range(2)}
 
-    def lmul(x):  # vec(X rho)
-        return np.kron(x, eye)
+    def embed(m: np.ndarray) -> np.ndarray:  # vec(n) -> vec(U (n (x) m) U^dag)
+        return sum(m[s, t] * pair for (s, t), pair in pairs.items())
 
-    def rmul(x):  # vec(rho X)
-        return np.kron(eye, x.T)
-
-    phi_map = 0.25 * np.eye(d * d, dtype=complex)
-    for sk in ops.s_ops:
-        phi_map += np.kron(sk, sk.T)
-
-    g = np.stack([(lmul(sk) + rmul(sk)) @ phi_map for sk in ops.s_ops])
-    lin = -1j * (lmul(ops.h0) - rmul(ops.h0))
-    lin += (params.r_op + params.gamma_se + params.gamma_sd) * (phi_map - np.eye(d * d))
-    for k in range(3):
-        if params.s[k] != 0.0:
-            lin += (params.r_op * params.s[k]) * g[k]
-    tr_rows = np.stack([sk.T.reshape(-1) for sk in ops.s_ops])
+    k_0 = embed(0.5 * np.eye(2))
+    k_spin = [embed(m) for m in build_spin_matrices(0.5)]
+    tr_rows = ops.s_ops.transpose(0, 2, 1).reshape(3, -1)
+    energy = ops.h0.diagonal().real
+    omega = (-1j * (energy[:, None] - energy[None, :])).reshape(-1)
+    spin_rows = np.vstack([k.T for k in k_spin])
+    expand, diag = [], []
+    for p in params_seq:
+        decay = p.r_op + p.gamma_se + p.gamma_sd
+        constant = decay * k_0
+        for k in range(3):
+            constant = constant + (p.r_op * p.s[k]) * k_spin[k]
+        expand.append(np.vstack([constant.T, spin_rows]))
+        diag.append(omega - decay)
     return MasterSuperops(
-        dim=d,
-        lin=np.ascontiguousarray(lin),
-        gstack=np.ascontiguousarray(g.reshape(3 * d * d, d * d)),
-        tr_rows=np.ascontiguousarray(tr_rows),
-        two_gamma_se=2.0 * params.gamma_se,
-        gamma_se=params.gamma_se,
+        reduce=np.ascontiguousarray(np.vstack([partial_trace, tr_rows]).T),
+        expand=np.stack(expand),
+        diag=np.stack(diag),
+        two_gamma_se=np.array([2.0 * p.gamma_se for p in params_seq]).reshape(-1, 1, 1),
     )
 
 
-def _rhs_vec(v: np.ndarray, sup: MasterSuperops) -> np.ndarray:
-    out = sup.lin @ v
-    if sup.two_gamma_se != 0.0:
-        sv = (sup.tr_rows @ v).real
-        gv = (sup.gstack @ v).reshape(3, -1)
-        out += sup.two_gamma_se * (sv @ gv)
+def block_rhs(v: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+    """drho/dt for a (B, d^2) block of vec'd states; column b uses scalars b.
+
+    Both products are stacked matmuls on (B, 1, .) operands, one BLAS call per
+    column, so a column's result does not depend on the block it sits in.  A
+    one-column ``sup`` applies to every row of ``v``.
+    """
+    m2 = sup.reduce.shape[1] - 3
+    r = np.matmul(v[:, None, :], sup.reduce)
+    n = r[:, :, :m2]
+    spin_n = (sup.two_gamma_se * r[:, :, m2:].real).swapaxes(1, 2) * n  # 2 G_SE <S_k> n
+    w = np.concatenate([n, spin_n.reshape(len(v), 1, -1)], axis=2)
+    out = np.matmul(w, sup.expand)[:, 0]
+    out += sup.diag * v
     return out
-
-
-def rhs_block(states: np.ndarray, sup: MasterSuperops) -> np.ndarray:
-    """drho/dt for a stack of states, shape (n, dim, dim) in and out."""
-    n, d = len(states), sup.dim
-    v = states.reshape(n, d * d)
-    out = v @ sup.lin.T
-    if sup.two_gamma_se != 0.0:
-        sv = (v @ sup.tr_rows.T).real
-        gv = (v @ sup.gstack.T).reshape(n, 3, d * d)
-        out += sup.two_gamma_se * np.einsum("nk,nki->ni", sv, gv)
-    return out.reshape(n, d, d)
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
@@ -263,9 +294,37 @@ def integrate(
     projection back to the physical cone).  ``steady_tol`` is measured in
     units of G_SE: a sample with ||drho/dt||_F < steady_tol * G_SE marks the
     trajectory as steady, and with ``stop_at_steady`` integration ends there.
+    This is :func:`integrate_block` with one column.
     """
+    return integrate_block(
+        rho0, [params], ops, t_end, dt, sample_every,
+        stop_at_steady=stop_at_steady, steady_tol=steady_tol,
+    )[0]
+
+
+def integrate_block(
+    rho0: np.ndarray,
+    params_seq: Sequence[PumpParams],
+    ops: SpinOperatorSet,
+    t_end: float,
+    dt: float | None = None,
+    sample_every: int = 10,
+    *,
+    stop_at_steady: bool = False,
+    steady_tol: float = 1e-7,
+) -> list[Trajectory]:
+    """:func:`integrate` for B parameter sets at once, one column each.
+
+    Every column starts from ``rho0`` and steps on the same grid; ``dt``
+    defaults to the smallest :func:`default_dt` of the block.  Each column
+    keeps its own guards, steady index and, under ``stop_at_steady``, its own
+    stop, so each returned trajectory equals the standalone run of its
+    parameters bit for bit.  A guard failure raises
+    :class:`PhysicsViolationError` with ``column`` set to the offending index.
+    """
+    params_seq = list(params_seq)
     if dt is None:
-        dt = default_dt(params)
+        dt = min(default_dt(p) for p in params_seq)
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if sample_every < 1:
@@ -273,69 +332,91 @@ def integrate(
     d = ops.dim
     rho0 = _validate_state(rho0, d)
 
+    b = len(params_seq)
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
-    sup = build_superops(params, ops)
-    steady_threshold = steady_tol * params.gamma_se
+    sup = build_superops(params_seq, ops)
 
     times = np.empty(n_samples)
-    samples = np.empty((n_samples, d * d), dtype=complex)
-    rhs_norms = np.empty(n_samples)
+    samples = np.empty((b, n_samples, d * d), dtype=complex)
+    rhs_norms = np.empty((b, n_samples))
+    # per live column: steady threshold and index, guard margins so far
+    live = np.arange(b)
+    threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
+    steady = np.full(b, -1)
+    drift_max, herm_max, eig_low = np.zeros(b), np.zeros(b), np.full(b, np.inf)
+    finished: dict[int, tuple] = {}  # column -> (samples kept, steady, margins)
 
-    v = rho0.reshape(-1).copy()
+    def finish(mask: np.ndarray) -> None:
+        for j in np.flatnonzero(mask):
+            finished[int(live[j])] = (si, int(steady[j]), drift_max[j], herm_max[j], eig_low[j])
+
+    v = np.tile(rho0.reshape(-1), (b, 1))
     diag_idx = np.arange(d) * (d + 1)
+    ones = np.ones((d, 1))
     si = 0
-    reached = False
-    steady_index: int | None = None
-    max_trace_drift = 0.0
-    max_herm_defect = 0.0
-    min_eig = np.inf
     for step in range(n_steps + 1):
         k1 = None
         if step % sample_every == 0 or step == n_steps:
-            if not np.all(np.isfinite(v.view(np.float64))):
-                raise PhysicsViolationError("state became non-finite", step, step * dt)
-            k1 = _rhs_vec(v, sup)
-            times[si] = step * dt
-            samples[si] = v
-            rhs_norms[si] = np.linalg.norm(k1)
-            rho = v.reshape(d, d)
-            trace_drift = abs(v[diag_idx].sum().real - 1.0)
-            if trace_drift > TRACE_TOL:
-                raise PhysicsViolationError("trace drift exceeded 1e-6", step, step * dt)
-            herm_defect = np.max(np.abs(rho - rho.conj().T))
-            eig_min = np.linalg.eigvalsh(rho).min()
-            max_trace_drift = max(max_trace_drift, trace_drift)
-            max_herm_defect = max(max_herm_defect, herm_defect)
-            min_eig = min(min_eig, eig_min)
-            if eig_min < EIGENVALUE_FLOOR:
-                raise PhysicsViolationError(
-                    f"eigenvalue {eig_min:.3e} below -1e-6", step, step * dt
-                )
-            if not reached and rhs_norms[si] < steady_threshold:
-                reached = True
-                steady_index = si
+            t = step * dt
+            if not np.isfinite(v.view(np.float64)).all():
+                finite = np.isfinite(v.view(np.float64)).all(axis=1)
+                raise PhysicsViolationError("state became non-finite", step, t, live[np.argmin(finite)])
+            k1 = block_rhs(v, sup)
+            rho = v.reshape(-1, d, d)
+            # a stacked matmul sums each column's diagonal in the same order
+            # whatever the block size; a reduction along axis 1 does not
+            trace_drift = np.abs(np.matmul(v[:, None, diag_idx].real, ones)[:, 0, 0] - 1.0)
+            herm_defect = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            eig_min = np.linalg.eigvalsh(rho).min(axis=1)
+            if trace_drift.max() > TRACE_TOL or eig_min.min() < EIGENVALUE_FLOOR:
+                j = np.argmax((trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR))
+                reason = ("trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
+                          else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
+                raise PhysicsViolationError(reason, step, t, live[j])
+            norms = np.linalg.norm(k1, axis=1)
+            times[si] = t
+            samples[live, si] = v
+            rhs_norms[live, si] = norms
+            np.maximum(drift_max, trace_drift, out=drift_max)
+            np.maximum(herm_max, herm_defect, out=herm_max)
+            np.minimum(eig_low, eig_min, out=eig_low)
+            fresh = (steady < 0) & (norms < threshold)
+            steady[fresh] = si
             si += 1
-            if step == n_steps or (reached and stop_at_steady):
+            if step == n_steps:
                 break
+            if stop_at_steady and fresh.any():
+                finish(fresh)
+                keep = ~fresh
+                live, v, k1, sup = live[keep], v[keep], k1[keep], sup.take(keep)
+                threshold, steady = threshold[keep], steady[keep]
+                drift_max, herm_max, eig_low = drift_max[keep], herm_max[keep], eig_low[keep]
+                if not live.size:
+                    break
         if k1 is None:
-            k1 = _rhs_vec(v, sup)
-        k2 = _rhs_vec(v + (0.5 * dt) * k1, sup)
-        k3 = _rhs_vec(v + (0.5 * dt) * k2, sup)
-        k4 = _rhs_vec(v + dt * k3, sup)
+            k1 = block_rhs(v, sup)
+        k2 = block_rhs(v + (0.5 * dt) * k1, sup)
+        k3 = block_rhs(v + (0.5 * dt) * k2, sup)
+        k4 = block_rhs(v + dt * k3, sup)
         v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    finish(np.ones(live.size, dtype=bool))
 
-    return Trajectory(
-        times=times[:si],
-        states=samples[:si].reshape(si, d, d),
-        rhs_norms=rhs_norms[:si],
-        params=params,
-        dt=dt,
-        reached_steady=reached,
-        steady_index=steady_index,
-        max_trace_drift=max_trace_drift,
-        max_herm_defect=max_herm_defect,
-        min_eigenvalue=float(min_eig),
-    )
+    trajectories = []
+    for j, p in enumerate(params_seq):
+        kept, steady_index, max_trace_drift, max_herm_defect, min_eigenvalue = finished[j]
+        trajectories.append(Trajectory(
+            times=times[:kept],
+            states=samples[j, :kept].reshape(kept, d, d),
+            rhs_norms=rhs_norms[j, :kept],
+            params=p,
+            dt=dt,
+            reached_steady=steady_index >= 0,
+            steady_index=steady_index if steady_index >= 0 else None,
+            max_trace_drift=float(max_trace_drift),
+            max_herm_defect=float(max_herm_defect),
+            min_eigenvalue=float(min_eigenvalue),
+        ))
+    return trajectories
 
 
 def detect_steady_state(traj: Trajectory, tol: float) -> tuple[bool, int | None]:
@@ -431,20 +512,24 @@ def solve_steady_state(
         seed = _spin_temperature_guess(params, ops)
     v = np.asarray(seed, dtype=complex).reshape(-1).copy()
     tr_row = np.eye(d, dtype=complex).reshape(-1)
+    # Jacobian of block_rhs, with <S_k> = Tr(S_k rho) differentiated as the
+    # complex-linear form it is on Hermitian states
+    m2 = sup.reduce.shape[1] - 3
+    partial_trace, tr_rows = sup.reduce[:, :m2].T, sup.reduce[:, m2:].T
+    constant, spin_rows = sup.expand[0, :m2], sup.expand[0, m2:].reshape(3, m2, d * d)
+    two_gamma_se = float(sup.two_gamma_se[0, 0, 0])
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        f = _rhs_vec(v, sup)
+        f = block_rhs(v[None], sup)[0]
         residual = float(np.linalg.norm(f))
         if residual < tol * scale:
             break
-        jac = sup.lin.copy()
-        if sup.two_gamma_se != 0.0:
-            sv = (sup.tr_rows @ v).real
-            gv = (sup.gstack @ v).reshape(3, -1)
-            for k in range(3):
-                jac += sup.two_gamma_se * sv[k] * sup.gstack[k * d * d : (k + 1) * d * d]
-                jac += sup.two_gamma_se * np.outer(gv[k], sup.tr_rows[k])
+        n = partial_trace @ v
+        spin = (tr_rows @ v).real
+        mixed = constant + np.tensordot(two_gamma_se * spin, spin_rows, axes=1)
+        jac = np.diag(sup.diag[0]) + mixed.T @ partial_trace
+        jac += two_gamma_se * (n @ spin_rows).T @ tr_rows
         system = np.vstack([jac, tr_row])
         target = np.concatenate([-f, [1.0 - tr_row @ v]])
         delta, *_ = np.linalg.lstsq(system, target, rcond=None)

@@ -21,21 +21,30 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import default_dt, solve_steady_state
+from .dynamics import (
+    PhysicsViolationError,
+    PumpParams,
+    default_dt,
+    integrate_block,
+    solve_steady_state,
+)
 from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
     build_simulation,
     fan_out,
-    simulate,
+    simulate,  # not called here; perfbench/traced.py wraps figures.simulate
     stacked_observables,
     steady_state_columns,
+    trajectory_horizon,
     write_csv,
 )
+from .spin_algebra import SpinOperatorSet
 
 __all__ = ["reproduce_figures", "S_GRID", "R_OP_GRID", "RADIUS_GRID"]
 
@@ -51,6 +60,14 @@ QFI_REPARAM_S = 0.75
 QFI_REPARAM_R_OP = 1.0
 RADIUS_SWEEP_R_OP = 0.5
 
+# the distinct (pump axis, |s|, R_op / G_SE) time series behind fig2-fig4 and
+# fig6, integrated as one block
+SERIES = tuple(dict.fromkeys(
+    [("z", s, 1.0) for s in S_GRID]
+    + [("z", 0.5, r) for r in R_OP_GRID]
+    + [("x", s, 1.0) for s in S_GRID]
+))
+
 
 def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConfig:
     return dataclasses.replace(
@@ -64,12 +81,26 @@ def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConf
     )
 
 
-def _series_bundle(cfg: RunConfig, dt: float) -> dict[str, np.ndarray]:
-    """Time-series observables of one run, keyed by trajectory.csv column."""
-    result = simulate(cfg, dt=dt)
-    bundle = stacked_observables(result.traj.states, result.params, result.ops)
-    bundle["t_norm"] = result.traj.t_norm
-    return bundle
+def _series_block(
+    series: list[tuple[tuple[str, float, float], PumpParams]],
+    ops: SpinOperatorSet,
+    dt: float,
+    t_end: float,
+) -> list[dict[str, np.ndarray]]:
+    """Time-series observables of a block of series, keyed by trajectory.csv column."""
+    try:
+        trajs = integrate_block(ops.maximally_mixed(), [p for _, p in series], ops,
+                                t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE)
+    except PhysicsViolationError as exc:
+        axis, s, r_op = series[exc.column][0]
+        raise PhysicsViolationError(
+            f"{exc.reason} in the series pumped along {axis} with s = {s:g} and "
+            f"R_op = {r_op:g} G_SE", exc.step, exc.t,
+        ) from exc
+    return [
+        {**stacked_observables(traj.states, traj.params, ops), "t_norm": traj.t_norm}
+        for traj in trajs
+    ]
 
 
 def _tag(value: float) -> str:
@@ -101,25 +132,20 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # -- unique time-series runs, cached by (axis, s, r_op) --------------
-    keys: list[tuple[str, float, float]] = []
-    for s in S_GRID:
-        keys.append(("z", s, 1.0))
-    for r in R_OP_GRID:
-        key = ("z", 0.5, r)
-        if key not in keys:
-            keys.append(key)
-    for s in S_GRID:
-        keys.append(("x", s, 1.0))
-
-    configs = [_series_config(base, *key) for key in keys]
-    # one RK4 step for every series, set by the fastest pump, so that all
-    # series share one sampling grid
-    _, _, fastest = build_simulation(max(configs, key=lambda c: c.r_op_over_gamma_se))
-    dt = default_dt(fastest, steps_per_rate=base.dt_steps_per_rate)
-    bundles = dict(zip(keys, fan_out(functools.partial(_series_bundle, dt=dt), configs, jobs)))
-    grid = bundles[keys[0]]["t_norm"]
-    assert all(np.array_equal(b["t_norm"], grid) for b in bundles.values()), "series grids differ"
+    # -- the time series, one block on one grid --------------------------
+    configs = [_series_config(base, *key) for key in SERIES]
+    sims = [build_simulation(cfg) for cfg in configs]
+    ops = sims[0][0]
+    params_seq = [params for _, _, params in sims]
+    # one RK4 step for the block, set by the fastest pump
+    dt = min(default_dt(p, steps_per_rate=base.dt_steps_per_rate) for p in params_seq)
+    t_end = trajectory_horizon(configs[0], params_seq[0], ops, dt, columns=len(SERIES))
+    series = list(zip(SERIES, params_seq))
+    size = -(-len(series) // jobs)  # --jobs splits the block into column chunks
+    chunks = [series[i : i + size] for i in range(0, len(series), size)]
+    block = functools.partial(_series_block, ops=ops, dt=dt, t_end=t_end)
+    bundles = dict(zip(SERIES, itertools.chain.from_iterable(fan_out(block, chunks, jobs))))
+    grid = bundles[SERIES[0]]["t_norm"]
 
     s_row = [bundles[("z", s, 1.0)] for s in S_GRID]
     r_row = [bundles[("z", 0.5, r)] for r in R_OP_GRID]

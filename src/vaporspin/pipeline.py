@@ -27,11 +27,11 @@ from .dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
     Trajectory,
+    block_rhs,
     build_superops,
     default_dt,
     fit_spin_temperature,
     integrate,
-    rhs_block,
     sampling_plan,
     solve_steady_state,
 )
@@ -44,6 +44,7 @@ __all__ = [
     "build_cell",
     "build_simulation",
     "simulate",
+    "trajectory_horizon",
     "steady_state_columns",
     "steady_state_row",
     "stacked_observables",
@@ -68,6 +69,9 @@ MAX_TRAJECTORY_BYTES = 2**30
 
 
 def format_value(value) -> str:
+    # floats are nearly every cell written, so they skip the isinstance chain
+    if type(value) is float or type(value) is np.float64:
+        return f"{float(value):.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -146,14 +150,7 @@ def simulate(cfg: RunConfig, *, dt: float | None = None) -> SimulationResult:
     ops, rates, params = build_simulation(cfg)
     if dt is None:
         dt = default_dt(params, steps_per_rate=cfg.dt_steps_per_rate)
-    t_end = cfg.t_end_over_t_se * params.t_se
-    _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
-    # each sample stores a d x d complex state, its time and its residual norm
-    n_bytes = n_samples * (ops.dim**2 + 1) * 16
-    if n_bytes > MAX_TRAJECTORY_BYTES:
-        raise ConfigError(f"t_end_over_t_se = {cfg.t_end_over_t_se:g} at dt_steps_per_rate = "
-                          f"{cfg.dt_steps_per_rate:g} and sample_every = {cfg.sample_every} needs "
-                          f"{n_samples} samples, {n_bytes >> 20} MiB, over the {MAX_TRAJECTORY_BYTES >> 20} MiB cap")
+    t_end = trajectory_horizon(cfg, params, ops, dt)
     traj = integrate(
         ops.maximally_mixed(),
         params,
@@ -169,6 +166,27 @@ def simulate(cfg: RunConfig, *, dt: float | None = None) -> SimulationResult:
         config=cfg, ops=ops, rates=rates, params=params,
         traj=traj, ness_rho=ness_rho, ness_info=ness_info,
     )
+
+
+def trajectory_horizon(
+    cfg: RunConfig, params: PumpParams, ops: SpinOperatorSet, dt: float, columns: int = 1
+) -> float:
+    """Horizon in seconds of ``columns`` runs of ``cfg`` stepped at ``dt``.
+
+    Raises :class:`ConfigError` when their samples, all held at once, would
+    need more than ``MAX_TRAJECTORY_BYTES``.
+    """
+    t_end = cfg.t_end_over_t_se * params.t_se
+    _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
+    # each sample stores a d x d complex state, its time and its residual norm
+    n_bytes = columns * n_samples * (ops.dim**2 + 1) * 16
+    if n_bytes > MAX_TRAJECTORY_BYTES:
+        runs = f" for each of {columns} runs" if columns > 1 else ""
+        raise ConfigError(f"t_end_over_t_se = {cfg.t_end_over_t_se:g} at dt_steps_per_rate = "
+                          f"{cfg.dt_steps_per_rate:g} and sample_every = {cfg.sample_every} needs "
+                          f"{n_samples} samples{runs}, {n_bytes >> 20} MiB, over the "
+                          f"{MAX_TRAJECTORY_BYTES >> 20} MiB cap")
+    return t_end
 
 
 def _population_columns(ops: SpinOperatorSet) -> list[str]:
@@ -206,7 +224,7 @@ def _observable_block(
     s_vn = -np.sum(p * np.log(p), axis=1)
     out["s_vn"] = s_vn
     out["sigma"] = float(np.log(d)) - s_vn
-    drho = rhs_block(rho, sup)
+    drho = block_rhs(rho.reshape(len(rho), d * d), sup).reshape(rho.shape)
     out["sigma_rate_per_s"] = np.einsum("nij,nji->n", drho, log_rho).real
 
     # energy above the ground state, ergotropy and efficiency from sorted

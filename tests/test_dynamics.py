@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,17 +7,17 @@ import pytest
 from vaporspin.dynamics import (
     PhysicsViolationError,
     PumpParams,
+    block_rhs,
     build_superops,
     default_dt,
     detect_steady_state,
     fit_spin_temperature,
     integrate,
+    integrate_block,
     master_rhs,
     nuclear_part,
-    rhs_block,
     solve_steady_state,
     spin_temperature_state,
-    _rhs_vec,
 )
 from vaporspin.spin_algebra import build_coupled_operators
 
@@ -66,12 +67,45 @@ class TestMasterRhs:
         p = params(s=(0.3, 0.1, -0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
         states = np.stack([random_density_matrix(rng) for _ in range(5)])
-        block = rhs_block(states, sup)
+        block = block_rhs(states.reshape(5, 64), sup).reshape(5, 8, 8)
         for rho, stacked in zip(states, block):
             direct = master_rhs(rho, p, ops)
-            vec = _rhs_vec(rho.reshape(-1), sup).reshape(8, 8)
+            vec = block_rhs(rho.reshape(1, 64), sup).reshape(8, 8)
             assert np.max(np.abs(direct - vec)) < 1e-11 * p.a_hfs
             assert np.max(np.abs(direct - stacked)) < 1e-11 * p.a_hfs
+
+    def test_block_rhs_matches_master_rhs_per_column(self, ops):
+        # seeded property test: one block mixing pump axes, |s| in {0, 0.5, 1},
+        # a column without spin exchange and one dominated by spin destruction
+        block_params = [
+            params(s=(0, 0, 0.5)),
+            params(s=(0.5, 0, 0), r_op=2.0),
+            params(s=(0, 1.0, 0), r_op=0.3),
+            params(s=(0, 0, 0)),
+            params(s=(0, 0, -1.0), r_op=0.8),
+            params(s=(0.3, -0.4, 0), gamma_sd=0.0),
+            PumpParams(r_op=1.5, s=(0, 0, 0.5), gamma_se=0.0, gamma_sd=0.1, a_hfs=100.0),
+            params(s=(0, 0.5, 0), gamma_sd=50.0),
+        ]
+        sup = build_superops(block_params, ops)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            states = np.stack([random_density_matrix(rng) for _ in block_params])
+            block = block_rhs(states.reshape(len(states), 64), sup).reshape(states.shape)
+            for rho, f, p in zip(states, block, block_params):
+                direct = master_rhs(rho, p, ops)
+                assert np.max(np.abs(f - direct)) <= 1e-13 * np.max(np.abs(direct))
+                assert abs(np.trace(f)) <= 1e-13
+                assert np.max(np.abs(f - f.conj().T)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_block_rhs_column_does_not_depend_on_its_block(self, ops, rng):
+        block_params = [params(s=(0, 0, 0.5)), params(s=(0.5, 0, 0), r_op=2.0), params(s=(0, 0, 0))]
+        sup = build_superops(block_params, ops)
+        states = np.stack([random_density_matrix(rng).reshape(-1) for _ in block_params])
+        block = block_rhs(states, sup)
+        for j in range(len(block_params)):
+            alone = block_rhs(states[j : j + 1], build_superops(block_params[j], ops))
+            assert np.array_equal(alone[0], block[j])
 
     def test_unpolarized_pump_leaves_mixed_state_stationary(self, ops):
         p = params(s=(0, 0, 0))
@@ -196,6 +230,22 @@ class TestIntegrate:
             with pytest.raises(PhysicsViolationError):
                 integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=3.0 / p.a_hfs,
                           sample_every=10)
+
+    def test_block_guard_names_the_column_that_broke(self, ops):
+        # one column decays far faster than the step can follow; the others are fine
+        dt = 1.0 / (50.0 * 100.0 * G)
+        block = [params(), params(gamma_sd=20.0 / dt), params(s=(0.5, 0, 0))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PhysicsViolationError) as caught:
+                integrate_block(ops.maximally_mixed(), block, ops, t_end=1.0, dt=dt, sample_every=10)
+        assert caught.value.column == 1
+        for p in (block[0], block[2]):
+            integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=dt, sample_every=10)
+
+    def test_physics_violation_survives_pickling(self):
+        exc = pickle.loads(pickle.dumps(PhysicsViolationError("trace drift exceeded 1e-6", 7, 0.5, 2)))
+        assert (exc.reason, exc.step, exc.t, exc.column) == ("trace drift exceeded 1e-6", 7, 0.5, 2)
+        assert str(exc) == "trace drift exceeded 1e-6 at step 7 (t = 5.000000e-01 s)"
 
     def test_rejects_invalid_initial_state(self, ops):
         p = params()

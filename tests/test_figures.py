@@ -1,9 +1,21 @@
 import csv
+import dataclasses
 
 import numpy as np
+import pytest
 
-from vaporspin.config import RunConfig
-from vaporspin.figures import R_OP_GRID, reproduce_figures
+from vaporspin import cli, figures, pipeline
+from vaporspin.config import ConfigError, RunConfig
+from vaporspin.dynamics import default_dt, integrate, integrate_block, sampling_plan
+from vaporspin.figures import (
+    FIGURE_STRIDE,
+    FIGURE_T_END,
+    R_OP_GRID,
+    SERIES,
+    _series_config,
+    reproduce_figures,
+)
+from vaporspin.pipeline import build_simulation
 
 
 def read_columns(path) -> dict[str, list[str]]:
@@ -34,3 +46,73 @@ def test_pump_faster_than_hyperfine_shares_one_grid(tmp_path):
     assert r_row["t_norm"] == s_row["t_norm"]
     assert float(s_row["t_norm"][-1]) == 10.0
     assert np.all(np.diff([float(t) for t in s_row["t_norm"]]) > 0.0)
+
+
+def figure_block(cfg):
+    """Parameters, operators, step and horizon of the figure series block."""
+    sims = [build_simulation(_series_config(cfg, *key)) for key in SERIES]
+    params_seq = [params for _, _, params in sims]
+    dt = min(default_dt(p, steps_per_rate=cfg.dt_steps_per_rate) for p in params_seq)
+    return params_seq, sims[0][0], dt, FIGURE_T_END * params_seq[0].t_se
+
+
+@pytest.mark.parametrize("stop_at_steady", [False, True])
+def test_block_columns_match_standalone_runs(stop_at_steady):
+    params_seq, ops, dt, t_end = figure_block(RunConfig(dt_steps_per_rate=1.0).validate())
+    # at this tolerance the nine series reach steady state at different samples
+    kwargs = dict(t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE,
+                  stop_at_steady=stop_at_steady, steady_tol=0.03)
+    block = integrate_block(ops.maximally_mixed(), params_seq, ops, **kwargs)
+    if stop_at_steady:
+        assert len({len(traj) for traj in block}) > 1
+    for traj, params in zip(block, params_seq):
+        alone = integrate(ops.maximally_mixed(), params, ops, **kwargs)
+        for name in ("times", "states", "rhs_norms"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+        for name in ("steady_index", "reached_steady", "max_trace_drift",
+                     "max_herm_defect", "min_eigenvalue"):
+            assert getattr(traj, name) == getattr(alone, name), name
+
+
+def test_series_guard_failure_names_the_series(tmp_path, monkeypatch, capsys):
+    # the 2 G_SE series gets a spin-destruction rate the step cannot follow
+    def build(cfg):
+        ops, rates, params = build_simulation(cfg)
+        if cfg.r_op_over_gamma_se == 2.0:
+            params = dataclasses.replace(params, gamma_sd=20.0 * params.a_hfs)
+        return ops, rates, params
+
+    monkeypatch.setattr(figures, "build_simulation", build)
+    monkeypatch.setattr(figures, "default_dt", lambda p, steps_per_rate: 1.0 / (steps_per_rate * p.a_hfs))
+    cfg_path = tmp_path / "figures.cfg"
+    cfg_path.write_text("dt_steps_per_rate = 1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "series pumped along z with s = 0.5 and R_op = 2 G_SE" in capsys.readouterr().err
+
+
+def test_reproduce_figures_cli_counts_the_manifest(tmp_path, capsys):
+    cfg_path = tmp_path / "figures.cfg"
+    cfg_path.write_text("dt_steps_per_rate = 1\n")
+    code = cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "wrote 22 files" in capsys.readouterr().out
+
+
+def test_trajectory_cap_counts_the_whole_block(tmp_path, monkeypatch):
+    cfg = RunConfig(dt_steps_per_rate=1.0).validate()
+    params_seq, ops, dt, t_end = figure_block(cfg)
+    _, n_samples = sampling_plan(t_end, dt, FIGURE_STRIDE)
+    column_bytes = n_samples * (ops.dim**2 + 1) * 16
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_block ran")
+
+    monkeypatch.setattr(figures, "integrate_block", forbidden)
+    monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", len(SERIES) * column_bytes - 1)
+    with pytest.raises(ConfigError, match=f"for each of {len(SERIES)} runs"):
+        reproduce_figures(cfg, tmp_path)
+    monkeypatch.undo()
+    monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", len(SERIES) * column_bytes)
+    assert reproduce_figures(cfg, tmp_path).is_file()

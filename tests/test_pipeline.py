@@ -87,6 +87,17 @@ class TestFormatValue:
         assert format_value(np.int64(7)) == "7"
         assert format_value("z") == "z"
 
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (np.bool_(False), "false"),
+        (-3, "-3"), (np.int64(12), "12"),
+        (1.0 / 3.0, "0.333333333333"), (np.float64(-2.5e-17), "-2.5e-17"),
+        (123456789012345.0, "1.23456789012e+14"), (np.float64(1e300), "1e+300"),
+        (float("inf"), "inf"), (np.float64("-inf"), "-inf"), (float("nan"), "nan"),
+        (np.float64("nan"), "nan"), ("x_pump", "x_pump"),
+    ])
+    def test_value_to_text_table(self, value, text):
+        assert format_value(value) == text
+
 
 class TestRunSingle:
     def test_writes_all_outputs_with_stable_header(self, tmp_path):
