@@ -22,7 +22,6 @@ from .dynamics import (
     Trajectory,
     build_superops,
     default_dt,
-    detect_steady_state,
     fit_spin_temperature,
     integrate,
     master_rhs,
@@ -55,7 +54,7 @@ __all__ = [
     # dynamics
     "PumpParams", "PhysicsViolationError", "Trajectory",
     "nuclear_part", "master_rhs", "build_superops", "default_dt",
-    "integrate", "detect_steady_state", "solve_steady_state",
+    "integrate", "solve_steady_state",
     "spin_temperature_state", "fit_spin_temperature",
     # thermodynamics
     "von_neumann_entropy", "relative_entropy", "entropy_production",

@@ -16,8 +16,9 @@ Two equivalent evaluation routes are provided: a readable matrix form
 (:func:`master_rhs`, the oracle) and an exact low-rank form over a block of
 states (:func:`block_rhs`), used by the fixed-step RK4 integrator
 (:func:`integrate_block`, :func:`integrate`), the Newton solve and the
-entropy production rate.  Steady states can be detected along a trajectory
-or solved for directly with a Newton iteration (:func:`solve_steady_state`).
+entropy production rate.  Steady states are detected along a trajectory
+(``Trajectory.steady_index``) or solved for directly with a Newton iteration
+(:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "sampling_plan",
     "integrate",
     "integrate_block",
-    "detect_steady_state",
     "spin_temperature_state",
     "fit_spin_temperature",
     "solve_steady_state",
@@ -419,15 +419,6 @@ def integrate_block(
     return trajectories
 
 
-def detect_steady_state(traj: Trajectory, tol: float) -> tuple[bool, int | None]:
-    """First sample where ||drho/dt||_F < tol * G_SE, if any."""
-    threshold = tol * traj.params.gamma_se
-    hits = np.nonzero(traj.rhs_norms < threshold)[0]
-    if hits.size == 0:
-        return False, None
-    return True, int(hits[0])
-
-
 def spin_temperature_state(
     beta: float, ops: SpinOperatorSet, axis: np.ndarray | None = None
 ) -> np.ndarray:
@@ -457,13 +448,14 @@ def fit_spin_temperature(
 ) -> tuple[float, float]:
     """Fit populations to p(F, m_F) ~ exp(beta*m_F) with one shared norm.
 
-    Linear least squares of ln p against m_F across both hyperfine
-    manifolds.  Returns (beta, max relative population residual).
+    Least squares of ln p against m_F across both hyperfine manifolds, each
+    ln p weighted by p, since an absolute error dp moves ln p by dp/p.  Returns
+    (beta, max relative population residual).
     """
     p = np.clip(np.asarray(populations, dtype=float), 1e-300, None)
     m = np.array([mf for _, mf in labels])
     design = np.stack([m, np.ones_like(m)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.log(p), rcond=None)
+    coef, *_ = np.linalg.lstsq(p[:, None] * design, p * np.log(p), rcond=None)
     fitted = np.exp(design @ coef)
     residual = float(np.max(np.abs(fitted - p) / p))
     return float(coef[0]), residual

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .dynamics import (
     PhysicsViolationError,
     PumpParams,
@@ -139,7 +139,12 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     params_seq = [params for _, _, params in sims]
     # one RK4 step for the block, set by the fastest pump
     dt = min(default_dt(p, steps_per_rate=base.dt_steps_per_rate) for p in params_seq)
-    t_end = trajectory_horizon(configs[0], params_seq[0], ops, dt, columns=len(SERIES))
+    try:
+        t_end = trajectory_horizon(configs[0], params_seq[0], ops, dt, columns=len(SERIES))
+    except ConfigError as exc:
+        # the recipe fixes the horizon and the stride; only the step is the config's
+        need = str(exc).partition(" needs ")[2]
+        raise ConfigError(f"dt_steps_per_rate = {base.dt_steps_per_rate:g} needs {need}") from exc
     series = list(zip(SERIES, params_seq))
     size = -(-len(series) // jobs)  # --jobs splits the block into column chunks
     chunks = [series[i : i + size] for i in range(0, len(series), size)]
@@ -161,47 +166,23 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         manifest.append((f"{name}.csv", len(rows), len(header), description))
 
     # -- fig2: spin buildup along the pump axis --------------------------
-    emit(
-        "fig2a",
-        ["t_norm"] + [f"fz_{t}" for t in s_tags] + [f"sz_{t}" for t in s_tags],
-        [grid] + [b["fz"] for b in s_row] + [b["sz"] for b in s_row],
-        "collective and electron spin along z under a z pump, three polarizations",
-    )
-    emit(
-        "fig2b",
-        ["t_norm"] + [f"fx_{t}" for t in s_tags] + [f"sx_{t}" for t in s_tags],
-        [grid] + [b["fx"] for b in x_row] + [b["sx"] for b in x_row],
-        "collective and electron spin along x under an x pump, three polarizations",
-    )
+    for name, axis, pump, row in (("fig2a", "z", "a z", s_row), ("fig2b", "x", "an x", x_row)):
+        emit(name, ["t_norm"] + [f"{p}{axis}_{t}" for p in "fs" for t in s_tags],
+             [grid] + [b[f"{p}{axis}"] for p in "fs" for b in row],
+             f"collective and electron spin along {axis} under {pump} pump, three polarizations")
 
-    # -- fig3: entropy bookkeeping ---------------------------------------
-    for name, field, label, desc in (
-        ("fig3a", "s_vn", "s_vn", "von Neumann entropy vs time, three polarizations"),
-        ("fig3b", "sigma", "sigma", "cumulative entropy production vs time, three polarizations"),
-        ("fig3c", "sigma_rate_per_s", "sigma_rate",
-         "entropy production rate (1/s) vs time, three polarizations"),
-    ):
-        emit(name, ["t_norm"] + [f"{label}_{t}" for t in s_tags],
-             [grid] + [b[field] for b in s_row], desc)
-    for name, field, label, desc in (
-        ("fig3d", "s_vn", "s_vn", "von Neumann entropy vs time, four pumping rates"),
-        ("fig3e", "sigma", "sigma", "cumulative entropy production vs time, four pumping rates"),
-        ("fig3f", "sigma_rate_per_s", "sigma_rate",
-         "entropy production rate (1/s) vs time, four pumping rates"),
-    ):
-        emit(name, ["t_norm"] + [f"{label}_{t}" for t in r_tags],
-             [grid] + [b[field] for b in r_row], desc)
-
-    # -- fig4: rotation QFI ----------------------------------------------
-    axis_names = ("x", "y", "z")
-    for name, axis in zip(("fig4a", "fig4b", "fig4c"), axis_names):
-        emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in s_tags],
-             [grid] + [b[f"qfi_{axis}"] for b in s_row],
-             f"QFI for rotations about {axis} vs time, three polarizations")
-    for name, axis in zip(("fig4d", "fig4e", "fig4f"), axis_names):
-        emit(name, ["t_norm"] + [f"qfi_{axis}_{t}" for t in r_tags],
-             [grid] + [b[f"qfi_{axis}"] for b in r_row],
-             f"QFI for rotations about {axis} vs time, four pumping rates")
+    # -- fig3: entropy bookkeeping, fig4: rotation QFI -------------------
+    # panels a-c run over photon polarization, d-f over pumping rate
+    fig3 = (("s_vn", "s_vn", "von Neumann entropy"),
+            ("sigma", "sigma", "cumulative entropy production"),
+            ("sigma_rate_per_s", "sigma_rate", "entropy production rate (1/s)"))
+    fig4 = tuple((f"qfi_{a}", f"qfi_{a}", f"QFI for rotations about {a}") for a in "xyz")
+    for fig, panels in (("fig3", fig3), ("fig4", fig4)):
+        for letters, row, tags, grid_name in (("abc", s_row, s_tags, "three polarizations"),
+                                              ("def", r_row, r_tags, "four pumping rates")):
+            for letter, (field, label, what) in zip(letters, panels):
+                emit(f"{fig}{letter}", ["t_norm"] + [f"{label}_{t}" for t in tags],
+                     [grid] + [b[field] for b in row], f"{what} vs time, {grid_name}")
 
     # -- fig5: steady state vs cell radius -------------------------------
     fig5_cols = [
@@ -216,13 +197,13 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
     # -- fig6: QFI against efficiency and against entropy production -----
     source = bundles[("z", QFI_REPARAM_S, QFI_REPARAM_R_OP)]
     fit_rows = []
-    for i, axis in enumerate(axis_names):
+    for i, axis in enumerate("xyz"):
         eff_x, eff_y = reparametrize_monotone(source["efficiency"], source[f"qfi_{axis}"])
         emit(f"fig6{'abc'[i]}", ["efficiency", f"qfi_{axis}"], [eff_x, eff_y],
              f"QFI about {axis} against pumping efficiency along the driven path")
     sigma_final = float(source["sigma"][-1])
     threshold = FIT_SIGMA_FRACTION * sigma_final
-    for i, axis in enumerate(axis_names):
+    for i, axis in enumerate("xyz"):
         sig_x, sig_y = reparametrize_monotone(source["sigma"], source[f"qfi_{axis}"])
         emit(f"fig6{'def'[i]}", ["sigma", f"qfi_{axis}"], [sig_x, sig_y],
              f"QFI about {axis} against cumulative entropy production")

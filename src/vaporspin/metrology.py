@@ -9,6 +9,14 @@ For that family the standard spectral formula applies,
 with pairs of near-zero eigenvalues excluded (their contribution is zero in
 the limit but numerically 0/0).  The phase-estimation shot-noise bound is
 delta_theta >= 1/sqrt(F_Q) per probe.
+
+A state that commutes with G has F_Q = 0 by symmetry, but its computed
+eigenbasis is exact only for a neighbour rho + E, ||E||_F ~ eps * l_max, and
+(a - b)^2 / (a + b) <= |a - b| gives F_Q[rho + E, G] <= 4 ||G||_F^2 ||E||_F.
+So F_Q is resolved only down to d * eps * ||G||_F^2 * l_max (:func:`qfi_floor`,
+2e-14 for F_x of the 8-level ground state); below it the QFI is exactly 0 and
+its bound inf.  Symmetric states read up to 1e-23 without the floor; the
+smallest true QFI on a default trajectory is about 1e-7.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "quantum_fisher_information",
+    "qfi_floor",
     "cramer_rao_bound",
     "linear_fit",
     "second_divided_differences",
@@ -24,11 +33,17 @@ __all__ = [
 ]
 
 PAIR_CUTOFF = 1e-12
-QFI_FLOOR = 1e-300  # below this the phase bound is reported as inf
+
+
+def qfi_floor(spectra: np.ndarray, generator: np.ndarray) -> np.ndarray:
+    """d * eps * ||G||_F^2 * l_max for spectra (..., d): the smallest QFI they resolve."""
+    d = spectra.shape[-1]
+    g_norm2 = float(np.sum(np.abs(generator) ** 2))
+    return d * np.finfo(float).eps * g_norm2 * spectra.max(axis=-1)
 
 
 def quantum_fisher_information(rho: np.ndarray, generator: np.ndarray) -> float:
-    """QFI of rho for rotations generated by ``generator``."""
+    """QFI of rho for rotations generated by ``generator``; 0 below :func:`qfi_floor`."""
     w, u = np.linalg.eigh(rho)
     w = np.clip(w.real, 0.0, None)
     g = u.conj().T @ generator @ u
@@ -39,12 +54,17 @@ def quantum_fisher_information(rho: np.ndarray, generator: np.ndarray) -> float:
     num = (li - lj) ** 2
     ratio = np.zeros_like(denom)
     ratio[keep] = num[keep] / denom[keep]
-    return float(2.0 * np.sum(ratio * np.abs(g) ** 2))
+    qfi = float(2.0 * np.sum(ratio * np.abs(g) ** 2))
+    return qfi if qfi > qfi_floor(w, generator) else 0.0
 
 
 def cramer_rao_bound(qfi: float) -> float:
-    """Single-shot phase uncertainty bound 1/sqrt(F_Q); inf for F_Q ~ 0."""
-    if qfi <= QFI_FLOOR:
+    """Single-shot phase uncertainty bound 1/sqrt(F_Q); inf where F_Q is 0.
+
+    A subnormal F_Q (below the smallest normal double) counts as 0: it is far
+    below any :func:`qfi_floor`, so no QFI computed here is one.
+    """
+    if qfi < np.finfo(float).tiny:
         return float("inf")
     return 1.0 / np.sqrt(qfi)
 

@@ -35,9 +35,10 @@ from .dynamics import (
     sampling_plan,
     solve_steady_state,
 )
-from .metrology import PAIR_CUTOFF, QFI_FLOOR, cramer_rao_bound, quantum_fisher_information
+# quantum_fisher_information and thermo_sample: not called here; perfbench/traced.py wraps them
+from .metrology import PAIR_CUTOFF, qfi_floor, quantum_fisher_information  # noqa: F401
 from .spin_algebra import SpinOperatorSet, build_coupled_operators
-from .thermo import EIG_CLIP, ENERGY_FLOOR, thermo_sample
+from .thermo import EIG_CLIP, ENERGY_FLOOR, production_rate_floor, thermo_sample  # noqa: F401
 
 __all__ = [
     "SimulationResult",
@@ -56,8 +57,6 @@ __all__ = [
     "fan_out",
     "format_value",
 ]
-
-AXIS_UNIT = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}
 
 # states per batched eigendecomposition in stacked_observables; a fixed block
 # keeps the pass's scratch memory independent of the trajectory length
@@ -116,10 +115,9 @@ def build_simulation(cfg: RunConfig) -> tuple[SpinOperatorSet, RateSet, PumpPara
     rates = compute_rates(build_cell(cfg), include_wall=cfg.include_wall)
     a_hfs = cfg.a_hfs_over_gamma_se * rates.gamma_se
     ops = build_coupled_operators(nuclear_spin=cfg.nuclear_spin, a_hfs=a_hfs)
-    s_vec = cfg.s_magnitude * AXIS_UNIT[cfg.pump_axis]
     params = PumpParams(
         r_op=cfg.r_op_over_gamma_se * rates.gamma_se,
-        s=tuple(s_vec),
+        s=tuple(cfg.s_magnitude * (axis == cfg.pump_axis) for axis in "xyz"),
         gamma_se=rates.gamma_se,
         gamma_sd=rates.gamma_sd,
         a_hfs=a_hfs,
@@ -208,7 +206,7 @@ TRAJECTORY_COLUMNS = [
 
 
 def _observable_block(
-    rho: np.ndarray, sup: MasterSuperops, eps: np.ndarray, scale: float, ops: SpinOperatorSet
+    rho: np.ndarray, sup: MasterSuperops, eps: np.ndarray, params: PumpParams, ops: SpinOperatorSet
 ) -> dict[str, np.ndarray]:
     """Observables of one (m, d, d) block from a single batched eigh."""
     d = ops.dim
@@ -218,14 +216,16 @@ def _observable_block(
 
     # entropy and its production (thermo.von_neumann_entropy and
     # thermo.entropy_production_rate, one row per state)
-    p = np.clip(w, EIG_CLIP, 1.0)
-    log_rho = (u * np.log(p)[:, None, :]) @ u_h
-    p = p / p.sum(axis=1, keepdims=True)
+    clipped = np.clip(w, EIG_CLIP, 1.0)
+    log_rho = (u * np.log(clipped)[:, None, :]) @ u_h
+    p = clipped / clipped.sum(axis=1, keepdims=True)
     s_vn = -np.sum(p * np.log(p), axis=1)
     out["s_vn"] = s_vn
     out["sigma"] = float(np.log(d)) - s_vn
     drho = block_rhs(rho.reshape(len(rho), d * d), sup).reshape(rho.shape)
-    out["sigma_rate_per_s"] = np.einsum("nij,nji->n", drho, log_rho).real
+    rate = np.einsum("nij,nji->n", drho, log_rho).real
+    resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
+    out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 
     # energy above the ground state, ergotropy and efficiency from sorted
     # spectra (thermo.ergotropy and thermo.efficiency)
@@ -235,6 +235,7 @@ def _observable_block(
     stored = np.isfinite(energy) & (energy > ENERGY_FLOOR * (eps[-1] - eps[0]))
     eff = np.zeros_like(energy)
     eff[stored] = np.clip(erg[stored] / energy[stored], 0.0, 1.0)
+    scale = params.a_hfs if params.a_hfs > 0.0 else 1.0
     out["energy_over_a"] = energy / scale
     out["ergotropy_over_a"] = erg / scale
     out["efficiency"] = eff
@@ -249,10 +250,9 @@ def _observable_block(
     for axis, g in zip("xyz", ops.f_ops):
         g_eig = u_h @ g @ u
         qfi = 2.0 * np.sum(weight * np.abs(g_eig) ** 2, axis=(1, 2))
-        out[f"qfi_{axis}"] = qfi
-        out[f"crb_{axis}"] = np.where(
-            qfi > QFI_FLOOR, 1.0 / np.sqrt(np.maximum(qfi, QFI_FLOOR)), np.inf
-        )
+        resolved = qfi > qfi_floor(w, g)
+        out[f"qfi_{axis}"] = np.where(resolved, qfi, 0.0)
+        out[f"crb_{axis}"] = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
 
     for prefix, group in (("f", ops.f_ops), ("s", ops.s_ops)):
         for axis, g in zip("xyz", group):
@@ -269,14 +269,18 @@ def stacked_observables(
     Returns one array per trajectory.csv observable column (``s_vn`` through
     ``sz``), each of shape (n,), plus ``populations`` of shape (n, d).  Each
     state is diagonalized once; the superoperators and the spectrum of H0 are
-    built once per call.  The scalar routines in :mod:`vaporspin.thermo` and
+    built once per call.  This pass serves trajectories, the figure series and
+    steady states (a stack of one), and it applies the floors of
+    :func:`~vaporspin.metrology.qfi_floor` and
+    :func:`~vaporspin.thermo.production_rate_floor`: a QFI or entropy
+    production rate below its floor is exactly 0, and the QFI's bound inf.
+    The scalar routines in :mod:`vaporspin.thermo` and
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
     sup = build_superops(params, ops)
     eps = np.linalg.eigvalsh(ops.h0)
-    scale = params.a_hfs if params.a_hfs > 0.0 else 1.0
     blocks = [
-        _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, scale, ops)
+        _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, params, ops)
         for i in range(0, len(states), OBSERVABLE_BLOCK)
     ]
     return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
@@ -322,32 +326,16 @@ def steady_state_columns(
     rho_pump = frame.conj().T @ rho @ frame
     pops = np.clip(np.diag(rho_pump).real, 0.0, None)
     beta_fit, beta_resid = fit_spin_temperature(pops, ops.labels)
-
-    n_axis = AXIS_UNIT[cfg.pump_axis]
-    s_along = float(np.trace((n_axis[0] * ops.s_ops[0] + n_axis[1] * ops.s_ops[1] + n_axis[2] * ops.s_ops[2]) @ rho).real)
     denom = params.r_op + params.gamma_sd
     s_pred = 0.5 * cfg.s_magnitude * params.r_op / denom if denom > 0.0 else 0.0
-
-    th = thermo_sample(rho, params, ops)
-    qfi = [quantum_fisher_information(rho, g) for g in ops.f_ops]
+    obs = stacked_observables(rho[None], params, ops)
     return {
-        "s_along_pump": s_along,
+        "s_along_pump": float(obs[f"s{cfg.pump_axis}"][0]),
         "s_along_pump_predicted": s_pred,
         "beta_fit": beta_fit,
         "beta_fit_residual": beta_resid,
         "off_diag_mass_pump_frame": off_diagonal_mass(rho_pump),
-        "s_vn": th.s_vn,
-        "sigma": th.sigma,
-        "sigma_rate_per_s": th.sigma_rate,
-        "energy_over_a": th.energy,
-        "ergotropy_over_a": th.ergotropy,
-        "efficiency": th.efficiency,
-        "qfi_x": qfi[0],
-        "qfi_y": qfi[1],
-        "qfi_z": qfi[2],
-        "crb_x": cramer_rao_bound(qfi[0]),
-        "crb_y": cramer_rao_bound(qfi[1]),
-        "crb_z": cramer_rao_bound(qfi[2]),
+        **{key: float(obs[key][0]) for key in TRAJECTORY_COLUMNS[2:14]},
     }
 
 

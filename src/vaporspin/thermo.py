@@ -21,6 +21,7 @@ __all__ = [
     "relative_entropy",
     "entropy_production",
     "entropy_production_rate",
+    "production_rate_floor",
     "passive_state",
     "ergotropy",
     "mean_energy_above_ground",
@@ -82,20 +83,36 @@ def entropy_production(rho: np.ndarray) -> float:
     return float(np.log(d)) - von_neumann_entropy(rho)
 
 
+def production_rate_floor(spectra: np.ndarray, params, ops: SpinOperatorSet) -> np.ndarray:
+    """Smallest |d(Sigma)/dt| that clipped spectra of shape (..., d) resolve.
+
+    drho/dt sums terms up to R * rho, with R = (spread of H0) + R_op + G_SE + G_SD,
+    so it carries a roundoff of order d * eps * R * ||rho||_F; Tr[drho/dt ln rho]
+    inherits that times ||ln rho||_F.  A Newton-polished steady state is a zero of
+    drho/dt to that roundoff, so its rate reads exactly 0.
+    """
+    energy = ops.h0.diagonal().real
+    rate = np.ptp(energy) + params.r_op + params.gamma_se + params.gamma_sd
+    norms = np.linalg.norm(spectra, axis=-1) * np.linalg.norm(np.log(spectra), axis=-1)
+    return spectra.shape[-1] * np.finfo(float).eps * rate * norms
+
+
 def entropy_production_rate(
     rho: np.ndarray, params, ops: SpinOperatorSet, drho_dt: np.ndarray | None = None
 ) -> float:
     """d(Sigma)/dt = Tr[drho/dt * ln rho] evaluated from the equation of motion.
 
     Because Tr[drho/dt] = 0, any constant shift of ln rho (including the
-    normalization of the clipped spectrum) drops out exactly.
+    normalization of the clipped spectrum) drops out exactly.  A rate below
+    :func:`production_rate_floor` is returned as exactly 0.
     """
     if drho_dt is None:
         drho_dt = master_rhs(rho, params, ops)
     w, u = np.linalg.eigh(rho)
     w = np.clip(w.real, EIG_CLIP, 1.0)
     log_rho = (u * np.log(w)) @ u.conj().T
-    return float(np.trace(drho_dt @ log_rho).real)
+    rate = float(np.trace(drho_dt @ log_rho).real)
+    return rate if abs(rate) > production_rate_floor(w, params, ops) else 0.0
 
 
 def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:

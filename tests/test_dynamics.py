@@ -10,7 +10,6 @@ from vaporspin.dynamics import (
     block_rhs,
     build_superops,
     default_dt,
-    detect_steady_state,
     fit_spin_temperature,
     integrate,
     integrate_block,
@@ -218,11 +217,10 @@ class TestIntegrate:
 
     def test_detect_steady_state(self, ops):
         p = params()
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50)
-        found, idx = detect_steady_state(traj, tol=1e-9)
-        assert not found and idx is None
-        found, idx = detect_steady_state(traj, tol=1e9)
-        assert found and idx == 0
+        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50, steady_tol=1e-9)
+        assert not traj.reached_steady and traj.steady_index is None
+        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50, steady_tol=1e9)
+        assert traj.reached_steady and traj.steady_index == 0
 
     def test_oversized_step_raises_physics_violation(self, ops):
         p = params()

@@ -111,8 +111,25 @@ def test_trajectory_cap_counts_the_whole_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(figures, "integrate_block", forbidden)
     monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", len(SERIES) * column_bytes - 1)
-    with pytest.raises(ConfigError, match=f"for each of {len(SERIES)} runs"):
+    with pytest.raises(ConfigError, match=f"for each of {len(SERIES)} runs") as caught:
         reproduce_figures(cfg, tmp_path)
+    # the recipe fixes the horizon and the stride, so only the step is named
+    assert "dt_steps_per_rate = 1 " in str(caught.value)
+    assert "t_end_over_t_se" not in str(caught.value)
+    assert "sample_every" not in str(caught.value)
     monkeypatch.undo()
     monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", len(SERIES) * column_bytes)
     assert reproduce_figures(cfg, tmp_path).is_file()
+
+
+def test_zero_by_symmetry_cells_are_exact(tmp_path):
+    # every series behind fig4 and fig6 and every fig5 point is pumped along
+    # z, so its QFI about z is zero by symmetry: exactly 0, and so is its fit
+    reproduce_figures(RunConfig(dt_steps_per_rate=1.0).validate(), tmp_path)
+    for name in ("fig4c", "fig4f", "fig5", "fig6c", "fig6f"):
+        columns = read_columns(tmp_path / f"{name}.csv")
+        qfi_z = [cells for label, cells in columns.items() if label.startswith("qfi_z")]
+        assert qfi_z and all(cell == "0" for cells in qfi_z for cell in cells), name
+    fits = read_columns(tmp_path / "fit_summary.csv")
+    z = fits["axis"].index("z")
+    assert (fits["slope"][z], fits["intercept"][z]) == ("0", "0")

@@ -1,12 +1,17 @@
 import csv
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vaporspin import cli
+import vaporspin
+from vaporspin import cli, figures, metrology, thermo
 from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import (
     PhysicsViolationError,
@@ -26,6 +31,7 @@ from vaporspin.pipeline import (
     run_sweep,
     simulate,
     stacked_observables,
+    steady_state_columns,
     steady_state_row,
     trajectory_table,
     write_rates_csv,
@@ -259,6 +265,22 @@ class TestPumpFrame:
         assert betas["x"] == pytest.approx(betas["z"], rel=1e-9)
         assert betas["y"] == pytest.approx(betas["z"], rel=1e-9)
 
+    @pytest.mark.parametrize("axis, r_op, temperature_c", [
+        ("z", 1.0, 120.0), ("x", 1.5, 125.0), ("y", 1.3, 128.0),
+    ])
+    def test_beta_fit_matches_closed_form_at_full_polarization(self, axis, r_op, temperature_c):
+        # populations fall to 1e-12 at |s| = 1, below the solver's absolute
+        # precision; the p-weighted fit rests on the well-resolved ones
+        cfg = RunConfig(pump_axis=axis, s_magnitude=1.0, r_op_over_gamma_se=r_op,
+                        temperature_c=temperature_c).validate()
+        ops, _, params = build_simulation(cfg)
+        rho, info = solve_steady_state(params, ops)
+        assert info.converged
+        pol = params.r_op / (params.r_op + params.gamma_sd)
+        beta = math.log((1.0 + pol) / (1.0 - pol))
+        got = steady_state_columns(cfg, ops, params, rho)["beta_fit"]
+        assert got == pytest.approx(beta, rel=1e-9)
+
     def test_unknown_axis_rejected(self, ops8):
         with pytest.raises(ValueError, match="axis"):
             rotation_to_pump_frame(ops8, "w")
@@ -316,7 +338,69 @@ class TestSweep:
             run_sweep(fast_config(), tmp_path)
 
 
+class TestOneObservablePath:
+    """Steady states take the stacked pass; symmetry zeros are written exactly."""
+
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    def test_zero_by_symmetry_cells_are_exact(self, tmp_path, axis):
+        # a state pumped along an axis is invariant under rotations about it
+        run_single(RunConfig(pump_axis=axis, t_end_over_t_se=0.5).validate(), tmp_path)
+        for name in ("trajectory.csv", "summary.csv"):
+            header, rows = read_csv(tmp_path / name)
+            assert {r[header.index(f"qfi_{axis}")] for r in rows} == {"0"}, name
+            assert {r[header.index(f"crb_{axis}")] for r in rows} == {"inf"}, name
+        # the floor leaves the transverse QFIs alone from the first sample on
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        for other in "xyz".replace(axis, ""):
+            assert min(float(r[header.index(f"qfi_{other}")]) for r in rows[1:]) > 1e-8
+        header, rows = read_csv(tmp_path / "summary.csv")
+        assert rows[0][header.index("sigma_rate_per_s")] == "0"
+
+    def test_scalar_oracles_apply_the_same_floors(self, ops8, make_params):
+        params = make_params(s=1.0, axis="x")
+        rho, info = solve_steady_state(params, ops8)
+        assert info.converged
+        got = stacked_observables(rho[None], params, ops8)
+        qfi = quantum_fisher_information(rho, ops8.f_ops[0])
+        assert qfi == got["qfi_x"][0] == 0.0
+        assert cramer_rao_bound(qfi) == got["crb_x"][0] == math.inf
+        assert thermo_sample(rho, params, ops8).sigma_rate == got["sigma_rate_per_s"][0] == 0.0
+
+    def test_run_sweep_and_radius_points_skip_the_scalar_routines(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scalar observable routine ran")
+
+        for module in (vaporspin, pipeline, figures, thermo, metrology):
+            for name in ("thermo_sample", "quantum_fisher_information", "cramer_rao_bound"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        run_single(fast_config(), tmp_path / "run")
+        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 1.0))
+        path, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["ok", "ok"]
+        header, rows = read_csv(path)
+        assert [r[header.index("sigma_rate_per_s")] for r in rows] == ["0", "0"]
+        assert [r[header.index("crb_z")] for r in rows] == ["inf", "inf"]
+        base = RunConfig().validate()
+        points = [figures._radius_point(base, float(radius)) for radius in figures.RADIUS_GRID]
+        assert [p["qfi_z"] for p in points] == [0.0] * len(figures.RADIUS_GRID)
+
+
 class TestCli:
+    def test_benchmark_tracer_finds_every_name_it_wraps(self, tmp_path):
+        # the tracer looks up each function it wraps before the run starts
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(vaporspin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfg_path = tmp_path / "cell.cfg"
+        cfg_path.write_text("radius_cm = 1.5\n")
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced.py"), "rates", str(cfg_path), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1])["exit_code"] == 0
+
     def test_rates_command(self, tmp_path, capsys):
         assert cli.main(["rates", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "rates.csv").exists()
