@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=None, metavar="DIR",
                          help="output directory (default: out_dir from the config)")
         cmd.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="worker processes for sweep points / chunks of the figure series")
+                         help="accepted and ignored; every command runs in one process")
         return cmd
 
     add_command("rates", "compute the cell's collision and wall rates")
@@ -108,8 +108,8 @@ def _cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    path, statuses = run_sweep(cfg, out_dir, jobs=jobs)
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+    path, statuses = run_sweep(cfg, out_dir)
     n_ok = statuses.count(SWEEP_STATUS_OK)
     print(f"wrote {path} ({n_ok}/{len(statuses)} points ok)")
     if SWEEP_STATUS_PHYSICS in statuses:
@@ -121,8 +121,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     return EXIT_OK
 
 
-def _cmd_figures(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    manifest = reproduce_figures(cfg, out_dir, jobs=jobs)
+def _cmd_figures(cfg: RunConfig, out_dir: Path) -> int:
+    manifest = reproduce_figures(cfg, out_dir)
     with open(manifest) as fh:
         n_files = sum(1 for _ in fh) - 1
     print(f"wrote {n_files} files, manifest at {manifest}")
@@ -139,9 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(cfg, out_dir)
         if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir, args.jobs)
+            return _cmd_sweep(cfg, out_dir)
         if args.command == "reproduce-figures":
-            return _cmd_figures(cfg, out_dir, args.jobs)
+            return _cmd_figures(cfg, out_dir)
         raise AssertionError(f"unhandled command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -142,9 +142,12 @@ def _coerce(key: str, raw: str, lineno: int, source: str):
     err = lambda msg: ConfigError(f"{source}:{lineno}: {msg}")  # noqa: E731
     if key == "sweep_values":
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
             raise err(f"sweep_values must be comma-separated numbers, got {raw!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise err(f"sweep_values must be finite, got {raw!r}")
+        return values
     if f.type == "bool":
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):

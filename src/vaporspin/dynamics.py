@@ -68,9 +68,6 @@ class PhysicsViolationError(RuntimeError):
         self.t = t
         self.column = int(column)
 
-    def __reduce__(self):  # pickled across fan_out's worker processes
-        return type(self), (self.reason, self.step, self.t, self.column)
-
 
 @dataclass(frozen=True)
 class PumpParams:

@@ -20,8 +20,6 @@ Panel layout:
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,6 @@ from .dynamics import (
 from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
     build_simulation,
-    fan_out,
     simulate,  # not called here; perfbench/traced.py wraps figures.simulate
     stacked_observables,
     steady_state_columns,
@@ -127,7 +124,7 @@ def _radius_point(base: RunConfig, radius: float) -> dict[str, object]:
     }
 
 
-def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
+def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
     """Write every figure CSV plus manifest.csv; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,11 +142,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path, jobs: int = 1) -> Path:
         # the recipe fixes the horizon and the stride; only the step is the config's
         need = str(exc).partition(" needs ")[2]
         raise ConfigError(f"dt_steps_per_rate = {base.dt_steps_per_rate:g} needs {need}") from exc
-    series = list(zip(SERIES, params_seq))
-    size = -(-len(series) // jobs)  # --jobs splits the block into column chunks
-    chunks = [series[i : i + size] for i in range(0, len(series), size)]
-    block = functools.partial(_series_block, ops=ops, dt=dt, t_end=t_end)
-    bundles = dict(zip(SERIES, itertools.chain.from_iterable(fan_out(block, chunks, jobs))))
+    bundles = dict(zip(SERIES, _series_block(list(zip(SERIES, params_seq)), ops, dt, t_end)))
     grid = bundles[SERIES[0]]["t_norm"]
 
     s_row = [bundles[("z", s, 1.0)] for s in S_GRID]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .dynamics import (
     default_dt,
     fit_spin_temperature,
     integrate,
+    integrate_block,
     sampling_plan,
     solve_steady_state,
 )
@@ -52,9 +52,9 @@ __all__ = [
     "trajectory_table",
     "write_csv",
     "write_rates_csv",
+    "write_run",
     "run_single",
     "run_sweep",
-    "fan_out",
     "format_value",
 ]
 
@@ -136,18 +136,17 @@ class SimulationResult:
     ness_info: SteadyStateInfo
 
 
-def simulate(cfg: RunConfig, *, dt: float | None = None) -> SimulationResult:
+def simulate(cfg: RunConfig) -> SimulationResult:
     """Integrate from the maximally mixed state, then polish the steady state.
 
     The Newton polish is seeded with the trajectory endpoint, so it converges
     in a few iterations and gives steady-state observables at solver precision
-    regardless of how long the time integration ran.  ``dt`` overrides the step
-    set by ``cfg.dt_steps_per_rate``.  A run whose samples would need more than
-    ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError` before integrating.
+    regardless of how long the time integration ran.  A run whose samples
+    would need more than ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError`
+    before integrating.
     """
     ops, rates, params = build_simulation(cfg)
-    if dt is None:
-        dt = default_dt(params, steps_per_rate=cfg.dt_steps_per_rate)
+    dt = default_dt(params, steps_per_rate=cfg.dt_steps_per_rate)
     t_end = trajectory_horizon(cfg, params, ops, dt)
     traj = integrate(
         ops.maximally_mixed(),
@@ -160,10 +159,7 @@ def simulate(cfg: RunConfig, *, dt: float | None = None) -> SimulationResult:
         steady_tol=cfg.steady_tol,
     )
     ness_rho, ness_info = solve_steady_state(params, ops, seed=traj.states[-1])
-    return SimulationResult(
-        config=cfg, ops=ops, rates=rates, params=params,
-        traj=traj, ness_rho=ness_rho, ness_info=ness_info,
-    )
+    return SimulationResult(cfg, ops, rates, params, traj, ness_rho, ness_info)
 
 
 def trajectory_horizon(
@@ -395,9 +391,8 @@ def write_rates_csv(path: Path, rates: RateSet) -> Path:
     return write_csv(path, RATES_COLUMNS, [rates_row(rates)])
 
 
-def run_single(cfg: RunConfig, out_dir: Path) -> dict[str, object]:
-    """One full run; writes rates.csv, trajectory.csv and summary.csv."""
-    result = simulate(cfg)
+def write_run(result: SimulationResult, out_dir: Path) -> dict[str, object]:
+    """Write rates.csv, trajectory.csv and summary.csv; returns the summary row."""
     out_dir = Path(out_dir)
     write_rates_csv(out_dir / "rates.csv", result.rates)
     header, rows = trajectory_table(result.traj, result.ops)
@@ -407,59 +402,81 @@ def run_single(cfg: RunConfig, out_dir: Path) -> dict[str, object]:
     return summary
 
 
+def run_single(cfg: RunConfig, out_dir: Path) -> dict[str, object]:
+    """One full run; writes rates.csv, trajectory.csv and summary.csv."""
+    return write_run(simulate(cfg), out_dir)
+
+
 SWEEP_STATUS_OK = "ok"
 SWEEP_STATUS_NOT_CONVERGED = "not_converged"
 SWEEP_STATUS_PHYSICS = "physics_violation"
 SWEEP_STATUS_ERROR = "error"
 
 
-def _sweep_point(args: tuple[RunConfig, str, float, Path]) -> tuple[float, str, str, dict]:
-    base, variable, value, point_dir = args
-    cfg = dataclasses.replace(base, sweep_variable="", sweep_values=(), **{variable: value})
-    try:
-        summary = run_single(cfg, point_dir)
-        status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
-        return value, status, "", summary
-    except PhysicsViolationError as exc:
-        return value, SWEEP_STATUS_PHYSICS, str(exc), {}
-    except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
-        return value, SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {}
-
-
-def fan_out(fn, items: list, jobs: int = 1) -> list:
-    """``[fn(x) for x in items]``, in ``jobs`` worker processes when ``jobs > 1``.
-
-    ``fn`` is pickled: a module-level function or a ``functools.partial`` of one.
-    """
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def run_sweep(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> tuple[Path, list[str]]:
+def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
     """Run one point per sweep value; aggregate summaries into sweep.csv.
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
+    Points sharing H0, the step and the horizon integrate as blocks of at most
+    ``MAX_TRAJECTORY_BYTES`` of samples; columns are independent, so each point
+    writes what :func:`run_single` would.  A column that trips a guard is
+    recorded as ``physics_violation`` and the rest of its block re-run.
     Returns the aggregate path and the list of per-point statuses.
     """
     if not cfg.sweep_variable:
         raise ConfigError("sweep requires sweep_variable and sweep_values in the config")
     out_dir = Path(out_dir)
     values = sorted(cfg.sweep_values)
-    tasks = [
-        (cfg, cfg.sweep_variable, value, out_dir / f"point_{i:02d}")
-        for i, value in enumerate(values)
-    ]
-    outcomes = fan_out(_sweep_point, tasks, jobs)
+    outcomes: list[tuple[str, str, dict]] = [None] * len(values)
+    groups: dict[tuple, list] = {}
+    for i, value in enumerate(values):
+        point = dataclasses.replace(cfg, sweep_variable="", sweep_values=(), **{cfg.sweep_variable: value})
+        try:
+            ops, rates, params = build_simulation(point.validate())
+            dt = default_dt(params, steps_per_rate=point.dt_steps_per_rate)
+            key = (ops.a_hfs, dt, trajectory_horizon(point, params, ops, dt))
+        except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
+            outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
+            continue
+        groups.setdefault(key, []).append((i, point, ops, rates, params))
 
-    first_summary = next((o[3] for o in outcomes if o[3]), {})
+    for (_, dt, t_end), members in groups.items():
+        ops = members[0][2]
+        _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
+        size = MAX_TRAJECTORY_BYTES // (n_samples * (ops.dim**2 + 1) * 16)  # as trajectory_horizon
+        for start in range(0, len(members), size):
+            block, trajs = members[start : start + size], []
+            while block:
+                try:
+                    trajs = integrate_block(
+                        ops.maximally_mixed(), [params for *_, params in block], ops, t_end=t_end, dt=dt,
+                        sample_every=cfg.sample_every, stop_at_steady=cfg.stop_at_steady,
+                        steady_tol=cfg.steady_tol,
+                    )
+                    break
+                except PhysicsViolationError as exc:
+                    outcomes[block.pop(exc.column)[0]] = (SWEEP_STATUS_PHYSICS, str(exc), {})
+                except Exception as exc:  # noqa: BLE001 — the whole block shares the failure
+                    for i, *_ in block:
+                        outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
+                    block = []
+            for (i, point, _, rates, params), traj in zip(block, trajs):
+                try:
+                    ness_rho, ness_info = solve_steady_state(params, ops, seed=traj.states[-1])
+                    result = SimulationResult(point, ops, rates, params, traj, ness_rho, ness_info)
+                    summary = write_run(result, out_dir / f"point_{i:02d}")
+                    status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
+                    outcomes[i] = (status, "", summary)
+                except Exception as exc:  # noqa: BLE001
+                    outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
+
+    first_summary = next((summary for *_, summary in outcomes if summary), {})
     summary_cols = [c for c in first_summary if c != cfg.sweep_variable]
     header = [cfg.sweep_variable, "status", "error"] + summary_cols
     rows = []
     statuses = []
-    for value, status, message, summary in outcomes:
+    for value, (status, message, summary) in zip(values, outcomes):
         statuses.append(status)
         rows.append([value, status, message] + [summary.get(c, "") for c in summary_cols])
     path = write_csv(out_dir / "sweep.csv", header, rows)

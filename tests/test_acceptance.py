@@ -340,7 +340,7 @@ def test_c10_ergotropy_oracle(capsys, rng):
 def test_c11_reproduce_figures_desk_scale(capsys, tmp_path):
     with criterion(capsys, 11, "figure reproduction at desk scale") as info:
         t0 = time.perf_counter()
-        manifest_path = reproduce_figures(RunConfig().validate(), tmp_path, jobs=1)
+        manifest_path = reproduce_figures(RunConfig().validate(), tmp_path)
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0
 

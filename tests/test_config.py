@@ -53,6 +53,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="must be finite"):
             parse_config("radius_cm = inf")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0.5, -inf"])
+    def test_non_finite_sweep_value_rejected(self, raw):
+        with pytest.raises(ConfigError, match=r"<config>:2: sweep_values must be finite"):
+            parse_config(f"sweep_variable = s_magnitude\nsweep_values = {raw}")
+
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError, match="must be a boolean"):
             parse_config("include_wall = maybe")

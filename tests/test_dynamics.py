@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -239,11 +238,6 @@ class TestIntegrate:
         assert caught.value.column == 1
         for p in (block[0], block[2]):
             integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=dt, sample_every=10)
-
-    def test_physics_violation_survives_pickling(self):
-        exc = pickle.loads(pickle.dumps(PhysicsViolationError("trace drift exceeded 1e-6", 7, 0.5, 2)))
-        assert (exc.reason, exc.step, exc.t, exc.column) == ("trace drift exceeded 1e-6", 7, 0.5, 2)
-        assert str(exc) == "trace drift exceeded 1e-6 at step 7 (t = 5.000000e-01 s)"
 
     def test_rejects_invalid_initial_state(self, ops):
         p = params()

@@ -24,17 +24,6 @@ def read_columns(path) -> dict[str, list[str]]:
     return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    cfg = RunConfig(dt_steps_per_rate=1.0).validate()
-    serial = reproduce_figures(cfg, tmp_path / "serial", jobs=1)
-    pooled = reproduce_figures(cfg, tmp_path / "pooled", jobs=2)
-    names = sorted(p.name for p in serial.parent.iterdir())
-    assert names == sorted(p.name for p in pooled.parent.iterdir())
-    assert len(names) == 23  # 22 figure files and the manifest
-    for name in names:
-        assert (serial.parent / name).read_bytes() == (pooled.parent / name).read_bytes(), name
-
-
 def test_pump_faster_than_hyperfine_shares_one_grid(tmp_path):
     # the fastest recipe pump (2 G_SE) outruns A = 1.5 G_SE and so sets the
     # step; every series must still be sampled on the same times

@@ -65,6 +65,31 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def spy_on_blocks(monkeypatch) -> list[int]:
+    """Record the number of columns of every integrate_block call the sweep makes."""
+    blocks: list[int] = []
+    real = pipeline.integrate_block
+
+    def spy(rho0, params_seq, *args, **kwargs):
+        blocks.append(len(params_seq))
+        return real(rho0, params_seq, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_block", spy)
+    return blocks
+
+
+def assert_points_match_standalone_runs(cfg: RunConfig, tmp_path: Path, points=None) -> None:
+    """Each sweep point's files equal those of a standalone run_single of its config."""
+    values = sorted(cfg.sweep_values)
+    for i in range(len(values)) if points is None else points:
+        point = dataclasses.replace(cfg, sweep_variable="", sweep_values=(),
+                                    **{cfg.sweep_variable: values[i]})
+        run_single(point, tmp_path / f"standalone_{i:02d}")
+        for name in ("rates.csv", "trajectory.csv", "summary.csv"):
+            swept = tmp_path / "sweep" / f"point_{i:02d}" / name
+            assert swept.read_bytes() == (tmp_path / f"standalone_{i:02d}" / name).read_bytes(), (i, name)
+
+
 def stall_steady_state(monkeypatch) -> None:
     """Make every Newton solve report non-convergence (it still returns its iterate)."""
     solve = pipeline.solve_steady_state
@@ -308,12 +333,41 @@ class TestSweep:
             standalone / "summary.csv"
         ).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = fast_config(sweep_variable="r_op_over_gamma_se", sweep_values=(0.5, 1.0))
-        serial, s_statuses = run_sweep(cfg, tmp_path / "serial", jobs=1)
-        parallel, p_statuses = run_sweep(cfg, tmp_path / "parallel", jobs=2)
-        assert s_statuses == p_statuses == ["ok", "ok"]
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize("overrides", [
+        # G_SE, and with it A, the step and the horizon, differ at each temperature
+        dict(sweep_variable="temperature_c", sweep_values=(130.0, 110.0, 120.0)),
+        # the pump sets the step, so only H0 differs
+        dict(sweep_variable="a_hfs_over_gamma_se", sweep_values=(1.5, 1.0), r_op_over_gamma_se=2.0),
+    ])
+    def test_points_in_separate_groups_match_standalone_runs(self, tmp_path, monkeypatch, overrides):
+        blocks = spy_on_blocks(monkeypatch)
+        cfg = fast_config(**overrides)
+        _, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["ok"] * len(cfg.sweep_values)
+        assert blocks == [1] * len(cfg.sweep_values)
+        assert_points_match_standalone_runs(cfg, tmp_path)
+
+    def test_columns_stopping_at_steady_match_standalone_runs(self, tmp_path, monkeypatch):
+        blocks = spy_on_blocks(monkeypatch)
+        cfg = RunConfig(t_end_over_t_se=2.0, steady_tol=0.03, sweep_variable="r_op_over_gamma_se",
+                        sweep_values=(0.25, 1.0, 4.0)).validate()
+        _, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["ok"] * 3
+        assert blocks == [3]
+        samples = [len(read_csv(tmp_path / "sweep" / f"point_{i:02d}" / "trajectory.csv")[1])
+                   for i in range(3)]
+        assert samples == [276, 1001, 1001]
+        assert_points_match_standalone_runs(cfg, tmp_path)
+
+    def test_blocks_are_cut_at_the_trajectory_cap(self, tmp_path, monkeypatch):
+        traj = simulate(fast_config()).traj
+        n_bytes = traj.states.nbytes + traj.times.nbytes + traj.rhs_norms.nbytes
+        monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", 2 * n_bytes)
+        blocks = spy_on_blocks(monkeypatch)
+        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
+        _, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["ok"] * 3
+        assert blocks == [2, 1]
 
     def test_failed_point_recorded_not_fatal(self, tmp_path):
         cfg = fast_config(sweep_variable="radius_cm", sweep_values=(-1.0, 1.5))
@@ -325,13 +379,62 @@ class TestSweep:
         assert rows[1][1] == "ok"
 
     def test_physics_violation_recorded(self, tmp_path, monkeypatch):
-        def explode(cfg, out_dir):
-            raise PhysicsViolationError("state left the physical cone", 12, 3.4e-5)
+        # the middle point gets a spin-destruction rate that the shared step,
+        # 1/(50 A), cannot follow
+        def build(cfg):
+            ops, rates, params = build_simulation(cfg)
+            if cfg.s_magnitude == 0.5:
+                params = dataclasses.replace(params, gamma_sd=1000.0 * params.a_hfs)
+            return ops, rates, params
 
-        monkeypatch.setattr(pipeline, "run_single", explode)
-        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.5,))
-        _, statuses = run_sweep(cfg, tmp_path)
-        assert statuses == ["physics_violation"]
+        monkeypatch.setattr(pipeline, "build_simulation", build)
+        monkeypatch.setattr(pipeline, "default_dt", lambda p, steps_per_rate: 1.0 / (steps_per_rate * p.a_hfs))
+        blocks = spy_on_blocks(monkeypatch)
+        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
+        with np.errstate(over="ignore", invalid="ignore"):
+            path, statuses = run_sweep(cfg, tmp_path / "sweep")
+            with pytest.raises(PhysicsViolationError) as caught:
+                run_single(fast_config(s_magnitude=0.5), tmp_path / "standalone_01")
+        assert statuses == ["ok", "physics_violation", "ok"]
+        assert blocks == [3, 2]  # the block is re-run without the failed column
+        header, rows = read_csv(path)
+        assert rows[1][header.index("error")] == str(caught.value)
+        assert not (tmp_path / "sweep" / "point_01").exists()
+        assert_points_match_standalone_runs(cfg, tmp_path, points=(0, 2))
+
+    def test_block_failure_is_recorded_for_its_points(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("no room for the samples")
+
+        monkeypatch.setattr(pipeline, "integrate_block", exhausted)
+        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 0.5))
+        path, statuses = run_sweep(cfg, tmp_path)
+        assert statuses == ["error", "error"]
+        header, rows = read_csv(path)
+        assert {r[header.index("error")] for r in rows} == {"MemoryError: no room for the samples"}
+
+    def test_point_configs_are_validated(self, tmp_path, capsys):
+        # the same value that `run` refuses with exit 2
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("a_hfs_over_gamma_se = 0\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert "a_hfs_over_gamma_se must be > 0" in capsys.readouterr().err
+        cfg_path.write_text(
+            "t_end_over_t_se = 2\nstop_at_steady = false\nsample_every = 100\n"
+            "sweep_variable = a_hfs_over_gamma_se\nsweep_values = 0, 20\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep")]) == cli.EXIT_RUNTIME
+        header, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert [r[header.index("status")] for r in rows] == ["error", "ok"]
+        assert rows[0][header.index("error")] == "ConfigError: a_hfs_over_gamma_se must be > 0"
+        assert not (tmp_path / "sweep" / "point_00").exists()
+
+    def test_non_finite_sweep_value_exits_2_naming_the_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("sweep_variable = s_magnitude\nsweep_values = 0.5, nan\n")
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep")]) == 2
+        assert "sweep.cfg:2: sweep_values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_requires_sweep_variable(self, tmp_path):
         with pytest.raises(ValueError, match="sweep_variable"):
@@ -426,7 +529,8 @@ class TestCli:
             "stop_at_steady = false\nsample_every = 100\n"
             "sweep_variable = s_magnitude\nsweep_values = 0.3, 0.6\n"
         )
-        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sw")])
+        # --jobs is accepted and ignored
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sw"), "--jobs", "2"])
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
         assert "2/2 points ok" in capsys.readouterr().out
