@@ -26,6 +26,11 @@ PUMP_AXES = ("x", "y", "z")
 POSITIVE_CELL_INPUTS = ("sigma_se_rbrb", "d0_he_cm2_s", "d0_n2_cm2_s")
 NONNEGATIVE_CELL_INPUTS = ("sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2")
 
+# a NaN passes every range check below, since each is a comparison
+FINITE_RUN_CONTROLS = (
+    "r_op_over_gamma_se", "a_hfs_over_gamma_se", "t_end_over_t_se", "dt_steps_per_rate", "steady_tol",
+)
+
 # keys that a sweep may vary (numeric scalars only)
 SWEEPABLE = (
     "radius_cm",
@@ -108,6 +113,10 @@ class RunConfig:
             raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}")
         if not 0.0 <= self.s_magnitude <= 1.0:
             raise ConfigError(f"s_magnitude must be in [0, 1], got {self.s_magnitude}")
+        for key in FINITE_RUN_CONTROLS:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.r_op_over_gamma_se < 0.0:
             raise ConfigError("r_op_over_gamma_se must be >= 0")
         if self.a_hfs_over_gamma_se <= 0.0:

@@ -14,11 +14,20 @@ anticommutator form is the Hermitian symmetrization of the operator products
 
 Two equivalent evaluation routes are provided: a readable matrix form
 (:func:`master_rhs`, the oracle) and an exact low-rank form over a block of
-states (:func:`block_rhs`), used by the fixed-step RK4 integrator
-(:func:`integrate_block`, :func:`integrate`), the Newton solve and the
-entropy production rate.  Steady states are detected along a trajectory
-(``Trajectory.steady_index``) or solved for directly with a Newton iteration
-(:func:`solve_steady_state`).
+states (:func:`block_rhs`), used by the integrators, the Newton solve and the
+entropy production rate.
+
+:func:`integrate_block` (and :func:`integrate`, its one-column form) steps
+with Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs
+I*, sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the
+entries of rho; each column of a block keeps its own step and clock.  Samples
+fall on the grid ``(k * sample_every) * dt`` plus the end and are read off
+the order-7 dense output, so the step never has to land on them.
+``fixed_step=True`` selects classical RK4 at the step ``dt`` instead, which
+the figure series and the tests that need a known step use.  Every sample is
+guarded (trace, Hermiticity, positivity).  Steady states are detected along a
+trajectory (``Trajectory.steady_index``) or solved for directly with a Newton
+iteration (:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
@@ -53,6 +62,164 @@ __all__ = [
 # integration guardrails (states are checked at every sample)
 TRACE_TOL = 1e-6
 EIGENVALUE_FLOOR = -1e-6
+
+# error control of the adaptive stepper, on the entries of rho
+RTOL = 1e-10
+ATOL = 1e-12
+# a step below this fraction of the sample interval (sample_every * dt, or the
+# whole horizon if that is shorter) is a guard failure, so that a column the
+# controller cannot follow stops instead of crawling; the floor never exceeds
+# MAX_FLOOR_GRID_FRACTION of the grid unit dt, so a sparse sample grid cannot
+# trip it on a healthy run (whose steps are about 0.3 / A or more)
+MIN_STEP_FRACTION = 1e-6
+MAX_FLOOR_GRID_FRACTION = 1e-3
+# step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / 8.0
+
+# Dormand-Prince 8(5,3), the tableau of Hairer's DOP853 code (ibid., sec. II.5
+# and II.6), row by row as {stage: coefficient}: stages 1-11, the 8th-order
+# weights (stage 12 is drho/dt at the new point), then the three extra stages
+# of the dense output
+_DOP853_A = (
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {
+        0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023
+    },
+    {
+        0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+        6: 20.154067550477894, 7: -43.48988418106996
+    },
+    {
+        0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627
+    },
+    {
+        0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
+        6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196
+    },
+    {
+        0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+        6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+        10: 0.6433927460157636
+    },
+    {
+        0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+        8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034,
+        11: 0.04471061572777259
+    },
+    {
+        0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+        8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+        11: 0.007567897660545699, 12: -0.008298
+    },
+    {
+        0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+        7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+        12: -0.00034046500868740456, 13: 0.1413124436746325
+    },
+    {
+        0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+        8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+        14: -9.15095847217987
+    },
+)
+# 5th- and 3rd-order error estimators over stages 0-12
+_DOP853_E = (
+    {
+        0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+        10: 0.08192320648511571, 11: -0.022355307863886294
+    },
+    {
+        0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+        8: -0.4226823213237919, 9: -0.1521609496625161, 10: 0.20136540080403034,
+        11: 0.02265179219836082
+    },
+)
+# dense output: the coefficients of x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3
+_DOP853_D = (
+    {
+        0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+        8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
+        12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356,
+        15: -4.436036387594894
+    },
+    {
+        0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+        8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398,
+        11: -9.332130526430229, 12: 15.697238121770845, 13: -31.139403219565178,
+        14: -9.35292435884448, 15: 35.81684148639408
+    },
+    {
+        0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+        8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+        12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
+        15: 11.99229113618279
+    },
+    {
+        0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+        8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+        12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
+        15: -149.72683625798564
+    },
+)
+
+
+def _tableau(rows: tuple[dict[int, float], ...], width: int, offset: int = 0) -> np.ndarray:
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            out[i, offset + j] = value
+    return out
+
+
+# The stepper keeps, per column, w[0] = the state at the start of the step and
+# w[1 + i] = step * stage i, so every stage input, the new state, the error
+# estimates and the dense output are one (1, m) @ (m, 2 d^2) product each.
+# Stage s (the new state for s = 12) from w[:s + 1]:
+_DOP853_STAGES = [None] + [
+    np.hstack([np.ones((1, 1)), _tableau(_DOP853_A[s - 1 : s], s)]) for s in range(1, 16)
+]
+_DOP853_ERROR = _tableau(_DOP853_E, 14, offset=1)  # from w[:14]
+
+
+def _dense_output_rows() -> np.ndarray:
+    """Hairer's continuous extension of DOP853 as one row of w-coefficients per power of x.
+
+    y(x) = y0 + x F0 + x(1-x) F1 + x^2(1-x) F2 + x^2(1-x)^2 F3 + x^3(1-x)^2 F4
+    + x^3(1-x)^3 F5 + x^4(1-x)^3 F6, with F0 = dy, F1 = h k0 - dy,
+    F2 = 2 dy - h (k0 + k12) and F3..F6 = h D k.  Regrouped over y0, dy = B h k,
+    h k0, h k12 and the rows of D, the weights are 1, 3x^2 - 2x^3, x(1-x)^2,
+    -x^2(1-x), x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3.
+    """
+    weights_in_powers = np.array([  # one column per weight, x^0 to x^7 down
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 3, -2, -1, 1, 0, 0, 0],
+        [0, -2, 1, 1, -2, 1, 1, 0],
+        [0, 0, 0, 0, 1, -2, -3, 1],
+        [0, 0, 0, 0, 0, 1, 3, -3],
+        [0, 0, 0, 0, 0, 0, -1, 3],
+        [0, 0, 0, 0, 0, 0, 0, -1],
+    ], dtype=float)
+    return weights_in_powers @ np.vstack([
+        np.eye(1, 17),
+        _tableau(_DOP853_A[11:12], 17, offset=1),
+        np.eye(1, 17, 1),
+        np.eye(1, 17, 13),
+        _tableau(_DOP853_D, 17, offset=1),
+    ])
+
+
+_DOP853_DENSE = _dense_output_rows()
 
 
 class PhysicsViolationError(RuntimeError):
@@ -218,7 +385,7 @@ def block_rhs(v: np.ndarray, sup: MasterSuperops) -> np.ndarray:
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
-    """Fixed RK4 step: 1/(steps_per_rate * fastest rate in the problem)."""
+    """Sample-grid unit (and fixed RK4 step): 1/(steps_per_rate * fastest rate)."""
     fastest = max(params.a_hfs, params.r_op, params.gamma_se, params.gamma_sd)
     if fastest <= 0.0:
         raise ValueError("all rates are zero; no intrinsic time scale to step with")
@@ -226,7 +393,7 @@ def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
 
 
 def sampling_plan(t_end: float, dt: float, sample_every: int) -> tuple[int, int]:
-    """RK4 steps and stored samples of :func:`integrate` over ``t_end``."""
+    """Grid steps of ``dt`` and stored samples of :func:`integrate` over ``t_end``."""
     n_steps = max(1, math.ceil(t_end / dt - 1e-9))
     return n_steps, n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
 
@@ -239,12 +406,14 @@ class Trajectory:
     states: np.ndarray  # (n, dim, dim)
     rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
     params: PumpParams
-    dt: float
+    dt: float  # sample-grid unit: samples at multiples of sample_every * dt (the RK4 step)
     reached_steady: bool
     steady_index: int | None
     max_trace_drift: float
     max_herm_defect: float
     min_eigenvalue: float
+    steps: int  # accepted steps
+    rhs_evals: int  # evaluations of drho/dt, the samples' included
 
     @property
     def t_se(self) -> float:
@@ -282,20 +451,22 @@ def integrate(
     *,
     stop_at_steady: bool = False,
     steady_tol: float = 1e-7,
+    fixed_step: bool = False,
 ) -> Trajectory:
-    """Propagate rho0 with classical fixed-step RK4 and sample along the way.
+    """Propagate rho0 and sample it every ``sample_every * dt`` (plus the end).
 
-    Samples are taken every ``sample_every`` steps (plus the final step).  At
-    each sample the state is checked: trace drift beyond 1e-6 or an
-    eigenvalue below -1e-6 raises :class:`PhysicsViolationError` (no silent
-    projection back to the physical cone).  ``steady_tol`` is measured in
-    units of G_SE: a sample with ||drho/dt||_F < steady_tol * G_SE marks the
-    trajectory as steady, and with ``stop_at_steady`` integration ends there.
-    This is :func:`integrate_block` with one column.
+    The stepper is DOP853 under error control (``RTOL``, ``ATOL``), sampled
+    through its dense output; ``fixed_step`` selects classical RK4 with step
+    ``dt`` instead.  At each sample the state is checked: trace drift beyond
+    1e-6 or an eigenvalue below -1e-6 raises :class:`PhysicsViolationError`
+    (no silent projection back to the physical cone).  ``steady_tol`` is
+    measured in units of G_SE: a sample with ||drho/dt||_F < steady_tol * G_SE
+    marks the trajectory as steady, and with ``stop_at_steady`` integration
+    ends there.  This is :func:`integrate_block` with one column.
     """
     return integrate_block(
         rho0, [params], ops, t_end, dt, sample_every,
-        stop_at_steady=stop_at_steady, steady_tol=steady_tol,
+        stop_at_steady=stop_at_steady, steady_tol=steady_tol, fixed_step=fixed_step,
     )[0]
 
 
@@ -309,14 +480,16 @@ def integrate_block(
     *,
     stop_at_steady: bool = False,
     steady_tol: float = 1e-7,
+    fixed_step: bool = False,
 ) -> list[Trajectory]:
     """:func:`integrate` for B parameter sets at once, one column each.
 
-    Every column starts from ``rho0`` and steps on the same grid; ``dt``
-    defaults to the smallest :func:`default_dt` of the block.  Each column
-    keeps its own guards, steady index and, under ``stop_at_steady``, its own
-    stop, so each returned trajectory equals the standalone run of its
-    parameters bit for bit.  A guard failure raises
+    Every column starts from ``rho0`` and is sampled on the same grid; ``dt``
+    defaults to the smallest :func:`default_dt` of the block, and under
+    ``fixed_step`` every column steps with RK4 at ``dt``.  Each column keeps
+    its own step size, clock, guards, steady index and, under
+    ``stop_at_steady``, its own stop, so each returned trajectory equals the
+    standalone run of its parameters bit for bit.  A guard failure raises
     :class:`PhysicsViolationError` with ``column`` set to the offending index.
     """
     params_seq = list(params_seq)
@@ -329,65 +502,122 @@ def integrate_block(
     d = ops.dim
     rho0 = _validate_state(rho0, d)
 
-    b = len(params_seq)
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
+    times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
+    samples = _Samples(times, params_seq, d, steady_tol, stop_at_steady)
+    v = np.tile(rho0.reshape(-1), (len(params_seq), 1))
     sup = build_superops(params_seq, ops)
+    if fixed_step:
+        _rk4(samples, v, sup, dt, sample_every, n_steps)
+    else:
+        _dop853(samples, v, sup, dt, min(MIN_STEP_FRACTION * times[1], MAX_FLOOR_GRID_FRACTION * dt))
 
-    times = np.empty(n_samples)
-    samples = np.empty((b, n_samples, d * d), dtype=complex)
-    rhs_norms = np.empty((b, n_samples))
-    # per live column: steady threshold and index, guard margins so far
-    live = np.arange(b)
-    threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
-    steady = np.full(b, -1)
-    drift_max, herm_max, eig_low = np.zeros(b), np.zeros(b), np.full(b, np.inf)
-    finished: dict[int, tuple] = {}  # column -> (samples kept, steady, margins)
+    trajectories = []
+    for j, p in enumerate(params_seq):
+        kept, steady_index = samples.taken[j], int(samples.steady[j])
+        trajectories.append(Trajectory(
+            times=times[:kept],
+            states=samples.states[j, :kept].reshape(kept, d, d),
+            rhs_norms=samples.rhs_norms[j, :kept],
+            params=p,
+            dt=dt,
+            reached_steady=steady_index >= 0,
+            steady_index=steady_index if steady_index >= 0 else None,
+            max_trace_drift=float(samples.drift[j]),
+            max_herm_defect=float(samples.herm[j]),
+            min_eigenvalue=float(samples.eig_low[j]),
+            steps=int(samples.steps[j]),
+            rhs_evals=int(samples.rhs_evals[j]),
+        ))
+    return trajectories
 
-    def finish(mask: np.ndarray) -> None:
-        for j in np.flatnonzero(mask):
-            finished[int(live[j])] = (si, int(steady[j]), drift_max[j], herm_max[j], eig_low[j])
 
-    v = np.tile(rho0.reshape(-1), (b, 1))
-    diag_idx = np.arange(d) * (d + 1)
-    ones = np.ones((d, 1))
-    si = 0
+class _Samples:
+    """Sample store, guard margins, steady detection and work counts of a block.
+
+    Every array is indexed by block column; a stepper hands each column's
+    samples to :meth:`take` in time order.
+    """
+
+    def __init__(self, times: np.ndarray, params_seq: list[PumpParams], d: int, steady_tol: float,
+                 stop_at_steady: bool):
+        b = len(params_seq)
+        self.times = times
+        self.stop_at_steady = stop_at_steady
+        self.states = np.empty((b, len(times), d * d), dtype=complex)
+        self.rhs_norms = np.empty((b, len(times)))
+        self.taken = np.zeros(b, dtype=int)
+        self.threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
+        self.steady = np.full(b, -1)
+        self.drift, self.herm, self.eig_low = np.zeros(b), np.zeros(b), np.full(b, np.inf)
+        self.steps = np.zeros(b, dtype=int)
+        self.rhs_evals = np.zeros(b, dtype=int)
+        self.d = d
+        self._diag = np.arange(d) * (d + 1)
+        self._ones = np.ones((d, 1))
+
+    def fail(self, reason: str, column: int, t: float) -> PhysicsViolationError:
+        return PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
+
+    def take(self, cols: np.ndarray, k: np.ndarray, v: np.ndarray, derivative) -> tuple[np.ndarray, np.ndarray]:
+        """Check and store samples ``k`` of columns ``cols``, states ``v``, one per row.
+
+        A column may fill several rows, in time order.  ``derivative(v)``
+        gives drho/dt at the states once they are known to be finite.  Every
+        row is guarded; under ``stop_at_steady`` a column keeps no sample
+        past its first steady one.  Returns the mask of rows where a column
+        turned steady, and the derivatives.
+        """
+        finite = np.isfinite(v.view(np.float64)).all(axis=1)
+        if not finite.all():
+            j = np.argmin(finite)
+            raise self.fail("state became non-finite", cols[j], self.times[k[j]])
+        f = derivative(v)
+        rho = v.reshape(-1, self.d, self.d)
+        # stacked matmuls sum each row in the same order whatever the number
+        # of rows; a reduction along axis 1 need not
+        trace_drift = np.abs(np.matmul(v[:, None, self._diag].real, self._ones)[:, 0, 0] - 1.0)
+        herm_defect = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        eig_min = np.linalg.eigvalsh(rho).min(axis=1)
+        if trace_drift.max() > TRACE_TOL or eig_min.min() < EIGENVALUE_FLOOR:
+            j = np.argmax((trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR))
+            reason = ("trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
+                      else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
+            raise self.fail(reason, cols[j], self.times[k[j]])
+        fr = f.view(np.float64)
+        norms = np.sqrt(np.matmul(fr[:, None, :], fr[:, :, None])[:, 0, 0])
+        below = np.flatnonzero((self.steady[cols] < 0) & (norms < self.threshold[cols]))
+        fresh = np.zeros(len(cols), dtype=bool)
+        fresh[below[np.unique(cols[below], return_index=True)[1]]] = True
+        self.steady[cols[fresh]] = k[fresh]
+        if self.stop_at_steady:
+            kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
+            cols, k, v, norms = cols[kept], k[kept], v[kept], norms[kept]
+            trace_drift, herm_defect, eig_min = trace_drift[kept], herm_defect[kept], eig_min[kept]
+        self.states[cols, k] = v
+        self.rhs_norms[cols, k] = norms
+        np.maximum.at(self.drift, cols, trace_drift)
+        np.maximum.at(self.herm, cols, herm_defect)
+        np.minimum.at(self.eig_low, cols, eig_min)
+        np.maximum.at(self.taken, cols, k + 1)
+        return fresh, f
+
+
+def _rk4(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,
+         n_steps: int) -> None:
+    """Classical RK4 at the fixed step ``dt``, sampled every ``sample_every`` steps."""
+    live = np.arange(len(v))
     for step in range(n_steps + 1):
         k1 = None
         if step % sample_every == 0 or step == n_steps:
-            t = step * dt
-            if not np.isfinite(v.view(np.float64)).all():
-                finite = np.isfinite(v.view(np.float64)).all(axis=1)
-                raise PhysicsViolationError("state became non-finite", step, t, live[np.argmin(finite)])
-            k1 = block_rhs(v, sup)
-            rho = v.reshape(-1, d, d)
-            # a stacked matmul sums each column's diagonal in the same order
-            # whatever the block size; a reduction along axis 1 does not
-            trace_drift = np.abs(np.matmul(v[:, None, diag_idx].real, ones)[:, 0, 0] - 1.0)
-            herm_defect = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            eig_min = np.linalg.eigvalsh(rho).min(axis=1)
-            if trace_drift.max() > TRACE_TOL or eig_min.min() < EIGENVALUE_FLOOR:
-                j = np.argmax((trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR))
-                reason = ("trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
-                          else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
-                raise PhysicsViolationError(reason, step, t, live[j])
-            norms = np.linalg.norm(k1, axis=1)
-            times[si] = t
-            samples[live, si] = v
-            rhs_norms[live, si] = norms
-            np.maximum(drift_max, trace_drift, out=drift_max)
-            np.maximum(herm_max, herm_defect, out=herm_max)
-            np.minimum(eig_low, eig_min, out=eig_low)
-            fresh = (steady < 0) & (norms < threshold)
-            steady[fresh] = si
-            si += 1
+            # four evaluations a step; the one at this sample is the next step's k1
+            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
+            fresh, k1 = samples.take(live, samples.taken[live], v, lambda x: block_rhs(x, sup))
             if step == n_steps:
                 break
-            if stop_at_steady and fresh.any():
-                finish(fresh)
+            if samples.stop_at_steady and fresh.any():
                 keep = ~fresh
                 live, v, k1, sup = live[keep], v[keep], k1[keep], sup.take(keep)
-                threshold, steady = threshold[keep], steady[keep]
-                drift_max, herm_max, eig_low = drift_max[keep], herm_max[keep], eig_low[keep]
                 if not live.size:
                     break
         if k1 is None:
@@ -396,24 +626,122 @@ def integrate_block(
         k3 = block_rhs(v + (0.5 * dt) * k2, sup)
         k4 = block_rhs(v + dt * k3, sup)
         v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    finish(np.ones(live.size, dtype=bool))
 
-    trajectories = []
-    for j, p in enumerate(params_seq):
-        kept, steady_index, max_trace_drift, max_herm_defect, min_eigenvalue = finished[j]
-        trajectories.append(Trajectory(
-            times=times[:kept],
-            states=samples[j, :kept].reshape(kept, d, d),
-            rhs_norms=rhs_norms[j, :kept],
-            params=p,
-            dt=dt,
-            reached_steady=steady_index >= 0,
-            steady_index=steady_index if steady_index >= 0 else None,
-            max_trace_drift=float(max_trace_drift),
-            max_herm_defect=float(max_herm_defect),
-            min_eigenvalue=float(min_eigenvalue),
-        ))
-    return trajectories
+
+def _combine(coef: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """``coef @ w`` for each column, one stacked matmul each, as a (B, d^2) block."""
+    return np.matmul(coef, wr).view(complex)[:, 0]
+
+
+def _error_norm(wr: np.ndarray, v: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+    """DOP853's blend of its 5th- and 3rd-order error estimates, per column."""
+    b, n = v.shape
+    scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
+    err = np.matmul(_DOP853_ERROR, wr).reshape(b, 2, n, 2)
+    err /= scale[:, None, :, None]
+    err = err.reshape(b, 2, 2 * n)
+    squares = np.matmul(err, err.swapaxes(1, 2))  # per column: [[|e5|^2, .], [., |e3|^2]]
+    e5, e3 = squares[:, 0, 0], squares[:, 1, 1]
+    denom = e5 + 0.01 * e3
+    return np.divide(e5, np.sqrt(denom * n), out=np.zeros(b), where=denom != 0.0)
+
+
+def _interpolate(theta: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """DOP853's 7th-order dense output of one column at fractions ``theta`` of its step."""
+    powers = theta[:, None, None] ** np.arange(8)
+    return _combine(np.matmul(powers, _DOP853_DENSE), wr)
+
+
+def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, floor: float) -> None:
+    """DOP853 under error control, each column with its own step and clock.
+
+    The first step is ``dt``.  A column whose step falls below ``floor`` or
+    whose error estimate is not finite raises :class:`PhysicsViolationError`.
+    Samples inside a step come from the dense output, each column's as one
+    stack, so a column sees the same calls in any block.
+    """
+    times = samples.times
+    t_final = times[-1]
+    live = np.arange(len(v))
+    column_sup = [sup.take([j]) for j in live]
+    samples.rhs_evals[live] += 1
+    fresh, f = samples.take(live, samples.taken[live], v, lambda x: block_rhs(x, sup))
+    if samples.stop_at_steady and fresh.any():
+        keep = ~fresh
+        live, v, f, sup = live[keep], v[keep], f[keep], sup.take(keep)
+    t = np.zeros((live.size, 1))
+    h = np.full((live.size, 1), dt)
+    rejected = np.zeros(live.size, dtype=bool)
+    while live.size:
+        small = h[:, 0] < floor
+        if small.any():
+            j = np.argmax(small)
+            raise samples.fail(f"step {h[j, 0]:.3e} s below the floor of {floor:.3e} s", live[j], t[j, 0])
+        t_new = np.minimum(t + h, t_final)
+        step = t_new - t
+        # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
+        w = np.empty((live.size, 17, v.shape[1]), dtype=complex)
+        wr = w.view(np.float64)
+        w[:, 0] = v
+        np.multiply(step, f, out=w[:, 1])
+        for s in range(1, 12):
+            np.multiply(step, block_rhs(_combine(_DOP853_STAGES[s], wr[:, : s + 1]), sup), out=w[:, s + 1])
+        v_new = _combine(_DOP853_STAGES[12], wr[:, :13])
+        f_new = block_rhs(v_new, sup)
+        np.multiply(step, f_new, out=w[:, 13])
+        samples.rhs_evals[live] += 12
+        err = _error_norm(wr[:, :14], v, v_new)
+        if not np.isfinite(err).all():
+            j = np.argmin(np.isfinite(err))
+            raise samples.fail("step error estimate became non-finite", live[j], t[j, 0])
+        accepted = err < 1.0
+        factor = SAFETY * np.maximum(err, 1e-300) ** ERROR_EXPONENT
+        grow = np.minimum(MAX_FACTOR, factor)
+        grow = np.where(rejected, np.minimum(1.0, grow), grow)
+        h = step * np.where(accepted, grow, np.maximum(MIN_FACTOR, factor))[:, None]
+        rejected = ~accepted
+
+        # the samples in (t, t_new] of each accepted column; those strictly
+        # inside the step need the three extra stages of the dense output
+        first = samples.taken[live]
+        due = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="right") - first, 0)
+        inside = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="left") - first, 0)
+        stopped = np.zeros(live.size, dtype=bool)
+        if due.any():
+            dense = np.flatnonzero(inside)
+            if dense.size:
+                sub = sup if dense.size == live.size else sup.take(dense)
+                for s in range(13, 16):
+                    w[dense, s + 1] = step[dense] * block_rhs(_combine(_DOP853_STAGES[s], wr[dense, : s + 1]), sub)
+                samples.rhs_evals[live[dense]] += 3
+            rows = np.repeat(np.arange(live.size), due)
+            start = np.cumsum(due) - due
+            k = np.arange(rows.size) + np.repeat(first - start, due)
+            pieces = [(j, slice(start[j], start[j] + inside[j])) for j in dense]
+            states = v_new[rows]
+            for j, rows_j in pieces:
+                states[rows_j] = _interpolate((times[k[rows_j]] - t[j, 0]) / step[j, 0], wr[j])
+
+            def derivative(x):
+                out = f_new[rows]
+                for j, rows_j in pieces:
+                    out[rows_j] = block_rhs(x[rows_j], column_sup[live[j]])
+                    samples.rhs_evals[live[j]] += inside[j]
+                return out
+
+            fresh, _ = samples.take(live[rows], k, states, derivative)
+            if samples.stop_at_steady:
+                stopped[rows[fresh]] = True
+
+        t = np.where(accepted[:, None], t_new, t)
+        v = np.where(accepted[:, None], v_new, v)
+        f = np.where(accepted[:, None], f_new, f)
+        samples.steps[live[accepted]] += 1
+        done = stopped | (accepted & (t_new[:, 0] == t_final))
+        if done.any():
+            keep = ~done
+            live, t, h, v, f, rejected = live[keep], t[keep], h[keep], v[keep], f[keep], rejected[keep]
+            sup = sup.take(keep)
 
 
 def spin_temperature_state(

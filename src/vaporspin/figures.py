@@ -87,7 +87,7 @@ def _series_block(
     """Time-series observables of a block of series, keyed by trajectory.csv column."""
     try:
         trajs = integrate_block(ops.maximally_mixed(), [p for _, p in series], ops,
-                                t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE)
+                                t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE, fixed_step=True)
     except PhysicsViolationError as exc:
         axis, s, r_op = series[exc.column][0]
         raise PhysicsViolationError(

@@ -165,7 +165,7 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 def trajectory_horizon(
     cfg: RunConfig, params: PumpParams, ops: SpinOperatorSet, dt: float, columns: int = 1
 ) -> float:
-    """Horizon in seconds of ``columns`` runs of ``cfg`` stepped at ``dt``.
+    """Horizon in seconds of ``columns`` runs of ``cfg`` sampled on the grid of ``dt``.
 
     Raises :class:`ConfigError` when their samples, all held at once, would
     need more than ``MAX_TRAJECTORY_BYTES``.
@@ -418,7 +418,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
-    Points sharing H0, the step and the horizon integrate as blocks of at most
+    Points sharing H0, the sample grid and the horizon integrate as blocks of at most
     ``MAX_TRAJECTORY_BYTES`` of samples; columns are independent, so each point
     writes what :func:`run_single` would.  A column that trips a guard is
     recorded as ``physics_violation`` and the rest of its block re-run.

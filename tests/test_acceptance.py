@@ -103,22 +103,28 @@ def test_c04_conservation_suite(capsys, ops8, make_params, default_run):
         guards_ok(default_run.traj)
         guards_ok(_shared["relax_traj"])
 
-        # halved-step Richardson check over the full pumped transient
+        # halved-step Richardson check of fixed-step RK4 over the full pumped
+        # transient, and the error-controlled stepper against its fine end
         p = make_params(s=0.5)
         kwargs = dict(t_end=10.0 * p.t_se, sample_every=10**9)
-        coarse = integrate(ops8.maximally_mixed(), p, ops8, **kwargs)
+        coarse = integrate(ops8.maximally_mixed(), p, ops8, fixed_step=True, **kwargs)
         fine = integrate(
-            ops8.maximally_mixed(), p, ops8, dt=coarse.dt / 2.0, **kwargs
+            ops8.maximally_mixed(), p, ops8, dt=coarse.dt / 2.0, fixed_step=True, **kwargs
         )
+        adaptive = integrate(ops8.maximally_mixed(), p, ops8, **kwargs)
         guards_ok(coarse)
         guards_ok(fine)
+        guards_ok(adaptive)
         step_change = float(np.linalg.norm(coarse.states[-1] - fine.states[-1]))
         assert step_change < 1e-6
+        adaptive_change = float(np.linalg.norm(adaptive.states[-1] - fine.states[-1]))
+        assert adaptive_change < 1e-6
         info["detail"] = (
             f"trace drift {default_run.traj.max_trace_drift:.2g}, "
             f"herm {default_run.traj.max_herm_defect:.2g}, "
             f"min eig {default_run.traj.min_eigenvalue:.2g}, "
-            f"Richardson dt/2 change {step_change:.2g}"
+            f"Richardson dt/2 change {step_change:.2g}, "
+            f"adaptive against RK4 at dt/2 {adaptive_change:.2g}"
         )
 
 
@@ -212,7 +218,7 @@ def test_c08_irreversibility_shape(capsys, ops8, make_params, default_run):
 
         # analytic rate against a finite-difference oracle at full sampling
         fd_traj = integrate(
-            mixed, params, ops8, t_end=6.0 * params.t_se, sample_every=1
+            mixed, params, ops8, t_end=6.0 * params.t_se, sample_every=1, fixed_step=True
         )
         guards_ok(fd_traj)
         fd_sigma = np.array([entropy_production(r) for r in fd_traj.states])

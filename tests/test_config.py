@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from vaporspin import cli
@@ -111,6 +113,21 @@ class TestValidate:
             RunConfig(sample_every=0).validate()
         with pytest.raises(ConfigError, match="steady_tol"):
             RunConfig(steady_tol=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("r_op_over_gamma_se", math.nan),
+            ("a_hfs_over_gamma_se", math.nan),
+            ("t_end_over_t_se", math.nan),
+            ("t_end_over_t_se", math.inf),
+            ("dt_steps_per_rate", math.nan),
+            ("steady_tol", math.nan),
+        ],
+    )
+    def test_non_finite_run_control_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RunConfig(**{key: value}).validate()
 
     @pytest.mark.parametrize("key", ["sigma_se_rbrb", "sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2"])
     def test_negative_cross_section_names_the_key(self, key):

@@ -17,6 +17,8 @@ from vaporspin.dynamics import (
     solve_steady_state,
     spin_temperature_state,
 )
+from vaporspin.config import RunConfig
+from vaporspin.pipeline import build_simulation
 from vaporspin.spin_algebra import build_coupled_operators
 
 from conftest import random_density_matrix
@@ -226,18 +228,57 @@ class TestIntegrate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PhysicsViolationError):
                 integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=3.0 / p.a_hfs,
-                          sample_every=10)
+                          sample_every=10, fixed_step=True)
 
     def test_block_guard_names_the_column_that_broke(self, ops):
-        # one column decays far faster than the step can follow; the others are fine
+        # one column decays far faster than the fixed step can follow; the others are fine
         dt = 1.0 / (50.0 * 100.0 * G)
         block = [params(), params(gamma_sd=20.0 / dt), params(s=(0.5, 0, 0))]
+        kwargs = dict(t_end=1.0, dt=dt, sample_every=10, fixed_step=True)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PhysicsViolationError) as caught:
-                integrate_block(ops.maximally_mixed(), block, ops, t_end=1.0, dt=dt, sample_every=10)
+                integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
         assert caught.value.column == 1
         for p in (block[0], block[2]):
-            integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=dt, sample_every=10)
+            integrate(ops.maximally_mixed(), p, ops, **kwargs)
+
+    @pytest.mark.parametrize("gamma_sd, reason", [(1e9, "below the floor"),
+                                                  (1e300, "error estimate became non-finite")])
+    def test_step_floor_and_non_finite_error_name_the_column(self, ops, gamma_sd, reason):
+        # a decay rate 1e7 A needs steps below the floor, 1e-6 of 100 grid units;
+        # at 1e298 A the first step's error estimate overflows
+        block = [params(), params(gamma_sd=gamma_sd), params(s=(0.5, 0, 0))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PhysicsViolationError, match=reason) as caught:
+                integrate_block(ops.maximally_mixed(), block, ops, t_end=1.0, dt=1.0 / (50.0 * 100.0 * G),
+                                sample_every=100)
+        assert caught.value.column == 1
+        assert caught.value.step == 0 and caught.value.t == 0.0
+
+    def test_one_long_sample_interval_does_not_trip_the_floor(self, ops):
+        # 1e-6 of this interval is 500 grid units; under H0 alone the mixed
+        # state does not move, so the step grows tenfold per step
+        p = PumpParams(r_op=0.0, s=(0, 0, 0), gamma_se=0.0, gamma_sd=0.0, a_hfs=100.0 * G)
+        traj = integrate(ops.maximally_mixed(), p, ops, t_end=1e5, sample_every=10**9)
+        assert len(traj) == 2
+        assert traj.steps < 20
+
+    @pytest.mark.parametrize("stop_at_steady", [False, True])
+    def test_block_columns_with_their_own_steps_match_standalone_runs(self, ops, stop_at_steady):
+        block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
+        # at this tolerance the 0.25 G_SE column turns steady first
+        kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
+        trajs = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        assert len({traj.steps for traj in trajs}) == 3
+        if stop_at_steady:
+            assert len(trajs[0]) < len(trajs[1]) == len(trajs[2])
+        for traj, p in zip(trajs, block):
+            alone = integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            for name in ("times", "states", "rhs_norms"):
+                assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+            for name in ("steady_index", "reached_steady", "max_trace_drift", "max_herm_defect",
+                         "min_eigenvalue", "steps", "rhs_evals"):
+                assert getattr(traj, name) == getattr(alone, name), name
 
     def test_rejects_invalid_initial_state(self, ops):
         p = params()
@@ -258,6 +299,35 @@ class TestIntegrate:
             integrate(ops.maximally_mixed(), p, ops, t_end=-1.0)
         with pytest.raises(ValueError):
             integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=0)
+
+
+@pytest.fixture(scope="module", params=["z", "x"])
+def one_t_se(request):
+    """The built-in defaults over 1 T_SE: the default stepper and RK4 at dt/2."""
+    ops8, _, p = build_simulation(RunConfig(pump_axis=request.param).validate())
+    dt = default_dt(p)
+    adaptive = integrate(ops8.maximally_mixed(), p, ops8, t_end=p.t_se, dt=dt, sample_every=10)
+    rk4 = integrate(ops8.maximally_mixed(), p, ops8, t_end=p.t_se, dt=dt / 2.0, sample_every=20,
+                    fixed_step=True)
+    return adaptive, rk4
+
+
+class TestErrorControlledStepper:
+    def test_samples_match_rk4_at_half_step(self, one_t_se):
+        adaptive, rk4 = one_t_se
+        assert np.array_equal(adaptive.times, rk4.times)
+        assert np.max(np.abs(adaptive.states - rk4.states)) < 1e-9
+        assert np.max(np.abs(adaptive.rhs_norms / rk4.rhs_norms - 1.0)) < 1e-6
+
+    def test_work(self, one_t_se):
+        adaptive, rk4 = one_t_se
+        assert rk4.steps == 10_000 and rk4.rhs_evals == 40_001
+        # RK4 at dt takes 5,000 steps and 20,001 evaluations.  The stepper's
+        # own evaluations (12 per step, 3 more per step with a sample inside)
+        # stay within 5,000; each sample between step ends adds one for its rhs_norm
+        assert len(adaptive) == 501
+        assert adaptive.steps <= 330
+        assert adaptive.rhs_evals <= 5_000 + len(adaptive)
 
 
 class TestSpinTemperatureState:

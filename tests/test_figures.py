@@ -49,8 +49,9 @@ def figure_block(cfg):
 def test_block_columns_match_standalone_runs(stop_at_steady):
     params_seq, ops, dt, t_end = figure_block(RunConfig(dt_steps_per_rate=1.0).validate())
     # at this tolerance the nine series reach steady state at different samples
+    # the figures step the block with fixed-step RK4
     kwargs = dict(t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE,
-                  stop_at_steady=stop_at_steady, steady_tol=0.03)
+                  stop_at_steady=stop_at_steady, steady_tol=0.03, fixed_step=True)
     block = integrate_block(ops.maximally_mixed(), params_seq, ops, **kwargs)
     if stop_at_steady:
         assert len({len(traj) for traj in block}) > 1

@@ -379,12 +379,12 @@ class TestSweep:
         assert rows[1][1] == "ok"
 
     def test_physics_violation_recorded(self, tmp_path, monkeypatch):
-        # the middle point gets a spin-destruction rate that the shared step,
-        # 1/(50 A), cannot follow
+        # the middle point gets a spin-destruction rate, 1e7 A, that needs steps
+        # below the floor, 1e-6 of the sample interval (100 grid units of 1/(50 A))
         def build(cfg):
             ops, rates, params = build_simulation(cfg)
             if cfg.s_magnitude == 0.5:
-                params = dataclasses.replace(params, gamma_sd=1000.0 * params.a_hfs)
+                params = dataclasses.replace(params, gamma_sd=1e7 * params.a_hfs)
             return ops, rates, params
 
         monkeypatch.setattr(pipeline, "build_simulation", build)
@@ -399,6 +399,7 @@ class TestSweep:
         assert blocks == [3, 2]  # the block is re-run without the failed column
         header, rows = read_csv(path)
         assert rows[1][header.index("error")] == str(caught.value)
+        assert "below the floor" in str(caught.value)
         assert not (tmp_path / "sweep" / "point_01").exists()
         assert_points_match_standalone_runs(cfg, tmp_path, points=(0, 2))
 
