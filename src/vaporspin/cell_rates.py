@@ -79,7 +79,7 @@ class CellConfig:
 
     def __post_init__(self):
         if not (self.radius_cm > 0.0 and math.isfinite(self.radius_cm)):
-            raise ValueError(f"cell radius must be positive, got {self.radius_cm} cm")
+            raise ValueError(f"cell radius must be positive, got radius_cm = {self.radius_cm}")
         if not (TEMPERATURE_MIN_C <= self.temperature_c <= TEMPERATURE_MAX_C):
             raise ValueError(
                 f"temperature {self.temperature_c} C outside the validity window "

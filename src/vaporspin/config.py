@@ -45,7 +45,14 @@ SWEEPABLE = (
 
 
 class ConfigError(ValueError):
-    """Malformed, unknown, duplicate, or out-of-range configuration input."""
+    """Malformed, unknown, duplicate, or out-of-range configuration input.
+
+    ``key`` names the config key a range error is about, if any.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -89,57 +96,55 @@ class RunConfig:
     sweep_values: tuple[float, ...] = ()
 
     def validate(self) -> "RunConfig":
-        try:
-            # geometry/fill bounds live on CellConfig; surface them as config errors
-            CellConfig(
-                radius_cm=self.radius_cm,
-                temperature_c=self.temperature_c,
-                p_he_torr=self.p_he_torr,
-                p_n2_torr=self.p_n2_torr,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # geometry/fill bounds live on CellConfig, one field at a time; surface
+        # them as config errors naming the key
+        for key in ("radius_cm", "temperature_c", "p_he_torr", "p_n2_torr"):
+            try:
+                CellConfig(**{key: getattr(self, key)})
+            except ValueError as exc:
+                raise ConfigError(str(exc), key) from None
         for key in POSITIVE_CELL_INPUTS:
             value = getattr(self, key)
             if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+                raise ConfigError(f"{key} must be finite and > 0, got {value}", key)
         for key in NONNEGATIVE_CELL_INPUTS:
             value = getattr(self, key)
             if not (value >= 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}", key)
         if not math.isfinite(self.d_temp_exponent):
-            raise ConfigError(f"d_temp_exponent must be finite, got {self.d_temp_exponent}")
+            raise ConfigError(f"d_temp_exponent must be finite, got {self.d_temp_exponent}",
+                              "d_temp_exponent")
         if self.pump_axis not in PUMP_AXES:
-            raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}")
+            raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}", "pump_axis")
         if not 0.0 <= self.s_magnitude <= 1.0:
-            raise ConfigError(f"s_magnitude must be in [0, 1], got {self.s_magnitude}")
+            raise ConfigError(f"s_magnitude must be in [0, 1], got {self.s_magnitude}", "s_magnitude")
         for key in FINITE_RUN_CONTROLS:
             value = getattr(self, key)
             if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if self.r_op_over_gamma_se < 0.0:
-            raise ConfigError("r_op_over_gamma_se must be >= 0")
-        if self.a_hfs_over_gamma_se <= 0.0:
-            raise ConfigError("a_hfs_over_gamma_se must be > 0")
-        if self.t_end_over_t_se <= 0.0:
-            raise ConfigError("t_end_over_t_se must be > 0")
-        if self.dt_steps_per_rate < 1.0:
-            raise ConfigError("dt_steps_per_rate must be >= 1")
-        if self.sample_every < 1:
-            raise ConfigError("sample_every must be >= 1")
-        if self.steady_tol <= 0.0:
-            raise ConfigError("steady_tol must be > 0")
+                raise ConfigError(f"{key} must be finite, got {value}", key)
+        for key, bad, bound in (
+            ("r_op_over_gamma_se", self.r_op_over_gamma_se < 0.0, ">= 0"),
+            ("a_hfs_over_gamma_se", self.a_hfs_over_gamma_se <= 0.0, "> 0"),
+            ("t_end_over_t_se", self.t_end_over_t_se <= 0.0, "> 0"),
+            ("dt_steps_per_rate", self.dt_steps_per_rate < 1.0, ">= 1"),
+            ("sample_every", self.sample_every < 1, ">= 1"),
+            ("steady_tol", self.steady_tol <= 0.0, "> 0"),
+        ):
+            if bad:
+                raise ConfigError(f"{key} must be {bound}", key)
         two_i = 2.0 * self.nuclear_spin
         if self.nuclear_spin < 0.5 or abs(two_i - round(two_i)) > 1e-9:
-            raise ConfigError(f"nuclear_spin must be a half-integer >= 1/2, got {self.nuclear_spin}")
+            raise ConfigError(f"nuclear_spin must be a half-integer >= 1/2, got {self.nuclear_spin}",
+                              "nuclear_spin")
         if self.sweep_variable and self.sweep_variable not in SWEEPABLE:
             raise ConfigError(
-                f"sweep_variable {self.sweep_variable!r} not sweepable; choose from {SWEEPABLE}"
+                f"sweep_variable {self.sweep_variable!r} not sweepable; choose from {SWEEPABLE}",
+                "sweep_variable",
             )
         if self.sweep_variable and not self.sweep_values:
-            raise ConfigError("sweep_variable set but sweep_values is empty")
+            raise ConfigError("sweep_variable set but sweep_values is empty", "sweep_variable")
         if self.sweep_values and not self.sweep_variable:
-            raise ConfigError("sweep_values set but sweep_variable is empty")
+            raise ConfigError("sweep_values set but sweep_variable is empty", "sweep_values")
         return self
 
 
@@ -183,6 +188,7 @@ def _coerce(key: str, raw: str, lineno: int, source: str):
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse config text into a validated :class:`RunConfig`."""
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -198,11 +204,14 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if raw == "":
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         values[key] = _coerce(key, raw, lineno, source)
+        lines[key] = lineno
     try:
         return RunConfig(**values).validate()
     except ConfigError as exc:
-        # re-tag range errors with the file they came from
-        raise ConfigError(f"{source}: {exc}") from None
+        # re-tag range errors with the file they came from, and the line when
+        # the file sets the key
+        where = f"{source}:{lines[exc.key]}" if exc.key in lines else source
+        raise ConfigError(f"{where}: {exc}", exc.key) from None
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -15,24 +15,32 @@ anticommutator form is the Hermitian symmetrization of the operator products
 Two equivalent evaluation routes are provided: a readable matrix form
 (:func:`master_rhs`, the oracle) and an exact low-rank form over a block of
 states (:func:`block_rhs`), used by the integrators, the Newton solve and the
-entropy production rate.
+entropy production rate.  The low-rank form works in real coordinates: a
+state is x in R^(d^2), its coefficients on the orthonormal Hermitian basis of
+:func:`hermitian_basis` (|i><i|, then (|i><j| + |j><i|)/sqrt 2, then
+i(|i><j| - |j><i|)/sqrt 2 for i < j).  So ||rho||_F = ||x||,
+Tr(AB) = x_A . x_B, and every state stepped is Hermitian by construction;
+:func:`to_coordinates` and :func:`from_coordinates` convert.
 
 :func:`integrate_block` (and :func:`integrate`, its one-column form) steps
 with Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs
 I*, sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the
-entries of rho; each column of a block keeps its own step and clock.  Samples
-fall on the grid ``(k * sample_every) * dt`` plus the end and are read off
-the order-7 dense output, so the step never has to land on them.
+real coordinates; each column of a block keeps its own step and clock.
+Samples fall on the grid ``(k * sample_every) * dt`` plus the end and are
+read off the order-7 dense output, so the step never has to land on them.
 ``fixed_step=True`` selects classical RK4 at the step ``dt`` instead, which
 the figure series and the tests that need a known step use.  Every sample is
-guarded (trace, Hermiticity, positivity).  Steady states are detected along a
-trajectory (``Trajectory.steady_index``) or solved for directly with a Newton
-iteration (:func:`solve_steady_state`).
+guarded (finite, trace, positivity), in stacked passes of up to
+``SAMPLE_CHUNK`` samples; a failure is reported for the first sample that
+fails, as if each had been checked when it was taken.  Steady states are
+detected along a trajectory (``Trajectory.steady_index``) or solved for
+directly with a Newton iteration (:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,6 +56,9 @@ __all__ = [
     "SteadyStateInfo",
     "nuclear_part",
     "master_rhs",
+    "hermitian_basis",
+    "to_coordinates",
+    "from_coordinates",
     "build_superops",
     "block_rhs",
     "default_dt",
@@ -62,8 +73,10 @@ __all__ = [
 # integration guardrails (states are checked at every sample)
 TRACE_TOL = 1e-6
 EIGENVALUE_FLOOR = -1e-6
+# queued samples per stacked guard pass; the result does not depend on it
+SAMPLE_CHUNK = 64
 
-# error control of the adaptive stepper, on the entries of rho
+# error control of the adaptive stepper, on the real coordinates of rho
 RTOL = 1e-10
 ATOL = 1e-12
 # a step below this fraction of the sample interval (sample_every * dt, or the
@@ -76,6 +89,9 @@ MAX_FLOOR_GRID_FRACTION = 1e-3
 # step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / 8.0
+
+# 1 and the electron spin matrices S_k = sigma_k / 2 of the electron factor
+_SIGMA = np.stack([np.eye(2, dtype=complex), *build_spin_matrices(0.5)])
 
 # Dormand-Prince 8(5,3), the tableau of Hairer's DOP853 code (ibid., sec. II.5
 # and II.6), row by row as {stage: coefficient}: stages 1-11, the 8th-order
@@ -183,7 +199,7 @@ def _tableau(rows: tuple[dict[int, float], ...], width: int, offset: int = 0) ->
 
 # The stepper keeps, per column, w[0] = the state at the start of the step and
 # w[1 + i] = step * stage i, so every stage input, the new state, the error
-# estimates and the dense output are one (1, m) @ (m, 2 d^2) product each.
+# estimates and the dense output are one (1, m) @ (m, d^2) product each.
 # Stage s (the new state for s = 12) from w[:s + 1]:
 _DOP853_STAGES = [None] + [
     np.hstack([np.ones((1, 1)), _tableau(_DOP853_A[s - 1 : s], s)]) for s in range(1, 16)
@@ -297,91 +313,143 @@ def master_rhs(rho: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> np.
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each pair i < j of a d x d matrix, in row-major order."""
+    i, j = np.triu_indices(d, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """The orthonormal Hermitian basis of d x d matrices, shape (d^2, d, d).
+
+    |i><i| for each i, then (|i><j| + |j><i|)/sqrt 2 and then
+    i(|i><j| - |j><i|)/sqrt 2 for each pair i < j in row-major order.
+    """
+    i, j = _pairs(d)
+    pairs = np.arange(i.size)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    basis[d + pairs, i, j] = basis[d + pairs, j, i] = math.sqrt(0.5)
+    basis[d + i.size + pairs, i, j] = 1j * math.sqrt(0.5)
+    basis[d + i.size + pairs, j, i] = -1j * math.sqrt(0.5)
+    return basis
+
+
+def to_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates Tr(E_a rho) on :func:`hermitian_basis`, shape (..., d^2).
+
+    For a matrix that is not Hermitian this is the coordinates of its
+    Hermitian part.
+    """
+    i, j = _pairs(rho.shape[-1])
+    upper, lower = rho[..., i, j], rho[..., j, i]
+    return np.concatenate([
+        np.diagonal(rho, axis1=-2, axis2=-1).real,
+        (upper.real + lower.real) * math.sqrt(0.5),
+        (upper.imag - lower.imag) * math.sqrt(0.5),
+    ], axis=-1)
+
+
+def from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices with real coordinates ``x``, shape (..., d, d)."""
+    d = math.isqrt(x.shape[-1])
+    i, j = _pairs(d)
+    rho = np.empty(x.shape[:-1] + (d, d), dtype=complex)
+    k = np.arange(d)
+    rho[..., k, k] = x[..., :d]
+    upper = (x[..., d : d + i.size] + 1j * x[..., d + i.size :]) * math.sqrt(0.5)
+    rho[..., i, j] = upper
+    rho[..., j, i] = upper.conj()
+    return rho
+
+
 @dataclass(frozen=True)
 class MasterSuperops:
     """Exact low-rank form of the equation of motion for a block of B columns.
 
     The electron-depolarized part is phi = Tr_S(rho) (x) 1/2 (Appelt et al.,
-    PRA 58, 1412 (1998)), so in row-major vec form, with n = Tr_S(rho) taken in
-    the uncoupled |m_I> x |m_S> basis (m^2 entries, m = dim/2; rank 16 for
-    I = 3/2),
+    PRA 58, 1412 (1998)).  With x the real coordinates of rho, n those of
+    Tr_S(rho) in the uncoupled |m_I> basis (m^2 of them, m = dim/2; 16 for
+    I = 3/2) and G_k n the coordinates of U (n (x) sigma_k) U^dag mapped back
+    to the coupled basis (sigma_0 = 1, sigma_k = S_k), the right-hand side is
 
-        f(v) = (omega - c) * v + c K_0 n + sum_k alpha_k K_k n,
+        f(x) = L x + (c/2) G_0 n + sum_k alpha_k G_k n,
         c = R_op + G_SE + G_SD,  alpha_k = R_op s_k + 2 G_SE <S_k>,
 
-    where K_0 n = vec(n (x) 1/2) and K_k n = vec(n (x) S_k), both mapped back to
-    the coupled basis, and omega is the diagonal of -i[H0, .] (H0 is diagonal
-    in |F, m_F>).  Column b's scalars live in ``diag[b]``, ``two_gamma_se[b]``
-    and the first m^2 rows of ``expand[b]``, which hold the constant part
-    c K_0 + sum_k R_op s_k K_k.
+    with L the commutator with H0 (H0 is diagonal in |F, m_F>, so L rotates
+    each pair of off-diagonal coordinates) minus c.  As row vectors, ``reduce``
+    gives (n, <S_k>) = x @ reduce, and ``expand[b]`` is column b's
+    (d^2 + 3 m^2) x d^2 factor: its first d^2 rows fold in L and the constant
+    terms (c/2) G_0 + R_op s.G (n is linear in x), the rest hold
+    2 G_SE G_k^T, so f(x) = [x, <S> (x) n] @ expand[b].
     """
 
-    reduce: np.ndarray = field(repr=False)  # (d^2, m^2 + 3): v @ reduce = (n, Tr S_k rho)
-    expand: np.ndarray = field(repr=False)  # (B, 4 m^2, d^2): (c K_0 + R_op s.K)^T, K_x^T, K_y^T, K_z^T
-    diag: np.ndarray = field(repr=False)  # (B, d^2): omega - c
-    two_gamma_se: np.ndarray = field(repr=False)  # (B, 1, 1)
+    reduce: np.ndarray = field(repr=False)  # (d^2, m^2 + 3)
+    expand: np.ndarray = field(repr=False)  # (B, d^2 + 3 m^2, d^2)
 
     def take(self, columns: np.ndarray) -> MasterSuperops:
         """The columns selected by an index or boolean array."""
-        return dataclasses.replace(
-            self,
-            expand=self.expand[columns],
-            diag=self.diag[columns],
-            two_gamma_se=self.two_gamma_se[columns],
-        )
+        return dataclasses.replace(self, expand=self.expand[columns])
 
 
 def build_superops(
     params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet
 ) -> MasterSuperops:
-    """Low-rank factors for one parameter set, or one column per set of a sequence."""
-    params_seq = [params] if isinstance(params, PumpParams) else list(params)
-    # w[s] = U (1 (x) |m_S = s>): coupled images of the uncoupled states with
-    # electron projection s, so Tr_S(U^dag rho U) = sum_s w[s]^dag rho w[s]
-    w = [ops.u[:, s::2] for s in range(2)]
-    partial_trace = sum(np.kron(ws.conj().T, ws.T) for ws in w)
-    pairs = {(s, t): np.kron(w[s], w[t].conj()) for s in range(2) for t in range(2)}
+    """Low-rank factors for one parameter set, or one column per set of a sequence.
 
-    def embed(m: np.ndarray) -> np.ndarray:  # vec(n) -> vec(U (n (x) m) U^dag)
-        return sum(m[s, t] * pair for (s, t), pair in pairs.items())
-
-    k_0 = embed(0.5 * np.eye(2))
-    k_spin = [embed(m) for m in build_spin_matrices(0.5)]
-    tr_rows = ops.s_ops.transpose(0, 2, 1).reshape(3, -1)
-    energy = ops.h0.diagonal().real
-    omega = (-1j * (energy[:, None] - energy[None, :])).reshape(-1)
-    spin_rows = np.vstack([k.T for k in k_spin])
-    expand, diag = [], []
-    for p in params_seq:
-        decay = p.r_op + p.gamma_se + p.gamma_sd
-        constant = decay * k_0
-        for k in range(3):
-            constant = constant + (p.r_op * p.s[k]) * k_spin[k]
-        expand.append(np.vstack([constant.T, spin_rows]))
-        diag.append(omega - decay)
-    return MasterSuperops(
-        reduce=np.ascontiguousarray(np.vstack([partial_trace, tr_rows]).T),
-        expand=np.stack(expand),
-        diag=np.stack(diag),
-        two_gamma_se=np.array([2.0 * p.gamma_se for p in params_seq]).reshape(-1, 1, 1),
-    )
-
-
-def block_rhs(v: np.ndarray, sup: MasterSuperops) -> np.ndarray:
-    """drho/dt for a (B, d^2) block of vec'd states; column b uses scalars b.
-
-    Both products are stacked matmuls on (B, 1, .) operands, one BLAS call per
-    column, so a column's result does not depend on the block it sits in.  A
-    one-column ``sup`` applies to every row of ``v``.
+    The factors that do not depend on the parameters are built once per call;
+    each column's ``expand`` is a linear combination of them.
     """
+    params_seq = [params] if isinstance(params, PumpParams) else list(params)
+    d, m = ops.dim, ops.dim // 2
+    d2 = d * d
+    # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
+    # basis of the nuclear factor; n_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
+    nuclear = hermitian_basis(m)
+    product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
+    coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
+    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d2)
+    # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
+    reduce = np.vstack([g[0], to_coordinates(ops.s_ops)]).T
+    # x @ (g_0^T g_k) = (G_k n)^T; the commutator rotates each off-diagonal
+    # pair: d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
+    constant = np.matmul(g[0].T, g)
+    energy = ops.h0.diagonal().real
+    i, j = _pairs(d)
+    sym, anti = d + np.arange(i.size), d + i.size + np.arange(i.size)
+    rotation = np.zeros((d2, d2))
+    rotation[anti, sym] = energy[i] - energy[j]
+    rotation[sym, anti] = energy[j] - energy[i]
+    diagonal = np.arange(d2)
+    expand = np.empty((len(params_seq), d2 + 3 * m * m, d2))
+    for b, p in enumerate(params_seq):
+        decay = p.r_op + p.gamma_se + p.gamma_sd
+        linear = rotation + (0.5 * decay) * constant[0]
+        for k in range(3):
+            linear += (p.r_op * p.s[k]) * constant[1 + k]
+        linear[diagonal, diagonal] -= decay
+        expand[b, :d2] = linear
+        expand[b, d2:] = (2.0 * p.gamma_se) * g[1:].reshape(-1, d2)
+    return MasterSuperops(reduce=reduce, expand=expand)
+
+
+def block_rhs(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+    """dx/dt for a (B, d^2) block of real coordinates; column b uses factor b.
+
+    Both products are stacked matmuls, one BLAS call per column, so a
+    column's result does not depend on the block it sits in.  A one-column
+    ``sup`` applies to every row of ``x``.
+    """
+    b, d2 = x.shape
     m2 = sup.reduce.shape[1] - 3
-    r = np.matmul(v[:, None, :], sup.reduce)
-    n = r[:, :, :m2]
-    spin_n = (sup.two_gamma_se * r[:, :, m2:].real).swapaxes(1, 2) * n  # 2 G_SE <S_k> n
-    w = np.concatenate([n, spin_n.reshape(len(v), 1, -1)], axis=2)
-    out = np.matmul(w, sup.expand)[:, 0]
-    out += sup.diag * v
-    return out
+    w = np.empty((b, sup.expand.shape[1]))
+    w[:, :d2] = x
+    r = np.matmul(sup.reduce.T, x[:, :, None])  # (n, <S_k>) as columns
+    np.multiply(r[:, m2:], r[:, None, :m2, 0], out=w[:, d2:].reshape(b, 3, m2))  # <S> (x) n
+    return np.matmul(w[:, None, :], sup.expand).reshape(b, d2)
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
@@ -505,19 +573,20 @@ def integrate_block(
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
     samples = _Samples(times, params_seq, d, steady_tol, stop_at_steady)
-    v = np.tile(rho0.reshape(-1), (len(params_seq), 1))
+    x = np.tile(to_coordinates(rho0), (len(params_seq), 1))
     sup = build_superops(params_seq, ops)
     if fixed_step:
-        _rk4(samples, v, sup, dt, sample_every, n_steps)
+        _rk4(samples, x, sup, dt, sample_every, n_steps)
     else:
-        _dop853(samples, v, sup, dt, min(MIN_STEP_FRACTION * times[1], MAX_FLOOR_GRID_FRACTION * dt))
+        _dop853(samples, x, sup, dt, min(MIN_STEP_FRACTION * times[1], MAX_FLOOR_GRID_FRACTION * dt))
+    samples.flush()
 
     trajectories = []
     for j, p in enumerate(params_seq):
         kept, steady_index = samples.taken[j], int(samples.steady[j])
         trajectories.append(Trajectory(
             times=times[:kept],
-            states=samples.states[j, :kept].reshape(kept, d, d),
+            states=samples.states[j, :kept],
             rhs_norms=samples.rhs_norms[j, :kept],
             params=p,
             dt=dt,
@@ -536,7 +605,10 @@ class _Samples:
     """Sample store, guard margins, steady detection and work counts of a block.
 
     Every array is indexed by block column; a stepper hands each column's
-    samples to :meth:`take` in time order.
+    samples to :meth:`take` in time order.  ``take`` computes the residual
+    norms and detects steady states at once, since they decide when a
+    column stops; it queues the samples, and :meth:`flush` guards, converts
+    and stores the queue as one stack.
     """
 
     def __init__(self, times: np.ndarray, params_seq: list[PumpParams], d: int, steady_tol: float,
@@ -544,7 +616,7 @@ class _Samples:
         b = len(params_seq)
         self.times = times
         self.stop_at_steady = stop_at_steady
-        self.states = np.empty((b, len(times), d * d), dtype=complex)
+        self.states = np.empty((b, len(times), d, d), dtype=complex)
         self.rhs_norms = np.empty((b, len(times)))
         self.taken = np.zeros(b, dtype=int)
         self.threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
@@ -553,106 +625,127 @@ class _Samples:
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
         self.d = d
-        self._diag = np.arange(d) * (d + 1)
         self._ones = np.ones((d, 1))
+        self._queue: list[tuple[np.ndarray, ...]] = []
+        self._queued = 0
 
     def fail(self, reason: str, column: int, t: float) -> PhysicsViolationError:
+        """The stepper's own failure, raised only after every queued sample passed its guards."""
+        self.flush()
         return PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
 
-    def take(self, cols: np.ndarray, k: np.ndarray, v: np.ndarray, derivative) -> tuple[np.ndarray, np.ndarray]:
-        """Check and store samples ``k`` of columns ``cols``, states ``v``, one per row.
+    def take(self, cols: np.ndarray, k: np.ndarray, x: np.ndarray, derivative) -> tuple[np.ndarray, np.ndarray]:
+        """Take samples ``k`` of columns ``cols``, states ``x``, one per row.
 
-        A column may fill several rows, in time order.  ``derivative(v)``
-        gives drho/dt at the states once they are known to be finite.  Every
-        row is guarded; under ``stop_at_steady`` a column keeps no sample
-        past its first steady one.  Returns the mask of rows where a column
-        turned steady, and the derivatives.
+        A column may fill several rows, in time order.  ``derivative(x)``
+        gives dx/dt at the states.  Every row is queued for the guards;
+        under ``stop_at_steady`` a column keeps no sample past its first
+        steady one.  Returns the mask of rows where a column turned steady,
+        and the derivatives.
         """
-        finite = np.isfinite(v.view(np.float64)).all(axis=1)
-        if not finite.all():
-            j = np.argmin(finite)
-            raise self.fail("state became non-finite", cols[j], self.times[k[j]])
-        f = derivative(v)
-        rho = v.reshape(-1, self.d, self.d)
-        # stacked matmuls sum each row in the same order whatever the number
-        # of rows; a reduction along axis 1 need not
-        trace_drift = np.abs(np.matmul(v[:, None, self._diag].real, self._ones)[:, 0, 0] - 1.0)
-        herm_defect = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        eig_min = np.linalg.eigvalsh(rho).min(axis=1)
-        if trace_drift.max() > TRACE_TOL or eig_min.min() < EIGENVALUE_FLOOR:
-            j = np.argmax((trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR))
-            reason = ("trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
-                      else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
-            raise self.fail(reason, cols[j], self.times[k[j]])
-        fr = f.view(np.float64)
-        norms = np.sqrt(np.matmul(fr[:, None, :], fr[:, :, None])[:, 0, 0])
-        below = np.flatnonzero((self.steady[cols] < 0) & (norms < self.threshold[cols]))
-        fresh = np.zeros(len(cols), dtype=bool)
-        fresh[below[np.unique(cols[below], return_index=True)[1]]] = True
-        self.steady[cols[fresh]] = k[fresh]
+        f = derivative(x)
+        norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
+        fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
+        if fresh.any():  # keep only each column's first row below the threshold
+            below = np.flatnonzero(fresh)
+            fresh[below] = False
+            fresh[below[np.unique(cols[below], return_index=True)[1]]] = True
+            self.steady[cols[fresh]] = k[fresh]
+        kept = np.ones(len(cols), dtype=bool)
         if self.stop_at_steady:
             kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
-            cols, k, v, norms = cols[kept], k[kept], v[kept], norms[kept]
-            trace_drift, herm_defect, eig_min = trace_drift[kept], herm_defect[kept], eig_min[kept]
-        self.states[cols, k] = v
-        self.rhs_norms[cols, k] = norms
-        np.maximum.at(self.drift, cols, trace_drift)
-        np.maximum.at(self.herm, cols, herm_defect)
-        np.minimum.at(self.eig_low, cols, eig_min)
-        np.maximum.at(self.taken, cols, k + 1)
+        self.rhs_norms[cols[kept], k[kept]] = norms[kept]
+        np.maximum.at(self.taken, cols[kept], k[kept] + 1)
+        self._queue.append((cols, k, self.steps[cols], kept, x))
+        self._queued += len(cols)
+        if self._queued >= SAMPLE_CHUNK:
+            self.flush()
         return fresh, f
 
+    def flush(self) -> None:
+        """Guard, convert and store the queued samples as one stack.
 
-def _rk4(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,
+        Raises for the sample that a check at :meth:`take` would have
+        raised for: the earliest ``take`` with a failing row, within it a
+        non-finite row first, else the first row over a trace or eigenvalue
+        guard, with the step count of that ``take``.
+        """
+        if not self._queue:
+            return
+        queue, self._queue, self._queued = self._queue, [], 0
+        call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
+        cols, k, steps, kept, x = (np.concatenate(part) for part in zip(*queue))
+        finite = np.isfinite(x).all(axis=1)
+        x = np.where(finite[:, None], x, 0.0)
+        rho = from_coordinates(x)
+        # stacked matmuls sum each row in the same order whatever the number
+        # of rows; a reduction along axis 1 need not
+        trace_drift = np.abs(np.matmul(x[:, None, : self.d], self._ones)[:, 0, 0] - 1.0)
+        eig_min = np.linalg.eigvalsh(rho).min(axis=1)
+        failed = ~finite | (trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR)
+        if failed.any():
+            first = call == call[np.argmax(failed)]
+            j = np.argmax(first & (~finite if (first & ~finite).any() else failed))
+            reason = ("state became non-finite" if not finite[j]
+                      else "trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
+                      else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
+            raise PhysicsViolationError(reason, int(steps[j]), float(self.times[k[j]]), cols[j])
+        cols, k, rho = cols[kept], k[kept], rho[kept]
+        self.states[cols, k] = rho
+        np.maximum.at(self.drift, cols, trace_drift[kept])
+        np.maximum.at(self.herm, cols, np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)))
+        np.minimum.at(self.eig_low, cols, eig_min[kept])
+
+
+def _rk4(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,
          n_steps: int) -> None:
     """Classical RK4 at the fixed step ``dt``, sampled every ``sample_every`` steps."""
-    live = np.arange(len(v))
+    live = np.arange(len(x))
     for step in range(n_steps + 1):
         k1 = None
         if step % sample_every == 0 or step == n_steps:
             # four evaluations a step; the one at this sample is the next step's k1
             samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
-            fresh, k1 = samples.take(live, samples.taken[live], v, lambda x: block_rhs(x, sup))
+            fresh, k1 = samples.take(live, samples.taken[live], x, lambda y: block_rhs(y, sup))
             if step == n_steps:
                 break
             if samples.stop_at_steady and fresh.any():
                 keep = ~fresh
-                live, v, k1, sup = live[keep], v[keep], k1[keep], sup.take(keep)
+                live, x, k1, sup = live[keep], x[keep], k1[keep], sup.take(keep)
                 if not live.size:
                     break
         if k1 is None:
-            k1 = block_rhs(v, sup)
-        k2 = block_rhs(v + (0.5 * dt) * k1, sup)
-        k3 = block_rhs(v + (0.5 * dt) * k2, sup)
-        k4 = block_rhs(v + dt * k3, sup)
-        v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            k1 = block_rhs(x, sup)
+        k2 = block_rhs(x + (0.5 * dt) * k1, sup)
+        k3 = block_rhs(x + (0.5 * dt) * k2, sup)
+        k4 = block_rhs(x + dt * k3, sup)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _combine(coef: np.ndarray, wr: np.ndarray) -> np.ndarray:
+def _combine(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``coef @ w`` for each column, one stacked matmul each, as a (B, d^2) block."""
-    return np.matmul(coef, wr).view(complex)[:, 0]
+    return np.matmul(coef, w)[:, 0]
 
 
-def _error_norm(wr: np.ndarray, v: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
     """DOP853's blend of its 5th- and 3rd-order error estimates, per column."""
-    b, n = v.shape
-    scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
-    err = np.matmul(_DOP853_ERROR, wr).reshape(b, 2, n, 2)
-    err /= scale[:, None, :, None]
-    err = err.reshape(b, 2, 2 * n)
+    b, n = x.shape
+    scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
+    err = np.matmul(_DOP853_ERROR, w)
+    err /= scale[:, None, :]
     squares = np.matmul(err, err.swapaxes(1, 2))  # per column: [[|e5|^2, .], [., |e3|^2]]
     e5, e3 = squares[:, 0, 0], squares[:, 1, 1]
     denom = e5 + 0.01 * e3
     return np.divide(e5, np.sqrt(denom * n), out=np.zeros(b), where=denom != 0.0)
 
 
-def _interpolate(theta: np.ndarray, wr: np.ndarray) -> np.ndarray:
+def _interpolate(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """DOP853's 7th-order dense output of one column at fractions ``theta`` of its step."""
     powers = theta[:, None, None] ** np.arange(8)
-    return _combine(np.matmul(powers, _DOP853_DENSE), wr)
+    return _combine(np.matmul(powers, _DOP853_DENSE), w)
 
 
-def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, floor: float) -> None:
+def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, floor: float) -> None:
     """DOP853 under error control, each column with its own step and clock.
 
     The first step is ``dt``.  A column whose step falls below ``floor`` or
@@ -662,13 +755,13 @@ def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, fl
     """
     times = samples.times
     t_final = times[-1]
-    live = np.arange(len(v))
+    live = np.arange(len(x))
     column_sup = [sup.take([j]) for j in live]
     samples.rhs_evals[live] += 1
-    fresh, f = samples.take(live, samples.taken[live], v, lambda x: block_rhs(x, sup))
+    fresh, f = samples.take(live, samples.taken[live], x, lambda y: block_rhs(y, sup))
     if samples.stop_at_steady and fresh.any():
         keep = ~fresh
-        live, v, f, sup = live[keep], v[keep], f[keep], sup.take(keep)
+        live, x, f, sup = live[keep], x[keep], f[keep], sup.take(keep)
     t = np.zeros((live.size, 1))
     h = np.full((live.size, 1), dt)
     rejected = np.zeros(live.size, dtype=bool)
@@ -680,17 +773,16 @@ def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, fl
         t_new = np.minimum(t + h, t_final)
         step = t_new - t
         # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
-        w = np.empty((live.size, 17, v.shape[1]), dtype=complex)
-        wr = w.view(np.float64)
-        w[:, 0] = v
+        w = np.empty((live.size, 17, x.shape[1]))
+        w[:, 0] = x
         np.multiply(step, f, out=w[:, 1])
         for s in range(1, 12):
-            np.multiply(step, block_rhs(_combine(_DOP853_STAGES[s], wr[:, : s + 1]), sup), out=w[:, s + 1])
-        v_new = _combine(_DOP853_STAGES[12], wr[:, :13])
-        f_new = block_rhs(v_new, sup)
+            np.multiply(step, block_rhs(_combine(_DOP853_STAGES[s], w[:, : s + 1]), sup), out=w[:, s + 1])
+        x_new = _combine(_DOP853_STAGES[12], w[:, :13])
+        f_new = block_rhs(x_new, sup)
         np.multiply(step, f_new, out=w[:, 13])
         samples.rhs_evals[live] += 12
-        err = _error_norm(wr[:, :14], v, v_new)
+        err = _error_norm(w[:, :14], x, x_new)
         if not np.isfinite(err).all():
             j = np.argmin(np.isfinite(err))
             raise samples.fail("step error estimate became non-finite", live[j], t[j, 0])
@@ -710,22 +802,23 @@ def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, fl
         if due.any():
             dense = np.flatnonzero(inside)
             if dense.size:
-                sub = sup if dense.size == live.size else sup.take(dense)
+                sub, rows_w = (sup, slice(None)) if dense.size == live.size else (sup.take(dense), dense)
                 for s in range(13, 16):
-                    w[dense, s + 1] = step[dense] * block_rhs(_combine(_DOP853_STAGES[s], wr[dense, : s + 1]), sub)
+                    stage = block_rhs(_combine(_DOP853_STAGES[s], w[rows_w, : s + 1]), sub)
+                    w[rows_w, s + 1] = step[rows_w] * stage
                 samples.rhs_evals[live[dense]] += 3
             rows = np.repeat(np.arange(live.size), due)
             start = np.cumsum(due) - due
             k = np.arange(rows.size) + np.repeat(first - start, due)
             pieces = [(j, slice(start[j], start[j] + inside[j])) for j in dense]
-            states = v_new[rows]
+            states = x_new[rows]
             for j, rows_j in pieces:
-                states[rows_j] = _interpolate((times[k[rows_j]] - t[j, 0]) / step[j, 0], wr[j])
+                states[rows_j] = _interpolate((times[k[rows_j]] - t[j, 0]) / step[j, 0], w[j])
 
-            def derivative(x):
+            def derivative(y):
                 out = f_new[rows]
                 for j, rows_j in pieces:
-                    out[rows_j] = block_rhs(x[rows_j], column_sup[live[j]])
+                    out[rows_j] = block_rhs(y[rows_j], column_sup[live[j]])
                     samples.rhs_evals[live[j]] += inside[j]
                 return out
 
@@ -734,13 +827,13 @@ def _dop853(samples: _Samples, v: np.ndarray, sup: MasterSuperops, dt: float, fl
                 stopped[rows[fresh]] = True
 
         t = np.where(accepted[:, None], t_new, t)
-        v = np.where(accepted[:, None], v_new, v)
+        x = np.where(accepted[:, None], x_new, x)
         f = np.where(accepted[:, None], f_new, f)
         samples.steps[live[accepted]] += 1
         done = stopped | (accepted & (t_new[:, 0] == t_final))
         if done.any():
             keep = ~done
-            live, t, h, v, f, rejected = live[keep], t[keep], h[keep], v[keep], f[keep], rejected[keep]
+            live, t, h, x, f, rejected = live[keep], t[keep], h[keep], x[keep], f[keep], rejected[keep]
             sup = sup.take(keep)
 
 
@@ -827,34 +920,37 @@ def solve_steady_state(
 
     if seed is None:
         seed = _spin_temperature_guess(params, ops)
-    v = np.asarray(seed, dtype=complex).reshape(-1).copy()
-    tr_row = np.eye(d, dtype=complex).reshape(-1)
-    # Jacobian of block_rhs, with <S_k> = Tr(S_k rho) differentiated as the
-    # complex-linear form it is on Hermitian states
-    m2 = sup.reduce.shape[1] - 3
-    partial_trace, tr_rows = sup.reduce[:, :m2].T, sup.reduce[:, m2:].T
-    constant, spin_rows = sup.expand[0, :m2], sup.expand[0, m2:].reshape(3, m2, d * d)
-    two_gamma_se = float(sup.two_gamma_se[0, 0, 0])
+    x = to_coordinates(np.asarray(seed, dtype=complex))
+    trace_row = np.zeros(d * d)
+    trace_row[:d] = 1.0
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        f = block_rhs(v[None], sup)[0]
+        f = block_rhs(x[None], sup)[0]
         residual = float(np.linalg.norm(f))
         if residual < tol * scale:
             break
-        n = partial_trace @ v
-        spin = (tr_rows @ v).real
-        mixed = constant + np.tensordot(two_gamma_se * spin, spin_rows, axes=1)
-        jac = np.diag(sup.diag[0]) + mixed.T @ partial_trace
-        jac += two_gamma_se * (n @ spin_rows).T @ tr_rows
-        system = np.vstack([jac, tr_row])
-        target = np.concatenate([-f, [1.0 - tr_row @ v]])
+        system = np.vstack([_jacobian(x, sup), trace_row])
+        target = np.concatenate([-f, [1.0 - trace_row @ x]])
         delta, *_ = np.linalg.lstsq(system, target, rcond=None)
-        v = v + delta
-        rho = v.reshape(d, d)
-        v = (0.5 * (rho + rho.conj().T)).reshape(-1)
+        x = x + delta
 
-    rho = v.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = from_coordinates(x)
     converged = bool(residual < tol * scale and np.linalg.eigvalsh(rho).min() > -1e-9)
     return rho, SteadyStateInfo(converged=converged, residual=residual, iterations=iterations)
+
+
+def _jacobian(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+    """d(block_rhs)/dx of a one-column ``sup`` at the coordinates ``x``, shape (d^2, d^2).
+
+    With f = x @ A + sum_k <S_k> n @ E_k, where (n, <S_k>) = x @ reduce and
+    E_k are the spin rows of ``expand``, the derivative of f_i by x_j is
+    A_ji + reduce_j,<S_k> (n @ E_k)_i + (reduce_j,n @ sum_k <S_k> E_k)_i.
+    """
+    d2 = len(x)
+    m2 = sup.reduce.shape[1] - 3
+    r = x @ sup.reduce
+    spin_rows = sup.expand[0, d2:].reshape(3, m2, d2)
+    transposed = sup.expand[0, :d2] + sup.reduce[:, m2:] @ (r[:m2] @ spin_rows)
+    transposed += sup.reduce[:, :m2] @ np.tensordot(r[m2:], spin_rows, axes=1)
+    return transposed.T

@@ -34,6 +34,7 @@ from .dynamics import (
     integrate_block,
     sampling_plan,
     solve_steady_state,
+    to_coordinates,
 )
 # quantum_fisher_information and thermo_sample: not called here; perfbench/traced.py wraps them
 from .metrology import PAIR_CUTOFF, qfi_floor, quantum_fisher_information  # noqa: F401
@@ -82,11 +83,19 @@ def format_value(value) -> str:
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
+    formats: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format_value(v) for v in row])
+            # a row of floats is written with one format string, byte for byte
+            # what format_value and csv.writer (no quoting, "\r\n") would write
+            if all(type(v) is float or type(v) is np.float64 for v in row):
+                if len(row) not in formats:
+                    formats[len(row)] = ",".join(["%.12g"] * len(row)) + "\r\n"
+                fh.write(formats[len(row)] % tuple(row))
+            else:
+                writer.writerow([format_value(v) for v in row])
     return path
 
 
@@ -218,8 +227,9 @@ def _observable_block(
     s_vn = -np.sum(p * np.log(p), axis=1)
     out["s_vn"] = s_vn
     out["sigma"] = float(np.log(d)) - s_vn
-    drho = block_rhs(rho.reshape(len(rho), d * d), sup).reshape(rho.shape)
-    rate = np.einsum("nij,nji->n", drho, log_rho).real
+    # Tr(drho/dt log rho), as the dot product of real coordinates
+    drho = block_rhs(to_coordinates(rho), sup)
+    rate = np.einsum("ni,ni->n", drho, to_coordinates(log_rho))
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 

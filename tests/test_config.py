@@ -176,8 +176,22 @@ class TestValidate:
             RunConfig(sweep_values=(1.0, 2.0)).validate()
 
     def test_range_error_via_parse_names_source(self):
-        with pytest.raises(ConfigError, match="<config>: s_magnitude"):
+        with pytest.raises(ConfigError, match="<config>:1: s_magnitude"):
             parse_config("s_magnitude = 2.0")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("s_magnitude = 2", r"bad\.cfg:2: s_magnitude must be in \[0, 1\], got 2\.0$"),
+            ("radius_cm = -1", r"bad\.cfg:2: cell radius must be positive, got radius_cm = -1\.0$"),
+            ("sweep_values = 1, 2", r"bad\.cfg:2: sweep_values set but sweep_variable is empty$"),
+        ],
+    )
+    def test_range_error_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# a comment\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
 
 class TestLoadConfig:

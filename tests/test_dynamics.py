@@ -1,21 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from vaporspin import dynamics
 from vaporspin.dynamics import (
     PhysicsViolationError,
     PumpParams,
     block_rhs,
     build_superops,
     default_dt,
+    from_coordinates,
     fit_spin_temperature,
+    hermitian_basis,
     integrate,
     integrate_block,
     master_rhs,
     nuclear_part,
     solve_steady_state,
     spin_temperature_state,
+    to_coordinates,
 )
 from vaporspin.config import RunConfig
 from vaporspin.pipeline import build_simulation
@@ -54,6 +59,23 @@ class TestNuclearPart:
         assert np.allclose(nuclear_part(mixed, ops), mixed, atol=1e-15)
 
 
+class TestCoordinates:
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5])
+    def test_coordinates_are_an_isometry(self, nuclear_spin, rng):
+        d = round(2 * nuclear_spin + 1) * 2
+        basis = hermitian_basis(d)
+        c = basis.reshape(d * d, d * d).T  # column a is vec(E_a)
+        assert np.allclose(c.conj().T @ c, np.eye(d * d), rtol=0, atol=1e-14)
+        a, b = random_density_matrix(rng, dim=d), random_density_matrix(rng, dim=d)
+        xa, xb = to_coordinates(a), to_coordinates(b)
+        assert xa.dtype == np.float64 and xa.shape == (d * d,)
+        assert np.max(np.abs(c @ xa - a.reshape(-1))) <= 1e-14
+        assert np.max(np.abs(from_coordinates(xa) - a)) <= 1e-14
+        assert abs(np.linalg.norm(xa) - np.linalg.norm(a)) <= 1e-14
+        assert abs(xa @ xb - np.trace(a @ b).real) <= 1e-14
+        assert np.max(np.abs(to_coordinates(basis) - np.eye(d * d))) <= 1e-14
+
+
 class TestMasterRhs:
     def test_traceless_and_hermitian(self, ops, rng):
         p = params(s=(0.2, -0.1, 0.4))
@@ -67,16 +89,17 @@ class TestMasterRhs:
         p = params(s=(0.3, 0.1, -0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
         states = np.stack([random_density_matrix(rng) for _ in range(5)])
-        block = block_rhs(states.reshape(5, 64), sup).reshape(5, 8, 8)
+        block = from_coordinates(block_rhs(to_coordinates(states), sup))
         for rho, stacked in zip(states, block):
             direct = master_rhs(rho, p, ops)
-            vec = block_rhs(rho.reshape(1, 64), sup).reshape(8, 8)
+            vec = from_coordinates(block_rhs(to_coordinates(rho[None]), sup))[0]
             assert np.max(np.abs(direct - vec)) < 1e-11 * p.a_hfs
             assert np.max(np.abs(direct - stacked)) < 1e-11 * p.a_hfs
 
     def test_block_rhs_matches_master_rhs_per_column(self, ops):
         # seeded property test: one block mixing pump axes, |s| in {0, 0.5, 1},
-        # a column without spin exchange and one dominated by spin destruction
+        # a column without spin exchange and one dominated by spin destruction;
+        # d = 8 and d = 12
         block_params = [
             params(s=(0, 0, 0.5)),
             params(s=(0.5, 0, 0), r_op=2.0),
@@ -87,21 +110,22 @@ class TestMasterRhs:
             PumpParams(r_op=1.5, s=(0, 0, 0.5), gamma_se=0.0, gamma_sd=0.1, a_hfs=100.0),
             params(s=(0, 0.5, 0), gamma_sd=50.0),
         ]
-        sup = build_superops(block_params, ops)
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            states = np.stack([random_density_matrix(rng) for _ in block_params])
-            block = block_rhs(states.reshape(len(states), 64), sup).reshape(states.shape)
-            for rho, f, p in zip(states, block, block_params):
-                direct = master_rhs(rho, p, ops)
-                assert np.max(np.abs(f - direct)) <= 1e-13 * np.max(np.abs(direct))
-                assert abs(np.trace(f)) <= 1e-13
-                assert np.max(np.abs(f - f.conj().T)) <= 1e-13 * np.max(np.abs(direct))
+        for ops in (ops, build_coupled_operators(nuclear_spin=2.5, a_hfs=100.0 * G)):
+            sup = build_superops(block_params, ops)
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                states = np.stack([random_density_matrix(rng, dim=ops.dim) for _ in block_params])
+                block = from_coordinates(block_rhs(to_coordinates(states), sup))
+                for rho, f, p in zip(states, block, block_params):
+                    direct = master_rhs(rho, p, ops)
+                    assert np.max(np.abs(f - direct)) <= 1e-13 * np.max(np.abs(direct))
+                    assert abs(np.trace(f)) <= 1e-13
+                    assert np.max(np.abs(f - f.conj().T)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_block_rhs_column_does_not_depend_on_its_block(self, ops, rng):
         block_params = [params(s=(0, 0, 0.5)), params(s=(0.5, 0, 0), r_op=2.0), params(s=(0, 0, 0))]
         sup = build_superops(block_params, ops)
-        states = np.stack([random_density_matrix(rng).reshape(-1) for _ in block_params])
+        states = to_coordinates(np.stack([random_density_matrix(rng) for _ in block_params]))
         block = block_rhs(states, sup)
         for j in range(len(block_params)):
             alone = block_rhs(states[j : j + 1], build_superops(block_params[j], ops))
@@ -280,6 +304,36 @@ class TestIntegrate:
                          "min_eigenvalue", "steps", "rhs_evals"):
                 assert getattr(traj, name) == getattr(alone, name), name
 
+    @pytest.mark.parametrize("stop_at_steady", [False, True])
+    def test_guard_chunk_size_does_not_change_the_result(self, ops, monkeypatch, stop_at_steady):
+        block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
+        kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
+        chunked = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 1)
+        one_by_one = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        for a, b in zip(chunked, one_by_one):
+            for name in ("times", "states", "rhs_norms"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            for name in ("steady_index", "reached_steady", "max_trace_drift", "max_herm_defect",
+                         "min_eigenvalue", "steps", "rhs_evals"):
+                assert getattr(a, name) == getattr(b, name), name
+
+    @pytest.mark.parametrize("chunk", [dynamics.SAMPLE_CHUNK, 1])
+    def test_batched_guard_raises_for_the_first_failing_sample(self, monkeypatch, chunk):
+        # the four polarizations of the sweep benchmark reach minimum
+        # eigenvalues of 0.104, 0.084, 0.067 and 0.052 over 1 T_SE; under a
+        # floor of 0.09 the s = 1 column crosses it first.  The column, step
+        # and time are those of a guard that checks each sample when it is taken.
+        base = RunConfig(t_end_over_t_se=1.0, stop_at_steady=False).validate()
+        sims = [build_simulation(dataclasses.replace(base, s_magnitude=s)) for s in (0.25, 0.5, 0.75, 1.0)]
+        ops8, block = sims[0][0], [p for *_, p in sims]
+        monkeypatch.setattr(dynamics, "EIGENVALUE_FLOOR", 0.09)
+        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
+        with pytest.raises(PhysicsViolationError, match="eigenvalue 8.995e-02") as caught:
+            integrate_block(ops8.maximally_mixed(), block, ops8, t_end=block[0].t_se,
+                            dt=default_dt(block[0]), sample_every=10)
+        assert (caught.value.column, caught.value.step, caught.value.t) == (3, 127, 2.488470024236447e-05)
+
     def test_rejects_invalid_initial_state(self, ops):
         p = params()
         bad_trace = np.eye(8, dtype=complex) / 4.0
@@ -368,6 +422,16 @@ class TestSpinTemperatureState:
 
 
 class TestSolveSteadyState:
+    def test_newton_jacobian_matches_finite_differences(self, ops, rng):
+        p = params(s=(0.3, -0.2, 0.5), r_op=0.7, gamma_sd=0.02)
+        sup = build_superops(p, ops)
+        x = to_coordinates(random_density_matrix(rng))
+        h = 1e-6
+        columns = [(block_rhs((x + h * e)[None], sup)[0] - block_rhs((x - h * e)[None], sup)[0]) / (2 * h)
+                   for e in np.eye(x.size)]
+        jac = dynamics._jacobian(x, sup)
+        assert np.max(np.abs(jac - np.stack(columns, axis=1))) <= 1e-6 * np.max(np.abs(jac))
+
     def test_matches_analytic_polarization(self, ops):
         p = params(s=(0, 0, 0.5), r_op=1.0, gamma_sd=0.0027)
         rho, info = solve_steady_state(p, ops)

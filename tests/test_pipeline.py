@@ -33,6 +33,7 @@ from vaporspin.pipeline import (
     stacked_observables,
     steady_state_columns,
     steady_state_row,
+    write_csv,
     trajectory_table,
     write_rates_csv,
 )
@@ -128,6 +129,18 @@ class TestFormatValue:
     ])
     def test_value_to_text_table(self, value, text):
         assert format_value(value) == text
+
+    def test_float_rows_are_written_as_csv_writer_would(self, tmp_path):
+        floats = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 5e-324,
+                  np.float64(2.5), np.float64("nan"), 1.0 / 3.0, 123456789012345.0]
+        rows = [floats, floats[::-1], floats + ["x", 7, True]]
+        write_csv(tmp_path / "fast.csv", ["c"] * len(floats), rows)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["c"] * len(floats))
+            for row in rows:
+                writer.writerow([format_value(v) for v in row])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestRunSingle:
