@@ -34,7 +34,7 @@ guarded (finite, trace, positivity), in stacked passes of up to
 ``SAMPLE_CHUNK`` samples; a failure is reported for the first sample that
 fails, as if each had been checked when it was taken.  Steady states are
 detected along a trajectory (``Trajectory.steady_index``) or solved for
-directly with a Newton iteration (:func:`solve_steady_state`).
+directly with a Newton iteration from their closed form (:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "sampling_plan",
     "integrate",
     "integrate_block",
+    "pump_polarization",
     "spin_temperature_state",
     "fit_spin_temperature",
     "solve_steady_state",
@@ -73,6 +74,9 @@ __all__ = [
 # integration guardrails (states are checked at every sample)
 TRACE_TOL = 1e-6
 EIGENVALUE_FLOOR = -1e-6
+# Newton's stopping residual, relative to the fastest rate, and iteration cap
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 80
 # queued samples per stacked guard pass; the result does not depend on it
 SAMPLE_CHUNK = 64
 
@@ -478,7 +482,6 @@ class Trajectory:
     reached_steady: bool
     steady_index: int | None
     max_trace_drift: float
-    max_herm_defect: float
     min_eigenvalue: float
     steps: int  # accepted steps
     rhs_evals: int  # evaluations of drho/dt, the samples' included
@@ -593,7 +596,6 @@ def integrate_block(
             reached_steady=steady_index >= 0,
             steady_index=steady_index if steady_index >= 0 else None,
             max_trace_drift=float(samples.drift[j]),
-            max_herm_defect=float(samples.herm[j]),
             min_eigenvalue=float(samples.eig_low[j]),
             steps=int(samples.steps[j]),
             rhs_evals=int(samples.rhs_evals[j]),
@@ -621,7 +623,7 @@ class _Samples:
         self.taken = np.zeros(b, dtype=int)
         self.threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
         self.steady = np.full(b, -1)
-        self.drift, self.herm, self.eig_low = np.zeros(b), np.zeros(b), np.full(b, np.inf)
+        self.drift, self.eig_low = np.zeros(b), np.full(b, np.inf)
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
         self.d = d
@@ -693,7 +695,6 @@ class _Samples:
         cols, k, rho = cols[kept], k[kept], rho[kept]
         self.states[cols, k] = rho
         np.maximum.at(self.drift, cols, trace_drift[kept])
-        np.maximum.at(self.herm, cols, np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)))
         np.minimum.at(self.eig_low, cols, eig_min[kept])
 
 
@@ -838,17 +839,13 @@ def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, fl
 
 
 def spin_temperature_state(
-    beta: float, ops: SpinOperatorSet, axis: np.ndarray | None = None
+    beta: float, ops: SpinOperatorSet, axis: Sequence[float] = (0.0, 0.0, 1.0)
 ) -> np.ndarray:
-    """Spin-temperature state rho ~ exp(beta * n.F).
+    """Spin-temperature state rho ~ exp(beta * n.F), n the unit vector along ``axis``.
 
-    With ``axis=None`` (the z axis) the state is diagonal in the coupled
-    basis with populations proportional to exp(beta * m_F).
+    Along z it is diagonal in the coupled basis, with populations
+    proportional to exp(beta * m_F).
     """
-    if axis is None:
-        m = np.array([mf for _, mf in ops.labels])
-        w = np.exp(beta * (m - m.max()))
-        return np.diag(w / w.sum()).astype(complex)
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
     if norm == 0.0:
@@ -886,49 +883,44 @@ class SteadyStateInfo:
     iterations: int
 
 
-def _spin_temperature_guess(params: PumpParams, ops: SpinOperatorSet) -> np.ndarray:
-    smag = float(np.linalg.norm(params.s_vec))
+def pump_polarization(params: PumpParams) -> float:
+    """Electron polarization P = |s| R_op / (R_op + G_SD) of the steady state (0 undriven)."""
     denom = params.r_op + params.gamma_sd
-    pol = smag * params.r_op / denom if denom > 0.0 else 0.0
-    pol = min(pol, 1.0 - 1e-9)
-    if pol <= 0.0 or smag == 0.0:
-        return ops.maximally_mixed()
-    beta = math.log((1.0 + pol) / (1.0 - pol))
-    return spin_temperature_state(beta, ops, axis=params.s_vec / smag)
+    return float(np.linalg.norm(params.s_vec)) * params.r_op / denom if denom > 0.0 else 0.0
 
 
-def solve_steady_state(
-    params: PumpParams,
-    ops: SpinOperatorSet,
-    seed: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-) -> tuple[np.ndarray, SteadyStateInfo]:
-    """Newton solve of drho/dt = 0 with the trace pinned to 1.
+def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.ndarray, SteadyStateInfo]:
+    """Newton solve of drho/dt = 0 with the trace pinned to 1, from the closed form.
 
-    ``tol`` is relative to the fastest collisional/pumping rate.  The seed
-    defaults to a spin-temperature ansatz along the pump axis, which is close
-    to the true fixed point whenever spin exchange dominates, so convergence
-    is quadratic and takes a handful of iterations.
+    Newton starts from rho ~ exp(beta n.F) along the pump axis n, with
+    beta = ln((1 + P) / (1 - P)) and P = :func:`pump_polarization`.  That is an
+    exact fixed point: rho = rho_I (x) rho_S commutes with H0 = A I.S, and
+    phi = rho_I (x) 1/2, so the collision and pump terms reduce to
+    rho_I (x) n.S [R_op |s| - (R_op + G_SD) P] = 0 and the G_SE terms cancel.
+    So Newton stops at its first residual check (below ``NEWTON_TOL`` of the
+    fastest collisional or pumping rate, within ``NEWTON_MAX_ITER`` iterations),
+    and the result depends on ``(params, ops)`` alone.  With every rate zero
+    it is the maximally mixed state.
     """
     d = ops.dim
     sup = build_superops(params, ops)
     scale = max(params.gamma_se, params.r_op, params.gamma_sd)
     if scale <= 0.0:
-        rho = ops.maximally_mixed() if seed is None else _validate_state(seed, d)
-        return rho, SteadyStateInfo(converged=True, residual=0.0, iterations=0)
+        return ops.maximally_mixed(), SteadyStateInfo(converged=True, residual=0.0, iterations=0)
 
-    if seed is None:
-        seed = _spin_temperature_guess(params, ops)
-    x = to_coordinates(np.asarray(seed, dtype=complex))
+    pol = min(pump_polarization(params), 1.0 - 1e-9)  # P = 1 would be a pure state
+    rho = ops.maximally_mixed()
+    if pol > 0.0:
+        rho = spin_temperature_state(math.log((1.0 + pol) / (1.0 - pol)), ops, axis=params.s_vec)
+    x = to_coordinates(rho)
     trace_row = np.zeros(d * d)
     trace_row[:d] = 1.0
     residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         f = block_rhs(x[None], sup)[0]
         residual = float(np.linalg.norm(f))
-        if residual < tol * scale:
+        if residual < NEWTON_TOL * scale:
             break
         system = np.vstack([_jacobian(x, sup), trace_row])
         target = np.concatenate([-f, [1.0 - trace_row @ x]])
@@ -936,7 +928,7 @@ def solve_steady_state(
         x = x + delta
 
     rho = from_coordinates(x)
-    converged = bool(residual < tol * scale and np.linalg.eigvalsh(rho).min() > -1e-9)
+    converged = bool(residual < NEWTON_TOL * scale and np.linalg.eigvalsh(rho).min() > -1e-9)
     return rho, SteadyStateInfo(converged=converged, residual=residual, iterations=iterations)
 
 

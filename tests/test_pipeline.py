@@ -40,7 +40,7 @@ from vaporspin.pipeline import (
 from vaporspin.thermo import thermo_sample
 import vaporspin.pipeline as pipeline
 
-from conftest import random_density_matrix, random_unitary
+from conftest import assert_matches_closed_form, random_density_matrix, random_unitary
 
 POPULATION_COLUMNS = [
     "p_f2_m2", "p_f2_m1", "p_f2_m0", "p_f2_mm1", "p_f2_mm2",
@@ -95,8 +95,8 @@ def stall_steady_state(monkeypatch) -> None:
     """Make every Newton solve report non-convergence (it still returns its iterate)."""
     solve = pipeline.solve_steady_state
 
-    def stalled(params, ops, seed=None, **kwargs):
-        rho, info = solve(params, ops, seed=seed, **kwargs)
+    def stalled(params, ops):
+        rho, info = solve(params, ops)
         return rho, SteadyStateInfo(converged=False, residual=1.0, iterations=80)
 
     monkeypatch.setattr(pipeline, "solve_steady_state", stalled)
@@ -327,6 +327,29 @@ class TestPumpFrame:
         m = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
         assert off_diagonal_mass(m) == pytest.approx(0.18, rel=1e-12)
         assert off_diagonal_mass(np.diag([0.25, 0.75]).astype(complex)) == 0.0
+
+
+class TestClosedFormSteadyState:
+    """The steady state against a closed form that shares no code with the package."""
+
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_summary_matches_closed_form(self, tmp_path, axis, s):
+        run_single(fast_config(pump_axis=axis, s_magnitude=s), tmp_path)
+        header, rows = read_csv(tmp_path / "summary.csv")
+        row = dict(zip(header, rows[0]))
+        assert_matches_closed_form(row, s, float(row["r_op_per_s"]), float(row["gamma_sd_per_s"]), axis)
+
+    def test_newton_stops_at_the_closed_form(self, tmp_path):
+        # Newton starts from the closed form, an exact fixed point, so it stops
+        # at its first residual check wherever the integration ended
+        cfg = RunConfig(t_end_over_t_se=1.0, stop_at_steady=False,
+                        sweep_variable="s_magnitude", sweep_values=(0.5, 1.0)).validate()
+        path, statuses = run_sweep(cfg, tmp_path)
+        assert statuses == ["ok", "ok"]
+        header, rows = read_csv(path)
+        assert [r[header.index("ness_iterations")] for r in rows] == ["1", "1"]
+        assert float(rows[1][header.index("beta_fit_residual")]) < 1e-10
 
 
 class TestSweep:
