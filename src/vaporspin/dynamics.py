@@ -457,7 +457,7 @@ def block_rhs(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
-    """Sample-grid unit (and fixed RK4 step): 1/(steps_per_rate * fastest rate)."""
+    """Grid unit 1/(steps_per_rate * fastest rate) of the samples; under ``fixed_step``, the RK4 step."""
     fastest = max(params.a_hfs, params.r_op, params.gamma_se, params.gamma_sd)
     if fastest <= 0.0:
         raise ValueError("all rates are zero; no intrinsic time scale to step with")
@@ -478,7 +478,7 @@ class Trajectory:
     states: np.ndarray  # (n, dim, dim)
     rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
     params: PumpParams
-    dt: float  # sample-grid unit: samples at multiples of sample_every * dt (the RK4 step)
+    dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
     reached_steady: bool
     steady_index: int | None
     max_trace_drift: float

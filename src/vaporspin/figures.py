@@ -25,23 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .dynamics import (
-    PhysicsViolationError,
-    PumpParams,
-    default_dt,
-    integrate_block,
-    solve_steady_state,
-)
+from .dynamics import PhysicsViolationError, solve_steady_state
 from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
     build_simulation,
+    integrate_runs,
     simulate,  # not called here; perfbench/traced.py wraps figures.simulate
     stacked_observables,
     steady_state_columns,
-    trajectory_horizon,
     write_csv,
 )
-from .spin_algebra import SpinOperatorSet
 
 __all__ = ["reproduce_figures", "S_GRID", "R_OP_GRID", "RADIUS_GRID"]
 
@@ -78,28 +71,6 @@ def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConf
     )
 
 
-def _series_block(
-    series: list[tuple[tuple[str, float, float], PumpParams]],
-    ops: SpinOperatorSet,
-    dt: float,
-    t_end: float,
-) -> list[dict[str, np.ndarray]]:
-    """Time-series observables of a block of series, keyed by trajectory.csv column."""
-    try:
-        trajs = integrate_block(ops.maximally_mixed(), [p for _, p in series], ops,
-                                t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE, fixed_step=True)
-    except PhysicsViolationError as exc:
-        axis, s, r_op = series[exc.column][0]
-        raise PhysicsViolationError(
-            f"{exc.reason} in the series pumped along {axis} with s = {s:g} and "
-            f"R_op = {r_op:g} G_SE", exc.step, exc.t,
-        ) from exc
-    return [
-        {**stacked_observables(traj.states, traj.params, ops), "t_norm": traj.t_norm}
-        for traj in trajs
-    ]
-
-
 def _tag(value: float) -> str:
     return f"{int(round(100 * value)):03d}"
 
@@ -130,19 +101,23 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # -- the time series, one block on one grid --------------------------
-    configs = [_series_config(base, *key) for key in SERIES]
-    sims = [build_simulation(cfg) for cfg in configs]
-    ops = sims[0][0]
-    params_seq = [params for _, _, params in sims]
     # one RK4 step for the block, set by the fastest pump
-    dt = min(default_dt(p, steps_per_rate=base.dt_steps_per_rate) for p in params_seq)
     try:
-        t_end = trajectory_horizon(configs[0], params_seq[0], ops, dt, columns=len(SERIES))
+        runs = integrate_runs([_series_config(base, *key) for key in SERIES], fixed_step=True)
     except ConfigError as exc:
         # the recipe fixes the horizon and the stride; only the step is the config's
         need = str(exc).partition(" needs ")[2]
         raise ConfigError(f"dt_steps_per_rate = {base.dt_steps_per_rate:g} needs {need}") from exc
-    bundles = dict(zip(SERIES, _series_block(list(zip(SERIES, params_seq)), ops, dt, t_end)))
+    except PhysicsViolationError as exc:
+        axis, s, r_op = SERIES[exc.column]
+        raise PhysicsViolationError(
+            f"{exc.reason} in the series pumped along {axis} with s = {s:g} and "
+            f"R_op = {r_op:g} G_SE", exc.step, exc.t,
+        ) from exc
+    bundles = {
+        key: {**stacked_observables(traj.states, params, ops), "t_norm": traj.t_norm}
+        for key, (ops, _, params, traj) in zip(SERIES, runs)
+    }
     grid = bundles[SERIES[0]]["t_norm"]
 
     s_row = [bundles[("z", s, 1.0)] for s in S_GRID]

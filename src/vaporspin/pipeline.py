@@ -30,7 +30,7 @@ from .dynamics import (
     build_superops,
     default_dt,
     fit_spin_temperature,
-    integrate,
+    integrate,  # noqa: F401 — not called here; kept only because perfbench/traced.py wraps it
     integrate_block,
     pump_polarization,
     sampling_plan,
@@ -46,6 +46,7 @@ __all__ = [
     "SimulationResult",
     "build_cell",
     "build_simulation",
+    "integrate_runs",
     "simulate",
     "trajectory_horizon",
     "steady_state_columns",
@@ -64,9 +65,12 @@ __all__ = [
 # keeps the pass's scratch memory independent of the trajectory length
 OBSERVABLE_BLOCK = 64
 
-# largest sample store simulate lets integrate preallocate; the built-in
-# defaults need 78 MB, t_end_over_t_se = 1e5 would need 52 GB
+# largest sample store of one integrator block, all columns together; one run
+# at the built-in defaults needs 78 MB, at t_end_over_t_se = 1e5 52 GB
 MAX_TRAJECTORY_BYTES = 2**30
+
+# what the configs of one integrator block share: H0 and the sampling
+BLOCK_KEYS = ("nuclear_spin", "a_hfs_per_s", "t_end_s", "sample_every", "stop_at_steady", "steady_tol")
 
 
 def format_value(value) -> str:
@@ -146,6 +150,36 @@ class SimulationResult:
     ness_info: SteadyStateInfo
 
 
+def integrate_runs(
+    cfgs: list[RunConfig], *, fixed_step: bool = False
+) -> list[tuple[SpinOperatorSet, RateSet, PumpParams, Trajectory]]:
+    """Integrate configs as one block from the maximally mixed state: the path of run, sweep and figures.
+
+    The configs must agree on ``BLOCK_KEYS`` (else :class:`ValueError` names
+    the key).  The block samples on their smallest :func:`default_dt`, and is
+    refused with :class:`ConfigError` past ``MAX_TRAJECTORY_BYTES``.  Returns
+    (operators, rates, pump parameters, trajectory) per config.
+    """
+    sims = [build_simulation(cfg) for cfg in cfgs]
+    shared = [
+        (cfg.nuclear_spin, params.a_hfs, cfg.t_end_over_t_se * params.t_se,
+         cfg.sample_every, cfg.stop_at_steady, cfg.steady_tol)
+        for cfg, (_, _, params) in zip(cfgs, sims)
+    ]
+    for key, values in zip(BLOCK_KEYS, zip(*shared)):
+        if len(set(values)) > 1:
+            raise ValueError(f"the configs of one block differ in {key}: {sorted(set(values))}")
+    cfg, (ops, _, params) = cfgs[0], sims[0]
+    dt = min(default_dt(p, steps_per_rate=c.dt_steps_per_rate) for c, (_, _, p) in zip(cfgs, sims))
+    t_end = trajectory_horizon(cfg, params, ops, dt, columns=len(cfgs))
+    trajs = integrate_block(
+        ops.maximally_mixed(), [p for _, _, p in sims], ops, t_end=t_end, dt=dt,
+        sample_every=cfg.sample_every, stop_at_steady=cfg.stop_at_steady, steady_tol=cfg.steady_tol,
+        fixed_step=fixed_step,
+    )
+    return [(*sim, traj) for sim, traj in zip(sims, trajs)]
+
+
 def simulate(cfg: RunConfig) -> SimulationResult:
     """Integrate from the maximally mixed state, and solve for the steady state.
 
@@ -155,21 +189,13 @@ def simulate(cfg: RunConfig) -> SimulationResult:
     cancel at P = |s| R_op / (R_op + G_SD)).  A run whose samples would need more
     than ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError` before integrating.
     """
-    ops, rates, params = build_simulation(cfg)
-    dt = default_dt(params, steps_per_rate=cfg.dt_steps_per_rate)
-    t_end = trajectory_horizon(cfg, params, ops, dt)
-    traj = integrate(
-        ops.maximally_mixed(),
-        params,
-        ops,
-        t_end=t_end,
-        dt=dt,
-        sample_every=cfg.sample_every,
-        stop_at_steady=cfg.stop_at_steady,
-        steady_tol=cfg.steady_tol,
-    )
-    ness_rho, ness_info = solve_steady_state(params, ops)
-    return SimulationResult(cfg, ops, rates, params, traj, ness_rho, ness_info)
+    [(ops, rates, params, traj)] = integrate_runs([cfg])
+    return SimulationResult(cfg, ops, rates, params, traj, *solve_steady_state(params, ops))
+
+
+def sample_store_bytes(n_samples: int, dim: int) -> int:
+    """Bytes of one run's samples: each a d x d complex state, its time and its residual norm."""
+    return n_samples * (dim**2 + 1) * 16
 
 
 def trajectory_horizon(
@@ -182,8 +208,7 @@ def trajectory_horizon(
     """
     t_end = cfg.t_end_over_t_se * params.t_se
     _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
-    # each sample stores a d x d complex state, its time and its residual norm
-    n_bytes = columns * n_samples * (ops.dim**2 + 1) * 16
+    n_bytes = columns * sample_store_bytes(n_samples, ops.dim)
     if n_bytes > MAX_TRAJECTORY_BYTES:
         runs = f" for each of {columns} runs" if columns > 1 else ""
         raise ConfigError(f"t_end_over_t_se = {cfg.t_end_over_t_se:g} at dt_steps_per_rate = "
@@ -427,10 +452,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
-    Points sharing H0, the sample grid and the horizon integrate as blocks of at most
-    ``MAX_TRAJECTORY_BYTES`` of samples; columns are independent, so each point
-    writes what :func:`run_single` would.  A column that trips a guard is
-    recorded as ``physics_violation`` and the rest of its block re-run.
+    Points sharing H0, the sample grid and the horizon go through
+    :func:`integrate_runs` as blocks of at most ``MAX_TRAJECTORY_BYTES`` of
+    samples; columns are independent, so each point writes what
+    :func:`run_single` would.  A column that trips a guard is recorded as
+    ``physics_violation`` and the rest of its block re-run.
     Returns the aggregate path and the list of per-point statuses.
     """
     if not cfg.sweep_variable:
@@ -442,38 +468,32 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
     for i, value in enumerate(values):
         point = dataclasses.replace(cfg, sweep_variable="", sweep_values=(), **{cfg.sweep_variable: value})
         try:
-            ops, rates, params = build_simulation(point.validate())
+            ops, _, params = build_simulation(point.validate())
             dt = default_dt(params, steps_per_rate=point.dt_steps_per_rate)
-            key = (ops.a_hfs, dt, trajectory_horizon(point, params, ops, dt))
+            key = (ops.dim, ops.a_hfs, dt, trajectory_horizon(point, params, ops, dt))
         except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
             outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
             continue
-        groups.setdefault(key, []).append((i, point, ops, rates, params))
+        groups.setdefault(key, []).append((i, point))
 
-    for (_, dt, t_end), members in groups.items():
-        ops = members[0][2]
+    for (dim, _, dt, t_end), members in groups.items():
         _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
-        size = MAX_TRAJECTORY_BYTES // (n_samples * (ops.dim**2 + 1) * 16)  # as trajectory_horizon
+        size = MAX_TRAJECTORY_BYTES // sample_store_bytes(n_samples, dim)
         for start in range(0, len(members), size):
-            block, trajs = members[start : start + size], []
+            block, runs = members[start : start + size], []
             while block:
                 try:
-                    trajs = integrate_block(
-                        ops.maximally_mixed(), [params for *_, params in block], ops, t_end=t_end, dt=dt,
-                        sample_every=cfg.sample_every, stop_at_steady=cfg.stop_at_steady,
-                        steady_tol=cfg.steady_tol,
-                    )
+                    runs = integrate_runs([point for _, point in block])
                     break
                 except PhysicsViolationError as exc:
                     outcomes[block.pop(exc.column)[0]] = (SWEEP_STATUS_PHYSICS, str(exc), {})
                 except Exception as exc:  # noqa: BLE001 — the whole block shares the failure
-                    for i, *_ in block:
+                    for i, _ in block:
                         outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
                     block = []
-            for (i, point, _, rates, params), traj in zip(block, trajs):
+            for (i, point), (ops, rates, params, traj) in zip(block, runs):
                 try:
-                    ness_rho, ness_info = solve_steady_state(params, ops)
-                    result = SimulationResult(point, ops, rates, params, traj, ness_rho, ness_info)
+                    result = SimulationResult(point, ops, rates, params, traj, *solve_steady_state(params, ops))
                     summary = write_run(result, out_dir / f"point_{i:02d}")
                     status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
                     outcomes[i] = (status, "", summary)

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vaporspin import cli, figures, pipeline
+from vaporspin import cli, pipeline
 from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import default_dt, integrate, integrate_block, sampling_plan
 from vaporspin.figures import (
@@ -71,8 +71,8 @@ def test_series_guard_failure_names_the_series(tmp_path, monkeypatch, capsys):
             params = dataclasses.replace(params, gamma_sd=20.0 * params.a_hfs)
         return ops, rates, params
 
-    monkeypatch.setattr(figures, "build_simulation", build)
-    monkeypatch.setattr(figures, "default_dt", lambda p, steps_per_rate: 1.0 / (steps_per_rate * p.a_hfs))
+    monkeypatch.setattr(pipeline, "build_simulation", build)
+    monkeypatch.setattr(pipeline, "default_dt", lambda p, steps_per_rate: 1.0 / (steps_per_rate * p.a_hfs))
     cfg_path = tmp_path / "figures.cfg"
     cfg_path.write_text("dt_steps_per_rate = 1\n")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,7 +98,7 @@ def test_trajectory_cap_counts_the_whole_block(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("integrate_block ran")
 
-    monkeypatch.setattr(figures, "integrate_block", forbidden)
+    monkeypatch.setattr(pipeline, "integrate_block", forbidden)
     monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", len(SERIES) * column_bytes - 1)
     with pytest.raises(ConfigError, match=f"for each of {len(SERIES)} runs") as caught:
         reproduce_figures(cfg, tmp_path)

@@ -67,7 +67,7 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def spy_on_blocks(monkeypatch) -> list[int]:
-    """Record the number of columns of every integrate_block call the sweep makes."""
+    """Record the number of columns of every integrate_block call the pipeline makes."""
     blocks: list[int] = []
     real = pipeline.integrate_block
 
@@ -175,9 +175,9 @@ class TestRunSingle:
 
     def test_oversized_trajectory_refused_before_integrating(self, tmp_path, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
-            raise AssertionError("integrate ran")
+            raise AssertionError("integrate_block ran")
 
-        monkeypatch.setattr(pipeline, "integrate", forbidden)
+        monkeypatch.setattr(pipeline, "integrate_block", forbidden)
         with pytest.raises(ConfigError, match="t_end_over_t_se"):
             simulate(RunConfig(t_end_over_t_se=1e5).validate())
         cfg_path = tmp_path / "long.cfg"
@@ -432,7 +432,8 @@ class TestSweep:
             with pytest.raises(PhysicsViolationError) as caught:
                 run_single(fast_config(s_magnitude=0.5), tmp_path / "standalone_01")
         assert statuses == ["ok", "physics_violation", "ok"]
-        assert blocks == [3, 2]  # the block is re-run without the failed column
+        # the block is re-run without the failed column; the standalone run is one more
+        assert blocks == [3, 2, 1]
         header, rows = read_csv(path)
         assert rows[1][header.index("error")] == str(caught.value)
         assert "below the floor" in str(caught.value)
@@ -476,6 +477,44 @@ class TestSweep:
     def test_requires_sweep_variable(self, tmp_path):
         with pytest.raises(ValueError, match="sweep_variable"):
             run_sweep(fast_config(), tmp_path)
+
+
+class TestOneIntegrationPath:
+    @pytest.mark.parametrize("overrides, key", [
+        # G_SE, and with it A in 1/s and the horizon in seconds, differ
+        (dict(temperature_c=130.0), "a_hfs_per_s"),
+        (dict(nuclear_spin=2.5), "nuclear_spin"),
+        (dict(t_end_over_t_se=1.0), "t_end_s"),
+        (dict(sample_every=50), "sample_every"),
+        (dict(stop_at_steady=True), "stop_at_steady"),
+        (dict(steady_tol=1e-3), "steady_tol"),
+    ])
+    def test_block_of_configs_that_differ_in_h0_or_sampling_is_refused(self, monkeypatch, overrides, key):
+        blocks = spy_on_blocks(monkeypatch)
+        with pytest.raises(ValueError, match=f"differ in {key}:"):
+            pipeline.integrate_runs([fast_config(), fast_config(**overrides)])
+        assert blocks == []
+
+    def test_run_sweep_and_figures_each_make_one_block_call(self, tmp_path, monkeypatch):
+        calls: list[tuple[int, bool]] = []
+        real = pipeline.integrate_block
+
+        def spy(rho0, params_seq, *args, **kwargs):
+            calls.append((len(params_seq), kwargs.get("fixed_step", False)))
+            return real(rho0, params_seq, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "integrate_block", spy)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert calls == [(1, False)]
+        with open(cfg_path, "a") as fh:
+            fh.write("sweep_variable = s_magnitude\nsweep_values = 0.25, 0.5, 0.75, 1.0\n")
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep")]) == 0
+        assert calls[1:] == [(4, False)]
+        cfg_path.write_text("dt_steps_per_rate = 1\n")
+        assert cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "figs")]) == 0
+        assert calls[2:] == [(len(figures.SERIES), True)] == [(9, True)]
 
 
 class TestOneObservablePath:
