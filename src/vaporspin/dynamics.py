@@ -306,7 +306,7 @@ def nuclear_part(rho: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
 def master_rhs(rho: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> np.ndarray:
     """Readable matrix-form evaluation of drho/dt."""
     phi = nuclear_part(rho, ops)
-    h0 = ops.h0
+    h0 = params.a_hfs * ops.i_dot_s
     out = -1j * (h0 @ rho - rho @ h0)
     out = out + (params.r_op + params.gamma_se + params.gamma_sd) * (phi - rho)
     for k in range(3):
@@ -405,7 +405,7 @@ def build_superops(
     """Low-rank factors for one parameter set, or one column per set of a sequence.
 
     The factors that do not depend on the parameters are built once per call;
-    each column's ``expand`` is a linear combination of them.
+    each column's ``expand`` combines them with the rotation by its own H0 = A I.S.
     """
     params_seq = [params] if isinstance(params, PumpParams) else list(params)
     d, m = ops.dim, ops.dim // 2
@@ -421,15 +421,15 @@ def build_superops(
     # x @ (g_0^T g_k) = (G_k n)^T; the commutator rotates each off-diagonal
     # pair: d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
     constant = np.matmul(g[0].T, g)
-    energy = ops.h0.diagonal().real
     i, j = _pairs(d)
     sym, anti = d + np.arange(i.size), d + i.size + np.arange(i.size)
-    rotation = np.zeros((d2, d2))
-    rotation[anti, sym] = energy[i] - energy[j]
-    rotation[sym, anti] = energy[j] - energy[i]
     diagonal = np.arange(d2)
     expand = np.empty((len(params_seq), d2 + 3 * m * m, d2))
     for b, p in enumerate(params_seq):
+        energy = (p.a_hfs * ops.i_dot_s).diagonal().real
+        rotation = np.zeros((d2, d2))
+        rotation[anti, sym] = energy[i] - energy[j]
+        rotation[sym, anti] = energy[j] - energy[i]
         decay = p.r_op + p.gamma_se + p.gamma_sd
         linear = rotation + (0.5 * decay) * constant[0]
         for k in range(3):

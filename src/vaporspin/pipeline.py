@@ -69,8 +69,8 @@ OBSERVABLE_BLOCK = 64
 # at the built-in defaults needs 78 MB, at t_end_over_t_se = 1e5 52 GB
 MAX_TRAJECTORY_BYTES = 2**30
 
-# what the configs of one integrator block share: H0 and the sampling
-BLOCK_KEYS = ("nuclear_spin", "a_hfs_per_s", "t_end_s", "sample_every", "stop_at_steady", "steady_tol")
+# what the configs of one integrator block share: the nuclear spin and the sampling
+BLOCK_KEYS = ("nuclear_spin", "t_end_s", "sample_every", "stop_at_steady", "steady_tol")
 
 
 def format_value(value) -> str:
@@ -127,16 +127,14 @@ def build_cell(cfg: RunConfig) -> CellConfig:
 def build_simulation(cfg: RunConfig) -> tuple[SpinOperatorSet, RateSet, PumpParams]:
     """Operators, cell rates and pump parameters implied by a config."""
     rates = compute_rates(build_cell(cfg), include_wall=cfg.include_wall)
-    a_hfs = cfg.a_hfs_over_gamma_se * rates.gamma_se
-    ops = build_coupled_operators(nuclear_spin=cfg.nuclear_spin, a_hfs=a_hfs)
     params = PumpParams(
         r_op=cfg.r_op_over_gamma_se * rates.gamma_se,
         s=tuple(cfg.s_magnitude * (axis == cfg.pump_axis) for axis in "xyz"),
         gamma_se=rates.gamma_se,
         gamma_sd=rates.gamma_sd,
-        a_hfs=a_hfs,
+        a_hfs=cfg.a_hfs_over_gamma_se * rates.gamma_se,
     )
-    return ops, rates, params
+    return build_coupled_operators(cfg.nuclear_spin), rates, params
 
 
 @dataclass
@@ -155,14 +153,14 @@ def integrate_runs(
 ) -> list[tuple[SpinOperatorSet, RateSet, PumpParams, Trajectory]]:
     """Integrate configs as one block from the maximally mixed state: the path of run, sweep and figures.
 
-    The configs must agree on ``BLOCK_KEYS`` (else :class:`ValueError` names
-    the key).  The block samples on their smallest :func:`default_dt`, and is
-    refused with :class:`ConfigError` past ``MAX_TRAJECTORY_BYTES``.  Returns
-    (operators, rates, pump parameters, trajectory) per config.
+    The configs must agree on ``BLOCK_KEYS`` (else :class:`ValueError` names the
+    key); each keeps its own rates, pump and A.  The block samples on their smallest
+    :func:`default_dt`, and is refused with :class:`ConfigError` past
+    ``MAX_TRAJECTORY_BYTES``.  Returns (operators, rates, pump parameters, trajectory) per config.
     """
     sims = [build_simulation(cfg) for cfg in cfgs]
     shared = [
-        (cfg.nuclear_spin, params.a_hfs, cfg.t_end_over_t_se * params.t_se,
+        (cfg.nuclear_spin, cfg.t_end_over_t_se * params.t_se,
          cfg.sample_every, cfg.stop_at_steady, cfg.steady_tol)
         for cfg, (_, _, params) in zip(cfgs, sims)
     ]
@@ -261,7 +259,7 @@ def _observable_block(
 
     # energy above the ground state, ergotropy and efficiency from sorted
     # spectra (thermo.ergotropy and thermo.efficiency)
-    energy_raw = np.trace(rho @ ops.h0, axis1=1, axis2=2).real
+    energy_raw = np.trace(rho @ (params.a_hfs * ops.i_dot_s), axis1=1, axis2=2).real
     energy = energy_raw - eps[0]
     erg = np.maximum(energy_raw - w[:, ::-1] @ eps, 0.0)
     stored = np.isfinite(energy) & (energy > ENERGY_FLOOR * (eps[-1] - eps[0]))
@@ -310,7 +308,7 @@ def stacked_observables(
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
     sup = build_superops(params, ops)
-    eps = np.linalg.eigvalsh(ops.h0)
+    eps = np.linalg.eigvalsh(params.a_hfs * ops.i_dot_s)
     blocks = [
         _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, params, ops)
         for i in range(0, len(states), OBSERVABLE_BLOCK)
@@ -452,7 +450,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
-    Points sharing H0, the sample grid and the horizon go through
+    Points sharing the nuclear spin, the sample grid and the horizon go through
     :func:`integrate_runs` as blocks of at most ``MAX_TRAJECTORY_BYTES`` of
     samples; columns are independent, so each point writes what
     :func:`run_single` would.  A column that trips a guard is recorded as
@@ -470,13 +468,13 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
         try:
             ops, _, params = build_simulation(point.validate())
             dt = default_dt(params, steps_per_rate=point.dt_steps_per_rate)
-            key = (ops.dim, ops.a_hfs, dt, trajectory_horizon(point, params, ops, dt))
+            key = (ops.dim, dt, trajectory_horizon(point, params, ops, dt))
         except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
             outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
             continue
         groups.setdefault(key, []).append((i, point))
 
-    for (dim, _, dt, t_end), members in groups.items():
+    for (dim, dt, t_end), members in groups.items():
         _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
         size = MAX_TRAJECTORY_BYTES // sample_store_bytes(n_samples, dim)
         for start in range(0, len(members), size):

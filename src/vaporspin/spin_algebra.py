@@ -8,6 +8,7 @@ F = I + 1/2 manifold first, m_F descending within each manifold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,38 +123,35 @@ def clebsch_gordan(
 class SpinOperatorSet:
     """Coupled-basis operators for one alkali ground-state manifold.
 
-    All matrices are (dim, dim) complex arrays in the |F, m_F> basis with the
-    F = I + 1/2 manifold first and m_F descending inside each manifold.
+    All matrices are read-only (dim, dim) complex arrays in the |F, m_F> basis
+    with the F = I + 1/2 manifold first and m_F descending inside each manifold.
     ``u`` maps uncoupled |m_I> x |m_S> column vectors to coupled ones
-    (X_coupled = U X_uncoupled U^dagger).
+    (X_coupled = U X_uncoupled U^dagger).  H0 in 1/s is ``params.a_hfs * i_dot_s``.
     """
 
     nuclear_spin: float
-    a_hfs: float
     dim: int
     labels: tuple[tuple[float, float], ...]  # (F, m_F) per basis index
     s_ops: np.ndarray = field(repr=False)  # (3, dim, dim) electron spin
     i_ops: np.ndarray = field(repr=False)  # (3, dim, dim) nuclear spin
     f_ops: np.ndarray = field(repr=False)  # (3, dim, dim) total spin
-    h0: np.ndarray = field(repr=False)  # A_hfs * (I . S)
+    i_dot_s: np.ndarray = field(repr=False)  # I . S, H0 in units of A
     u: np.ndarray = field(repr=False)  # (dim, dim) coupled <- uncoupled
 
     def maximally_mixed(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex) / self.dim
 
 
-def build_coupled_operators(nuclear_spin: float = 1.5, a_hfs: float = 1.0) -> SpinOperatorSet:
-    """Assemble spin operators in the coupled hyperfine basis.
+@functools.lru_cache(maxsize=None)
+def build_coupled_operators(nuclear_spin: float = 1.5) -> SpinOperatorSet:
+    """Spin operators of nuclear spin I (half-integer, >= 1/2) in the coupled hyperfine basis.
 
-    Args:
-        nuclear_spin: nuclear spin I (half-integer, >= 1/2).
-        a_hfs: hyperfine coupling constant (rad/s); H0 = a_hfs * I.S.
+    Built once per nuclear spin and shared by every caller, so its arrays are
+    read-only.
     """
     t_i = _two_j(nuclear_spin, "nuclear_spin")
     if t_i < 1:
         raise ValueError("nuclear_spin must be >= 1/2 for a coupled F basis")
-    if not a_hfs >= 0.0:
-        raise ValueError(f"a_hfs must be non-negative, got {a_hfs}")
     dim_i = t_i + 1
     dim = dim_i * 2
 
@@ -188,16 +186,16 @@ def build_coupled_operators(nuclear_spin: float = 1.5, a_hfs: float = 1.0) -> Sp
     i_ops = np.stack([to_coupled(x) for x in i_unc])
     f_ops = s_ops + i_ops
     i_dot_s = sum(i_ops[k] @ s_ops[k] for k in range(3))
-    h0 = a_hfs * i_dot_s
+    for x in (s_ops, i_ops, f_ops, i_dot_s, u):
+        x.setflags(write=False)
 
     return SpinOperatorSet(
         nuclear_spin=nuclear_spin,
-        a_hfs=a_hfs,
         dim=dim,
         labels=tuple(labels),
         s_ops=s_ops,
         i_ops=i_ops,
         f_ops=f_ops,
-        h0=h0,
+        i_dot_s=i_dot_s,
         u=u,
     )

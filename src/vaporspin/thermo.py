@@ -91,7 +91,7 @@ def production_rate_floor(spectra: np.ndarray, params, ops: SpinOperatorSet) -> 
     inherits that times ||ln rho||_F.  A Newton-polished steady state is a zero of
     drho/dt to that roundoff, so its rate reads exactly 0.
     """
-    energy = ops.h0.diagonal().real
+    energy = (params.a_hfs * ops.i_dot_s).diagonal().real
     rate = np.ptp(energy) + params.r_op + params.gamma_se + params.gamma_sd
     norms = np.linalg.norm(spectra, axis=-1) * np.linalg.norm(np.log(spectra), axis=-1)
     return spectra.shape[-1] * np.finfo(float).eps * rate * norms
@@ -175,7 +175,7 @@ class ThermoSample:
 
 
 def thermo_sample(rho: np.ndarray, params, ops: SpinOperatorSet) -> ThermoSample:
-    h = ops.h0
+    h = params.a_hfs * ops.i_dot_s
     scale = params.a_hfs if params.a_hfs > 0.0 else 1.0
     return ThermoSample(
         s_vn=von_neumann_entropy(rho),

@@ -14,9 +14,15 @@ def default_rates():
 
 
 @pytest.fixture(scope="session")
-def ops8(default_rates):
-    """Rb-87 ground-state operator set with the production hyperfine scale."""
-    return build_coupled_operators(nuclear_spin=1.5, a_hfs=100.0 * default_rates.gamma_se)
+def ops8():
+    """Rb-87 ground-state operator set (I = 3/2)."""
+    return build_coupled_operators(nuclear_spin=1.5)
+
+
+@pytest.fixture(scope="session")
+def h0(ops8, default_rates):
+    """H0 = A I.S in 1/s at the production hyperfine scale, A = 100 G_SE."""
+    return 100.0 * default_rates.gamma_se * ops8.i_dot_s
 
 
 @pytest.fixture(scope="session")

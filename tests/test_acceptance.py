@@ -143,7 +143,7 @@ def test_c05_ness_spin_temperature_structure(capsys, default_run):
         )
 
 
-def test_c06_efficiency_anchors(capsys, ops8, make_params):
+def test_c06_efficiency_anchors(capsys, ops8, h0, make_params):
     with criterion(capsys, 6, "efficiency anchors") as info:
         measured = {}
         for s, r_op, target in (
@@ -155,9 +155,9 @@ def test_c06_efficiency_anchors(capsys, ops8, make_params):
             p = make_params(s=s, r_op=r_op)
             rho, ss = solve_steady_state(p, ops8)
             assert ss.converged
-            value = ergotropy(rho, ops8.h0) / (
-                float(np.trace(rho @ ops8.h0).real)
-                - float(np.linalg.eigvalsh(ops8.h0).min())
+            value = ergotropy(rho, h0) / (
+                float(np.trace(rho @ h0).real)
+                - float(np.linalg.eigvalsh(h0).min())
             )
             assert abs(value - target) <= 0.05
             measured[(s, r_op)] = value
@@ -247,7 +247,7 @@ def test_c08_irreversibility_shape(capsys, ops8, make_params, default_run):
         )
 
 
-def test_c09_qfi_suite(capsys, ops8, make_params, default_run, rng):
+def test_c09_qfi_suite(capsys, ops8, h0, make_params, default_run, rng):
     with criterion(capsys, 9, "QFI suite") as info:
         fz = ops8.f_ops[2]
         # z rotations see nothing along any z-pump run
@@ -300,10 +300,10 @@ def test_c09_qfi_suite(capsys, ops8, make_params, default_run, rng):
         # QFI vs efficiency bends upward over the top half of the range
         eff = np.array(
             [
-                ergotropy(r, ops8.h0)
+                ergotropy(r, h0)
                 / max(
-                    np.trace(r @ ops8.h0).real
-                    - float(np.linalg.eigvalsh(ops8.h0).min()),
+                    np.trace(r @ h0).real
+                    - float(np.linalg.eigvalsh(h0).min()),
                     1e-300,
                 )
                 for r in states

@@ -33,7 +33,7 @@ G = 1.0  # unit-scale spin-exchange rate for fast tests
 
 @pytest.fixture(scope="module")
 def ops():
-    return build_coupled_operators(nuclear_spin=1.5, a_hfs=100.0 * G)
+    return build_coupled_operators(nuclear_spin=1.5)
 
 
 def params(s=(0, 0, 0.5), r_op=1.0, gamma_sd=0.003, a_hfs=100.0):
@@ -110,7 +110,7 @@ class TestMasterRhs:
             PumpParams(r_op=1.5, s=(0, 0, 0.5), gamma_se=0.0, gamma_sd=0.1, a_hfs=100.0),
             params(s=(0, 0.5, 0), gamma_sd=50.0),
         ]
-        for ops in (ops, build_coupled_operators(nuclear_spin=2.5, a_hfs=100.0 * G)):
+        for ops in (ops, build_coupled_operators(nuclear_spin=2.5)):
             sup = build_superops(block_params, ops)
             for seed in range(20):
                 rng = np.random.default_rng(seed)
@@ -178,6 +178,8 @@ class TestPumpParams:
             PumpParams(r_op=-1.0, s=(0, 0, 0), gamma_se=G, gamma_sd=0, a_hfs=1)
         with pytest.raises(ValueError):
             PumpParams(r_op=1.0, s=(0, 0, 0), gamma_se=G, gamma_sd=math.nan, a_hfs=1)
+        with pytest.raises(ValueError, match="a_hfs"):
+            PumpParams(r_op=1.0, s=(0, 0, 0), gamma_se=G, gamma_sd=0, a_hfs=-1.0)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -442,14 +444,14 @@ class TestSolveSteadyState:
 
     def test_agrees_with_long_integration(self):
         # coarser hyperfine splitting so the integration is cheap
-        ops20 = build_coupled_operators(nuclear_spin=1.5, a_hfs=20.0 * G)
+        ops = build_coupled_operators(nuclear_spin=1.5)
         p = PumpParams(r_op=G, s=(0, 0, 0.6), gamma_se=G, gamma_sd=0.01 * G, a_hfs=20.0 * G)
         traj = integrate(
-            ops20.maximally_mixed(), p, ops20, t_end=120.0,
+            ops.maximally_mixed(), p, ops, t_end=120.0,
             sample_every=100, stop_at_steady=True, steady_tol=1e-9,
         )
         assert traj.reached_steady
-        rho, info = solve_steady_state(p, ops20)
+        rho, info = solve_steady_state(p, ops)
         assert info.converged
         assert np.max(np.abs(rho - traj.states[-1])) < 1e-7
 

@@ -369,18 +369,19 @@ class TestSweep:
             standalone / "summary.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides, expected_blocks", [
         # G_SE, and with it A, the step and the horizon, differ at each temperature
-        dict(sweep_variable="temperature_c", sweep_values=(130.0, 110.0, 120.0)),
-        # the pump sets the step, so only H0 differs
-        dict(sweep_variable="a_hfs_over_gamma_se", sweep_values=(1.5, 1.0), r_op_over_gamma_se=2.0),
+        (dict(sweep_variable="temperature_c", sweep_values=(130.0, 110.0, 120.0)), [1, 1, 1]),
+        # the pump sets the step, so only A differs, and each column has its own
+        (dict(sweep_variable="a_hfs_over_gamma_se", sweep_values=(1.5, 1.0), r_op_over_gamma_se=2.0), [2]),
     ])
-    def test_points_in_separate_groups_match_standalone_runs(self, tmp_path, monkeypatch, overrides):
+    def test_points_in_separate_groups_match_standalone_runs(self, tmp_path, monkeypatch, overrides,
+                                                             expected_blocks):
         blocks = spy_on_blocks(monkeypatch)
         cfg = fast_config(**overrides)
         _, statuses = run_sweep(cfg, tmp_path / "sweep")
         assert statuses == ["ok"] * len(cfg.sweep_values)
-        assert blocks == [1] * len(cfg.sweep_values)
+        assert blocks == expected_blocks
         assert_points_match_standalone_runs(cfg, tmp_path)
 
     def test_columns_stopping_at_steady_match_standalone_runs(self, tmp_path, monkeypatch):
@@ -481,8 +482,8 @@ class TestSweep:
 
 class TestOneIntegrationPath:
     @pytest.mark.parametrize("overrides, key", [
-        # G_SE, and with it A in 1/s and the horizon in seconds, differ
-        (dict(temperature_c=130.0), "a_hfs_per_s"),
+        # G_SE, and with it the horizon in seconds, differ
+        (dict(temperature_c=130.0), "t_end_s"),
         (dict(nuclear_spin=2.5), "nuclear_spin"),
         (dict(t_end_over_t_se=1.0), "t_end_s"),
         (dict(sample_every=50), "sample_every"),
@@ -494,6 +495,34 @@ class TestOneIntegrationPath:
         with pytest.raises(ValueError, match=f"differ in {key}:"):
             pipeline.integrate_runs([fast_config(), fast_config(**overrides)])
         assert blocks == []
+
+    def test_block_of_configs_that_differ_in_a_hfs_matches_standalone_runs(self):
+        # R_op is the fastest rate, so the three share dt; each column has its own A
+        cfgs = [fast_config(r_op_over_gamma_se=2.0, a_hfs_over_gamma_se=a) for a in (1.0, 1.5, 2.0)]
+        runs = pipeline.integrate_runs(cfgs)
+        assert len({id(ops) for ops, *_ in runs}) == 1
+        for cfg, (_, _, params, traj) in zip(cfgs, runs):
+            [(_, _, alone_params, alone)] = pipeline.integrate_runs([cfg])
+            assert params == alone_params
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.states, alone.states)
+            assert np.array_equal(traj.rhs_norms, alone.rhs_norms)
+
+    def test_run_sweep_and_figures_each_build_the_operators_once(self, tmp_path):
+        build = pipeline.build_coupled_operators
+        cfg_path = tmp_path / "run.cfg"
+        commands = [
+            ("run", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"),
+            ("sweep", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"
+                      "sweep_variable = s_magnitude\nsweep_values = 0.25, 0.5, 0.75, 1.0\n"),
+            # nine series and 13 radius points
+            ("reproduce-figures", "dt_steps_per_rate = 1\n"),
+        ]
+        for command, text in commands:
+            cfg_path.write_text(text)
+            build.cache_clear()
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+            assert build.cache_info().misses == 1, command
 
     def test_run_sweep_and_figures_each_make_one_block_call(self, tmp_path, monkeypatch):
         calls: list[tuple[int, bool]] = []
@@ -702,5 +731,4 @@ class TestRatesCsv:
         assert params.gamma_se == rates.gamma_se
         assert params.gamma_sd == rates.gamma_sd
         assert params.a_hfs == pytest.approx(20.0 * rates.gamma_se)
-        assert ops.a_hfs == params.a_hfs
         assert params.s == (0.0, 0.0, 0.5)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from vaporspin.dynamics import PumpParams, master_rhs
 from vaporspin.spin_algebra import build_coupled_operators, build_spin_matrices, clebsch_gordan
+
+from conftest import random_density_matrix
 
 SQ3 = math.sqrt(3.0)
 
@@ -84,7 +87,7 @@ class TestClebschGordan:
 
 @pytest.fixture(scope="module")
 def ops():
-    return build_coupled_operators(nuclear_spin=1.5, a_hfs=1.0)
+    return build_coupled_operators(nuclear_spin=1.5)
 
 
 class TestCoupledOperators:
@@ -118,14 +121,14 @@ class TestCoupledOperators:
         assert np.allclose(i2, 3.75 * np.eye(8), atol=1e-13)
 
     def test_hyperfine_spectrum(self, ops):
-        w = np.sort(np.linalg.eigvalsh(ops.h0))
+        w = np.sort(np.linalg.eigvalsh(ops.i_dot_s))
         assert np.allclose(w[:3], -1.25, atol=1e-12)  # F = 1 triplet
         assert np.allclose(w[3:], 0.75, atol=1e-12)  # F = 2 quintet
 
     def test_h0_equals_casimir_combination(self, ops):
         f2 = sum(f @ f for f in ops.f_ops)
         alt = 0.5 * (f2 - 3.75 * np.eye(8) - 0.75 * np.eye(8))
-        assert np.allclose(ops.h0, alt, atol=1e-12)
+        assert np.allclose(ops.i_dot_s, alt, atol=1e-12)
 
     def test_stretched_state_electron_polarization(self, ops):
         # |2,2> = |m_i=3/2>|up>, so <S_z> = 1/2 exactly
@@ -136,15 +139,28 @@ class TestCoupledOperators:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(rho, np.eye(8) / 8)
 
-    def test_a_hfs_scales_h0(self):
-        a = build_coupled_operators(nuclear_spin=1.5, a_hfs=7.0)
-        b = build_coupled_operators(nuclear_spin=1.5, a_hfs=1.0)
-        assert np.allclose(a.h0, 7.0 * b.h0, atol=1e-12)
+    def test_a_hfs_scales_h0(self, ops, rng):
+        # master_rhs takes A from the params: with every other rate zero,
+        # drho/dt = -i A [I.S, rho] is linear in A
+        rho = random_density_matrix(rng)
+        rhs = {
+            a: master_rhs(rho, PumpParams(r_op=0.0, s=(0, 0, 0), gamma_se=0.0, gamma_sd=0.0, a_hfs=a), ops)
+            for a in (1.0, 7.0)
+        }
+        assert np.max(np.abs(rhs[1.0])) > 0.1
+        assert np.allclose(rhs[7.0], 7.0 * rhs[1.0], rtol=0, atol=1e-12)
+
+    def test_operators_are_built_once_and_read_only(self):
+        ops = build_coupled_operators(1.5)
+        assert build_coupled_operators(1.5) is ops
+        for name in ("s_ops", "i_ops", "f_ops", "i_dot_s", "u"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ops, name)[..., 0, 0] = 0.0
 
     def test_higher_nuclear_spin(self):
-        ops = build_coupled_operators(nuclear_spin=2.5, a_hfs=1.0)
+        ops = build_coupled_operators(nuclear_spin=2.5)
         assert ops.dim == 12
-        w = np.sort(np.linalg.eigvalsh(ops.h0))
+        w = np.sort(np.linalg.eigvalsh(ops.i_dot_s))
         assert np.allclose(w[:5], -1.75, atol=1e-12)  # F = 2
         assert np.allclose(w[5:], 1.25, atol=1e-12)  # F = 3
 
@@ -153,5 +169,3 @@ class TestCoupledOperators:
             build_coupled_operators(nuclear_spin=0.0)
         with pytest.raises(ValueError):
             build_coupled_operators(nuclear_spin=0.7)
-        with pytest.raises(ValueError):
-            build_coupled_operators(nuclear_spin=1.5, a_hfs=-1.0)
