@@ -29,12 +29,14 @@ real coordinates; each column of a block keeps its own step and clock.
 Samples fall on the grid ``(k * sample_every) * dt`` plus the end and are
 read off the order-7 dense output, so the step never has to land on them.
 ``fixed_step=True`` selects classical RK4 at the step ``dt`` instead, which
-the figure series and the tests that need a known step use.  Every sample is
-guarded (finite, trace, positivity), in stacked passes of up to
-``SAMPLE_CHUNK`` samples; a failure is reported for the first sample that
-fails, as if each had been checked when it was taken.  Steady states are
-detected along a trajectory (``Trajectory.steady_index``) or solved for
-directly with a Newton iteration from their closed form (:func:`solve_steady_state`).
+the figure series and the tests that need a known step use.  A stepper only
+steps and queues what its samples need; everything else a sample takes (the
+dense output, dx/dt and its norm, steady detection and the guards: finite,
+trace, positivity) runs in stacked passes of up to ``SAMPLE_CHUNK`` samples,
+with the results, stops and failures of checking each sample when it is
+taken.  Steady states are detected along a trajectory
+(``Trajectory.steady_index``) or solved for directly with a Newton iteration
+from their closed form (:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import SpinOperatorSet, build_spin_matrices
+from .spin_algebra import SpinOperatorSet, build_coupled_operators, build_spin_matrices
 
 __all__ = [
     "PumpParams",
@@ -77,7 +79,7 @@ EIGENVALUE_FLOOR = -1e-6
 # Newton's stopping residual, relative to the fastest rate, and iteration cap
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
-# queued samples per stacked guard pass; the result does not depend on it
+# queued samples per stacked sample pass; the result does not depend on it
 SAMPLE_CHUNK = 64
 
 # error control of the adaptive stepper, on the real coordinates of rho
@@ -201,14 +203,16 @@ def _tableau(rows: tuple[dict[int, float], ...], width: int, offset: int = 0) ->
     return out
 
 
-# The stepper keeps, per column, w[0] = the state at the start of the step and
+# A step keeps, per column, w[0] = the state at the start of the step and
 # w[1 + i] = step * stage i, so every stage input, the new state, the error
-# estimates and the dense output are one (1, m) @ (m, d^2) product each.
-# Stage s (the new state for s = 12) from w[:s + 1]:
+# estimates and the dense output are one (1, m) @ (m, d^2) product each.  The
+# stepper fills w[:_STEP_ROWS] (stages 0-12); the sample pass adds the dense
+# output's stages 13-15.  Stage s (the new state for s = 12) from w[:s + 1]:
+_STEP_ROWS = 14
 _DOP853_STAGES = [None] + [
     np.hstack([np.ones((1, 1)), _tableau(_DOP853_A[s - 1 : s], s)]) for s in range(1, 16)
 ]
-_DOP853_ERROR = _tableau(_DOP853_E, 14, offset=1)  # from w[:14]
+_DOP853_ERROR = _tableau(_DOP853_E, _STEP_ROWS, offset=1)  # from w[:_STEP_ROWS]
 
 
 def _dense_output_rows() -> np.ndarray:
@@ -399,32 +403,50 @@ class MasterSuperops:
         return dataclasses.replace(self, expand=self.expand[columns])
 
 
-def build_superops(
-    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet
-) -> MasterSuperops:
-    """Low-rank factors for one parameter set, or one column per set of a sequence.
+@functools.lru_cache(maxsize=None)
+def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of :func:`build_superops` that do not depend on the parameters.
 
-    The factors that do not depend on the parameters are built once per call;
-    each column's ``expand`` combines them with the rotation by its own H0 = A I.S.
+    They depend on the nuclear spin alone, so they are built once per nuclear
+    spin and shared, read-only: ``reduce``, ``constant`` (x @ constant[k] =
+    (G_k n)^T for k = 0..3) and ``spin_rows``, the last 3 m^2 rows of
+    ``expand`` before their factor 2 G_SE.
     """
-    params_seq = [params] if isinstance(params, PumpParams) else list(params)
+    ops = build_coupled_operators(nuclear_spin)
     d, m = ops.dim, ops.dim // 2
-    d2 = d * d
     # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
     # basis of the nuclear factor; n_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
     nuclear = hermitian_basis(m)
     product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
     coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
-    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d2)
+    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)
     # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
     reduce = np.vstack([g[0], to_coordinates(ops.s_ops)]).T
-    # x @ (g_0^T g_k) = (G_k n)^T; the commutator rotates each off-diagonal
-    # pair: d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
     constant = np.matmul(g[0].T, g)
+    spin_rows = g[1:].reshape(-1, d * d)
+    for factor in (reduce, constant, spin_rows):
+        factor.setflags(write=False)
+    return reduce, constant, spin_rows
+
+
+def build_superops(
+    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet
+) -> MasterSuperops:
+    """Low-rank factors for one parameter set, or one column per set of a sequence.
+
+    Each column's ``expand`` combines the cached parameter-free factors with
+    its own rates and the rotation by its own H0 = A I.S.
+    """
+    params_seq = [params] if isinstance(params, PumpParams) else list(params)
+    reduce, constant, spin_rows = _superop_factors(ops.nuclear_spin)
+    d = ops.dim
+    d2 = d * d
+    # the commutator rotates each off-diagonal pair:
+    # d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
     i, j = _pairs(d)
     sym, anti = d + np.arange(i.size), d + i.size + np.arange(i.size)
     diagonal = np.arange(d2)
-    expand = np.empty((len(params_seq), d2 + 3 * m * m, d2))
+    expand = np.empty((len(params_seq), d2 + len(spin_rows), d2))
     for b, p in enumerate(params_seq):
         energy = (p.a_hfs * ops.i_dot_s).diagonal().real
         rotation = np.zeros((d2, d2))
@@ -436,24 +458,50 @@ def build_superops(
             linear += (p.r_op * p.s[k]) * constant[1 + k]
         linear[diagonal, diagonal] -= decay
         expand[b, :d2] = linear
-        expand[b, d2:] = (2.0 * p.gamma_se) * g[1:].reshape(-1, d2)
+        expand[b, d2:] = (2.0 * p.gamma_se) * spin_rows
     return MasterSuperops(reduce=reduce, expand=expand)
 
 
-def block_rhs(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+class _RhsScratch:
+    """The buffers of :func:`block_rhs` for a block of ``b`` rows, with their views.
+
+    ``w`` is [x, <S> (x) n] per row, shape (b, 1, d^2 + 3 m^2), ``x`` its
+    first d^2 columns as (b, d^2) and ``x3`` the same memory as (b, 1, d^2);
+    ``r`` holds (n, <S_k>) and ``f`` the result.  A state written into ``x``
+    is read where it lies.
+    """
+
+    def __init__(self, b: int, sup: MasterSuperops):
+        d2, m2 = sup.expand.shape[2], sup.reduce.shape[1] - 3
+        self.w = np.empty((b, 1, sup.expand.shape[1]))
+        self.x3 = self.w[:, :, :d2]
+        self.x = self.x3[:, 0]
+        self.x_column = self.x[:, :, None]
+        self.spin = self.w[:, 0, d2:].reshape(b, 3, m2)
+        self.r = np.empty((b, m2 + 3, 1))
+        self.r_spin, self.r_nuclear = self.r[:, m2:], self.r[:, None, :m2, 0]
+        self.f3 = np.empty((b, 1, d2))
+        self.f = self.f3[:, 0]
+
+
+def block_rhs(x: np.ndarray, sup: MasterSuperops, scratch: _RhsScratch | None = None) -> np.ndarray:
     """dx/dt for a (B, d^2) block of real coordinates; column b uses factor b.
 
     Both products are stacked matmuls, one BLAS call per column, so a
     column's result does not depend on the block it sits in.  A one-column
-    ``sup`` applies to every row of ``x``.
+    ``sup`` applies to every row of ``x``.  A stepper passes its block's
+    ``scratch``, so that the call allocates nothing (``x`` may be
+    ``scratch.x`` itself); the result is then ``scratch.f``, valid until the
+    next call.
     """
-    b, d2 = x.shape
-    m2 = sup.reduce.shape[1] - 3
-    w = np.empty((b, sup.expand.shape[1]))
-    w[:, :d2] = x
-    r = np.matmul(sup.reduce.T, x[:, :, None])  # (n, <S_k>) as columns
-    np.multiply(r[:, m2:], r[:, None, :m2, 0], out=w[:, d2:].reshape(b, 3, m2))  # <S> (x) n
-    return np.matmul(w[:, None, :], sup.expand).reshape(b, d2)
+    if scratch is None:
+        scratch = _RhsScratch(len(x), sup)
+    if x is not scratch.x:
+        scratch.x[...] = x
+    np.matmul(sup.reduce.T, scratch.x_column, out=scratch.r)  # (n, <S_k>) as columns
+    np.multiply(scratch.r_spin, scratch.r_nuclear, out=scratch.spin)  # <S> (x) n
+    np.matmul(scratch.w, sup.expand, out=scratch.f3)
+    return scratch.f
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
@@ -575,9 +623,9 @@ def integrate_block(
 
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
-    samples = _Samples(times, params_seq, d, steady_tol, stop_at_steady)
     x = np.tile(to_coordinates(rho0), (len(params_seq), 1))
     sup = build_superops(params_seq, ops)
+    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady)
     if fixed_step:
         _rk4(samples, x, sup, dt, sample_every, n_steps)
     else:
@@ -606,77 +654,122 @@ def integrate_block(
 class _Samples:
     """Sample store, guard margins, steady detection and work counts of a block.
 
-    Every array is indexed by block column; a stepper hands each column's
-    samples to :meth:`take` in time order.  ``take`` computes the residual
-    norms and detects steady states at once, since they decide when a
-    column stops; it queues the samples, and :meth:`flush` guards, converts
-    and stores the queue as one stack.
+    Every array is indexed by block column.  A stepper only steps: for the
+    samples due in a step it queues one record per column with :meth:`take`
+    (the step's end state and dx/dt there; for a DOP853 step with samples
+    inside it also the start time, the step and the stages; the sample range;
+    and ``steps`` and ``rhs_evals`` as they stand after the step).
+    :meth:`flush` turns the queue into samples as stacks, once at least
+    ``SAMPLE_CHUNK`` samples are queued, when the stepper fails and at the
+    end of the run: the three extra stages and the order-7 interpolation of
+    the dense output, dx/dt at the samples inside a step (one
+    :func:`block_rhs` call per column), the residual norms, steady
+    detection, the guards, and the store.
+
+    Each column's results, stop and failure are those of checking every
+    sample when it is taken.  Under ``stop_at_steady`` a column ends at its
+    first steady sample: the rows of the step that holds it are guarded as
+    usual and stored up to it; its later records are dropped unguarded; its
+    ``steps`` and ``rhs_evals`` are those recorded with that step; and it is
+    marked in ``stopped``, for the stepper to drop.
     """
 
-    def __init__(self, times: np.ndarray, params_seq: list[PumpParams], d: int, steady_tol: float,
-                 stop_at_steady: bool):
-        b = len(params_seq)
+    def __init__(self, times: np.ndarray, params_seq: list[PumpParams], sup: MasterSuperops,
+                 steady_tol: float, stop_at_steady: bool):
+        b, d2 = len(params_seq), sup.expand.shape[2]
+        self.d = math.isqrt(d2)
         self.times = times
         self.stop_at_steady = stop_at_steady
-        self.states = np.empty((b, len(times), d, d), dtype=complex)
+        self.column_sup = [dataclasses.replace(sup, expand=sup.expand[j : j + 1]) for j in range(b)]
+        self.states = np.empty((b, len(times), self.d, self.d), dtype=complex)
         self.rhs_norms = np.empty((b, len(times)))
-        self.taken = np.zeros(b, dtype=int)
+        self.queued = np.zeros(b, dtype=int)  # samples handed to take
+        self.taken = np.zeros(b, dtype=int)  # samples stored
         self.threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
         self.steady = np.full(b, -1)
+        self.stopped = np.zeros(b, dtype=bool)
         self.drift, self.eig_low = np.zeros(b), np.full(b, np.inf)
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
-        self.d = d
-        self._ones = np.ones((d, 1))
+        self._ones = np.ones((self.d, 1))
+        self._no_dense = (np.empty(0), np.empty(0), np.empty((0, _STEP_ROWS, d2)))
         self._queue: list[tuple[np.ndarray, ...]] = []
-        self._queued = 0
+        self._pending = 0
 
-    def fail(self, reason: str, column: int, t: float) -> PhysicsViolationError:
-        """The stepper's own failure, raised only after every queued sample passed its guards."""
-        self.flush()
-        return PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
+    def stepper_failure(self, reason: str, column: int, t: float) -> None:
+        """Raise the stepper's failure of ``column``, unless the queued samples stop it first.
 
-    def take(self, cols: np.ndarray, k: np.ndarray, x: np.ndarray, derivative) -> tuple[np.ndarray, np.ndarray]:
-        """Take samples ``k`` of columns ``cols``, states ``x``, one per row.
-
-        A column may fill several rows, in time order.  ``derivative(x)``
-        gives dx/dt at the states.  Every row is queued for the guards;
-        under ``stop_at_steady`` a column keeps no sample past its first
-        steady one.  Returns the mask of rows where a column turned steady,
-        and the derivatives.
+        The queue is flushed first, so a guard failure among its samples is
+        raised instead, as it would have been when they were taken.
         """
-        f = derivative(x)
-        norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
-        fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
-        if fresh.any():  # keep only each column's first row below the threshold
-            below = np.flatnonzero(fresh)
-            fresh[below] = False
-            fresh[below[np.unique(cols[below], return_index=True)[1]]] = True
-            self.steady[cols[fresh]] = k[fresh]
-        kept = np.ones(len(cols), dtype=bool)
-        if self.stop_at_steady:
-            kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
-        self.rhs_norms[cols[kept], k[kept]] = norms[kept]
-        np.maximum.at(self.taken, cols[kept], k[kept] + 1)
-        self._queue.append((cols, k, self.steps[cols], kept, x))
-        self._queued += len(cols)
-        if self._queued >= SAMPLE_CHUNK:
+        self.flush()
+        if not self.stopped[column]:
+            raise PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
+
+    def take(self, cols: np.ndarray, x: np.ndarray, f: np.ndarray, due: np.ndarray | None = None,
+             inside: np.ndarray | None = None, dense: tuple[np.ndarray, ...] | None = None,
+             stepped: int = 0) -> None:
+        """Queue the next ``due`` samples (default 1) of columns ``cols``, one record each.
+
+        ``x`` and ``f`` are each column's state and dx/dt at the end of its
+        step, which is the time of its last sample unless that lies inside
+        the step.  The first ``inside`` samples (default none) lie inside it;
+        ``dense`` gives the start time, the step and ``w[:_STEP_ROWS]`` of
+        each column with ``inside > 0``.  A guard failure reports the step
+        count less ``stepped``, the count before this step.
+        """
+        due = np.ones(len(cols), dtype=int) if due is None else due
+        inside = np.zeros(len(cols), dtype=int) if inside is None else inside
+        steps = self.steps[cols]
+        self._queue.append((cols, self.queued[cols], due, inside, steps - stepped, steps,
+                            self.rhs_evals[cols], x, f, *(self._no_dense if dense is None else dense)))
+        self.queued[cols] += due
+        self._pending += int(due.sum())
+        if self._pending >= SAMPLE_CHUNK:
             self.flush()
-        return fresh, f
 
     def flush(self) -> None:
-        """Guard, convert and store the queued samples as one stack.
+        """Turn the queued records into stored samples, as one stack.
 
-        Raises for the sample that a check at :meth:`take` would have
-        raised for: the earliest ``take`` with a failing row, within it a
+        Raises for the sample that a check at :meth:`take` would have raised
+        for: the earliest :meth:`take` with a failing row, within it a
         non-finite row first, else the first row over a trace or eigenvalue
-        guard, with the step count of that ``take``.
+        guard, with that record's step count.
         """
         if not self._queue:
             return
-        queue, self._queue, self._queued = self._queue, [], 0
+        queue, self._queue, self._pending = self._queue, [], 0
         call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
-        cols, k, steps, kept, x = (np.concatenate(part) for part in zip(*queue))
+        cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, f_end, t0, h, w = (
+            np.concatenate(part) for part in zip(*queue)
+        )
+        record = np.repeat(np.arange(len(cols)), due)  # one row per sample
+        offset = np.arange(record.size) - np.repeat(np.cumsum(due) - due, due)
+        k = first[record] + offset
+        x, f = x_end[record], f_end[record]
+        interior = np.flatnonzero(offset < inside[record])
+        if interior.size:
+            dense = inside > 0
+            x[interior], f[interior] = self._dense_output(
+                k[interior], cols[record[interior]], (np.cumsum(dense) - 1)[record[interior]],
+                cols[dense], t0, h, w)
+        call, cols = call[record], cols[record]
+        norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
+
+        fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
+        if fresh.any():  # each column's first row below the threshold
+            below = np.flatnonzero(fresh)
+            rows = below[np.unique(cols[below], return_index=True)[1]]
+            self.steady[cols[rows]] = k[rows]
+            if self.stop_at_steady:  # a column's takes after its stop never happened
+                stop = cols[rows]
+                self.stopped[stop] = True
+                self.steps[stop], self.rhs_evals[stop] = steps[record[rows]], rhs_evals[record[rows]]
+                last_call = np.full(len(self.steady), len(queue))
+                last_call[stop] = call[rows]
+                alive = call <= last_call[cols]
+                call, cols, k, x, norms, record = (a[alive] for a in (call, cols, k, x, norms, record))
+
         finite = np.isfinite(x).all(axis=1)
         x = np.where(finite[:, None], x, 0.0)
         rho = from_coordinates(x)
@@ -686,46 +779,73 @@ class _Samples:
         eig_min = np.linalg.eigvalsh(rho).min(axis=1)
         failed = ~finite | (trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR)
         if failed.any():
-            first = call == call[np.argmax(failed)]
-            j = np.argmax(first & (~finite if (first & ~finite).any() else failed))
+            first_failing = call == call[np.argmax(failed)]
+            j = np.argmax(first_failing & (~finite if (first_failing & ~finite).any() else failed))
             reason = ("state became non-finite" if not finite[j]
                       else "trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
                       else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
-            raise PhysicsViolationError(reason, int(steps[j]), float(self.times[k[j]]), cols[j])
-        cols, k, rho = cols[kept], k[kept], rho[kept]
-        self.states[cols, k] = rho
+            raise PhysicsViolationError(reason, int(guard_steps[record[j]]), float(self.times[k[j]]), cols[j])
+        kept = np.ones(len(cols), dtype=bool)
+        if self.stop_at_steady:  # a column keeps no sample past its first steady one
+            kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
+        cols, k = cols[kept], k[kept]
+        self.states[cols, k] = rho[kept]
+        self.rhs_norms[cols, k] = norms[kept]
+        np.maximum.at(self.taken, cols, k + 1)
         np.maximum.at(self.drift, cols, trace_drift[kept])
         np.minimum.at(self.eig_low, cols, eig_min[kept])
+
+    def _dense_output(self, k: np.ndarray, cols: np.ndarray, step_of: np.ndarray, step_cols: np.ndarray,
+                      t0: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """States and dx/dt at samples ``k`` of columns ``cols`` from DOP853's dense output.
+
+        Sample i lies inside step ``step_of[i]``, which column ``step_cols``
+        took from ``t0`` over ``h`` with stages ``w[:, :_STEP_ROWS]``.
+        """
+        stages = np.empty((len(w), 17, w.shape[2]))
+        stages[:, :_STEP_ROWS] = w
+        by_column = [(c, np.flatnonzero(step_cols == c)) for c in set(step_cols.tolist())]
+        for s in range(13, 16):
+            y = np.matmul(_DOP853_STAGES[s], stages[:, : s + 1])[:, 0]
+            for c, of_c in by_column:
+                stages[of_c, s + 1] = h[of_c, None] * block_rhs(y[of_c], self.column_sup[c])
+        theta = (self.times[k] - t0[step_of]) / h[step_of]
+        powers = theta[:, None, None] ** np.arange(8)
+        x = np.matmul(np.matmul(powers, _DOP853_DENSE), stages[step_of])[:, 0]
+        f = np.empty_like(x)
+        for c in set(cols.tolist()):
+            of_c = np.flatnonzero(cols == c)
+            f[of_c] = block_rhs(x[of_c], self.column_sup[c])
+        return x, f
 
 
 def _rk4(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,
          n_steps: int) -> None:
     """Classical RK4 at the fixed step ``dt``, sampled every ``sample_every`` steps."""
     live = np.arange(len(x))
+    rhs = _RhsScratch(live.size, sup)
     for step in range(n_steps + 1):
         k1 = None
         if step % sample_every == 0 or step == n_steps:
             # four evaluations a step; the one at this sample is the next step's k1
             samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
-            fresh, k1 = samples.take(live, samples.taken[live], x, lambda y: block_rhs(y, sup))
+            k1 = block_rhs(x, sup, rhs).copy()
+            samples.take(live, x, k1)
             if step == n_steps:
                 break
-            if samples.stop_at_steady and fresh.any():
-                keep = ~fresh
+            stopped = samples.stopped[live]
+            if stopped.any():
+                keep = ~stopped
                 live, x, k1, sup = live[keep], x[keep], k1[keep], sup.take(keep)
                 if not live.size:
                     break
+                rhs = _RhsScratch(live.size, sup)
         if k1 is None:
-            k1 = block_rhs(x, sup)
-        k2 = block_rhs(x + (0.5 * dt) * k1, sup)
-        k3 = block_rhs(x + (0.5 * dt) * k2, sup)
-        k4 = block_rhs(x + dt * k3, sup)
+            k1 = block_rhs(x, sup, rhs).copy()
+        k2 = block_rhs(x + (0.5 * dt) * k1, sup, rhs).copy()
+        k3 = block_rhs(x + (0.5 * dt) * k2, sup, rhs).copy()
+        k4 = block_rhs(x + dt * k3, sup, rhs)
         x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _combine(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``coef @ w`` for each column, one stacked matmul each, as a (B, d^2) block."""
-    return np.matmul(coef, w)[:, 0]
 
 
 def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
@@ -740,53 +860,62 @@ def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
     return np.divide(e5, np.sqrt(denom * n), out=np.zeros(b), where=denom != 0.0)
 
 
-def _interpolate(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """DOP853's 7th-order dense output of one column at fractions ``theta`` of its step."""
-    powers = theta[:, None, None] ** np.arange(8)
-    return _combine(np.matmul(powers, _DOP853_DENSE), w)
-
-
 def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, floor: float) -> None:
     """DOP853 under error control, each column with its own step and clock.
 
     The first step is ``dt``.  A column whose step falls below ``floor`` or
-    whose error estimate is not finite raises :class:`PhysicsViolationError`.
-    Samples inside a step come from the dense output, each column's as one
-    stack, so a column sees the same calls in any block.
+    whose error estimate is not finite raises :class:`PhysicsViolationError`,
+    unless the sample pass finds that it stopped at a steady state before.
+    The stages go into buffers of the live block, rebuilt only when a column
+    leaves; an accepted step with samples due queues them with
+    :meth:`_Samples.take`, which works out everything else they need.
     """
     times = samples.times
     t_final = times[-1]
     live = np.arange(len(x))
-    column_sup = [sup.take([j]) for j in live]
+    f = block_rhs(x, sup)
     samples.rhs_evals[live] += 1
-    fresh, f = samples.take(live, samples.taken[live], x, lambda y: block_rhs(y, sup))
-    if samples.stop_at_steady and fresh.any():
-        keep = ~fresh
-        live, x, f, sup = live[keep], x[keep], f[keep], sup.take(keep)
+    samples.take(live, x.copy(), f.copy())  # x, t and f are updated in place below
     t = np.zeros((live.size, 1))
     h = np.full((live.size, 1), dt)
     rejected = np.zeros(live.size, dtype=bool)
-    while live.size:
+    leaving = np.zeros(live.size, dtype=bool)
+    built = 0
+    while True:
+        leaving |= samples.stopped[live]
+        if leaving.any():
+            keep = ~leaving
+            live, t, h, x, f, rejected, leaving = (
+                a[keep] for a in (live, t, h, x, f, rejected, leaving)
+            )
+            sup = sup.take(keep)
+        if not live.size:
+            return
+        if built != live.size:
+            # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
+            w = np.empty((live.size, _STEP_ROWS, x.shape[1]))
+            heads = [w[:, : s + 1] for s in range(_STEP_ROWS)]
+            rows = list(w.swapaxes(0, 1))
+            rhs = _RhsScratch(live.size, sup)
+            built = live.size
         small = h[:, 0] < floor
         if small.any():
             j = np.argmax(small)
-            raise samples.fail(f"step {h[j, 0]:.3e} s below the floor of {floor:.3e} s", live[j], t[j, 0])
+            samples.stepper_failure(f"step {h[j, 0]:.3e} s below the floor of {floor:.3e} s", live[j], t[j, 0])
+            continue
         t_new = np.minimum(t + h, t_final)
         step = t_new - t
-        # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
-        w = np.empty((live.size, 17, x.shape[1]))
-        w[:, 0] = x
-        np.multiply(step, f, out=w[:, 1])
-        for s in range(1, 12):
-            np.multiply(step, block_rhs(_combine(_DOP853_STAGES[s], w[:, : s + 1]), sup), out=w[:, s + 1])
-        x_new = _combine(_DOP853_STAGES[12], w[:, :13])
-        f_new = block_rhs(x_new, sup)
-        np.multiply(step, f_new, out=w[:, 13])
-        samples.rhs_evals[live] += 12
-        err = _error_norm(w[:, :14], x, x_new)
+        rows[0][...] = x
+        np.multiply(step, f, out=rows[1])
+        for s in range(1, 13):
+            np.matmul(_DOP853_STAGES[s], heads[s], out=rhs.x3)  # stage s's state; at s = 12 the new one
+            np.multiply(block_rhs(rhs.x, sup, rhs), step, out=rows[s + 1])
+        x_new, f_new = rhs.x, rhs.f
+        err = _error_norm(w, x, x_new)
         if not np.isfinite(err).all():
             j = np.argmin(np.isfinite(err))
-            raise samples.fail("step error estimate became non-finite", live[j], t[j, 0])
+            samples.stepper_failure("step error estimate became non-finite", live[j], t[j, 0])
+            continue
         accepted = err < 1.0
         factor = SAFETY * np.maximum(err, 1e-300) ** ERROR_EXPONENT
         grow = np.minimum(MAX_FACTOR, factor)
@@ -795,47 +924,22 @@ def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, fl
         rejected = ~accepted
 
         # the samples in (t, t_new] of each accepted column; those strictly
-        # inside the step need the three extra stages of the dense output
-        first = samples.taken[live]
+        # inside the step need the three extra stages of the dense output and
+        # one evaluation each
+        first = samples.queued[live]
         due = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="right") - first, 0)
         inside = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="left") - first, 0)
-        stopped = np.zeros(live.size, dtype=bool)
+        samples.steps[live] += accepted
+        samples.rhs_evals[live] += 12 + np.where(inside > 0, 3 + inside, 0)
         if due.any():
-            dense = np.flatnonzero(inside)
-            if dense.size:
-                sub, rows_w = (sup, slice(None)) if dense.size == live.size else (sup.take(dense), dense)
-                for s in range(13, 16):
-                    stage = block_rhs(_combine(_DOP853_STAGES[s], w[rows_w, : s + 1]), sub)
-                    w[rows_w, s + 1] = step[rows_w] * stage
-                samples.rhs_evals[live[dense]] += 3
-            rows = np.repeat(np.arange(live.size), due)
-            start = np.cumsum(due) - due
-            k = np.arange(rows.size) + np.repeat(first - start, due)
-            pieces = [(j, slice(start[j], start[j] + inside[j])) for j in dense]
-            states = x_new[rows]
-            for j, rows_j in pieces:
-                states[rows_j] = _interpolate((times[k[rows_j]] - t[j, 0]) / step[j, 0], w[j])
+            sel = np.flatnonzero(due)
+            dense = sel[inside[sel] > 0]
+            samples.take(live[sel], x_new[sel], f_new[sel], due[sel], inside[sel],
+                         (t[dense, 0], step[dense, 0], w[dense]), stepped=1)
 
-            def derivative(y):
-                out = f_new[rows]
-                for j, rows_j in pieces:
-                    out[rows_j] = block_rhs(y[rows_j], column_sup[live[j]])
-                    samples.rhs_evals[live[j]] += inside[j]
-                return out
-
-            fresh, _ = samples.take(live[rows], k, states, derivative)
-            if samples.stop_at_steady:
-                stopped[rows[fresh]] = True
-
-        t = np.where(accepted[:, None], t_new, t)
-        x = np.where(accepted[:, None], x_new, x)
-        f = np.where(accepted[:, None], f_new, f)
-        samples.steps[live[accepted]] += 1
-        done = stopped | (accepted & (t_new[:, 0] == t_final))
-        if done.any():
-            keep = ~done
-            live, t, h, x, f, rejected = live[keep], t[keep], h[keep], x[keep], f[keep], rejected[keep]
-            sup = sup.take(keep)
+        for now, new in ((t, t_new), (x, x_new), (f, f_new)):
+            np.copyto(now, new, where=accepted[:, None])
+        leaving = accepted & (t_new[:, 0] == t_final)
 
 
 def spin_temperature_state(

@@ -128,15 +128,14 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
 
     manifest: list[tuple[str, int, int, str]] = []
 
-    def emit(name: str, header: list[str], columns: list[np.ndarray], description: str):
-        rows = [list(row) for row in zip(*columns)]
+    def emit(name: str, header: list[str], rows: np.ndarray | list[list], description: str):
         write_csv(out_dir / f"{name}.csv", header, rows)
         manifest.append((f"{name}.csv", len(rows), len(header), description))
 
     # -- fig2: spin buildup along the pump axis --------------------------
     for name, axis, pump, row in (("fig2a", "z", "a z", s_row), ("fig2b", "x", "an x", x_row)):
         emit(name, ["t_norm"] + [f"{p}{axis}_{t}" for p in "fs" for t in s_tags],
-             [grid] + [b[f"{p}{axis}"] for p in "fs" for b in row],
+             np.column_stack([grid] + [b[f"{p}{axis}"] for p in "fs" for b in row]),
              f"collective and electron spin along {axis} under {pump} pump, three polarizations")
 
     # -- fig3: entropy bookkeeping, fig4: rotation QFI -------------------
@@ -150,7 +149,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
                                               ("def", r_row, r_tags, "four pumping rates")):
             for letter, (field, label, what) in zip(letters, panels):
                 emit(f"{fig}{letter}", ["t_norm"] + [f"{label}_{t}" for t in tags],
-                     [grid] + [b[field] for b in row], f"{what} vs time, {grid_name}")
+                     np.column_stack([grid] + [b[field] for b in row]), f"{what} vs time, {grid_name}")
 
     # -- fig5: steady state vs cell radius -------------------------------
     fig5_cols = [
@@ -159,7 +158,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
         "efficiency", "qfi_x", "qfi_y", "qfi_z",
     ]
     points = [_radius_point(base, float(radius)) for radius in RADIUS_GRID]
-    emit("fig5", fig5_cols, [[p[c] for p in points] for c in fig5_cols],
+    emit("fig5", fig5_cols, np.array([[p[c] for c in fig5_cols] for p in points]),
          "steady state vs cell radius; small cells are wall-relaxation dominated")
 
     # -- fig6: QFI against efficiency and against entropy production -----
@@ -167,13 +166,13 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
     fit_rows = []
     for i, axis in enumerate("xyz"):
         eff_x, eff_y = reparametrize_monotone(source["efficiency"], source[f"qfi_{axis}"])
-        emit(f"fig6{'abc'[i]}", ["efficiency", f"qfi_{axis}"], [eff_x, eff_y],
+        emit(f"fig6{'abc'[i]}", ["efficiency", f"qfi_{axis}"], np.column_stack([eff_x, eff_y]),
              f"QFI about {axis} against pumping efficiency along the driven path")
     sigma_final = float(source["sigma"][-1])
     threshold = FIT_SIGMA_FRACTION * sigma_final
     for i, axis in enumerate("xyz"):
         sig_x, sig_y = reparametrize_monotone(source["sigma"], source[f"qfi_{axis}"])
-        emit(f"fig6{'def'[i]}", ["sigma", f"qfi_{axis}"], [sig_x, sig_y],
+        emit(f"fig6{'def'[i]}", ["sigma", f"qfi_{axis}"], np.column_stack([sig_x, sig_y]),
              f"QFI about {axis} against cumulative entropy production")
         fit_x, fit_y = reparametrize_monotone(
             source["sigma"], source[f"qfi_{axis}"], drop_below=threshold
@@ -182,7 +181,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
         fit_rows.append([axis, slope, intercept, r2, len(fit_x), threshold])
     emit("fit_summary",
          ["axis", "slope", "intercept", "r_squared", "n_points", "sigma_threshold"],
-         list(zip(*fit_rows)),
+         fit_rows,
          "linear fit of QFI vs entropy production past the initial transient")
 
     manifest_path = write_csv(

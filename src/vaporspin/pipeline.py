@@ -86,21 +86,21 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def write_csv(path: Path, header: list[str], rows: np.ndarray | list[list]) -> Path:
+    """Write ``header`` and ``rows`` as CSV, byte for byte what csv.writer writes ("\\r\\n", no quoting).
+
+    ``rows`` is a 2-D float array, each row written with one format string,
+    or a list of rows, each value through :func:`format_value`.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    formats: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            # a row of floats is written with one format string, byte for byte
-            # what format_value and csv.writer (no quoting, "\r\n") would write
-            if all(type(v) is float or type(v) is np.float64 for v in row):
-                if len(row) not in formats:
-                    formats[len(row)] = ",".join(["%.12g"] * len(row)) + "\r\n"
-                fh.write(formats[len(row)] % tuple(row))
-            else:
-                writer.writerow([format_value(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+        else:
+            writer.writerows([format_value(v) for v in row] for row in rows)
     return path
 
 
@@ -316,13 +316,12 @@ def stacked_observables(
     return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 
-def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], list[list]]:
-    """Per-sample observables table (header, rows) for trajectory.csv."""
+def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], np.ndarray]:
+    """Per-sample observables table for trajectory.csv: the header, and one float row per sample."""
     header = TRAJECTORY_COLUMNS + _population_columns(ops)
     obs = stacked_observables(traj.states, traj.params, ops)
     columns = [traj.times, traj.t_norm] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
-    table = np.column_stack(columns + [obs["populations"]])
-    return header, table.tolist()
+    return header, np.column_stack(columns + [obs["populations"]])
 
 
 def rotation_to_pump_frame(ops: SpinOperatorSet, axis: str) -> np.ndarray:

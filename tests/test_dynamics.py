@@ -249,6 +249,15 @@ class TestIntegrate:
         traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50, steady_tol=1e9)
         assert traj.reached_steady and traj.steady_index == 0
 
+    def test_stop_keeps_no_sample_past_the_steady_one(self, ops):
+        # at sample_every = 1 a step holds about 19 samples, so the steady
+        # sample lies inside one, with later samples of the same step
+        p = params(r_op=0.25)
+        traj = integrate(ops.maximally_mixed(), p, ops, t_end=2.0, sample_every=1,
+                         stop_at_steady=True, steady_tol=0.03)
+        assert traj.reached_steady and traj.steady_index == len(traj) - 1
+        assert traj.rhs_norms[-1] < 0.03 * G <= traj.rhs_norms[:-1].min()
+
     def test_oversized_step_raises_physics_violation(self, ops):
         p = params()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -307,18 +316,73 @@ class TestIntegrate:
                 assert getattr(traj, name) == getattr(alone, name), name
 
     @pytest.mark.parametrize("stop_at_steady", [False, True])
-    def test_guard_chunk_size_does_not_change_the_result(self, ops, monkeypatch, stop_at_steady):
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_guard_chunk_size_does_not_change_the_result(self, ops, monkeypatch, chunk, stop_at_steady):
+        # the reference passes over all samples once, at the end; a chunk of 1
+        # checks each sample when it is taken, and at 7 or 64 the 0.25 G_SE
+        # column's steady stop lands inside a chunk, past which it was stepped
         block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
         kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
+        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
+        at_the_end = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
         chunked = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
-        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 1)
-        one_by_one = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
-        for a, b in zip(chunked, one_by_one):
+        if stop_at_steady:  # the 0.25 G_SE column stops first
+            assert at_the_end[0].reached_steady and len(at_the_end[0]) < len(at_the_end[1])
+        for a, b in zip(chunked, at_the_end):
             for name in ("times", "states", "rhs_norms"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
                          "steps", "rhs_evals"):
                 assert getattr(a, name) == getattr(b, name), name
+
+    def test_a_guard_past_the_steady_stop_is_never_checked(self, ops, monkeypatch):
+        # a floor that only samples after the steady one cross; the stepper
+        # steps past the stop until the sample pass finds it, and the pass
+        # must drop those samples unguarded, as if it had stopped at once
+        p = params(r_op=0.25)
+        kwargs = dict(t_end=2.0, sample_every=10, steady_tol=0.03)
+        full = integrate(ops.maximally_mixed(), p, ops, **kwargs)
+        stopped = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        eig = np.linalg.eigvalsh(full.states).min(axis=1)
+        k = full.steady_index + 5  # a later step than the steady sample's
+        floor = 0.5 * (eig[k - 1] + eig[k])
+        assert eig[:k].min() > floor > eig[k]
+        monkeypatch.setattr(dynamics, "EIGENVALUE_FLOOR", floor)
+        with pytest.raises(PhysicsViolationError, match="eigenvalue"):
+            integrate(ops.maximally_mixed(), p, ops, **kwargs)
+        again = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        assert again.steady_index == stopped.steady_index == len(again) - 1 < k
+        for name in ("times", "states", "rhs_norms"):
+            assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
+        for name in ("max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
+            assert getattr(again, name) == getattr(stopped, name), name
+
+    def test_a_stepper_failure_past_the_steady_stop_is_not_raised(self, ops, monkeypatch):
+        # the error estimate turns non-finite 20 steps after the steady one,
+        # before the sample pass (here run only when the stepper fails) has
+        # found the stop; a stop found then ends the column instead
+        p = params(r_op=0.25)
+        kwargs = dict(t_end=2.0, sample_every=10, steady_tol=0.03)
+        stopped = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        real, calls = dynamics._error_norm, []
+
+        def failing_past_the_stop(w, x, x_new):
+            calls.append(None)
+            err = real(w, x, x_new)
+            return np.full_like(err, np.nan) if len(calls) > stopped.steps + 20 else err
+
+        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
+        monkeypatch.setattr(dynamics, "_error_norm", failing_past_the_stop)
+        with pytest.raises(PhysicsViolationError, match="non-finite"):
+            integrate(ops.maximally_mixed(), p, ops, **kwargs)
+        calls.clear()
+        again = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        assert len(calls) > stopped.steps + 20
+        for name in ("times", "states", "rhs_norms"):
+            assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
+        for name in ("steady_index", "max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
+            assert getattr(again, name) == getattr(stopped, name), name
 
     @pytest.mark.parametrize("chunk", [dynamics.SAMPLE_CHUNK, 1])
     def test_batched_guard_raises_for_the_first_failing_sample(self, monkeypatch, chunk):

@@ -142,6 +142,14 @@ class TestFormatValue:
                 writer.writerow([format_value(v) for v in row])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    def test_float_array_is_written_as_its_rows_would_be(self, tmp_path):
+        floats = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 5e-324,
+                  2.5, 1.0 / 3.0, 123456789012345.0, -2.5e-17]
+        table = np.array([floats, floats[::-1]])
+        write_csv(tmp_path / "array.csv", ["c"] * len(floats), table)
+        write_csv(tmp_path / "rows.csv", ["c"] * len(floats), table.tolist())
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
 
 class TestRunSingle:
     def test_writes_all_outputs_with_stable_header(self, tmp_path):
