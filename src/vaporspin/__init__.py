@@ -14,7 +14,7 @@ Typical use:
     True
 """
 
-from .cell_rates import CellConfig, CrossSections, DiffusionParams, RateSet, compute_rates
+from .cell_rates import CellConfig, CellInputError, RateSet, compute_rates
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .dynamics import (
     PhysicsViolationError,
@@ -50,7 +50,7 @@ __all__ = [
     # spin algebra
     "SpinOperatorSet", "build_coupled_operators", "clebsch_gordan",
     # cell rates
-    "CellConfig", "CrossSections", "DiffusionParams", "RateSet", "compute_rates",
+    "CellConfig", "CellInputError", "RateSet", "compute_rates",
     # dynamics
     "PumpParams", "PhysicsViolationError", "Trajectory",
     "nuclear_part", "master_rhs", "build_superops", "default_dt",

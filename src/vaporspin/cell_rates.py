@@ -16,14 +16,13 @@ with 200 Torr of He and 75 Torr of N2 (pressures at operating temperature).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 from . import constants as c
 
 __all__ = [
-    "CrossSections",
-    "DiffusionParams",
     "CellConfig",
+    "CellInputError",
     "RateSet",
     "rb_vapor_pressure_torr",
     "rb_number_density_cm3",
@@ -38,65 +37,74 @@ TEMPERATURE_MIN_C = 20.0
 TEMPERATURE_MAX_C = 200.0
 
 
-@dataclass(frozen=True)
-class CrossSections:
-    """Collision cross sections in cm^2.
+class CellInputError(ValueError):
+    """A cell input out of its range; ``key`` names the :class:`CellConfig` field."""
 
-    Spin exchange is Rb-Rb only; spin destruction has an Rb-Rb channel and
-    much weaker buffer-gas channels (He is the gentlest partner, which is
-    why it is the majority buffer gas).
-    """
-
-    se_rbrb: float = 1.9e-14
-    sd_rbrb: float = 9.0e-18
-    sd_rbhe: float = 8.7e-24
-    sd_rbn2: float = 1.0e-22
-
-
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Rb diffusion coefficients in each buffer gas, cm^2/s at 760 Torr.
-
-    ``temp_exponent`` optionally rescales both by (T / 273.15 K)^p; the
-    default 0 uses the tabulated values as-is.
-    """
-
-    d0_he: float = 0.35
-    d0_n2: float = 0.16
-    temp_exponent: float = 0.0
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Geometry, temperature and fill pressures of one vapor cell."""
+    """Everything that sets a cell's rate budget; the field names are the config keys.
+
+    Geometry, temperature and fill pressures (quoted at operating
+    temperature); collision cross sections in cm^2 (spin exchange is Rb-Rb
+    only, and He is the gentlest spin-destruction partner, which is why it is
+    the majority buffer gas); Rb diffusion constants in each buffer gas in
+    cm^2/s at 760 Torr, optionally rescaled by (T / 273.15 K)^d_temp_exponent;
+    and whether the wall channel counts in the total spin-destruction rate
+    (the wall rate itself is always reported).
+    """
 
     radius_cm: float = 1.5
     temperature_c: float = 120.0
     p_he_torr: float = 200.0
     p_n2_torr: float = 75.0
-    cross_sections: CrossSections = field(default_factory=CrossSections)
-    diffusion: DiffusionParams = field(default_factory=DiffusionParams)
+    sigma_se_rbrb: float = 1.9e-14
+    sigma_sd_rbrb: float = 9.0e-18
+    sigma_sd_rbhe: float = 8.7e-24
+    sigma_sd_rbn2: float = 1.0e-22
+    d0_he_cm2_s: float = 0.35
+    d0_n2_cm2_s: float = 0.16
+    d_temp_exponent: float = 0.0
+    include_wall: bool = True
 
     def __post_init__(self):
-        if not (self.radius_cm > 0.0 and math.isfinite(self.radius_cm)):
-            raise ValueError(f"cell radius must be positive, got radius_cm = {self.radius_cm}")
-        if not (TEMPERATURE_MIN_C <= self.temperature_c <= TEMPERATURE_MAX_C):
-            raise ValueError(
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise CellInputError(f.name, f"{f.name} must be finite, got {value}")
+        if self.radius_cm <= 0.0:
+            raise CellInputError("radius_cm", f"cell radius must be positive, got radius_cm = {self.radius_cm}")
+        if not TEMPERATURE_MIN_C <= self.temperature_c <= TEMPERATURE_MAX_C:
+            raise CellInputError(
+                "temperature_c",
                 f"temperature {self.temperature_c} C outside the validity window "
-                f"[{TEMPERATURE_MIN_C:.0f}, {TEMPERATURE_MAX_C:.0f}] C of the "
-                "vapor-pressure fit"
+                f"[{TEMPERATURE_MIN_C:.0f}, {TEMPERATURE_MAX_C:.0f}] C of the vapor-pressure fit",
             )
-        for name in ("p_he_torr", "p_n2_torr"):
-            p = getattr(self, name)
-            if not (p >= 0.0 and math.isfinite(p)):
-                raise ValueError(f"{name} must be >= 0 Torr, got {p}")
+        for key in ("p_he_torr", "p_n2_torr"):
+            if getattr(self, key) < 0.0:
+                raise CellInputError(key, f"{key} must be >= 0 Torr, got {getattr(self, key)}")
+        # with no buffer gas there is no diffusion bottleneck to speak of, so
+        # that is rejected rather than extrapolated
+        if self.p_he_torr == 0.0 and self.p_n2_torr == 0.0:
+            raise CellInputError("p_he_torr", "at least one buffer gas pressure must be positive, "
+                                 "got p_he_torr = 0 and p_n2_torr = 0")
+        # spin exchange sets the time unit of every run, and a zero diffusion
+        # constant would silently switch the wall off; a spin-destruction
+        # channel may be switched off with a zero cross section
+        for key in ("sigma_se_rbrb", "d0_he_cm2_s", "d0_n2_cm2_s"):
+            if getattr(self, key) <= 0.0:
+                raise CellInputError(key, f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2"):
+            if getattr(self, key) < 0.0:
+                raise CellInputError(key, f"{key} must be >= 0, got {getattr(self, key)}")
 
     @property
     def temperature_k(self) -> float:
         return self.temperature_c + c.CELSIUS_OFFSET
-
-    def with_radius(self, radius_cm: float) -> "CellConfig":
-        return replace(self, radius_cm=radius_cm)
 
 
 def rb_vapor_pressure_torr(t_k: float) -> float:
@@ -114,16 +122,15 @@ def rb_vapor_pressure_torr(t_k: float) -> float:
     return 10.0 ** log10_p
 
 
-def rb_number_density_cm3(temperature_c: float) -> float:
-    """Saturated Rb number density in cm^-3 via the ideal gas law."""
-    t_k = temperature_c + c.CELSIUS_OFFSET
-    p_ba = rb_vapor_pressure_torr(t_k) * c.TORR_BA
-    return p_ba / (c.K_B_ERG * t_k)
-
-
 def buffer_number_density_cm3(p_torr: float, t_k: float) -> float:
-    """Buffer-gas number density in cm^-3 for a pressure quoted at T."""
+    """Ideal-gas number density in cm^-3 of a gas whose pressure is quoted at T."""
     return p_torr * c.TORR_BA / (c.K_B_ERG * t_k)
+
+
+def rb_number_density_cm3(temperature_c: float) -> float:
+    """Saturated Rb number density in cm^-3."""
+    t_k = temperature_c + c.CELSIUS_OFFSET
+    return buffer_number_density_cm3(rb_vapor_pressure_torr(t_k), t_k)
 
 
 def mean_relative_velocity_cm_s(t_k: float, m1_amu: float, m2_amu: float) -> float:
@@ -136,19 +143,15 @@ def diffusion_coefficient_cm2_s(cell: CellConfig) -> float:
     """Effective Rb diffusion coefficient in the buffer mix, cm^2/s.
 
     Each tabulated coefficient is scaled inversely with its gas's pressure
-    in units of 760 Torr, and the two dilutions are summed.  A cell with no
-    buffer gas at all has no diffusion bottleneck to speak of, so that is
-    rejected rather than extrapolated.
+    in units of 760 Torr, and the two dilutions are summed.
     """
-    if cell.p_he_torr <= 0.0 and cell.p_n2_torr <= 0.0:
-        raise ValueError("at least one buffer gas pressure must be positive")
-    dp = cell.diffusion
-    scale = (cell.temperature_k / c.T_REF_K) ** dp.temp_exponent if dp.temp_exponent else 1.0
+    exponent = cell.d_temp_exponent
+    scale = (cell.temperature_k / c.T_REF_K) ** exponent if exponent else 1.0
     d = 0.0
     if cell.p_he_torr > 0.0:
-        d += dp.d0_he * scale / (cell.p_he_torr / c.P_REF_TORR)
+        d += cell.d0_he_cm2_s * scale / (cell.p_he_torr / c.P_REF_TORR)
     if cell.p_n2_torr > 0.0:
-        d += dp.d0_n2 * scale / (cell.p_n2_torr / c.P_REF_TORR)
+        d += cell.d0_n2_cm2_s * scale / (cell.p_n2_torr / c.P_REF_TORR)
     return d
 
 
@@ -176,32 +179,27 @@ class RateSet:
     gamma_sd_rbhe: float
     gamma_sd_rbn2: float
     gamma_wall: float
-    include_wall: bool
 
     @property
     def gamma_sd(self) -> float:
-        """Total electron spin-destruction rate, 1/s."""
+        """Total electron spin-destruction rate, 1/s; the wall counts when ``cell.include_wall``."""
         total = self.gamma_sd_rbrb + self.gamma_sd_rbhe + self.gamma_sd_rbn2
-        if self.include_wall:
+        if self.cell.include_wall:
             total += self.gamma_wall
         return total
 
     @property
     def se_to_sd_ratio(self) -> float:
-        return self.gamma_se / self.gamma_sd
+        """Gamma_SE / Gamma_SD; ``inf`` when every spin-destruction channel is off."""
+        gamma_sd = self.gamma_sd
+        return self.gamma_se / gamma_sd if gamma_sd else math.inf
 
 
-def compute_rates(cell: CellConfig, include_wall: bool = True) -> RateSet:
-    """Full rate budget for a cell.
-
-    ``include_wall=False`` drops the diffusion-to-wall channel from the
-    total (useful for isolating bulk collision physics); the wall rate
-    itself is still reported.
-    """
+def compute_rates(cell: CellConfig) -> RateSet:
+    """Full rate budget for a cell."""
     t_k = cell.temperature_k
-    xs = cell.cross_sections
     p_rb = rb_vapor_pressure_torr(t_k)
-    n_rb = p_rb * c.TORR_BA / (c.K_B_ERG * t_k)
+    n_rb = buffer_number_density_cm3(p_rb, t_k)
     n_he = buffer_number_density_cm3(cell.p_he_torr, t_k)
     n_n2 = buffer_number_density_cm3(cell.p_n2_torr, t_k)
     v_rbrb = mean_relative_velocity_cm_s(t_k, c.M_RB87, c.M_RB87)
@@ -217,10 +215,9 @@ def compute_rates(cell: CellConfig, include_wall: bool = True) -> RateSet:
         v_rbhe_cm_s=v_rbhe,
         v_rbn2_cm_s=v_rbn2,
         d_cm2_s=diffusion_coefficient_cm2_s(cell),
-        gamma_se=n_rb * xs.se_rbrb * v_rbrb,
-        gamma_sd_rbrb=n_rb * xs.sd_rbrb * v_rbrb,
-        gamma_sd_rbhe=n_he * xs.sd_rbhe * v_rbhe,
-        gamma_sd_rbn2=n_n2 * xs.sd_rbn2 * v_rbn2,
+        gamma_se=n_rb * cell.sigma_se_rbrb * v_rbrb,
+        gamma_sd_rbrb=n_rb * cell.sigma_sd_rbrb * v_rbrb,
+        gamma_sd_rbhe=n_he * cell.sigma_sd_rbhe * v_rbhe,
+        gamma_sd_rbn2=n_n2 * cell.sigma_sd_rbn2 * v_rbn2,
         gamma_wall=wall_relaxation_rate(cell),
-        include_wall=include_wall,
     )

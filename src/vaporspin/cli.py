@@ -84,7 +84,7 @@ def _cmd_rates(cfg: RunConfig, out_dir: Path) -> int:
     print(f"  rb-he         = {rates.gamma_sd_rbhe:.6g}")
     print(f"  rb-n2         = {rates.gamma_sd_rbn2:.6g}")
     print(f"  wall          = {rates.gamma_wall:.6g}" +
-          ("" if rates.include_wall else "  (excluded from total)"))
+          ("" if rates.cell.include_wall else "  (excluded from total)"))
     print(f"se/sd ratio     = {rates.se_to_sd_ratio:.6g}")
     print(f"r_op_per_s      = {params.r_op:.6g}")
     print(f"wrote {path}")

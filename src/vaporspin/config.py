@@ -14,17 +14,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cell_rates import CellConfig
+from .cell_rates import CellConfig, CellInputError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 PUMP_AXES = ("x", "y", "z")
-
-# Spin exchange sets the time unit of every run, and a zero diffusion constant
-# would silently switch wall relaxation off, so these must be positive; a
-# spin-destruction channel may be switched off with a zero cross section.
-POSITIVE_CELL_INPUTS = ("sigma_se_rbrb", "d0_he_cm2_s", "d0_n2_cm2_s")
-NONNEGATIVE_CELL_INPUTS = ("sigma_sd_rbrb", "sigma_sd_rbhe", "sigma_sd_rbn2")
 
 # a NaN passes every range check below, since each is a comparison
 FINITE_RUN_CONTROLS = (
@@ -63,20 +57,19 @@ class RunConfig:
     cell parameters, so one config scales coherently with temperature.
     """
 
-    # cell geometry and fill
-    radius_cm: float = 1.5
-    temperature_c: float = 120.0
-    p_he_torr: float = 200.0
-    p_n2_torr: float = 75.0
-    # collision cross sections (cm^2) and diffusion constants (cm^2/s)
-    sigma_se_rbrb: float = 1.9e-14
-    sigma_sd_rbrb: float = 9.0e-18
-    sigma_sd_rbhe: float = 8.7e-24
-    sigma_sd_rbn2: float = 1.0e-22
-    d0_he_cm2_s: float = 0.35
-    d0_n2_cm2_s: float = 0.16
-    d_temp_exponent: float = 0.0
-    include_wall: bool = True
+    # the cell: its defaults and checks live on CellConfig, see cell()
+    radius_cm: float = CellConfig.radius_cm
+    temperature_c: float = CellConfig.temperature_c
+    p_he_torr: float = CellConfig.p_he_torr
+    p_n2_torr: float = CellConfig.p_n2_torr
+    sigma_se_rbrb: float = CellConfig.sigma_se_rbrb
+    sigma_sd_rbrb: float = CellConfig.sigma_sd_rbrb
+    sigma_sd_rbhe: float = CellConfig.sigma_sd_rbhe
+    sigma_sd_rbn2: float = CellConfig.sigma_sd_rbn2
+    d0_he_cm2_s: float = CellConfig.d0_he_cm2_s
+    d0_n2_cm2_s: float = CellConfig.d0_n2_cm2_s
+    d_temp_exponent: float = CellConfig.d_temp_exponent
+    include_wall: bool = CellConfig.include_wall
     # spin system and drive
     nuclear_spin: float = 1.5
     pump_axis: str = "z"
@@ -95,25 +88,15 @@ class RunConfig:
     sweep_variable: str = ""
     sweep_values: tuple[float, ...] = ()
 
+    def cell(self) -> CellConfig:
+        """The cell this config describes; raises :class:`CellInputError` on a bad cell key."""
+        return CellConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(CellConfig)})
+
     def validate(self) -> "RunConfig":
-        # geometry/fill bounds live on CellConfig, one field at a time; surface
-        # them as config errors naming the key
-        for key in ("radius_cm", "temperature_c", "p_he_torr", "p_n2_torr"):
-            try:
-                CellConfig(**{key: getattr(self, key)})
-            except ValueError as exc:
-                raise ConfigError(str(exc), key) from None
-        for key in POSITIVE_CELL_INPUTS:
-            value = getattr(self, key)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{key} must be finite and > 0, got {value}", key)
-        for key in NONNEGATIVE_CELL_INPUTS:
-            value = getattr(self, key)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}", key)
-        if not math.isfinite(self.d_temp_exponent):
-            raise ConfigError(f"d_temp_exponent must be finite, got {self.d_temp_exponent}",
-                              "d_temp_exponent")
+        try:
+            self.cell()
+        except CellInputError as exc:
+            raise ConfigError(str(exc), exc.key) from None
         if self.pump_axis not in PUMP_AXES:
             raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}", "pump_axis")
         if not 0.0 <= self.s_magnitude <= 1.0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell_rates import CellConfig, CrossSections, DiffusionParams, RateSet, compute_rates
+from .cell_rates import RateSet, compute_rates
 from .config import ConfigError, RunConfig
 from .dynamics import (
     MasterSuperops,
@@ -44,7 +44,6 @@ from .thermo import EIG_CLIP, ENERGY_FLOOR, production_rate_floor, thermo_sample
 
 __all__ = [
     "SimulationResult",
-    "build_cell",
     "build_simulation",
     "integrate_runs",
     "simulate",
@@ -104,29 +103,9 @@ def write_csv(path: Path, header: list[str], rows: np.ndarray | list[list]) -> P
     return path
 
 
-def build_cell(cfg: RunConfig) -> CellConfig:
-    return CellConfig(
-        radius_cm=cfg.radius_cm,
-        temperature_c=cfg.temperature_c,
-        p_he_torr=cfg.p_he_torr,
-        p_n2_torr=cfg.p_n2_torr,
-        cross_sections=CrossSections(
-            se_rbrb=cfg.sigma_se_rbrb,
-            sd_rbrb=cfg.sigma_sd_rbrb,
-            sd_rbhe=cfg.sigma_sd_rbhe,
-            sd_rbn2=cfg.sigma_sd_rbn2,
-        ),
-        diffusion=DiffusionParams(
-            d0_he=cfg.d0_he_cm2_s,
-            d0_n2=cfg.d0_n2_cm2_s,
-            temp_exponent=cfg.d_temp_exponent,
-        ),
-    )
-
-
 def build_simulation(cfg: RunConfig) -> tuple[SpinOperatorSet, RateSet, PumpParams]:
     """Operators, cell rates and pump parameters implied by a config."""
-    rates = compute_rates(build_cell(cfg), include_wall=cfg.include_wall)
+    rates = compute_rates(cfg.cell())
     params = PumpParams(
         r_op=cfg.r_op_over_gamma_se * rates.gamma_se,
         s=tuple(cfg.s_magnitude * (axis == cfg.pump_axis) for axis in "xyz"),
@@ -413,7 +392,7 @@ def rates_row(rates: RateSet) -> list:
         rates.vapor_pressure_torr, rates.n_rb_cm3, rates.n_he_cm3, rates.n_n2_cm3,
         rates.v_rbrb_cm_s, rates.v_rbhe_cm_s, rates.v_rbn2_cm_s, rates.d_cm2_s,
         rates.gamma_se, rates.gamma_sd_rbrb, rates.gamma_sd_rbhe,
-        rates.gamma_sd_rbn2, rates.gamma_wall, rates.include_wall,
+        rates.gamma_sd_rbn2, rates.gamma_wall, cell.include_wall,
         rates.gamma_sd, rates.se_to_sd_ratio,
     ]
 

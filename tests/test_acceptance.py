@@ -6,6 +6,7 @@ qualification report.  Tolerances are stated inline next to each assert.
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 import time
@@ -75,8 +76,8 @@ def test_c01_rate_anchors(capsys):
 
 def test_c02_radius_sweep_span(capsys):
     with criterion(capsys, 2, "radius sweep span") as info:
-        big = compute_rates(CellConfig().with_radius(2.5)).gamma_sd
-        tiny = compute_rates(CellConfig().with_radius(0.01)).gamma_sd
+        big = compute_rates(dataclasses.replace(CellConfig(), radius_cm=2.5)).gamma_sd
+        tiny = compute_rates(dataclasses.replace(CellConfig(), radius_cm=0.01)).gamma_sd
         # match published extremes within a factor of 3
         assert 21.0 / 3.0 <= big <= 21.0 * 3.0
         assert 2.9e5 / 3.0 <= tiny <= 2.9e5 * 3.0

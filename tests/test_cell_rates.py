@@ -6,8 +6,7 @@ import pytest
 from vaporspin import constants as c
 from vaporspin.cell_rates import (
     CellConfig,
-    CrossSections,
-    DiffusionParams,
+    CellInputError,
     buffer_number_density_cm3,
     compute_rates,
     diffusion_coefficient_cm2_s,
@@ -115,28 +114,45 @@ def test_single_gas_diffusion_at_reference_pressure():
 
 def test_diffusion_temperature_exponent():
     base = CellConfig(p_he_torr=760.0, p_n2_torr=0.0)
-    scaled = CellConfig(
-        p_he_torr=760.0, p_n2_torr=0.0, diffusion=DiffusionParams(temp_exponent=1.5)
-    )
+    scaled = CellConfig(p_he_torr=760.0, p_n2_torr=0.0, d_temp_exponent=1.5)
     factor = (base.temperature_k / c.T_REF_K) ** 1.5
     assert diffusion_coefficient_cm2_s(scaled) == pytest.approx(0.35 * factor, rel=1e-12)
 
 
 def test_no_buffer_gas_is_an_error():
-    cell = CellConfig(p_he_torr=0.0, p_n2_torr=0.0)
     with pytest.raises(ValueError, match="buffer gas"):
-        diffusion_coefficient_cm2_s(cell)
+        CellConfig(p_he_torr=0.0, p_n2_torr=0.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d0_he_cm2_s", 0.0),
+    ("sigma_se_rbrb", -1e-14),
+    ("d0_n2_cm2_s", math.nan),
+    ("sigma_sd_rbhe", -1e-24),
+    ("d_temp_exponent", math.inf),
+])
+def test_bad_cell_input_rejected_at_construction(key, value):
+    with pytest.raises(CellInputError, match=key) as exc:
+        CellConfig(**{key: value})
+    assert exc.value.key == key
 
 
 def test_exclude_wall_channel():
-    rates = compute_rates(CellConfig(), include_wall=False)
+    rates = compute_rates(CellConfig(include_wall=False))
     bulk = rates.gamma_sd_rbrb + rates.gamma_sd_rbhe + rates.gamma_sd_rbn2
     assert rates.gamma_sd == pytest.approx(bulk, rel=1e-14)
     assert rates.gamma_wall > 0.0  # still reported
 
 
+def test_zero_spin_destruction_gives_an_infinite_ratio():
+    rates = compute_rates(CellConfig(sigma_sd_rbrb=0.0, sigma_sd_rbhe=0.0, sigma_sd_rbn2=0.0,
+                                     include_wall=False))
+    assert rates.gamma_sd == 0.0
+    assert rates.se_to_sd_ratio == math.inf
+
+
 def test_cross_section_overrides_propagate():
-    doubled = compute_rates(CellConfig(cross_sections=CrossSections(se_rbrb=3.8e-14)))
+    doubled = compute_rates(CellConfig(sigma_se_rbrb=3.8e-14))
     stock = compute_rates(CellConfig())
     assert doubled.gamma_se == pytest.approx(2.0 * stock.gamma_se, rel=1e-12)
 

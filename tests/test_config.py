@@ -167,6 +167,16 @@ class TestValidate:
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["rates", "run"])
+    def test_no_buffer_gas_exits_2_naming_the_line(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# no buffer gas\np_he_torr = 0\np_n2_torr = 0\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}:2: at least one buffer gas pressure" in err
+        assert "p_he_torr" in err and "p_n2_torr" in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_consistency(self):
         with pytest.raises(ConfigError, match="not sweepable"):
             RunConfig(sweep_variable="pump_axis", sweep_values=(1.0,)).validate()

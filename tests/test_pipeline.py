@@ -360,6 +360,27 @@ class TestClosedFormSteadyState:
         assert float(rows[1][header.index("beta_fit_residual")]) < 1e-10
 
 
+class TestHeadlineClaim:
+    """The abstract: a more efficiently pumped NESS is a better rotation probe and less entropic."""
+
+    @pytest.mark.parametrize("axis, nuclear_spin", [("z", 1.5), ("z", 2.5), ("x", 1.5)])
+    def test_efficiency_orders_transverse_qfi_and_entropy(self, axis, nuclear_spin):
+        rows = []
+        for s in np.linspace(0.05, 1.0, 20):
+            for r_op in (0.05, 0.5, 4.0):
+                cfg = RunConfig(pump_axis=axis, s_magnitude=float(s), r_op_over_gamma_se=r_op,
+                                nuclear_spin=nuclear_spin).validate()
+                ops, _, params = build_simulation(cfg)
+                rho, info = solve_steady_state(params, ops)
+                assert info.converged
+                rows.append(steady_state_columns(cfg, ops, params, rho))
+        rows.sort(key=lambda row: row["efficiency"])
+        assert np.all(np.diff([row["efficiency"] for row in rows]) > 0.0)
+        for transverse in "xyz".replace(axis, ""):
+            assert np.all(np.diff([row[f"qfi_{transverse}"] for row in rows]) > 0.0), transverse
+        assert np.all(np.diff([row["s_vn"] for row in rows]) < 0.0)
+
+
 class TestSweep:
     def test_points_match_standalone_runs(self, tmp_path):
         cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.5, 0.25))
@@ -647,6 +668,23 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
         assert "2/2 points ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_zero_spin_destruction_runs(self, tmp_path, capsys, s):
+        cfg_path = tmp_path / "no_sd.cfg"
+        cfg_path.write_text(
+            "sigma_sd_rbrb = 0\nsigma_sd_rbhe = 0\nsigma_sd_rbn2 = 0\ninclude_wall = false\n"
+            f"s_magnitude = {s}\na_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"
+        )
+        assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "rates")]) == 0
+        header, rows = read_csv(tmp_path / "rates" / "rates.csv")
+        row = dict(zip(header, rows[0]))
+        assert (row["gamma_sd_per_s"], row["se_to_sd_ratio"]) == ("0", "inf")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        header, rows = read_csv(tmp_path / "run" / "summary.csv")
+        row = dict(zip(header, rows[0]))
+        assert float(row["s_along_pump"]) == pytest.approx(float(row["s_along_pump_predicted"]), rel=1e-10)
+        assert float(row["s_along_pump_predicted"]) == pytest.approx(s / 2, rel=1e-12)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
