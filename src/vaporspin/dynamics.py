@@ -23,9 +23,19 @@ Tr(AB) = x_A . x_B, and every state stepped is Hermitian by construction;
 :func:`to_coordinates` and :func:`from_coordinates` convert.
 
 :func:`integrate_block` (and :func:`integrate`, its one-column form) steps
-with Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs
-I*, sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the
-real coordinates; each column of a block keeps its own step and clock.
+each column in its pump frame (:func:`pump_frame`), where s lies along z.
+H0 and the collision terms are invariant under rotations, so there the
+column is the z-pumped run with the same |s|, and the projection of F on
+the pump axis is conserved (Happer, Rev. Mod. Phys. 44, 169 (1972)).  From
+the maximally mixed state only the Delta m_F = 0 coordinates ever move, 14
+of 64 for I = 3/2 and 22 of 144 for I = 5/2, and the block steps only the
+coordinates that its start can reach (:func:`reachable_coordinates`,
+:meth:`MasterSuperops.restrict`); a start that is not symmetric about the
+pump axis keeps all d^2.  Each stored sample is turned back to the lab
+frame, so trajectories hold lab-frame states.  The stepper is
+Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
+sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the real
+coordinates; each column of a block keeps its own step and clock.
 Samples fall on the grid ``(k * sample_every) * dt`` plus the end and are
 read off the order-7 dense output, so the step never has to land on them.
 ``fixed_step=True`` selects classical RK4 at the step ``dt`` instead, which
@@ -63,6 +73,8 @@ __all__ = [
     "from_coordinates",
     "build_superops",
     "block_rhs",
+    "pump_frame",
+    "reachable_coordinates",
     "default_dt",
     "sampling_plan",
     "integrate",
@@ -79,8 +91,13 @@ EIGENVALUE_FLOOR = -1e-6
 # Newton's stopping residual, relative to the fastest rate, and iteration cap
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
+# populations within this of one stretched level fit to beta = +-inf
+STRETCHED_TOL = 1e-12
 # queued samples per stacked sample pass; the result does not depend on it
 SAMPLE_CHUNK = 64
+# coordinates of a start turned into its pump frame that are below this
+# fraction of its norm are the rounding of the turn, and are set to 0
+FRAME_ROUNDING = 1e-14
 
 # error control of the adaptive stepper, on the real coordinates of rho
 RTOL = 1e-10
@@ -393,14 +410,36 @@ class MasterSuperops:
     (d^2 + 3 m^2) x d^2 factor: its first d^2 rows fold in L and the constant
     terms (c/2) G_0 + R_op s.G (n is linear in x), the rest hold
     2 G_SE G_k^T, so f(x) = [x, <S> (x) n] @ expand[b].
+
+    :meth:`restrict` keeps n of the coordinates, with the nuclear coordinates
+    and spin components they feed (``spin_columns`` of them), so ``reduce``
+    and ``expand`` may be narrower than the shapes below.
     """
 
     reduce: np.ndarray = field(repr=False)  # (d^2, m^2 + 3)
     expand: np.ndarray = field(repr=False)  # (B, d^2 + 3 m^2, d^2)
+    spin_columns: int = 3
 
     def take(self, columns: np.ndarray) -> MasterSuperops:
         """The columns selected by an index or boolean array."""
         return dataclasses.replace(self, expand=self.expand[columns])
+
+    def restrict(self, kept: np.ndarray) -> MasterSuperops:
+        """The factors on the coordinates ``kept`` alone.
+
+        Keeps the nuclear coordinates and spin components where the rows
+        ``kept`` of ``reduce`` are nonzero, and the rows of ``expand`` of
+        ``kept`` and of those (spin, nuclear) pairs, so on states that vanish
+        off ``kept`` it gives the full right-hand side on ``kept``.
+        """
+        m2 = self.reduce.shape[1] - self.spin_columns
+        fed = (self.reduce[kept] != 0).any(axis=0)
+        nuclear, spin = np.flatnonzero(fed[:m2]), np.flatnonzero(fed[m2:])
+        rows = np.concatenate([kept, (self.expand.shape[2] + spin[:, None] * m2 + nuclear).ravel()])
+        # stored as the transpose of a contiguous array, as _superop_factors stores it
+        reduce = np.ascontiguousarray(self.reduce[np.ix_(kept, np.concatenate([nuclear, m2 + spin]))].T).T
+        expand = np.ascontiguousarray(self.expand[:, rows][:, :, kept])
+        return MasterSuperops(reduce=reduce, expand=expand, spin_columns=spin.size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,33 +501,78 @@ def build_superops(
     return MasterSuperops(reduce=reduce, expand=expand)
 
 
+def reachable_coordinates(sup: MasterSuperops, x0: np.ndarray) -> np.ndarray:
+    """The coordinates, in order, that runs of ``sup`` from the states ``x0`` can make nonzero.
+
+    ``x0`` is one row of full coordinates, or one per column.  A fixed point
+    over the exact-zero pattern of the factors, seeded with the nonzero
+    coordinates of ``x0`` and the d diagonal ones: a reached coordinate feeds
+    the nuclear coordinates and spin components where its row of ``reduce``
+    is nonzero, and reaches each coordinate where its row of the linear part
+    of ``expand``, or the row of a fed (spin, nuclear) pair, is nonzero in any
+    column.  The right-hand side of a state that vanishes off the result
+    vanishes there too, so ``sup.restrict`` of it is exact along the run.
+    """
+    d2 = sup.expand.shape[2]
+    m2 = sup.reduce.shape[1] - sup.spin_columns
+    linear = (sup.expand[:, :d2] != 0).any(axis=0)
+    pairs = (sup.expand[:, d2:] != 0).any(axis=0).reshape(sup.spin_columns, m2, d2)
+    feeds = sup.reduce != 0
+    reached = (np.atleast_2d(x0) != 0).any(axis=0)
+    reached[: math.isqrt(d2)] = True
+    while True:
+        fed = feeds[reached].any(axis=0)
+        grown = reached | linear[reached].any(axis=0)
+        grown |= pairs[fed[m2:]][:, fed[:m2]].any(axis=(0, 1))
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def pump_frame(ops: SpinOperatorSet, s: Sequence[float]) -> np.ndarray:
+    """The rotation exp(-i theta n.F) that turns the z axis onto the photon spin ``s``.
+
+    In the pump frame, rho' = R^dag rho R, the pump lies along z; n is the
+    unit vector along z x s and theta the angle between z and s.  For s along
+    z, or s = 0, R is the identity.
+    """
+    sx, sy, sz = (float(c) for c in s)
+    across = math.hypot(sx, sy)
+    if across == 0.0:
+        return np.eye(ops.dim, dtype=complex)
+    w, v = np.linalg.eigh((-sy / across) * ops.f_ops[0] + (sx / across) * ops.f_ops[1])
+    return (v * np.exp(-1j * math.atan2(across, sz) * w)) @ v.conj().T
+
+
 class _RhsScratch:
     """The buffers of :func:`block_rhs` for a block of ``b`` rows, with their views.
 
-    ``w`` is [x, <S> (x) n] per row, shape (b, 1, d^2 + 3 m^2), ``x`` its
-    first d^2 columns as (b, d^2) and ``x3`` the same memory as (b, 1, d^2);
-    ``r`` holds (n, <S_k>) and ``f`` the result.  A state written into ``x``
-    is read where it lies.
+    ``w`` is [x, <S> (x) n] per row, shape (b, 1, n + k m) for n coordinates,
+    m nuclear coordinates and k spin components, ``x`` its first n columns as
+    (b, n) and ``x3`` the same memory as (b, 1, n); ``r`` holds (n, <S_k>)
+    and ``f`` the result.  A state written into ``x`` is read where it lies.
     """
 
     def __init__(self, b: int, sup: MasterSuperops):
-        d2, m2 = sup.expand.shape[2], sup.reduce.shape[1] - 3
+        n, k = sup.expand.shape[2], sup.spin_columns
+        m = sup.reduce.shape[1] - k
         self.w = np.empty((b, 1, sup.expand.shape[1]))
-        self.x3 = self.w[:, :, :d2]
+        self.x3 = self.w[:, :, :n]
         self.x = self.x3[:, 0]
         self.x_column = self.x[:, :, None]
-        self.spin = self.w[:, 0, d2:].reshape(b, 3, m2)
-        self.r = np.empty((b, m2 + 3, 1))
-        self.r_spin, self.r_nuclear = self.r[:, m2:], self.r[:, None, :m2, 0]
-        self.f3 = np.empty((b, 1, d2))
+        self.spin = self.w[:, 0, n:].reshape(b, k, m)
+        self.r = np.empty((b, m + k, 1))
+        self.r_spin, self.r_nuclear = self.r[:, m:], self.r[:, None, :m, 0]
+        self.f3 = np.empty((b, 1, n))
         self.f = self.f3[:, 0]
 
 
 def block_rhs(x: np.ndarray, sup: MasterSuperops, scratch: _RhsScratch | None = None) -> np.ndarray:
-    """dx/dt for a (B, d^2) block of real coordinates; column b uses factor b.
+    """dx/dt for a (B, n) block of real coordinates; column b uses factor b.
 
-    Both products are stacked matmuls, one BLAS call per column, so a
-    column's result does not depend on the block it sits in.  A one-column
+    n is d^2, or the width of a restricted ``sup``.  Both products are
+    stacked matmuls, one BLAS call per column, so a column's result does not
+    depend on the block it sits in.  A one-column
     ``sup`` applies to every row of ``x``.  A stepper passes its block's
     ``scratch``, so that the call allocates nothing (``x`` may be
     ``scratch.x`` itself); the result is then ``scratch.f``, valid until the
@@ -607,8 +691,11 @@ def integrate_block(
     defaults to the smallest :func:`default_dt` of the block, and under
     ``fixed_step`` every column steps with RK4 at ``dt``.  Each column keeps
     its own step size, clock, guards, steady index and, under
-    ``stop_at_steady``, its own stop, so each returned trajectory equals the
-    standalone run of its parameters bit for bit.  A guard failure raises
+    ``stop_at_steady``, its own stop.  Each column steps in its pump frame,
+    on the coordinates that the block can reach from ``rho0``, so a returned
+    trajectory equals the standalone run of its parameters bit for bit when
+    both reach the same coordinates, as every run from the maximally mixed
+    state at nonzero A and decay does.  A guard failure raises
     :class:`PhysicsViolationError` with ``column`` set to the offending index.
     """
     params_seq = list(params_seq)
@@ -623,9 +710,16 @@ def integrate_block(
 
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
-    x = np.tile(to_coordinates(rho0), (len(params_seq), 1))
-    sup = build_superops(params_seq, ops)
-    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady)
+    # in its pump frame a column is pumped along z with its own |s|
+    frames = np.stack([pump_frame(ops, p.s) for p in params_seq])
+    in_frame = [p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
+                for p in params_seq]
+    x = to_coordinates(frames.conj().swapaxes(1, 2) @ rho0 @ frames)
+    x[np.abs(x) <= FRAME_ROUNDING * np.linalg.norm(x, axis=1, keepdims=True)] = 0.0
+    sup = build_superops(in_frame, ops)
+    reached = reachable_coordinates(sup, x)
+    sup, x = sup.restrict(reached), x[:, reached]
+    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady, reached, frames)
     if fixed_step:
         _rk4(samples, x, sup, dt, sample_every, n_steps)
     else:
@@ -664,7 +758,10 @@ class _Samples:
     end of the run: the three extra stages and the order-7 interpolation of
     the dense output, dx/dt at the samples inside a step (one
     :func:`block_rhs` call per column), the residual norms, steady
-    detection, the guards, and the store.
+    detection, the guards, and the store.  The stepper's states are the
+    pump-frame coordinates ``reached``; the pass lifts them to all d^2
+    coordinates, guards them, and stores each turned back by its column's
+    ``frames``.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
@@ -675,9 +772,11 @@ class _Samples:
     """
 
     def __init__(self, times: np.ndarray, params_seq: list[PumpParams], sup: MasterSuperops,
-                 steady_tol: float, stop_at_steady: bool):
-        b, d2 = len(params_seq), sup.expand.shape[2]
-        self.d = math.isqrt(d2)
+                 steady_tol: float, stop_at_steady: bool, reached: np.ndarray, frames: np.ndarray):
+        b, n = len(params_seq), sup.expand.shape[2]
+        self.d = frames.shape[1]
+        self.reached, self.frames = reached, frames
+        self.turned = ~(frames == np.eye(self.d)).all(axis=(1, 2))
         self.times = times
         self.stop_at_steady = stop_at_steady
         self.column_sup = [dataclasses.replace(sup, expand=sup.expand[j : j + 1]) for j in range(b)]
@@ -692,7 +791,7 @@ class _Samples:
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
         self._ones = np.ones((self.d, 1))
-        self._no_dense = (np.empty(0), np.empty(0), np.empty((0, _STEP_ROWS, d2)))
+        self._no_dense = (np.empty(0), np.empty(0), np.empty((0, _STEP_ROWS, n)))
         self._queue: list[tuple[np.ndarray, ...]] = []
         self._pending = 0
 
@@ -772,9 +871,12 @@ class _Samples:
 
         finite = np.isfinite(x).all(axis=1)
         x = np.where(finite[:, None], x, 0.0)
-        rho = from_coordinates(x)
+        full = np.zeros((len(x), self.d**2))
+        full[:, self.reached] = x
+        rho = from_coordinates(full)  # in the pump frame
         # stacked matmuls sum each row in the same order whatever the number
-        # of rows; a reduction along axis 1 need not
+        # of rows; a reduction along axis 1 need not.  The reached
+        # coordinates start with the d diagonal ones.
         trace_drift = np.abs(np.matmul(x[:, None, : self.d], self._ones)[:, 0, 0] - 1.0)
         eig_min = np.linalg.eigvalsh(rho).min(axis=1)
         failed = ~finite | (trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR)
@@ -788,8 +890,12 @@ class _Samples:
         kept = np.ones(len(cols), dtype=bool)
         if self.stop_at_steady:  # a column keeps no sample past its first steady one
             kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
-        cols, k = cols[kept], k[kept]
-        self.states[cols, k] = rho[kept]
+        cols, k, rho = cols[kept], k[kept], rho[kept]
+        turned = np.flatnonzero(self.turned[cols])
+        if turned.size:  # back to the lab frame, R rho R^dag
+            frame = self.frames[cols[turned]]
+            rho[turned] = frame @ rho[turned] @ frame.conj().swapaxes(1, 2)
+        self.states[cols, k] = rho
         self.rhs_norms[cols, k] = norms[kept]
         np.maximum.at(self.taken, cols, k + 1)
         np.maximum.at(self.drift, cols, trace_drift[kept])
@@ -849,7 +955,7 @@ def _rk4(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, sampl
 
 
 def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
-    """DOP853's blend of its 5th- and 3rd-order error estimates, per column."""
+    """DOP853's blend of its 5th- and 3rd-order error estimates, per column, as an RMS over the width of x."""
     b, n = x.shape
     scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
     err = np.matmul(_DOP853_ERROR, w)
@@ -872,6 +978,8 @@ def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, fl
     """
     times = samples.times
     t_final = times[-1]
+    # the error is an RMS over all d^2 coordinates, of which the unreached ones are 0
+    rms_over_d2 = math.sqrt(x.shape[1] / samples.d**2)
     live = np.arange(len(x))
     f = block_rhs(x, sup)
     samples.rhs_evals[live] += 1
@@ -911,7 +1019,7 @@ def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, fl
             np.matmul(_DOP853_STAGES[s], heads[s], out=rhs.x3)  # stage s's state; at s = 12 the new one
             np.multiply(block_rhs(rhs.x, sup, rhs), step, out=rows[s + 1])
         x_new, f_new = rhs.x, rhs.f
-        err = _error_norm(w, x, x_new)
+        err = _error_norm(w, x, x_new) * rms_over_d2
         if not np.isfinite(err).all():
             j = np.argmin(np.isfinite(err))
             samples.stepper_failure("step error estimate became non-finite", live[j], t[j, 0])
@@ -948,7 +1056,8 @@ def spin_temperature_state(
     """Spin-temperature state rho ~ exp(beta * n.F), n the unit vector along ``axis``.
 
     Along z it is diagonal in the coupled basis, with populations
-    proportional to exp(beta * m_F).
+    proportional to exp(beta * m_F).  At beta = +inf (-inf) it is the pure
+    stretched state m_F = F (m_F = -F) along n.
     """
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
@@ -957,7 +1066,9 @@ def spin_temperature_state(
     n = n / norm
     gen = n[0] * ops.f_ops[0] + n[1] * ops.f_ops[1] + n[2] * ops.f_ops[2]
     w, u = np.linalg.eigh(gen)
-    p = np.exp(beta * (w - w.max()))
+    shift = w - (w.min() if beta < 0.0 else w.max())
+    # exp(beta * shift) with the extreme level at exactly 1, also at beta = +-inf
+    p = np.exp(np.multiply(beta, shift, out=np.zeros_like(shift), where=shift != 0.0))
     p /= p.sum()
     return (u * p) @ u.conj().T
 
@@ -969,10 +1080,15 @@ def fit_spin_temperature(
 
     Least squares of ln p against m_F across both hyperfine manifolds, each
     ln p weighted by p, since an absolute error dp moves ln p by dp/p.  Returns
-    (beta, max relative population residual).
+    (beta, max relative population residual).  Populations on one stretched
+    level, m_F = +-F, to within ``STRETCHED_TOL`` are fully polarized:
+    (+-inf, 0).
     """
     p = np.clip(np.asarray(populations, dtype=float), 1e-300, None)
     m = np.array([mf for _, mf in labels])
+    for sign in (1.0, -1.0):
+        if p[np.argmax(sign * m)] >= (1.0 - STRETCHED_TOL) * p.sum():
+            return sign * math.inf, 0.0
     design = np.stack([m, np.ones_like(m)], axis=1)
     coef, *_ = np.linalg.lstsq(p[:, None] * design, p * np.log(p), rcond=None)
     fitted = np.exp(design @ coef)
@@ -997,8 +1113,8 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
     """Newton solve of drho/dt = 0 with the trace pinned to 1, from the closed form.
 
     Newton starts from rho ~ exp(beta n.F) along the pump axis n, with
-    beta = ln((1 + P) / (1 - P)) and P = :func:`pump_polarization`.  That is an
-    exact fixed point: rho = rho_I (x) rho_S commutes with H0 = A I.S, and
+    beta = ln((1 + P) / (1 - P)), inf at P = 1, and P = :func:`pump_polarization`.
+    That is an exact fixed point: rho = rho_I (x) rho_S commutes with H0 = A I.S, and
     phi = rho_I (x) 1/2, so the collision and pump terms reduce to
     rho_I (x) n.S [R_op |s| - (R_op + G_SD) P] = 0 and the G_SE terms cancel.
     So Newton stops at its first residual check (below ``NEWTON_TOL`` of the
@@ -1012,10 +1128,11 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
     if scale <= 0.0:
         return ops.maximally_mixed(), SteadyStateInfo(converged=True, residual=0.0, iterations=0)
 
-    pol = min(pump_polarization(params), 1.0 - 1e-9)  # P = 1 would be a pure state
+    pol = pump_polarization(params)
     rho = ops.maximally_mixed()
-    if pol > 0.0:
-        rho = spin_temperature_state(math.log((1.0 + pol) / (1.0 - pol)), ops, axis=params.s_vec)
+    if pol > 0.0:  # at P = 1, beta = inf: the pure stretched state
+        beta = math.log((1.0 + pol) / (1.0 - pol)) if pol < 1.0 else math.inf
+        rho = spin_temperature_state(beta, ops, axis=params.s_vec)
     x = to_coordinates(rho)
     trace_row = np.zeros(d * d)
     trace_row[:d] = 1.0
@@ -1044,9 +1161,9 @@ def _jacobian(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
     A_ji + reduce_j,<S_k> (n @ E_k)_i + (reduce_j,n @ sum_k <S_k> E_k)_i.
     """
     d2 = len(x)
-    m2 = sup.reduce.shape[1] - 3
+    m2 = sup.reduce.shape[1] - sup.spin_columns
     r = x @ sup.reduce
-    spin_rows = sup.expand[0, d2:].reshape(3, m2, d2)
+    spin_rows = sup.expand[0, d2:].reshape(sup.spin_columns, m2, d2)
     transposed = sup.expand[0, :d2] + sup.reduce[:, m2:] @ (r[:m2] @ spin_rows)
     transposed += sup.reduce[:, :m2] @ np.tensordot(r[m2:], spin_rows, axes=1)
     return transposed.T

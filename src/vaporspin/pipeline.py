@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .dynamics import (
     fit_spin_temperature,
     integrate,  # noqa: F401 — not called here; kept only because perfbench/traced.py wraps it
     integrate_block,
+    pump_frame,
     pump_polarization,
     sampling_plan,
     solve_steady_state,
@@ -214,10 +214,18 @@ TRAJECTORY_COLUMNS = [
 
 
 def _observable_block(
-    rho: np.ndarray, sup: MasterSuperops, eps: np.ndarray, params: PumpParams, ops: SpinOperatorSet
+    rho: np.ndarray, sup: MasterSuperops, eps: np.ndarray, observed: np.ndarray,
+    params: PumpParams, ops: SpinOperatorSet,
 ) -> dict[str, np.ndarray]:
-    """Observables of one (m, d, d) block from a single batched eigh."""
+    """Observables of one (m, d, d) block from a single batched eigh.
+
+    ``observed`` holds the coordinates of F_k, S_k and H0 as columns, so
+    their expectation values are one product with the states' coordinates,
+    Tr(A rho) = x_A . x_rho.
+    """
     d = ops.dim
+    x = to_coordinates(rho)
+    expectation = x @ observed
     w, u = np.linalg.eigh(rho)
     u_h = u.conj().swapaxes(1, 2)
     out: dict[str, np.ndarray] = {}
@@ -231,14 +239,14 @@ def _observable_block(
     out["s_vn"] = s_vn
     out["sigma"] = float(np.log(d)) - s_vn
     # Tr(drho/dt log rho), as the dot product of real coordinates
-    drho = block_rhs(to_coordinates(rho), sup)
+    drho = block_rhs(x, sup)
     rate = np.einsum("ni,ni->n", drho, to_coordinates(log_rho))
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 
     # energy above the ground state, ergotropy and efficiency from sorted
     # spectra (thermo.ergotropy and thermo.efficiency)
-    energy_raw = np.trace(rho @ (params.a_hfs * ops.i_dot_s), axis1=1, axis2=2).real
+    energy_raw = expectation[:, -1]
     energy = energy_raw - eps[0]
     erg = np.maximum(energy_raw - w[:, ::-1] @ eps, 0.0)
     stored = np.isfinite(energy) & (energy > ENERGY_FLOOR * (eps[-1] - eps[0]))
@@ -263,9 +271,8 @@ def _observable_block(
         out[f"qfi_{axis}"] = np.where(resolved, qfi, 0.0)
         out[f"crb_{axis}"] = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
 
-    for prefix, group in (("f", ops.f_ops), ("s", ops.s_ops)):
-        for axis, g in zip("xyz", group):
-            out[f"{prefix}{axis}"] = np.trace(g @ rho, axis1=1, axis2=2).real
+    for i, name in enumerate(TRAJECTORY_COLUMNS[14:]):  # fx ... sz
+        out[name] = expectation[:, i]
     out["populations"] = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
     return out
 
@@ -287,9 +294,11 @@ def stacked_observables(
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
     sup = build_superops(params, ops)
-    eps = np.linalg.eigvalsh(params.a_hfs * ops.i_dot_s)
+    h0 = params.a_hfs * ops.i_dot_s
+    eps = np.linalg.eigvalsh(h0)
+    observed = to_coordinates(np.concatenate([ops.f_ops, ops.s_ops, h0[None]])).T
     blocks = [
-        _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, params, ops)
+        _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, observed, params, ops)
         for i in range(0, len(states), OBSERVABLE_BLOCK)
     ]
     return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
@@ -303,24 +312,6 @@ def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str],
     return header, np.column_stack(columns + [obs["populations"]])
 
 
-def rotation_to_pump_frame(ops: SpinOperatorSet, axis: str) -> np.ndarray:
-    """Unitary taking the z quantization axis onto the pump axis.
-
-    Populations of rho in the pump frame are diag(U^dag rho U); for a z pump
-    this is the identity.
-    """
-    if axis == "z":
-        return np.eye(ops.dim, dtype=complex)
-    if axis == "x":
-        generator, angle = ops.f_ops[1], 0.5 * math.pi  # rotate about y
-    elif axis == "y":
-        generator, angle = ops.f_ops[0], -0.5 * math.pi  # rotate about x
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-
-
 def off_diagonal_mass(rho: np.ndarray) -> float:
     """sum_{i != j} |rho_ij|^2 — coherence weight in the given basis."""
     return float(np.sum(np.abs(rho) ** 2) - np.sum(np.abs(np.diag(rho)) ** 2))
@@ -330,7 +321,7 @@ def steady_state_columns(
     cfg: RunConfig, ops: SpinOperatorSet, params: PumpParams, rho: np.ndarray
 ) -> dict[str, object]:
     """Observables of a steady state ``rho`` (the closing columns of summary.csv)."""
-    frame = rotation_to_pump_frame(ops, cfg.pump_axis)
+    frame = pump_frame(ops, params.s)
     rho_pump = frame.conj().T @ rho @ frame
     pops = np.clip(np.diag(rho_pump).real, 0.0, None)
     beta_fit, beta_resid = fit_spin_temperature(pops, ops.labels)

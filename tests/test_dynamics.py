@@ -18,6 +18,8 @@ from vaporspin.dynamics import (
     integrate_block,
     master_rhs,
     nuclear_part,
+    pump_frame,
+    reachable_coordinates,
     solve_steady_state,
     spin_temperature_state,
     to_coordinates,
@@ -421,6 +423,108 @@ class TestIntegrate:
             integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=0)
 
 
+class TestPumpFrame:
+    """Runs step in their pump frame, on the coordinates their start can reach."""
+
+    @pytest.mark.parametrize("nuclear_spin, width, nuclear, spins", [(1.5, 14, 4, 1), (2.5, 22, 6, 1)])
+    def test_reachable_coordinates_from_the_mixed_state(self, nuclear_spin, width, nuclear, spins):
+        # the Delta m_F = 0 coordinates: the d populations and, per m_F shared
+        # by both manifolds, the real and imaginary part of one coherence
+        ops = build_coupled_operators(nuclear_spin)
+        sup = build_superops([params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0)], ops)
+        kept = reachable_coordinates(sup, to_coordinates(ops.maximally_mixed()))
+        assert kept.size == width
+        assert np.array_equal(kept[: ops.dim], np.arange(ops.dim))
+        restricted = sup.restrict(kept)
+        assert restricted.spin_columns == spins
+        assert restricted.reduce.shape == (width, nuclear + spins)
+        assert restricted.expand.shape == (3, width + spins * nuclear, width)
+
+    def test_lab_x_pump_and_random_start_reach_every_coordinate(self, ops, rng):
+        mixed = to_coordinates(ops.maximally_mixed())
+        assert reachable_coordinates(build_superops(params(s=(0.5, 0, 0)), ops), mixed).size == 64
+        start = to_coordinates(random_density_matrix(rng))
+        assert reachable_coordinates(build_superops(params(), ops), start).size == 64
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    def test_restricted_rhs_is_the_full_rhs_on_the_reachable_set(self, nuclear_spin):
+        ops = build_coupled_operators(nuclear_spin)
+        block = [params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0), params(gamma_sd=50.0)]
+        sup = build_superops(block, ops)
+        kept = reachable_coordinates(sup, to_coordinates(ops.maximally_mixed()))
+        off = np.setdiff1d(np.arange(ops.dim**2), kept)
+        restricted = sup.restrict(kept)
+        for seed in range(10):
+            x = np.zeros((len(block), ops.dim**2))
+            x[:, kept] = np.random.default_rng(seed).normal(size=(len(block), kept.size))
+            full = block_rhs(x, sup)
+            assert np.all(full[:, off] == 0.0)
+            assert np.max(np.abs(block_rhs(x[:, kept], restricted) - full[:, kept])) <= (
+                1e-13 * np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("s", [(0.5, 0, 0), (0, -0.75, 0), (0.3, -0.4, 0.2), (0, 0, -1.0), (0, 0, 0)])
+    def test_the_frame_turns_the_pump_onto_z(self, ops, rng, s):
+        p = params(s=s)
+        frame = pump_frame(ops, s)
+        assert np.max(np.abs(frame @ frame.conj().T - np.eye(8))) < 1e-14
+        pumped = np.tensordot(p.s_vec, ops.f_ops, axes=1)
+        along_z = frame.conj().T @ pumped @ frame
+        if s[0] == s[1] == 0.0:
+            assert np.array_equal(frame, np.eye(8))
+        else:  # R^dag (s.F) R = |s| F_z, and f_lab(R rho R^dag) = R f_frame(rho) R^dag
+            assert np.max(np.abs(along_z - np.linalg.norm(s) * ops.f_ops[2])) < 1e-14
+            in_frame = dataclasses.replace(p, s=(0.0, 0.0, float(np.linalg.norm(s))))
+            rho = random_density_matrix(rng)
+            lab = frame.conj().T @ master_rhs(frame @ rho @ frame.conj().T, p, ops) @ frame
+            assert np.max(np.abs(lab - master_rhs(rho, in_frame, ops))) < 1e-11 * p.a_hfs
+
+    @pytest.mark.parametrize("stop_at_steady", [False, True])
+    def test_block_mixing_pump_axes_matches_standalone_runs(self, ops, stop_at_steady):
+        block = [params(r_op=0.25), params(s=(0.5, 0, 0), r_op=1.0), params(s=(0, 0.75, 0), r_op=4.0),
+                 params(s=(0.3, -0.4, 0))]
+        kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
+        trajs = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        for traj, p in zip(trajs, block):
+            alone = integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            for name in ("times", "states", "rhs_norms"):
+                assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+            for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
+                         "steps", "rhs_evals"):
+                assert getattr(traj, name) == getattr(alone, name), name
+
+    def test_x_pump_is_the_turned_z_run(self, ops):
+        # in its frame the x pump is the z pump from the mixed state turned by R,
+        # which is 1/8 to rounding: the same steps, and states turned by R
+        kwargs = dict(t_end=0.5, sample_every=10)
+        z = integrate(ops.maximally_mixed(), params(), ops, **kwargs)
+        x = integrate(ops.maximally_mixed(), params(s=(0.5, 0, 0)), ops, **kwargs)
+        assert (x.steps, x.rhs_evals) == (z.steps, z.rhs_evals)
+        assert np.max(np.abs(x.rhs_norms / z.rhs_norms - 1.0)) < 1e-13
+        frame = pump_frame(ops, (1.0, 0, 0))
+        assert np.max(np.abs(x.states - frame @ z.states @ frame.conj().T)) < 1e-15
+
+    def test_start_off_the_pump_axis_steps_every_coordinate(self, ops, monkeypatch):
+        # a start polarized along x is symmetric about an x pump, and keeps 14
+        # coordinates under it; under a z pump it needs all 64.  Both runs
+        # match classical RK4 over master_rhs.
+        start = spin_temperature_state(0.7, ops, axis=(1, 0, 0))
+        widths, real = [], dynamics.reachable_coordinates
+        monkeypatch.setattr(dynamics, "reachable_coordinates",
+                            lambda sup, x0: widths.append(real(sup, x0).size) or real(sup, x0))
+        for s in ((0.5, 0, 0), (0, 0, 0.5)):
+            p = params(s=s)
+            traj = integrate(start, p, ops, t_end=0.02, sample_every=10)
+            rho, h = start, 1e-4
+            for _ in range(200):
+                k1 = master_rhs(rho, p, ops)
+                k2 = master_rhs(rho + 0.5 * h * k1, p, ops)
+                k3 = master_rhs(rho + 0.5 * h * k2, p, ops)
+                k4 = master_rhs(rho + h * k3, p, ops)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            assert np.max(np.abs(traj.states[-1] - rho)) < 1e-9
+        assert widths == [14, 64]
+
+
 @pytest.fixture(scope="module", params=["z", "x"])
 def one_t_se(request):
     """The built-in defaults over 1 T_SE: the default stepper and RK4 at dt/2."""
@@ -480,6 +584,21 @@ class TestSpinTemperatureState:
         fitted, residual = fit_spin_temperature(pops, ops.labels)
         assert fitted == pytest.approx(beta, rel=1e-10)
         assert residual < 1e-12
+
+    def test_infinite_beta_is_the_stretched_state(self, ops):
+        for beta, level in ((math.inf, 0), (-math.inf, 4)):
+            rho = spin_temperature_state(beta, ops)
+            assert np.array_equal(np.diag(rho).real, np.eye(8)[level])
+            assert fit_spin_temperature(np.diag(rho).real, ops.labels) == (beta, 0.0)
+        rho_x = spin_temperature_state(math.inf, ops, axis=(1, 0, 0))
+        assert np.trace(ops.f_ops[0] @ rho_x).real == pytest.approx(2.0, rel=1e-14)
+
+    def test_fit_of_nearly_stretched_populations_stays_finite(self, ops):
+        pops = np.diag(spin_temperature_state(20.0, ops)).real
+        assert 1.0 - pops[0] > 1e-12
+        fitted, residual = fit_spin_temperature(pops, ops.labels)
+        assert fitted == pytest.approx(20.0, rel=1e-10)
+        assert residual < 1e-10
 
     def test_fit_flags_non_thermal_populations(self, ops):
         pops = np.array([0.5, 0.05, 0.05, 0.05, 0.05, 0.1, 0.1, 0.1])

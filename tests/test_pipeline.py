@@ -17,6 +17,7 @@ from vaporspin.dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
     fit_spin_temperature,
+    pump_frame,
     solve_steady_state,
 )
 from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
@@ -26,7 +27,6 @@ from vaporspin.pipeline import (
     build_simulation,
     format_value,
     off_diagonal_mass,
-    rotation_to_pump_frame,
     run_single,
     run_sweep,
     simulate,
@@ -293,7 +293,7 @@ class TestPumpFrame:
         p = make_params(s=0.5, axis="x")
         rho, info = solve_steady_state(p, ops8)
         assert info.converged
-        frame = rotation_to_pump_frame(ops8, "x")
+        frame = pump_frame(ops8, p.s)
         rho_pump = frame.conj().T @ rho @ frame
         assert off_diagonal_mass(rho_pump) < 1e-12
         assert off_diagonal_mass(rho) > 1e-3  # genuinely rotated, not diagonal
@@ -303,7 +303,7 @@ class TestPumpFrame:
         for axis in ("x", "y", "z"):
             p = make_params(s=0.5, axis=axis)
             rho, _ = solve_steady_state(p, ops8)
-            frame = rotation_to_pump_frame(ops8, axis)
+            frame = pump_frame(ops8, p.s)
             pops = np.clip(np.diag(frame.conj().T @ rho @ frame).real, 0.0, None)
             beta, resid = fit_spin_temperature(pops, ops8.labels)
             assert resid < 1e-8
@@ -326,10 +326,6 @@ class TestPumpFrame:
         beta = math.log((1.0 + pol) / (1.0 - pol))
         got = steady_state_columns(cfg, ops, params, rho)["beta_fit"]
         assert got == pytest.approx(beta, rel=1e-9)
-
-    def test_unknown_axis_rejected(self, ops8):
-        with pytest.raises(ValueError, match="axis"):
-            rotation_to_pump_frame(ops8, "w")
 
     def test_off_diagonal_mass_by_hand(self):
         m = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
@@ -358,6 +354,52 @@ class TestClosedFormSteadyState:
         header, rows = read_csv(path)
         assert [r[header.index("ness_iterations")] for r in rows] == ["1", "1"]
         assert float(rows[1][header.index("beta_fit_residual")]) < 1e-10
+
+
+class TestFullPolarization:
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    def test_pure_steady_state_fits_infinite_beta(self, tmp_path, axis):
+        # every sigma_SD = 0 and no wall: G_SD = 0, so at |s| = 1 P = 1 exactly,
+        # and the NESS is the pure stretched state, an exact fixed point
+        cfg = fast_config(sigma_sd_rbrb=0.0, sigma_sd_rbhe=0.0, sigma_sd_rbn2=0.0, include_wall=False,
+                          s_magnitude=1.0, pump_axis=axis, t_end_over_t_se=0.2)
+        run_single(cfg, tmp_path)
+        header, rows = read_csv(tmp_path / "summary.csv")
+        row = dict(zip(header, rows[0]))
+        assert (row["beta_fit"], row["beta_fit_residual"]) == ("inf", "0")
+        assert (row["ness_iterations"], row["ness_converged"]) == ("1", "true")
+        assert row["s_along_pump"] == row["s_along_pump_predicted"] == "0.5"
+
+
+class TestPumpAxisRelabelling:
+    """An x or a y pump steps as the z pump in its frame: its run is the z run with the axes relabelled."""
+
+    # the z run's axis that each lab axis of an x or a y pump reads
+    RELABEL = {"x": {"x": "z", "y": "y", "z": "x"}, "y": {"x": "x", "y": "z", "z": "y"}}
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_trajectory_is_the_relabelled_z_run(self, axis):
+        z = simulate(fast_config(t_end_over_t_se=0.5, sample_every=10))
+        turned = simulate(fast_config(t_end_over_t_se=0.5, sample_every=10, pump_axis=axis))
+        assert (turned.traj.steps, turned.traj.rhs_evals) == (z.traj.steps, z.traj.rhs_evals)
+        header, want = trajectory_table(z.traj, z.ops)
+        _, got = trajectory_table(turned.traj, turned.ops)
+        column = {name: (got[:, i], want[:, i]) for i, name in enumerate(header)}
+
+        def relabelled(name, lab):
+            return column[f"{name}{lab}"][0], column[f"{name}{self.RELABEL[axis][lab]}"][1]
+
+        for name in TRAJECTORY_COLUMNS[2:8]:  # sigma = ln d - S_vn cancels to rounding at t = 0
+            np.testing.assert_allclose(*column[name], rtol=1e-10, atol=1e-14, err_msg=name)
+        for lab in "xyz":
+            for name in ("qfi_", "crb_"):
+                np.testing.assert_allclose(*relabelled(name, lab), rtol=1e-10, atol=0, err_msg=name + lab)
+            for name in "fs":
+                turned_column, z_column = relabelled(name, lab)
+                if lab == axis:  # 0 at t = 0
+                    np.testing.assert_allclose(turned_column, z_column, rtol=1e-10, atol=1e-14)
+                else:  # transverse: exactly 0 in the z run
+                    assert np.all(z_column == 0.0) and np.max(np.abs(turned_column)) < 1e-14, name + lab
 
 
 class TestHeadlineClaim:
