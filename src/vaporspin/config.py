@@ -116,7 +116,7 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"{key} must be {bound}", key)
         two_i = 2.0 * self.nuclear_spin
-        if self.nuclear_spin < 0.5 or abs(two_i - round(two_i)) > 1e-9:
+        if not math.isfinite(two_i) or self.nuclear_spin < 0.5 or abs(two_i - round(two_i)) > 1e-9:
             raise ConfigError(f"nuclear_spin must be a half-integer >= 1/2, got {self.nuclear_spin}",
                               "nuclear_spin")
         if self.sweep_variable and self.sweep_variable not in SWEEPABLE:

@@ -300,8 +300,8 @@ class PumpParams:
         s = np.asarray(self.s, dtype=float)
         if s.shape != (3,):
             raise ValueError(f"s must be a 3-vector, got shape {s.shape}")
-        if np.linalg.norm(s) > 1.0 + 1e-9:
-            raise ValueError(f"photon spin magnitude must be <= 1, got {np.linalg.norm(s)}")
+        if not (np.isfinite(s).all() and np.linalg.norm(s) <= 1.0 + 1e-9):
+            raise ValueError(f"photon spin must be finite with magnitude <= 1, got {tuple(s.tolist())}")
         object.__setattr__(self, "s", tuple(float(x) for x in s))
 
     @property
@@ -757,11 +757,11 @@ class _Samples:
     ``SAMPLE_CHUNK`` samples are queued, when the stepper fails and at the
     end of the run: the three extra stages and the order-7 interpolation of
     the dense output, dx/dt at the samples inside a step (one
-    :func:`block_rhs` call per column), the residual norms, steady
-    detection, the guards, and the store.  The stepper's states are the
-    pump-frame coordinates ``reached``; the pass lifts them to all d^2
-    coordinates, guards them, and stores each turned back by its column's
-    ``frames``.
+    :func:`block_rhs` call over all of them, on ``sup.take`` of their
+    columns), the residual norms, steady detection, the guards, and the
+    store.  The stepper's states are the pump-frame coordinates
+    ``reached``; the pass lifts them to all d^2 coordinates, guards them,
+    and stores each turned back by its column's ``frames``.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
@@ -779,7 +779,7 @@ class _Samples:
         self.turned = ~(frames == np.eye(self.d)).all(axis=(1, 2))
         self.times = times
         self.stop_at_steady = stop_at_steady
-        self.column_sup = [dataclasses.replace(sup, expand=sup.expand[j : j + 1]) for j in range(b)]
+        self.sup = sup
         self.states = np.empty((b, len(times), self.d, self.d), dtype=complex)
         self.rhs_norms = np.empty((b, len(times)))
         self.queued = np.zeros(b, dtype=int)  # samples handed to take
@@ -910,19 +910,14 @@ class _Samples:
         """
         stages = np.empty((len(w), 17, w.shape[2]))
         stages[:, :_STEP_ROWS] = w
-        by_column = [(c, np.flatnonzero(step_cols == c)) for c in set(step_cols.tolist())]
+        step_sup = self.sup.take(step_cols)
         for s in range(13, 16):
             y = np.matmul(_DOP853_STAGES[s], stages[:, : s + 1])[:, 0]
-            for c, of_c in by_column:
-                stages[of_c, s + 1] = h[of_c, None] * block_rhs(y[of_c], self.column_sup[c])
+            stages[:, s + 1] = h[:, None] * block_rhs(y, step_sup)
         theta = (self.times[k] - t0[step_of]) / h[step_of]
         powers = theta[:, None, None] ** np.arange(8)
         x = np.matmul(np.matmul(powers, _DOP853_DENSE), stages[step_of])[:, 0]
-        f = np.empty_like(x)
-        for c in set(cols.tolist()):
-            of_c = np.flatnonzero(cols == c)
-            f[of_c] = block_rhs(x[of_c], self.column_sup[c])
-        return x, f
+        return x, block_rhs(x, self.sup.take(cols))
 
 
 def _rk4(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,

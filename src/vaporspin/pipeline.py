@@ -234,8 +234,9 @@ def _observable_block(
     # thermo.entropy_production_rate, one row per state)
     clipped = np.clip(w, EIG_CLIP, 1.0)
     log_rho = (u * np.log(clipped)[:, None, :]) @ u_h
-    p = clipped / clipped.sum(axis=1, keepdims=True)
-    s_vn = -np.sum(p * np.log(p), axis=1)
+    occupied = np.where(w > EIG_CLIP, clipped, 0.0)  # a level at or below EIG_CLIP is empty
+    p = occupied / occupied.sum(axis=1, keepdims=True)
+    s_vn = 0.0 - np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)  # a pure state reads 0, not -0
     out["s_vn"] = s_vn
     out["sigma"] = float(np.log(d)) - s_vn
     # Tr(drho/dt log rho), as the dot product of real coordinates

@@ -1,9 +1,10 @@
 """Angular-momentum matrices and the coupled |F, m_F> basis.
 
 Builds electron (S = 1/2) and nuclear (arbitrary half-integer I) spin
-operators on the product space, couples them with Clebsch-Gordan
-coefficients, and exposes everything in the hyperfine basis ordered
-F = I + 1/2 manifold first, m_F descending within each manifold.
+operators on the product space, couples them with the closed-form
+Clebsch-Gordan coefficients of I x 1/2 (the only coupling an alkali ground
+state needs: F = I +- 1/2), and exposes everything in the hyperfine basis
+ordered F = I + 1/2 manifold first, m_F descending within each manifold.
 """
 
 from __future__ import annotations
@@ -52,17 +53,17 @@ def build_spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def clebsch_gordan(
-    i_spin: float, s_spin: float, f_total: float, m_f: float, m_i: float, m_s: float
-) -> float:
-    """Clebsch-Gordan coefficient <i m_i; s m_s | f m_f> (Racah closed form).
+def clebsch_gordan(i_spin: float, f_total: float, m_f: float, m_i: float, m_s: float) -> float:
+    """Clebsch-Gordan coefficient <I m_I; 1/2 m_s | F m_F> of a nuclear spin I and the electron.
 
+    Closed form for coupling to spin 1/2 (Condon-Shortley phases):
+    <I m_I; 1/2 m_s | I + 1/2, m_F> = sqrt((I + 2 m_s m_F + 1/2) / (2I + 1)) and
+    <I m_I; 1/2 m_s | I - 1/2, m_F> = -2 m_s sqrt((I - 2 m_s m_F + 1/2) / (2I + 1)).
     Returns 0.0 (rather than raising) whenever a selection rule is violated:
-    m_f != m_i + m_s, f outside the triangle |i-s|..i+s, or |m| > j for any
-    of the three pairs.  Non-half-integer inputs raise ValueError.
+    m_F != m_I + m_s, |m| > j for any of the three pairs, or F != I +- 1/2.
+    Non-half-integer inputs raise ValueError.
     """
     t_i = _two_j(i_spin, "I")
-    t_s = _two_j(s_spin, "S")
     t_f = _two_j(f_total, "F")
     t_mi = round(2.0 * m_i)
     t_ms = round(2.0 * m_s)
@@ -70,53 +71,14 @@ def clebsch_gordan(
     for t_m, val, name in ((t_mi, m_i, "m_I"), (t_ms, m_s, "m_S"), (t_mf, m_f, "m_F")):
         if abs(2.0 * val - t_m) > 1e-9:
             raise ValueError(f"{name} must be a half-integer, got {val}")
-    # selection rules
-    if t_mi + t_ms != t_mf:
+    if t_mi + t_ms != t_mf or abs(t_ms) != 1 or abs(t_mi) > t_i or abs(t_mf) > t_f:
         return 0.0
-    if abs(t_mi) > t_i or abs(t_ms) > t_s or abs(t_mf) > t_f:
-        return 0.0
-    if (t_i - t_mi) % 2 or (t_s - t_ms) % 2 or (t_f - t_mf) % 2:
-        return 0.0  # m must differ from j by an integer
-    if not (abs(t_i - t_s) <= t_f <= t_i + t_s) or (t_i + t_s - t_f) % 2:
-        return 0.0
-
-    def fact(two_n: int) -> int:
-        # factorial of an integer given in doubled notation
-        if two_n % 2:
-            raise ValueError("internal: non-integer factorial argument")
-        n = two_n // 2
-        if n < 0:
-            raise ValueError("internal: negative factorial argument")
-        return math.factorial(n)
-
-    # triangle coefficient and m-dependent prefactor
-    pref = (
-        (t_f + 1)
-        * fact(t_i + t_s - t_f)
-        * fact(t_i - t_s + t_f)
-        * fact(-t_i + t_s + t_f)
-        / fact(t_i + t_s + t_f + 2)
-        * fact(t_f + t_mf)
-        * fact(t_f - t_mf)
-        * fact(t_i + t_mi)
-        * fact(t_i - t_mi)
-        * fact(t_s + t_ms)
-        * fact(t_s - t_ms)
-    )
-    k_min = max(0, t_s - t_f - t_mi, t_i - t_f + t_ms) // 2
-    k_max = min(t_i + t_s - t_f, t_i - t_mi, t_s + t_ms) // 2
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        term = (
-            fact(2 * k)
-            * fact(t_i + t_s - t_f - 2 * k)
-            * fact(t_i - t_mi - 2 * k)
-            * fact(t_s + t_ms - 2 * k)
-            * fact(t_f - t_s + t_mi + 2 * k)
-            * fact(t_f - t_i - t_ms + 2 * k)
-        )
-        total += (-1.0) ** k / term
-    return math.sqrt(pref) * total
+    if (t_i - t_mi) % 2 or abs(t_f - t_i) != 1:
+        return 0.0  # m_I must differ from I by an integer, and F = I +- 1/2
+    sign = 1 if t_f > t_i else -1
+    # in doubled notation: 2I + 1 = t_i + 1 and 2 m_s m_F = t_ms t_mf / 2
+    root = math.sqrt((t_i + 1 + sign * t_ms * t_mf) / (2 * (t_i + 1)))
+    return root if sign > 0 else -t_ms * root
 
 
 @dataclass(frozen=True)
@@ -177,7 +139,7 @@ def build_coupled_operators(nuclear_spin: float = 1.5) -> SpinOperatorSet:
     u = np.zeros((dim, dim), dtype=complex)
     for row, (f, mf) in enumerate(labels):
         for col, (mi, ms) in enumerate(unc_labels):
-            u[row, col] = clebsch_gordan(nuclear_spin, 0.5, f, mf, mi, ms)
+            u[row, col] = clebsch_gordan(nuclear_spin, f, mf, mi, ms)
 
     def to_coupled(x: np.ndarray) -> np.ndarray:
         return u @ x @ u.conj().T

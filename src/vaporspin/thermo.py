@@ -36,21 +36,22 @@ ENERGY_FLOOR = 1e-12
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues clipped into (0, 1] and renormalized to sum to 1.
+    """The occupied eigenvalues, capped at 1 and renormalized to sum to 1.
 
-    Small negative eigenvalues from roundoff would otherwise poison the
-    logarithms; clipping at 1e-15 and renormalizing keeps entropies finite
-    and changes them by O(d * 1e-15) at most.
+    A level at or below ``EIG_CLIP`` counts as empty and is left out, so
+    roundoff eigenvalues (small or negative) do not poison the logarithms,
+    and a pure state has entropy exactly 0.  This changes entropies by
+    O(d * 1e-15) at most.
     """
     w = np.linalg.eigvalsh(rho)
-    w = np.clip(w.real, EIG_CLIP, 1.0)
+    w = np.minimum(w[w > EIG_CLIP], 1.0)
     return w / w.sum()
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr[rho ln rho] in nats."""
     w = _spectrum(rho)
-    return float(-np.dot(w, np.log(w)))
+    return float(0.0 - np.dot(w, np.log(w)))  # 0.0 - x, so a pure state reads 0, not -0
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -97,17 +98,14 @@ def production_rate_floor(spectra: np.ndarray, params, ops: SpinOperatorSet) -> 
     return spectra.shape[-1] * np.finfo(float).eps * rate * norms
 
 
-def entropy_production_rate(
-    rho: np.ndarray, params, ops: SpinOperatorSet, drho_dt: np.ndarray | None = None
-) -> float:
+def entropy_production_rate(rho: np.ndarray, params, ops: SpinOperatorSet) -> float:
     """d(Sigma)/dt = Tr[drho/dt * ln rho] evaluated from the equation of motion.
 
     Because Tr[drho/dt] = 0, any constant shift of ln rho (including the
     normalization of the clipped spectrum) drops out exactly.  A rate below
     :func:`production_rate_floor` is returned as exactly 0.
     """
-    if drho_dt is None:
-        drho_dt = master_rhs(rho, params, ops)
+    drho_dt = master_rhs(rho, params, ops)
     w, u = np.linalg.eigh(rho)
     w = np.clip(w.real, EIG_CLIP, 1.0)
     log_rho = (u * np.log(w)) @ u.conj().T

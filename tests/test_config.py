@@ -100,6 +100,13 @@ class TestValidate:
         with pytest.raises(ConfigError, match="nuclear_spin"):
             RunConfig(nuclear_spin=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_nuclear_spin_is_a_config_error(self, value):
+        # the library path has no _coerce in front of validate to reject it first
+        with pytest.raises(ConfigError, match="nuclear_spin") as err:
+            RunConfig(nuclear_spin=value).validate()
+        assert err.value.key == "nuclear_spin"
+
     def test_rate_and_grid_ranges(self):
         with pytest.raises(ConfigError, match="r_op_over_gamma_se"):
             RunConfig(r_op_over_gamma_se=-0.5).validate()

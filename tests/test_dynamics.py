@@ -175,6 +175,11 @@ class TestPumpParams:
         with pytest.raises(ValueError, match="magnitude"):
             params(s=(1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("s", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+    def test_rejects_non_finite_photon_spin(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            params(s=s)
+
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             PumpParams(r_op=-1.0, s=(0, 0, 0), gamma_se=G, gamma_sd=0, a_hfs=1)

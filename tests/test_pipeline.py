@@ -369,6 +369,12 @@ class TestFullPolarization:
         assert (row["beta_fit"], row["beta_fit_residual"]) == ("inf", "0")
         assert (row["ness_iterations"], row["ness_converged"]) == ("1", "true")
         assert row["s_along_pump"] == row["s_along_pump_predicted"] == "0.5"
+        # a pure state: its levels at or below EIG_CLIP are empty, so S = 0 (not -0) and Sigma = ln 8
+        assert (row["s_vn"], row["sigma"]) == ("0", f"{math.log(8):.12g}")
+        ops, _, params = build_simulation(cfg)
+        rho, _ = solve_steady_state(params, ops)
+        s_vn = thermo.von_neumann_entropy(rho)
+        assert (s_vn, math.copysign(1.0, s_vn), thermo.entropy_production(rho)) == (0.0, 1.0, math.log(8))
 
 
 class TestPumpAxisRelabelling:

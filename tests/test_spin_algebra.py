@@ -43,46 +43,75 @@ def test_spin_matrices_reject_bad_j():
 
 class TestClebschGordan:
     def test_stretched_state(self):
-        assert clebsch_gordan(1.5, 0.5, 2, 2, 1.5, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert clebsch_gordan(1.5, 2, 2, 1.5, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_known_values_f2(self):
         # |2,1> = sqrt(3)/2 |1/2, up> + 1/2 |3/2, down>
-        assert clebsch_gordan(1.5, 0.5, 2, 1, 0.5, 0.5) == pytest.approx(SQ3 / 2, abs=1e-14)
-        assert clebsch_gordan(1.5, 0.5, 2, 1, 1.5, -0.5) == pytest.approx(0.5, abs=1e-14)
+        assert clebsch_gordan(1.5, 2, 1, 0.5, 0.5) == pytest.approx(SQ3 / 2, abs=1e-14)
+        assert clebsch_gordan(1.5, 2, 1, 1.5, -0.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_known_values_f1_sign_convention(self):
         # lower-F multiplet carries the Condon-Shortley minus on the m_s=+1/2 leg
-        assert clebsch_gordan(1.5, 0.5, 1, 1, 0.5, 0.5) == pytest.approx(-0.5, abs=1e-14)
-        assert clebsch_gordan(1.5, 0.5, 1, 1, 1.5, -0.5) == pytest.approx(SQ3 / 2, abs=1e-14)
+        assert clebsch_gordan(1.5, 1, 1, 0.5, 0.5) == pytest.approx(-0.5, abs=1e-14)
+        assert clebsch_gordan(1.5, 1, 1, 1.5, -0.5) == pytest.approx(SQ3 / 2, abs=1e-14)
 
     def test_rows_normalized(self):
         for f in (1, 2):
             for m in range(-f, f + 1):
                 total = sum(
-                    clebsch_gordan(1.5, 0.5, f, m, mi / 2, ms / 2) ** 2
+                    clebsch_gordan(1.5, f, m, mi / 2, ms / 2) ** 2
                     for mi in (-3, -1, 1, 3)
                     for ms in (-1, 1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_selection_rules(self):
-        assert clebsch_gordan(1.5, 0.5, 2, 2, 0.5, 0.5) == 0.0  # m mismatch
-        assert clebsch_gordan(1.5, 0.5, 2, 3, 1.5, 0.5) == 0.0  # |m| > f is unreachable
-        assert clebsch_gordan(1.5, 0.5, 3, 0, 0.5, -0.5) == 0.0  # triangle violation
+        assert clebsch_gordan(1.5, 2, 2, 0.5, 0.5) == 0.0  # m mismatch
+        assert clebsch_gordan(1.5, 2, 3, 1.5, 0.5) == 0.0  # |m| > f is unreachable
+        assert clebsch_gordan(1.5, 3, 0, 0.5, -0.5) == 0.0  # F is not I +- 1/2
 
     def test_invalid_spins_raise(self):
         with pytest.raises(ValueError):
-            clebsch_gordan(1.3, 0.5, 2, 1, 0.5, 0.5)
+            clebsch_gordan(1.3, 2, 1, 0.5, 0.5)
         with pytest.raises(ValueError):
-            clebsch_gordan(1.5, 0.5, 2, 1, 0.3, 0.5)
+            clebsch_gordan(1.5, 2, 1, 0.3, 0.5)
         with pytest.raises(ValueError):
-            clebsch_gordan(1.5, 0.5, 0.75, 0.25, 0.5, -0.25)  # quarter-integer F
+            clebsch_gordan(1.5, 0.75, 0.25, 0.5, -0.25)  # quarter-integer F
 
     def test_spin_one_coupling(self):
         # 1 x 1/2: <1 1; 1/2 -1/2 | 3/2 1/2> = sqrt(1/3)
-        assert clebsch_gordan(1, 0.5, 1.5, 0.5, 1, -0.5) == pytest.approx(
+        assert clebsch_gordan(1, 1.5, 0.5, 1, -0.5) == pytest.approx(
             math.sqrt(1 / 3), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("nuclear_spin", [k / 2 for k in range(1, 10)])
+def test_coupled_basis_is_the_angular_momentum_basis(nuclear_spin):
+    # checks of the coupled basis that do not use the coefficients' formula:
+    # U is unitary, F_z and F^2 are diagonal with m_F and F(F + 1), F_+ has
+    # real non-negative elements (Condon-Shortley), and |I + 1/2, I + 1/2> is
+    # the stretched product state, <S_z> = 1/2
+    ops = build_coupled_operators(nuclear_spin)
+    f, m_f = np.array(ops.labels).T
+    assert np.allclose(ops.u @ ops.u.conj().T, np.eye(ops.dim), rtol=0, atol=1e-13)
+    assert np.allclose(ops.f_ops[2], np.diag(m_f), rtol=0, atol=1e-13)
+    assert np.allclose(sum(g @ g for g in ops.f_ops), np.diag(f * (f + 1)), rtol=0, atol=1e-12)
+    f_plus = ops.f_ops[0] + 1j * ops.f_ops[1]
+    assert np.all(f_plus.real > -1e-13) and np.allclose(f_plus.imag, 0.0, rtol=0, atol=1e-13)
+    assert ops.s_ops[2][0, 0].real == pytest.approx(0.5, abs=1e-14)
+
+
+def test_five_halves_coefficients():
+    # |3, 2> = sqrt(5/6) |3/2, up> + sqrt(1/6) |5/2, down> and
+    # |2, 2> = -sqrt(1/6) |3/2, up> + sqrt(5/6) |5/2, down>; U's columns
+    # run over (m_I, m_S) with m_I descending, m_S = +1/2 first
+    ops = build_coupled_operators(2.5)
+    f3, f2 = ops.labels.index((3.0, 2.0)), ops.labels.index((2.0, 2.0))
+    up, down = 2, 1  # (m_I, m_S) = (3/2, +1/2) and (5/2, -1/2)
+    assert ops.u[f3, up].real == pytest.approx(math.sqrt(5 / 6), abs=1e-15)
+    assert ops.u[f3, down].real == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
+    assert ops.u[f2, up].real == pytest.approx(-math.sqrt(1 / 6), abs=1e-15)
+    assert ops.u[f2, down].real == pytest.approx(math.sqrt(5 / 6), abs=1e-15)
 
 
 @pytest.fixture(scope="module")
