@@ -72,6 +72,8 @@ class CellConfig:
     include_wall: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.include_wall, bool):
+            raise CellInputError("include_wall", f"include_wall must be a boolean, got {self.include_wall!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):

@@ -101,6 +101,10 @@ class RunConfig:
             raise ConfigError(f"pump_axis must be one of {PUMP_AXES}, got {self.pump_axis!r}", "pump_axis")
         if not 0.0 <= self.s_magnitude <= 1.0:
             raise ConfigError(f"s_magnitude must be in [0, 1], got {self.s_magnitude}", "s_magnitude")
+        if isinstance(self.sample_every, bool) or not isinstance(self.sample_every, int) or self.sample_every < 1:
+            raise ConfigError(f"sample_every must be an integer >= 1, got {self.sample_every!r}", "sample_every")
+        if not isinstance(self.stop_at_steady, bool):
+            raise ConfigError(f"stop_at_steady must be a boolean, got {self.stop_at_steady!r}", "stop_at_steady")
         for key in FINITE_RUN_CONTROLS:
             value = getattr(self, key)
             if not math.isfinite(value):
@@ -110,7 +114,6 @@ class RunConfig:
             ("a_hfs_over_gamma_se", self.a_hfs_over_gamma_se <= 0.0, "> 0"),
             ("t_end_over_t_se", self.t_end_over_t_se <= 0.0, "> 0"),
             ("dt_steps_per_rate", self.dt_steps_per_rate < 1.0, ">= 1"),
-            ("sample_every", self.sample_every < 1, ">= 1"),
             ("steady_tol", self.steady_tol <= 0.0, "> 0"),
         ):
             if bad:

@@ -22,17 +22,17 @@ i(|i><j| - |j><i|)/sqrt 2 for i < j).  So ||rho||_F = ||x||,
 Tr(AB) = x_A . x_B, and every state stepped is Hermitian by construction;
 :func:`to_coordinates` and :func:`from_coordinates` convert.
 
-:func:`integrate_block` (and :func:`integrate`, its one-column form) steps
-each column in its pump frame (:func:`pump_frame`), where s lies along z.
-H0 and the collision terms are invariant under rotations, so there the
-column is the z-pumped run with the same |s|, and the projection of F on
-the pump axis is conserved (Happer, Rev. Mod. Phys. 44, 169 (1972)).  From
-the maximally mixed state only the Delta m_F = 0 coordinates ever move, 14
-of 64 for I = 3/2 and 22 of 144 for I = 5/2, and the block steps only the
-coordinates that its start can reach (:func:`reachable_coordinates`,
-:meth:`MasterSuperops.restrict`); a start that is not symmetric about the
-pump axis keeps all d^2.  Each stored sample is turned back to the lab
-frame, so trajectories hold lab-frame states.  The stepper is
+:func:`integrate_block` (and :func:`integrate`, its one-column form) starts
+every run from the maximally mixed state, the thermal state of the vapor at
+kT >> A, and steps each column in its pump frame (:func:`pump_frame`), where
+s lies along z.  H0 and the collision terms are invariant under rotations,
+so there the column is the z-pumped run with the same |s|, and the
+projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
+169 (1972)).  The mixed state is the same in every frame, and from it only
+the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
+I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone
+(:meth:`MasterSuperops.restrict`).  Each stored sample is turned back to
+the lab frame, so trajectories hold lab-frame states.  The stepper is
 Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
 sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the real
 coordinates; each column of a block keeps its own step and clock.
@@ -74,7 +74,7 @@ __all__ = [
     "build_superops",
     "block_rhs",
     "pump_frame",
-    "reachable_coordinates",
+    "pump_sector",
     "default_dt",
     "sampling_plan",
     "integrate",
@@ -95,9 +95,6 @@ NEWTON_MAX_ITER = 80
 STRETCHED_TOL = 1e-12
 # queued samples per stacked sample pass; the result does not depend on it
 SAMPLE_CHUNK = 64
-# coordinates of a start turned into its pump frame that are below this
-# fraction of its norm are the rounding of the turn, and are set to 0
-FRAME_ROUNDING = 1e-14
 
 # error control of the adaptive stepper, on the real coordinates of rho
 RTOL = 1e-10
@@ -501,32 +498,21 @@ def build_superops(
     return MasterSuperops(reduce=reduce, expand=expand)
 
 
-def reachable_coordinates(sup: MasterSuperops, x0: np.ndarray) -> np.ndarray:
-    """The coordinates, in order, that runs of ``sup`` from the states ``x0`` can make nonzero.
+def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
+    """The coordinates, in order, that a pump-frame run from the maximally mixed state can make nonzero.
 
-    ``x0`` is one row of full coordinates, or one per column.  A fixed point
-    over the exact-zero pattern of the factors, seeded with the nonzero
-    coordinates of ``x0`` and the d diagonal ones: a reached coordinate feeds
-    the nuclear coordinates and spin components where its row of ``reduce``
-    is nonzero, and reaches each coordinate where its row of the linear part
-    of ``expand``, or the row of a fed (spin, nuclear) pair, is nonzero in any
-    column.  The right-hand side of a state that vanishes off the result
-    vanishes there too, so ``sup.restrict`` of it is exact along the run.
+    The d populations, then the real and then the imaginary coordinates of
+    the coherence between each pair of levels with equal m_F: d + 4I
+    coordinates.  A z pump conserves F_z, so from a state diagonal in m_F
+    no coherence with Delta m_F != 0 ever grows; on states that vanish off
+    the sector the right-hand side vanishes there too, so ``restrict`` of
+    it is exact along the run.
     """
-    d2 = sup.expand.shape[2]
-    m2 = sup.reduce.shape[1] - sup.spin_columns
-    linear = (sup.expand[:, :d2] != 0).any(axis=0)
-    pairs = (sup.expand[:, d2:] != 0).any(axis=0).reshape(sup.spin_columns, m2, d2)
-    feeds = sup.reduce != 0
-    reached = (np.atleast_2d(x0) != 0).any(axis=0)
-    reached[: math.isqrt(d2)] = True
-    while True:
-        fed = feeds[reached].any(axis=0)
-        grown = reached | linear[reached].any(axis=0)
-        grown |= pairs[fed[m2:]][:, fed[:m2]].any(axis=(0, 1))
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    d = ops.dim
+    i, j = _pairs(d)
+    m_f = np.array([m for _, m in ops.labels])
+    equal = np.flatnonzero(m_f[i] == m_f[j])
+    return np.concatenate([np.arange(d), d + equal, d + i.size + equal])
 
 
 def pump_frame(ops: SpinOperatorSet, s: Sequence[float]) -> np.ndarray:
@@ -631,21 +617,7 @@ class Trajectory:
         return len(self.times)
 
 
-def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state must be ({dim}, {dim}), got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError(f"state trace must be 1, got {np.trace(rho)}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("state must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError("state must be positive semidefinite")
-    return rho
-
-
 def integrate(
-    rho0: np.ndarray,
     params: PumpParams,
     ops: SpinOperatorSet,
     t_end: float,
@@ -656,7 +628,7 @@ def integrate(
     steady_tol: float = 1e-7,
     fixed_step: bool = False,
 ) -> Trajectory:
-    """Propagate rho0 and sample it every ``sample_every * dt`` (plus the end).
+    """Propagate the maximally mixed state and sample it every ``sample_every * dt`` (plus the end).
 
     The stepper is DOP853 under error control (``RTOL``, ``ATOL``), sampled
     through its dense output; ``fixed_step`` selects classical RK4 with step
@@ -668,13 +640,12 @@ def integrate(
     ends there.  This is :func:`integrate_block` with one column.
     """
     return integrate_block(
-        rho0, [params], ops, t_end, dt, sample_every,
+        [params], ops, t_end, dt, sample_every,
         stop_at_steady=stop_at_steady, steady_tol=steady_tol, fixed_step=fixed_step,
     )[0]
 
 
 def integrate_block(
-    rho0: np.ndarray,
     params_seq: Sequence[PumpParams],
     ops: SpinOperatorSet,
     t_end: float,
@@ -687,16 +658,15 @@ def integrate_block(
 ) -> list[Trajectory]:
     """:func:`integrate` for B parameter sets at once, one column each.
 
-    Every column starts from ``rho0`` and is sampled on the same grid; ``dt``
-    defaults to the smallest :func:`default_dt` of the block, and under
-    ``fixed_step`` every column steps with RK4 at ``dt``.  Each column keeps
-    its own step size, clock, guards, steady index and, under
-    ``stop_at_steady``, its own stop.  Each column steps in its pump frame,
-    on the coordinates that the block can reach from ``rho0``, so a returned
-    trajectory equals the standalone run of its parameters bit for bit when
-    both reach the same coordinates, as every run from the maximally mixed
-    state at nonzero A and decay does.  A guard failure raises
-    :class:`PhysicsViolationError` with ``column`` set to the offending index.
+    Every column starts from the maximally mixed state and is sampled on the
+    same grid; ``dt`` defaults to the smallest :func:`default_dt` of the
+    block, and under ``fixed_step`` every column steps with RK4 at ``dt``.
+    Each column keeps its own step size, clock, guards, steady index and,
+    under ``stop_at_steady``, its own stop.  Each column steps in its pump
+    frame, on the coordinates of :func:`pump_sector`, so a returned
+    trajectory equals the standalone run of its parameters bit for bit.  A
+    guard failure raises :class:`PhysicsViolationError` with ``column`` set
+    to the offending index.
     """
     params_seq = list(params_seq)
     if dt is None:
@@ -705,8 +675,6 @@ def integrate_block(
         raise ValueError("dt and t_end must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    d = ops.dim
-    rho0 = _validate_state(rho0, d)
 
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
@@ -714,12 +682,11 @@ def integrate_block(
     frames = np.stack([pump_frame(ops, p.s) for p in params_seq])
     in_frame = [p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
                 for p in params_seq]
-    x = to_coordinates(frames.conj().swapaxes(1, 2) @ rho0 @ frames)
-    x[np.abs(x) <= FRAME_ROUNDING * np.linalg.norm(x, axis=1, keepdims=True)] = 0.0
-    sup = build_superops(in_frame, ops)
-    reached = reachable_coordinates(sup, x)
-    sup, x = sup.restrict(reached), x[:, reached]
-    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady, reached, frames)
+    sector = pump_sector(ops)
+    sup = build_superops(in_frame, ops).restrict(sector)
+    # the maximally mixed state is the same in every frame
+    x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
+    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady, sector, frames)
     if fixed_step:
         _rk4(samples, x, sup, dt, sample_every, n_steps)
     else:
@@ -760,7 +727,7 @@ class _Samples:
     :func:`block_rhs` call over all of them, on ``sup.take`` of their
     columns), the residual norms, steady detection, the guards, and the
     store.  The stepper's states are the pump-frame coordinates
-    ``reached``; the pass lifts them to all d^2 coordinates, guards them,
+    ``sector``; the pass lifts them to all d^2 coordinates, guards them,
     and stores each turned back by its column's ``frames``.
 
     Each column's results, stop and failure are those of checking every
@@ -772,10 +739,10 @@ class _Samples:
     """
 
     def __init__(self, times: np.ndarray, params_seq: list[PumpParams], sup: MasterSuperops,
-                 steady_tol: float, stop_at_steady: bool, reached: np.ndarray, frames: np.ndarray):
+                 steady_tol: float, stop_at_steady: bool, sector: np.ndarray, frames: np.ndarray):
         b, n = len(params_seq), sup.expand.shape[2]
         self.d = frames.shape[1]
-        self.reached, self.frames = reached, frames
+        self.sector, self.frames = sector, frames
         self.turned = ~(frames == np.eye(self.d)).all(axis=(1, 2))
         self.times = times
         self.stop_at_steady = stop_at_steady
@@ -872,11 +839,11 @@ class _Samples:
         finite = np.isfinite(x).all(axis=1)
         x = np.where(finite[:, None], x, 0.0)
         full = np.zeros((len(x), self.d**2))
-        full[:, self.reached] = x
+        full[:, self.sector] = x
         rho = from_coordinates(full)  # in the pump frame
         # stacked matmuls sum each row in the same order whatever the number
-        # of rows; a reduction along axis 1 need not.  The reached
-        # coordinates start with the d diagonal ones.
+        # of rows; a reduction along axis 1 need not.  The sector starts
+        # with the d diagonal coordinates.
         trace_drift = np.abs(np.matmul(x[:, None, : self.d], self._ones)[:, 0, 0] - 1.0)
         eig_min = np.linalg.eigvalsh(rho).min(axis=1)
         failed = ~finite | (trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR)
@@ -973,7 +940,7 @@ def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, fl
     """
     times = samples.times
     t_final = times[-1]
-    # the error is an RMS over all d^2 coordinates, of which the unreached ones are 0
+    # the error is an RMS over all d^2 coordinates, of which those off the sector are 0
     rms_over_d2 = math.sqrt(x.shape[1] / samples.d**2)
     live = np.arange(len(x))
     f = block_rhs(x, sup)

@@ -73,9 +73,6 @@ BLOCK_KEYS = ("nuclear_spin", "t_end_s", "sample_every", "stop_at_steady", "stea
 
 
 def format_value(value) -> str:
-    # floats are nearly every cell written, so they skip the isinstance chain
-    if type(value) is float or type(value) is np.float64:
-        return f"{float(value):.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -150,7 +147,7 @@ def integrate_runs(
     dt = min(default_dt(p, steps_per_rate=c.dt_steps_per_rate) for c, (_, _, p) in zip(cfgs, sims))
     t_end = trajectory_horizon(cfg, params, ops, dt, columns=len(cfgs))
     trajs = integrate_block(
-        ops.maximally_mixed(), [p for _, _, p in sims], ops, t_end=t_end, dt=dt,
+        [p for _, _, p in sims], ops, t_end=t_end, dt=dt,
         sample_every=cfg.sample_every, stop_at_steady=cfg.stop_at_steady, steady_tol=cfg.steady_tol,
         fixed_step=fixed_step,
     )
@@ -238,7 +235,7 @@ def _observable_block(
     p = occupied / occupied.sum(axis=1, keepdims=True)
     s_vn = 0.0 - np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)  # a pure state reads 0, not -0
     out["s_vn"] = s_vn
-    out["sigma"] = float(np.log(d)) - s_vn
+    out["sigma"] = np.maximum(np.log(d) - s_vn, 0.0)  # D(rho || 1/d) >= 0; roundoff reads 0
     # Tr(drho/dt log rho), as the dot product of real coordinates
     drho = block_rhs(x, sup)
     rate = np.einsum("ni,ni->n", drho, to_coordinates(log_rho))

@@ -78,10 +78,11 @@ def entropy_production(rho: np.ndarray) -> float:
     """Total entropy produced since the maximally mixed state.
 
     For a unital-reference process with the fully mixed state as the zero
-    point this is the relative entropy D(rho || 1/d) = ln d - S(rho).
+    point this is the relative entropy D(rho || 1/d) = ln d - S(rho) >= 0,
+    so a roundoff below 0 reads 0.
     """
     d = rho.shape[0]
-    return float(np.log(d)) - von_neumann_entropy(rho)
+    return max(float(np.log(d)) - von_neumann_entropy(rho), 0.0)
 
 
 def production_rate_floor(spectra: np.ndarray, params, ops: SpinOperatorSet) -> np.ndarray:

@@ -88,9 +88,7 @@ def test_c03_unpolarized_fixed_point(capsys, ops8, make_params):
     with criterion(capsys, 3, "unpolarized fixed point") as info:
         p = make_params(s=0.0)
         t0 = time.perf_counter()
-        traj = integrate(
-            ops8.maximally_mixed(), p, ops8, t_end=10.0 * p.t_se, sample_every=10
-        )
+        traj = integrate(p, ops8, t_end=10.0 * p.t_se, sample_every=10)
         elapsed = time.perf_counter() - t0
         drift = float(np.linalg.norm(traj.states[-1] - ops8.maximally_mixed()))
         assert drift < 1e-8
@@ -108,11 +106,9 @@ def test_c04_conservation_suite(capsys, ops8, make_params, default_run):
         # transient, and the error-controlled stepper against its fine end
         p = make_params(s=0.5)
         kwargs = dict(t_end=10.0 * p.t_se, sample_every=10**9)
-        coarse = integrate(ops8.maximally_mixed(), p, ops8, fixed_step=True, **kwargs)
-        fine = integrate(
-            ops8.maximally_mixed(), p, ops8, dt=coarse.dt / 2.0, fixed_step=True, **kwargs
-        )
-        adaptive = integrate(ops8.maximally_mixed(), p, ops8, **kwargs)
+        coarse = integrate(p, ops8, fixed_step=True, **kwargs)
+        fine = integrate(p, ops8, dt=coarse.dt / 2.0, fixed_step=True, **kwargs)
+        adaptive = integrate(p, ops8, **kwargs)
         guards_ok(coarse)
         guards_ok(fine)
         guards_ok(adaptive)
@@ -217,9 +213,7 @@ def test_c08_irreversibility_shape(capsys, ops8, make_params, default_run):
         assert abs(rate[-1]) < 1e-6 * params.gamma_se
 
         # analytic rate against a finite-difference oracle at full sampling
-        fd_traj = integrate(
-            mixed, params, ops8, t_end=6.0 * params.t_se, sample_every=1, fixed_step=True
-        )
+        fd_traj = integrate(params, ops8, t_end=6.0 * params.t_se, sample_every=1, fixed_step=True)
         guards_ok(fd_traj)
         fd_sigma = np.array([entropy_production(r) for r in fd_traj.states])
         fd_rate = np.array(

@@ -130,6 +130,7 @@ def test_no_buffer_gas_is_an_error():
     ("d0_n2_cm2_s", math.nan),
     ("sigma_sd_rbhe", -1e-24),
     ("d_temp_exponent", math.inf),
+    ("include_wall", "no"),
 ])
 def test_bad_cell_input_rejected_at_construction(key, value):
     with pytest.raises(CellInputError, match=key) as exc:

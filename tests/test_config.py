@@ -121,6 +121,23 @@ class TestValidate:
         with pytest.raises(ConfigError, match="steady_tol"):
             RunConfig(steady_tol=0.0).validate()
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, True])
+    def test_sample_every_must_be_an_integer(self, value):
+        # the library path has no _coerce in front of validate to reject it first
+        with pytest.raises(ConfigError, match="sample_every") as err:
+            RunConfig(sample_every=value).validate()
+        assert err.value.key == "sample_every"
+
+    def test_stop_at_steady_must_be_a_boolean(self):
+        with pytest.raises(ConfigError, match="stop_at_steady") as err:
+            RunConfig(stop_at_steady="no").validate()
+        assert err.value.key == "stop_at_steady"
+
+    def test_include_wall_must_be_a_boolean(self):
+        with pytest.raises(ConfigError, match="include_wall") as err:
+            RunConfig(include_wall="no").validate()
+        assert err.value.key == "include_wall"
+
     @pytest.mark.parametrize(
         "key, value",
         [

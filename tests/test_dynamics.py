@@ -19,7 +19,7 @@ from vaporspin.dynamics import (
     master_rhs,
     nuclear_part,
     pump_frame,
-    reachable_coordinates,
+    pump_sector,
     solve_steady_state,
     spin_temperature_state,
     to_coordinates,
@@ -211,7 +211,7 @@ class TestDefaultDt:
 class TestIntegrate:
     def test_sampling_grid(self, ops):
         p = params()
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.02, sample_every=10)
+        traj = integrate(p, ops, t_end=0.02, sample_every=10)
         assert traj.times[0] == 0.0
         dt = traj.dt
         assert np.allclose(np.diff(traj.times)[:-1], 10 * dt)
@@ -220,7 +220,7 @@ class TestIntegrate:
 
     def test_conservation_along_z_pump(self, ops):
         p = params()
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=50)
+        traj = integrate(p, ops, t_end=1.0, sample_every=50)
         assert traj.max_trace_drift < 1e-10
         assert np.array_equal(traj.states, traj.states.conj().swapaxes(1, 2))
         assert traj.min_eigenvalue > -1e-12
@@ -228,13 +228,13 @@ class TestIntegrate:
     def test_z_pump_preserves_axial_symmetry(self, ops):
         p = params()
         fz = ops.f_ops[2]
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=100)
+        traj = integrate(p, ops, t_end=1.0, sample_every=100)
         worst = max(np.max(np.abs(r @ fz - fz @ r)) for r in traj.states)
         assert worst < 1e-10
 
     def test_x_pump_polarizes_along_x(self, ops):
         p = params(s=(0.5, 0, 0))
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=3.0, sample_every=200)
+        traj = integrate(p, ops, t_end=3.0, sample_every=200)
         fx = np.trace(ops.f_ops[0] @ traj.states[-1]).real
         fz = np.trace(ops.f_ops[2] @ traj.states[-1]).real
         assert fx > 0.3
@@ -242,25 +242,23 @@ class TestIntegrate:
 
     def test_stationary_start_stops_immediately(self, ops):
         p = params(s=(0, 0, 0))
-        traj = integrate(
-            ops.maximally_mixed(), p, ops, t_end=5.0, stop_at_steady=True, steady_tol=1e-9
-        )
+        traj = integrate(p, ops, t_end=5.0, stop_at_steady=True, steady_tol=1e-9)
         assert traj.reached_steady
         assert traj.steady_index == 0
         assert len(traj) == 1
 
     def test_detect_steady_state(self, ops):
         p = params()
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50, steady_tol=1e-9)
+        traj = integrate(p, ops, t_end=0.5, sample_every=50, steady_tol=1e-9)
         assert not traj.reached_steady and traj.steady_index is None
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=0.5, sample_every=50, steady_tol=1e9)
+        traj = integrate(p, ops, t_end=0.5, sample_every=50, steady_tol=1e9)
         assert traj.reached_steady and traj.steady_index == 0
 
     def test_stop_keeps_no_sample_past_the_steady_one(self, ops):
         # at sample_every = 1 a step holds about 19 samples, so the steady
         # sample lies inside one, with later samples of the same step
         p = params(r_op=0.25)
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=2.0, sample_every=1,
+        traj = integrate(p, ops, t_end=2.0, sample_every=1,
                          stop_at_steady=True, steady_tol=0.03)
         assert traj.reached_steady and traj.steady_index == len(traj) - 1
         assert traj.rhs_norms[-1] < 0.03 * G <= traj.rhs_norms[:-1].min()
@@ -269,7 +267,7 @@ class TestIntegrate:
         p = params()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PhysicsViolationError):
-                integrate(ops.maximally_mixed(), p, ops, t_end=1.0, dt=3.0 / p.a_hfs,
+                integrate(p, ops, t_end=1.0, dt=3.0 / p.a_hfs,
                           sample_every=10, fixed_step=True)
 
     def test_block_guard_names_the_column_that_broke(self, ops):
@@ -279,10 +277,10 @@ class TestIntegrate:
         kwargs = dict(t_end=1.0, dt=dt, sample_every=10, fixed_step=True)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PhysicsViolationError) as caught:
-                integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+                integrate_block(block, ops, **kwargs)
         assert caught.value.column == 1
         for p in (block[0], block[2]):
-            integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            integrate(p, ops, **kwargs)
 
     @pytest.mark.parametrize("gamma_sd, reason", [(1e9, "below the floor"),
                                                   (1e300, "error estimate became non-finite")])
@@ -292,7 +290,7 @@ class TestIntegrate:
         block = [params(), params(gamma_sd=gamma_sd), params(s=(0.5, 0, 0))]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PhysicsViolationError, match=reason) as caught:
-                integrate_block(ops.maximally_mixed(), block, ops, t_end=1.0, dt=1.0 / (50.0 * 100.0 * G),
+                integrate_block(block, ops, t_end=1.0, dt=1.0 / (50.0 * 100.0 * G),
                                 sample_every=100)
         assert caught.value.column == 1
         assert caught.value.step == 0 and caught.value.t == 0.0
@@ -301,7 +299,7 @@ class TestIntegrate:
         # 1e-6 of this interval is 500 grid units; under H0 alone the mixed
         # state does not move, so the step grows tenfold per step
         p = PumpParams(r_op=0.0, s=(0, 0, 0), gamma_se=0.0, gamma_sd=0.0, a_hfs=100.0 * G)
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=1e5, sample_every=10**9)
+        traj = integrate(p, ops, t_end=1e5, sample_every=10**9)
         assert len(traj) == 2
         assert traj.steps < 20
 
@@ -310,12 +308,12 @@ class TestIntegrate:
         block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
         # at this tolerance the 0.25 G_SE column turns steady first
         kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
-        trajs = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        trajs = integrate_block(block, ops, **kwargs)
         assert len({traj.steps for traj in trajs}) == 3
         if stop_at_steady:
             assert len(trajs[0]) < len(trajs[1]) == len(trajs[2])
         for traj, p in zip(trajs, block):
-            alone = integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            alone = integrate(p, ops, **kwargs)
             for name in ("times", "states", "rhs_norms"):
                 assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
@@ -331,9 +329,9 @@ class TestIntegrate:
         block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
         kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
         monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
-        at_the_end = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        at_the_end = integrate_block(block, ops, **kwargs)
         monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
-        chunked = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        chunked = integrate_block(block, ops, **kwargs)
         if stop_at_steady:  # the 0.25 G_SE column stops first
             assert at_the_end[0].reached_steady and len(at_the_end[0]) < len(at_the_end[1])
         for a, b in zip(chunked, at_the_end):
@@ -349,16 +347,16 @@ class TestIntegrate:
         # must drop those samples unguarded, as if it had stopped at once
         p = params(r_op=0.25)
         kwargs = dict(t_end=2.0, sample_every=10, steady_tol=0.03)
-        full = integrate(ops.maximally_mixed(), p, ops, **kwargs)
-        stopped = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        full = integrate(p, ops, **kwargs)
+        stopped = integrate(p, ops, stop_at_steady=True, **kwargs)
         eig = np.linalg.eigvalsh(full.states).min(axis=1)
         k = full.steady_index + 5  # a later step than the steady sample's
         floor = 0.5 * (eig[k - 1] + eig[k])
         assert eig[:k].min() > floor > eig[k]
         monkeypatch.setattr(dynamics, "EIGENVALUE_FLOOR", floor)
         with pytest.raises(PhysicsViolationError, match="eigenvalue"):
-            integrate(ops.maximally_mixed(), p, ops, **kwargs)
-        again = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+            integrate(p, ops, **kwargs)
+        again = integrate(p, ops, stop_at_steady=True, **kwargs)
         assert again.steady_index == stopped.steady_index == len(again) - 1 < k
         for name in ("times", "states", "rhs_norms"):
             assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
@@ -371,7 +369,7 @@ class TestIntegrate:
         # found the stop; a stop found then ends the column instead
         p = params(r_op=0.25)
         kwargs = dict(t_end=2.0, sample_every=10, steady_tol=0.03)
-        stopped = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        stopped = integrate(p, ops, stop_at_steady=True, **kwargs)
         real, calls = dynamics._error_norm, []
 
         def failing_past_the_stop(w, x, x_new):
@@ -382,9 +380,9 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
         monkeypatch.setattr(dynamics, "_error_norm", failing_past_the_stop)
         with pytest.raises(PhysicsViolationError, match="non-finite"):
-            integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            integrate(p, ops, **kwargs)
         calls.clear()
-        again = integrate(ops.maximally_mixed(), p, ops, stop_at_steady=True, **kwargs)
+        again = integrate(p, ops, stop_at_steady=True, **kwargs)
         assert len(calls) > stopped.steps + 20
         for name in ("times", "states", "rhs_norms"):
             assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
@@ -403,60 +401,48 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "EIGENVALUE_FLOOR", 0.09)
         monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
         with pytest.raises(PhysicsViolationError, match="eigenvalue 8.995e-02") as caught:
-            integrate_block(ops8.maximally_mixed(), block, ops8, t_end=block[0].t_se,
+            integrate_block(block, ops8, t_end=block[0].t_se,
                             dt=default_dt(block[0]), sample_every=10)
         assert (caught.value.column, caught.value.step, caught.value.t) == (3, 127, 2.488470024236447e-05)
-
-    def test_rejects_invalid_initial_state(self, ops):
-        p = params()
-        bad_trace = np.eye(8, dtype=complex) / 4.0
-        with pytest.raises(ValueError, match="trace"):
-            integrate(bad_trace, p, ops, t_end=1.0)
-        tilted = np.eye(8, dtype=complex) / 8.0
-        tilted[0, 1] = 0.5j
-        with pytest.raises(ValueError, match="Hermitian"):
-            integrate(tilted, p, ops, t_end=1.0)
-        signed = np.diag([0.5, 0.6, -0.1, 0, 0, 0, 0, 0]).astype(complex)
-        with pytest.raises(ValueError, match="positive"):
-            integrate(signed, p, ops, t_end=1.0)
 
     def test_rejects_bad_controls(self, ops):
         p = params()
         with pytest.raises(ValueError):
-            integrate(ops.maximally_mixed(), p, ops, t_end=-1.0)
+            integrate(p, ops, t_end=-1.0)
         with pytest.raises(ValueError):
-            integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=0)
+            integrate(p, ops, t_end=1.0, sample_every=0)
 
 
 class TestPumpFrame:
-    """Runs step in their pump frame, on the coordinates their start can reach."""
+    """Runs step in their pump frame, on the Delta m_F = 0 coordinates of the mixed state."""
 
-    @pytest.mark.parametrize("nuclear_spin, width, nuclear, spins", [(1.5, 14, 4, 1), (2.5, 22, 6, 1)])
+    @pytest.mark.parametrize("nuclear_spin, width, nuclear, spins",
+                             [(0.5, 6, 2, 1), (1.5, 14, 4, 1), (2.5, 22, 6, 1), (3.5, 30, 8, 1), (4.5, 38, 10, 1)])
     def test_reachable_coordinates_from_the_mixed_state(self, nuclear_spin, width, nuclear, spins):
-        # the Delta m_F = 0 coordinates: the d populations and, per m_F shared
-        # by both manifolds, the real and imaginary part of one coherence
+        # the d populations and, per m_F shared by both manifolds, the real
+        # and imaginary part of one coherence: d + 4I coordinates
         ops = build_coupled_operators(nuclear_spin)
         sup = build_superops([params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0)], ops)
-        kept = reachable_coordinates(sup, to_coordinates(ops.maximally_mixed()))
-        assert kept.size == width
+        kept = pump_sector(ops)
+        assert kept.size == width == ops.dim + 4 * nuclear_spin
         assert np.array_equal(kept[: ops.dim], np.arange(ops.dim))
+        i, j = np.triu_indices(ops.dim, 1)
+        m_f = np.array([m for _, m in ops.labels])
+        pairs = ops.dim + np.flatnonzero(m_f[i] == m_f[j])
+        assert np.array_equal(kept[ops.dim :], np.concatenate([pairs, pairs + i.size]))
         restricted = sup.restrict(kept)
         assert restricted.spin_columns == spins
         assert restricted.reduce.shape == (width, nuclear + spins)
         assert restricted.expand.shape == (3, width + spins * nuclear, width)
 
-    def test_lab_x_pump_and_random_start_reach_every_coordinate(self, ops, rng):
-        mixed = to_coordinates(ops.maximally_mixed())
-        assert reachable_coordinates(build_superops(params(s=(0.5, 0, 0)), ops), mixed).size == 64
-        start = to_coordinates(random_density_matrix(rng))
-        assert reachable_coordinates(build_superops(params(), ops), start).size == 64
-
-    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5, 3.5, 4.5])
     def test_restricted_rhs_is_the_full_rhs_on_the_reachable_set(self, nuclear_spin):
+        # z pumps, undriven, -z, without hyperfine coupling and without spin destruction
         ops = build_coupled_operators(nuclear_spin)
-        block = [params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0), params(gamma_sd=50.0)]
+        block = [params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0), params(gamma_sd=50.0),
+                 params(a_hfs=0.0), params(gamma_sd=0.0)]
         sup = build_superops(block, ops)
-        kept = reachable_coordinates(sup, to_coordinates(ops.maximally_mixed()))
+        kept = pump_sector(ops)
         off = np.setdiff1d(np.arange(ops.dim**2), kept)
         restricted = sup.restrict(kept)
         for seed in range(10):
@@ -488,9 +474,9 @@ class TestPumpFrame:
         block = [params(r_op=0.25), params(s=(0.5, 0, 0), r_op=1.0), params(s=(0, 0.75, 0), r_op=4.0),
                  params(s=(0.3, -0.4, 0))]
         kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
-        trajs = integrate_block(ops.maximally_mixed(), block, ops, **kwargs)
+        trajs = integrate_block(block, ops, **kwargs)
         for traj, p in zip(trajs, block):
-            alone = integrate(ops.maximally_mixed(), p, ops, **kwargs)
+            alone = integrate(p, ops, **kwargs)
             for name in ("times", "states", "rhs_norms"):
                 assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
@@ -501,33 +487,27 @@ class TestPumpFrame:
         # in its frame the x pump is the z pump from the mixed state turned by R,
         # which is 1/8 to rounding: the same steps, and states turned by R
         kwargs = dict(t_end=0.5, sample_every=10)
-        z = integrate(ops.maximally_mixed(), params(), ops, **kwargs)
-        x = integrate(ops.maximally_mixed(), params(s=(0.5, 0, 0)), ops, **kwargs)
+        z = integrate(params(), ops, **kwargs)
+        x = integrate(params(s=(0.5, 0, 0)), ops, **kwargs)
         assert (x.steps, x.rhs_evals) == (z.steps, z.rhs_evals)
         assert np.max(np.abs(x.rhs_norms / z.rhs_norms - 1.0)) < 1e-13
         frame = pump_frame(ops, (1.0, 0, 0))
         assert np.max(np.abs(x.states - frame @ z.states @ frame.conj().T)) < 1e-15
 
-    def test_start_off_the_pump_axis_steps_every_coordinate(self, ops, monkeypatch):
-        # a start polarized along x is symmetric about an x pump, and keeps 14
-        # coordinates under it; under a z pump it needs all 64.  Both runs
-        # match classical RK4 over master_rhs.
-        start = spin_temperature_state(0.7, ops, axis=(1, 0, 0))
-        widths, real = [], dynamics.reachable_coordinates
-        monkeypatch.setattr(dynamics, "reachable_coordinates",
-                            lambda sup, x0: widths.append(real(sup, x0).size) or real(sup, x0))
-        for s in ((0.5, 0, 0), (0, 0, 0.5)):
-            p = params(s=s)
-            traj = integrate(start, p, ops, t_end=0.02, sample_every=10)
-            rho, h = start, 1e-4
-            for _ in range(200):
-                k1 = master_rhs(rho, p, ops)
-                k2 = master_rhs(rho + 0.5 * h * k1, p, ops)
-                k3 = master_rhs(rho + 0.5 * h * k2, p, ops)
-                k4 = master_rhs(rho + h * k3, p, ops)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            assert np.max(np.abs(traj.states[-1] - rho)) < 1e-9
-        assert widths == [14, 64]
+    def test_start_off_the_pump_axis_steps_every_coordinate(self, ops):
+        # an x pump from the mixed state, stepped on the sector of its frame,
+        # matches classical RK4 over master_rhs in the lab frame
+        p = params(s=(0.5, 0, 0))
+        traj = integrate(p, ops, t_end=0.02, sample_every=10)
+        rho, h = ops.maximally_mixed(), 1e-4
+        for _ in range(200):
+            k1 = master_rhs(rho, p, ops)
+            k2 = master_rhs(rho + 0.5 * h * k1, p, ops)
+            k3 = master_rhs(rho + 0.5 * h * k2, p, ops)
+            k4 = master_rhs(rho + h * k3, p, ops)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        assert np.max(np.abs(rho - np.diag(np.diag(rho)))) > 1e-4  # in the lab frame it leaves the sector
+        assert np.max(np.abs(traj.states[-1] - rho)) < 1e-9
 
 
 @pytest.fixture(scope="module", params=["z", "x"])
@@ -535,8 +515,8 @@ def one_t_se(request):
     """The built-in defaults over 1 T_SE: the default stepper and RK4 at dt/2."""
     ops8, _, p = build_simulation(RunConfig(pump_axis=request.param).validate())
     dt = default_dt(p)
-    adaptive = integrate(ops8.maximally_mixed(), p, ops8, t_end=p.t_se, dt=dt, sample_every=10)
-    rk4 = integrate(ops8.maximally_mixed(), p, ops8, t_end=p.t_se, dt=dt / 2.0, sample_every=20,
+    adaptive = integrate(p, ops8, t_end=p.t_se, dt=dt, sample_every=10)
+    rk4 = integrate(p, ops8, t_end=p.t_se, dt=dt / 2.0, sample_every=20,
                     fixed_step=True)
     return adaptive, rk4
 
@@ -635,7 +615,7 @@ class TestSolveSteadyState:
         ops = build_coupled_operators(nuclear_spin=1.5)
         p = PumpParams(r_op=G, s=(0, 0, 0.6), gamma_se=G, gamma_sd=0.01 * G, a_hfs=20.0 * G)
         traj = integrate(
-            ops.maximally_mixed(), p, ops, t_end=120.0,
+            p, ops, t_end=120.0,
             sample_every=100, stop_at_steady=True, steady_tol=1e-9,
         )
         assert traj.reached_steady

@@ -52,11 +52,11 @@ def test_block_columns_match_standalone_runs(stop_at_steady):
     # the figures step the block with fixed-step RK4
     kwargs = dict(t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE,
                   stop_at_steady=stop_at_steady, steady_tol=0.03, fixed_step=True)
-    block = integrate_block(ops.maximally_mixed(), params_seq, ops, **kwargs)
+    block = integrate_block(params_seq, ops, **kwargs)
     if stop_at_steady:
         assert len({len(traj) for traj in block}) > 1
     for traj, params in zip(block, params_seq):
-        alone = integrate(ops.maximally_mixed(), params, ops, **kwargs)
+        alone = integrate(params, ops, **kwargs)
         for name in ("times", "states", "rhs_norms"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
         for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue"):

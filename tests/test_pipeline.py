@@ -71,9 +71,9 @@ def spy_on_blocks(monkeypatch) -> list[int]:
     blocks: list[int] = []
     real = pipeline.integrate_block
 
-    def spy(rho0, params_seq, *args, **kwargs):
+    def spy(params_seq, *args, **kwargs):
         blocks.append(len(params_seq))
-        return real(rho0, params_seq, *args, **kwargs)
+        return real(params_seq, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "integrate_block", spy)
     return blocks
@@ -605,9 +605,9 @@ class TestOneIntegrationPath:
         calls: list[tuple[int, bool]] = []
         real = pipeline.integrate_block
 
-        def spy(rho0, params_seq, *args, **kwargs):
+        def spy(params_seq, *args, **kwargs):
             calls.append((len(params_seq), kwargs.get("fixed_step", False)))
-            return real(rho0, params_seq, *args, **kwargs)
+            return real(params_seq, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "integrate_block", spy)
         cfg_path = tmp_path / "run.cfg"
@@ -640,6 +640,14 @@ class TestOneObservablePath:
             assert min(float(r[header.index(f"qfi_{other}")]) for r in rows[1:]) > 1e-8
         header, rows = read_csv(tmp_path / "summary.csv")
         assert rows[0][header.index("sigma_rate_per_s")] == "0"
+
+    def test_entropy_production_is_never_negative(self, tmp_path):
+        # D(rho || 1/d) >= 0, and the first sample is the maximally mixed state
+        run_single(RunConfig(nuclear_spin=2.5, t_end_over_t_se=1.0).validate(), tmp_path)
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        sigma = [r[header.index("sigma")] for r in rows]
+        assert sigma[0] == "0"
+        assert min(float(v) for v in sigma) >= 0.0
 
     def test_scalar_oracles_apply_the_same_floors(self, ops8, make_params):
         params = make_params(s=1.0, axis="x")

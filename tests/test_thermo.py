@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from vaporspin.dynamics import PumpParams, integrate, integrate_block, solve_steady_state, spin_temperature_state
+from vaporspin.dynamics import (
+    PumpParams, integrate, integrate_block, pump_frame, solve_steady_state, spin_temperature_state,
+)
 from vaporspin.spin_algebra import build_coupled_operators
 from vaporspin.thermo import (
     efficiency,
@@ -85,6 +87,11 @@ class TestRelativeEntropy:
                 entropy_production(rho), abs=1e-10
             )
 
+    def test_entropy_production_of_the_turned_mixed_state_is_zero(self, ops8):
+        # D(rho || 1/d) >= 0: the roundoff of ln 8 - S at the mixed state turned onto x reads 0
+        frame = pump_frame(ops8, (1.0, 0.0, 0.0))
+        assert entropy_production(frame @ ops8.maximally_mixed() @ frame.conj().T) == 0.0
+
     def test_rank_deficient_argument(self, ops8, rng):
         rho = random_density_matrix(rng, rank=3)
         d = relative_entropy(rho, ops8.maximally_mixed())
@@ -98,7 +105,7 @@ def test_relative_entropy_to_the_ness_never_increases(ops8, make_params):
     # 5 T_SE in 501 samples from the maximally mixed state
     series = [make_params(0.5, 1.0, "z"), make_params(0.75, 2.0, "x"), make_params(1.0, 0.25, "z")]
     t_end = 5.0 * series[0].t_se
-    trajs = integrate_block(ops8.maximally_mixed(), series, ops8, t_end=t_end, sample_every=50)
+    trajs = integrate_block(series, ops8, t_end=t_end, sample_every=50)
     for params, traj in zip(series, trajs):
         ness, info = solve_steady_state(params, ops8)
         assert info.converged
@@ -117,9 +124,7 @@ class TestEntropyProductionRate:
 
     def test_positive_while_pumping(self, ops8, make_params):
         p = make_params(s=0.5)
-        traj = integrate(
-            ops8.maximally_mixed(), p, ops8, t_end=3.0 * p.t_se, sample_every=500
-        )
+        traj = integrate(p, ops8, t_end=3.0 * p.t_se, sample_every=500)
         for rho in traj.states[1:]:
             assert entropy_production_rate(rho, p, ops8) > 0.0
 
@@ -127,7 +132,7 @@ class TestEntropyProductionRate:
         # fourth-order central difference of Sigma(t) at the sampling stride
         ops = build_coupled_operators(nuclear_spin=1.5)
         p = PumpParams(r_op=1.0, s=(0, 0, 0.5), gamma_se=1.0, gamma_sd=0.0027, a_hfs=20.0)
-        traj = integrate(ops.maximally_mixed(), p, ops, t_end=1.0, sample_every=1)
+        traj = integrate(p, ops, t_end=1.0, sample_every=1)
         sigma = np.array([entropy_production(r) for r in traj.states])
         rate = np.array([entropy_production_rate(r, p, ops) for r in traj.states])
         h = traj.times[1] - traj.times[0]
@@ -249,9 +254,7 @@ class TestThermoSample:
 
     def test_series_matches_pointwise(self, ops8, make_params):
         p = make_params(s=0.5)
-        traj = integrate(
-            ops8.maximally_mixed(), p, ops8, t_end=0.5 * p.t_se, sample_every=500
-        )
+        traj = integrate(p, ops8, t_end=0.5 * p.t_se, sample_every=500)
         series = stacked_observables(traj.states, p, ops8)
         assert len(series["sigma"]) == len(traj)
         one = thermo_sample(traj.states[-1], p, ops8)
