@@ -31,22 +31,16 @@ projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
 the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
 I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone
-(:meth:`MasterSuperops.restrict`).  Each stored sample is turned back to
-the lab frame, so trajectories hold lab-frame states.  The stepper is
-Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
-sec. II.5-II.6), under error control with ``RTOL`` and ``ATOL`` on the real
-coordinates; each column of a block keeps its own step and clock.
-Samples fall on the grid ``(k * sample_every) * dt`` plus the end and are
-read off the order-7 dense output, so the step never has to land on them.
-``fixed_step=True`` selects classical RK4 at the step ``dt`` instead, which
-the figure series and the tests that need a known step use.  A stepper only
-steps and queues what its samples need; everything else a sample takes (the
-dense output, dx/dt and its norm, steady detection and the guards: finite,
-trace, positivity) runs in stacked passes of up to ``SAMPLE_CHUNK`` samples,
-with the results, stops and failures of checking each sample when it is
-taken.  Steady states are detected along a trajectory
-(``Trajectory.steady_index``) or solved for directly with a Newton iteration
-from their closed form (:func:`solve_steady_state`).
+(:meth:`MasterSuperops.restrict`).  :mod:`vaporspin.stepper` steps them
+(DOP853 under error control; ``fixed_step=True``: RK4 at the step ``dt``)
+and knows nothing of rho: this module hands it the right-hand side of each
+block of columns and the guards (trace and positivity, in the pump frame),
+then lifts each stored sample to all d^2 coordinates and turns it back to
+the lab frame, so trajectories hold lab-frame states.  Samples fall on
+the grid ``(k * sample_every) * dt`` plus the end.  Steady states are
+detected along a trajectory (``Trajectory.steady_index``) or solved for
+directly with a Newton iteration from their closed form
+(:func:`solve_steady_state`).
 """
 
 from __future__ import annotations
@@ -59,7 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stepper
 from .spin_algebra import SpinOperatorSet, build_coupled_operators, build_spin_matrices
+from .stepper import PhysicsViolationError
 
 __all__ = [
     "PumpParams",
@@ -93,186 +89,11 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
 # populations within this of one stretched level fit to beta = +-inf
 STRETCHED_TOL = 1e-12
-# queued samples per stacked sample pass; the result does not depend on it
-SAMPLE_CHUNK = 64
-
-# error control of the adaptive stepper, on the real coordinates of rho
-RTOL = 1e-10
-ATOL = 1e-12
-# a step below this fraction of the sample interval (sample_every * dt, or the
-# whole horizon if that is shorter) is a guard failure, so that a column the
-# controller cannot follow stops instead of crawling; the floor never exceeds
-# MAX_FLOOR_GRID_FRACTION of the grid unit dt, so a sparse sample grid cannot
-# trip it on a healthy run (whose steps are about 0.3 / A or more)
-MIN_STEP_FRACTION = 1e-6
-MAX_FLOOR_GRID_FRACTION = 1e-3
-# step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-ERROR_EXPONENT = -1.0 / 8.0
-
+# stored samples lifted to d x d states per pass at the end of a run, which
+# bounds the pass's temporaries; the result does not depend on it
+LIFT_CHUNK = 1024
 # 1 and the electron spin matrices S_k = sigma_k / 2 of the electron factor
 _SIGMA = np.stack([np.eye(2, dtype=complex), *build_spin_matrices(0.5)])
-
-# Dormand-Prince 8(5,3), the tableau of Hairer's DOP853 code (ibid., sec. II.5
-# and II.6), row by row as {stage: coefficient}: stages 1-11, the 8th-order
-# weights (stage 12 is drho/dt at the new point), then the three extra stages
-# of the dense output
-_DOP853_A = (
-    {0: 0.05260015195876773},
-    {0: 0.0197250569845379, 1: 0.0591751709536137},
-    {0: 0.02958758547680685, 2: 0.08876275643042054},
-    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
-    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
-    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
-    {
-        0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
-        5: -0.015319437748624402, 6: 0.008273789163814023
-    },
-    {
-        0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
-        6: 20.154067550477894, 7: -43.48988418106996
-    },
-    {
-        0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
-        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
-        8: -0.020331201708508627
-    },
-    {
-        0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
-        6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196
-    },
-    {
-        0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
-        6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
-        10: 0.6433927460157636
-    },
-    {
-        0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
-        8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034,
-        11: 0.04471061572777259
-    },
-    {
-        0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
-        8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
-        11: 0.007567897660545699, 12: -0.008298
-    },
-    {
-        0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
-        7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
-        12: -0.00034046500868740456, 13: 0.1413124436746325
-    },
-    {
-        0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
-        8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
-        14: -9.15095847217987
-    },
-)
-# 5th- and 3rd-order error estimators over stages 0-12
-_DOP853_E = (
-    {
-        0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-        10: 0.08192320648511571, 11: -0.022355307863886294
-    },
-    {
-        0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
-        8: -0.4226823213237919, 9: -0.1521609496625161, 10: 0.20136540080403034,
-        11: 0.02265179219836082
-    },
-)
-# dense output: the coefficients of x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3
-_DOP853_D = (
-    {
-        0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
-        8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
-        12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356,
-        15: -4.436036387594894
-    },
-    {
-        0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
-        8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398,
-        11: -9.332130526430229, 12: 15.697238121770845, 13: -31.139403219565178,
-        14: -9.35292435884448, 15: 35.81684148639408
-    },
-    {
-        0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
-        8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
-        12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
-        15: 11.99229113618279
-    },
-    {
-        0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
-        8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
-        12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
-        15: -149.72683625798564
-    },
-)
-
-
-def _tableau(rows: tuple[dict[int, float], ...], width: int, offset: int = 0) -> np.ndarray:
-    out = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        for j, value in row.items():
-            out[i, offset + j] = value
-    return out
-
-
-# A step keeps, per column, w[0] = the state at the start of the step and
-# w[1 + i] = step * stage i, so every stage input, the new state, the error
-# estimates and the dense output are one (1, m) @ (m, d^2) product each.  The
-# stepper fills w[:_STEP_ROWS] (stages 0-12); the sample pass adds the dense
-# output's stages 13-15.  Stage s (the new state for s = 12) from w[:s + 1]:
-_STEP_ROWS = 14
-_DOP853_STAGES = [None] + [
-    np.hstack([np.ones((1, 1)), _tableau(_DOP853_A[s - 1 : s], s)]) for s in range(1, 16)
-]
-_DOP853_ERROR = _tableau(_DOP853_E, _STEP_ROWS, offset=1)  # from w[:_STEP_ROWS]
-
-
-def _dense_output_rows() -> np.ndarray:
-    """Hairer's continuous extension of DOP853 as one row of w-coefficients per power of x.
-
-    y(x) = y0 + x F0 + x(1-x) F1 + x^2(1-x) F2 + x^2(1-x)^2 F3 + x^3(1-x)^2 F4
-    + x^3(1-x)^3 F5 + x^4(1-x)^3 F6, with F0 = dy, F1 = h k0 - dy,
-    F2 = 2 dy - h (k0 + k12) and F3..F6 = h D k.  Regrouped over y0, dy = B h k,
-    h k0, h k12 and the rows of D, the weights are 1, 3x^2 - 2x^3, x(1-x)^2,
-    -x^2(1-x), x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3.
-    """
-    weights_in_powers = np.array([  # one column per weight, x^0 to x^7 down
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 3, -2, -1, 1, 0, 0, 0],
-        [0, -2, 1, 1, -2, 1, 1, 0],
-        [0, 0, 0, 0, 1, -2, -3, 1],
-        [0, 0, 0, 0, 0, 1, 3, -3],
-        [0, 0, 0, 0, 0, 0, -1, 3],
-        [0, 0, 0, 0, 0, 0, 0, -1],
-    ], dtype=float)
-    return weights_in_powers @ np.vstack([
-        np.eye(1, 17),
-        _tableau(_DOP853_A[11:12], 17, offset=1),
-        np.eye(1, 17, 1),
-        np.eye(1, 17, 13),
-        _tableau(_DOP853_D, 17, offset=1),
-    ])
-
-
-_DOP853_DENSE = _dense_output_rows()
-
-
-class PhysicsViolationError(RuntimeError):
-    """A trajectory left the physical state space (trace or positivity).
-
-    ``column`` is the offending column of an :func:`integrate_block` block.
-    """
-
-    def __init__(self, reason: str, step: int, t: float, column: int = 0):
-        super().__init__(f"{reason} at step {step} (t = {t:.6e} s)")
-        self.reason = reason
-        self.step = step
-        self.t = t
-        self.column = int(column)
-
 
 @dataclass(frozen=True)
 class PumpParams:
@@ -597,12 +418,15 @@ class Trajectory:
     rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
     params: PumpParams
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
-    reached_steady: bool
     steady_index: int | None
     max_trace_drift: float
     min_eigenvalue: float
     steps: int  # accepted steps
     rhs_evals: int  # evaluations of drho/dt, the samples' included
+
+    @property
+    def reached_steady(self) -> bool:
+        return self.steady_index is not None
 
     @property
     def t_se(self) -> float:
@@ -630,14 +454,15 @@ def integrate(
 ) -> Trajectory:
     """Propagate the maximally mixed state and sample it every ``sample_every * dt`` (plus the end).
 
-    The stepper is DOP853 under error control (``RTOL``, ``ATOL``), sampled
-    through its dense output; ``fixed_step`` selects classical RK4 with step
-    ``dt`` instead.  At each sample the state is checked: trace drift beyond
-    1e-6 or an eigenvalue below -1e-6 raises :class:`PhysicsViolationError`
-    (no silent projection back to the physical cone).  ``steady_tol`` is
-    measured in units of G_SE: a sample with ||drho/dt||_F < steady_tol * G_SE
-    marks the trajectory as steady, and with ``stop_at_steady`` integration
-    ends there.  This is :func:`integrate_block` with one column.
+    The stepper is :func:`vaporspin.stepper.dop853` under error control,
+    sampled through its dense output; ``fixed_step`` selects classical RK4
+    with step ``dt`` instead.  At each sample the state is checked: trace
+    drift beyond 1e-6 or an eigenvalue below -1e-6 raises
+    :class:`PhysicsViolationError` (no silent projection back to the
+    physical cone).  ``steady_tol`` is measured in units of G_SE: a sample
+    with ||drho/dt||_F < steady_tol * G_SE marks the trajectory as steady,
+    and with ``stop_at_steady`` integration ends there.  This is
+    :func:`integrate_block` with one column.
     """
     return integrate_block(
         [params], ops, t_end, dt, sample_every,
@@ -686,330 +511,62 @@ def integrate_block(
     sup = build_superops(in_frame, ops).restrict(sector)
     # the maximally mixed state is the same in every frame
     x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
-    samples = _Samples(times, params_seq, sup, steady_tol, stop_at_steady, sector, frames)
+    d = ops.dim
+
+    def rhs_for(columns: np.ndarray):
+        part = sup.take(columns)
+        return functools.partial(block_rhs, sup=part, scratch=_RhsScratch(len(columns), part))
+
+    def check(x: np.ndarray) -> np.ndarray:
+        _, drift, eig_min = _lift(x, sector, d)
+        failure = np.full(len(x), "", dtype=object)
+        low = eig_min < EIGENVALUE_FLOOR
+        failure[low] = [f"eigenvalue {e:.3e} below -1e-6" for e in eig_min[low]]
+        failure[drift > TRACE_TOL] = "trace drift exceeded 1e-6"  # reported before a low eigenvalue
+        return failure
+
+    samples = stepper.Samples(times, [steady_tol * p.gamma_se for p in params_seq], stop_at_steady,
+                              rhs_for, check, len(sector))
     if fixed_step:
-        _rk4(samples, x, sup, dt, sample_every, n_steps)
+        stepper.rk4(samples, x, dt, sample_every, n_steps)
     else:
-        _dop853(samples, x, sup, dt, min(MIN_STEP_FRACTION * times[1], MAX_FLOOR_GRID_FRACTION * dt))
+        stepper.dop853(samples, x, dt, width=d * d)
     samples.flush()
 
     trajectories = []
     for j, p in enumerate(params_seq):
         kept, steady_index = samples.taken[j], int(samples.steady[j])
+        states, drift, eig_min = np.empty((kept, d, d), dtype=complex), np.empty(kept), np.empty(kept)
+        turned = not (frames[j] == np.eye(d)).all()
+        for i in range(0, kept, LIFT_CHUNK):
+            part = slice(i, min(i + LIFT_CHUNK, kept))
+            rho, drift[part], eig_min[part] = _lift(samples.states[j, part], sector, d)
+            states[part] = frames[j] @ rho @ frames[j].conj().T if turned else rho  # R rho R^dag, in the lab
         trajectories.append(Trajectory(
             times=times[:kept],
-            states=samples.states[j, :kept],
+            states=states,
             rhs_norms=samples.rhs_norms[j, :kept],
             params=p,
             dt=dt,
-            reached_steady=steady_index >= 0,
             steady_index=steady_index if steady_index >= 0 else None,
-            max_trace_drift=float(samples.drift[j]),
-            min_eigenvalue=float(samples.eig_low[j]),
+            max_trace_drift=float(drift.max()),
+            min_eigenvalue=float(eig_min.min()),
             steps=int(samples.steps[j]),
             rhs_evals=int(samples.rhs_evals[j]),
         ))
     return trajectories
 
 
-class _Samples:
-    """Sample store, guard margins, steady detection and work counts of a block.
-
-    Every array is indexed by block column.  A stepper only steps: for the
-    samples due in a step it queues one record per column with :meth:`take`
-    (the step's end state and dx/dt there; for a DOP853 step with samples
-    inside it also the start time, the step and the stages; the sample range;
-    and ``steps`` and ``rhs_evals`` as they stand after the step).
-    :meth:`flush` turns the queue into samples as stacks, once at least
-    ``SAMPLE_CHUNK`` samples are queued, when the stepper fails and at the
-    end of the run: the three extra stages and the order-7 interpolation of
-    the dense output, dx/dt at the samples inside a step (one
-    :func:`block_rhs` call over all of them, on ``sup.take`` of their
-    columns), the residual norms, steady detection, the guards, and the
-    store.  The stepper's states are the pump-frame coordinates
-    ``sector``; the pass lifts them to all d^2 coordinates, guards them,
-    and stores each turned back by its column's ``frames``.
-
-    Each column's results, stop and failure are those of checking every
-    sample when it is taken.  Under ``stop_at_steady`` a column ends at its
-    first steady sample: the rows of the step that holds it are guarded as
-    usual and stored up to it; its later records are dropped unguarded; its
-    ``steps`` and ``rhs_evals`` are those recorded with that step; and it is
-    marked in ``stopped``, for the stepper to drop.
-    """
-
-    def __init__(self, times: np.ndarray, params_seq: list[PumpParams], sup: MasterSuperops,
-                 steady_tol: float, stop_at_steady: bool, sector: np.ndarray, frames: np.ndarray):
-        b, n = len(params_seq), sup.expand.shape[2]
-        self.d = frames.shape[1]
-        self.sector, self.frames = sector, frames
-        self.turned = ~(frames == np.eye(self.d)).all(axis=(1, 2))
-        self.times = times
-        self.stop_at_steady = stop_at_steady
-        self.sup = sup
-        self.states = np.empty((b, len(times), self.d, self.d), dtype=complex)
-        self.rhs_norms = np.empty((b, len(times)))
-        self.queued = np.zeros(b, dtype=int)  # samples handed to take
-        self.taken = np.zeros(b, dtype=int)  # samples stored
-        self.threshold = np.array([steady_tol * p.gamma_se for p in params_seq])
-        self.steady = np.full(b, -1)
-        self.stopped = np.zeros(b, dtype=bool)
-        self.drift, self.eig_low = np.zeros(b), np.full(b, np.inf)
-        self.steps = np.zeros(b, dtype=int)
-        self.rhs_evals = np.zeros(b, dtype=int)
-        self._ones = np.ones((self.d, 1))
-        self._no_dense = (np.empty(0), np.empty(0), np.empty((0, _STEP_ROWS, n)))
-        self._queue: list[tuple[np.ndarray, ...]] = []
-        self._pending = 0
-
-    def stepper_failure(self, reason: str, column: int, t: float) -> None:
-        """Raise the stepper's failure of ``column``, unless the queued samples stop it first.
-
-        The queue is flushed first, so a guard failure among its samples is
-        raised instead, as it would have been when they were taken.
-        """
-        self.flush()
-        if not self.stopped[column]:
-            raise PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
-
-    def take(self, cols: np.ndarray, x: np.ndarray, f: np.ndarray, due: np.ndarray | None = None,
-             inside: np.ndarray | None = None, dense: tuple[np.ndarray, ...] | None = None,
-             stepped: int = 0) -> None:
-        """Queue the next ``due`` samples (default 1) of columns ``cols``, one record each.
-
-        ``x`` and ``f`` are each column's state and dx/dt at the end of its
-        step, which is the time of its last sample unless that lies inside
-        the step.  The first ``inside`` samples (default none) lie inside it;
-        ``dense`` gives the start time, the step and ``w[:_STEP_ROWS]`` of
-        each column with ``inside > 0``.  A guard failure reports the step
-        count less ``stepped``, the count before this step.
-        """
-        due = np.ones(len(cols), dtype=int) if due is None else due
-        inside = np.zeros(len(cols), dtype=int) if inside is None else inside
-        steps = self.steps[cols]
-        self._queue.append((cols, self.queued[cols], due, inside, steps - stepped, steps,
-                            self.rhs_evals[cols], x, f, *(self._no_dense if dense is None else dense)))
-        self.queued[cols] += due
-        self._pending += int(due.sum())
-        if self._pending >= SAMPLE_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Turn the queued records into stored samples, as one stack.
-
-        Raises for the sample that a check at :meth:`take` would have raised
-        for: the earliest :meth:`take` with a failing row, within it a
-        non-finite row first, else the first row over a trace or eigenvalue
-        guard, with that record's step count.
-        """
-        if not self._queue:
-            return
-        queue, self._queue, self._pending = self._queue, [], 0
-        call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
-        cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, f_end, t0, h, w = (
-            np.concatenate(part) for part in zip(*queue)
-        )
-        record = np.repeat(np.arange(len(cols)), due)  # one row per sample
-        offset = np.arange(record.size) - np.repeat(np.cumsum(due) - due, due)
-        k = first[record] + offset
-        x, f = x_end[record], f_end[record]
-        interior = np.flatnonzero(offset < inside[record])
-        if interior.size:
-            dense = inside > 0
-            x[interior], f[interior] = self._dense_output(
-                k[interior], cols[record[interior]], (np.cumsum(dense) - 1)[record[interior]],
-                cols[dense], t0, h, w)
-        call, cols = call[record], cols[record]
-        norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
-
-        fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
-        if fresh.any():  # each column's first row below the threshold
-            below = np.flatnonzero(fresh)
-            rows = below[np.unique(cols[below], return_index=True)[1]]
-            self.steady[cols[rows]] = k[rows]
-            if self.stop_at_steady:  # a column's takes after its stop never happened
-                stop = cols[rows]
-                self.stopped[stop] = True
-                self.steps[stop], self.rhs_evals[stop] = steps[record[rows]], rhs_evals[record[rows]]
-                last_call = np.full(len(self.steady), len(queue))
-                last_call[stop] = call[rows]
-                alive = call <= last_call[cols]
-                call, cols, k, x, norms, record = (a[alive] for a in (call, cols, k, x, norms, record))
-
-        finite = np.isfinite(x).all(axis=1)
-        x = np.where(finite[:, None], x, 0.0)
-        full = np.zeros((len(x), self.d**2))
-        full[:, self.sector] = x
-        rho = from_coordinates(full)  # in the pump frame
-        # stacked matmuls sum each row in the same order whatever the number
-        # of rows; a reduction along axis 1 need not.  The sector starts
-        # with the d diagonal coordinates.
-        trace_drift = np.abs(np.matmul(x[:, None, : self.d], self._ones)[:, 0, 0] - 1.0)
-        eig_min = np.linalg.eigvalsh(rho).min(axis=1)
-        failed = ~finite | (trace_drift > TRACE_TOL) | (eig_min < EIGENVALUE_FLOOR)
-        if failed.any():
-            first_failing = call == call[np.argmax(failed)]
-            j = np.argmax(first_failing & (~finite if (first_failing & ~finite).any() else failed))
-            reason = ("state became non-finite" if not finite[j]
-                      else "trace drift exceeded 1e-6" if trace_drift[j] > TRACE_TOL
-                      else f"eigenvalue {eig_min[j]:.3e} below -1e-6")
-            raise PhysicsViolationError(reason, int(guard_steps[record[j]]), float(self.times[k[j]]), cols[j])
-        kept = np.ones(len(cols), dtype=bool)
-        if self.stop_at_steady:  # a column keeps no sample past its first steady one
-            kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
-        cols, k, rho = cols[kept], k[kept], rho[kept]
-        turned = np.flatnonzero(self.turned[cols])
-        if turned.size:  # back to the lab frame, R rho R^dag
-            frame = self.frames[cols[turned]]
-            rho[turned] = frame @ rho[turned] @ frame.conj().swapaxes(1, 2)
-        self.states[cols, k] = rho
-        self.rhs_norms[cols, k] = norms[kept]
-        np.maximum.at(self.taken, cols, k + 1)
-        np.maximum.at(self.drift, cols, trace_drift[kept])
-        np.minimum.at(self.eig_low, cols, eig_min[kept])
-
-    def _dense_output(self, k: np.ndarray, cols: np.ndarray, step_of: np.ndarray, step_cols: np.ndarray,
-                      t0: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """States and dx/dt at samples ``k`` of columns ``cols`` from DOP853's dense output.
-
-        Sample i lies inside step ``step_of[i]``, which column ``step_cols``
-        took from ``t0`` over ``h`` with stages ``w[:, :_STEP_ROWS]``.
-        """
-        stages = np.empty((len(w), 17, w.shape[2]))
-        stages[:, :_STEP_ROWS] = w
-        step_sup = self.sup.take(step_cols)
-        for s in range(13, 16):
-            y = np.matmul(_DOP853_STAGES[s], stages[:, : s + 1])[:, 0]
-            stages[:, s + 1] = h[:, None] * block_rhs(y, step_sup)
-        theta = (self.times[k] - t0[step_of]) / h[step_of]
-        powers = theta[:, None, None] ** np.arange(8)
-        x = np.matmul(np.matmul(powers, _DOP853_DENSE), stages[step_of])[:, 0]
-        return x, block_rhs(x, self.sup.take(cols))
-
-
-def _rk4(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, sample_every: int,
-         n_steps: int) -> None:
-    """Classical RK4 at the fixed step ``dt``, sampled every ``sample_every`` steps."""
-    live = np.arange(len(x))
-    rhs = _RhsScratch(live.size, sup)
-    for step in range(n_steps + 1):
-        k1 = None
-        if step % sample_every == 0 or step == n_steps:
-            # four evaluations a step; the one at this sample is the next step's k1
-            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
-            k1 = block_rhs(x, sup, rhs).copy()
-            samples.take(live, x, k1)
-            if step == n_steps:
-                break
-            stopped = samples.stopped[live]
-            if stopped.any():
-                keep = ~stopped
-                live, x, k1, sup = live[keep], x[keep], k1[keep], sup.take(keep)
-                if not live.size:
-                    break
-                rhs = _RhsScratch(live.size, sup)
-        if k1 is None:
-            k1 = block_rhs(x, sup, rhs).copy()
-        k2 = block_rhs(x + (0.5 * dt) * k1, sup, rhs).copy()
-        k3 = block_rhs(x + (0.5 * dt) * k2, sup, rhs).copy()
-        k4 = block_rhs(x + dt * k3, sup, rhs)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
-    """DOP853's blend of its 5th- and 3rd-order error estimates, per column, as an RMS over the width of x."""
-    b, n = x.shape
-    scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
-    err = np.matmul(_DOP853_ERROR, w)
-    err /= scale[:, None, :]
-    squares = np.matmul(err, err.swapaxes(1, 2))  # per column: [[|e5|^2, .], [., |e3|^2]]
-    e5, e3 = squares[:, 0, 0], squares[:, 1, 1]
-    denom = e5 + 0.01 * e3
-    return np.divide(e5, np.sqrt(denom * n), out=np.zeros(b), where=denom != 0.0)
-
-
-def _dop853(samples: _Samples, x: np.ndarray, sup: MasterSuperops, dt: float, floor: float) -> None:
-    """DOP853 under error control, each column with its own step and clock.
-
-    The first step is ``dt``.  A column whose step falls below ``floor`` or
-    whose error estimate is not finite raises :class:`PhysicsViolationError`,
-    unless the sample pass finds that it stopped at a steady state before.
-    The stages go into buffers of the live block, rebuilt only when a column
-    leaves; an accepted step with samples due queues them with
-    :meth:`_Samples.take`, which works out everything else they need.
-    """
-    times = samples.times
-    t_final = times[-1]
-    # the error is an RMS over all d^2 coordinates, of which those off the sector are 0
-    rms_over_d2 = math.sqrt(x.shape[1] / samples.d**2)
-    live = np.arange(len(x))
-    f = block_rhs(x, sup)
-    samples.rhs_evals[live] += 1
-    samples.take(live, x.copy(), f.copy())  # x, t and f are updated in place below
-    t = np.zeros((live.size, 1))
-    h = np.full((live.size, 1), dt)
-    rejected = np.zeros(live.size, dtype=bool)
-    leaving = np.zeros(live.size, dtype=bool)
-    built = 0
-    while True:
-        leaving |= samples.stopped[live]
-        if leaving.any():
-            keep = ~leaving
-            live, t, h, x, f, rejected, leaving = (
-                a[keep] for a in (live, t, h, x, f, rejected, leaving)
-            )
-            sup = sup.take(keep)
-        if not live.size:
-            return
-        if built != live.size:
-            # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
-            w = np.empty((live.size, _STEP_ROWS, x.shape[1]))
-            heads = [w[:, : s + 1] for s in range(_STEP_ROWS)]
-            rows = list(w.swapaxes(0, 1))
-            rhs = _RhsScratch(live.size, sup)
-            built = live.size
-        small = h[:, 0] < floor
-        if small.any():
-            j = np.argmax(small)
-            samples.stepper_failure(f"step {h[j, 0]:.3e} s below the floor of {floor:.3e} s", live[j], t[j, 0])
-            continue
-        t_new = np.minimum(t + h, t_final)
-        step = t_new - t
-        rows[0][...] = x
-        np.multiply(step, f, out=rows[1])
-        for s in range(1, 13):
-            np.matmul(_DOP853_STAGES[s], heads[s], out=rhs.x3)  # stage s's state; at s = 12 the new one
-            np.multiply(block_rhs(rhs.x, sup, rhs), step, out=rows[s + 1])
-        x_new, f_new = rhs.x, rhs.f
-        err = _error_norm(w, x, x_new) * rms_over_d2
-        if not np.isfinite(err).all():
-            j = np.argmin(np.isfinite(err))
-            samples.stepper_failure("step error estimate became non-finite", live[j], t[j, 0])
-            continue
-        accepted = err < 1.0
-        factor = SAFETY * np.maximum(err, 1e-300) ** ERROR_EXPONENT
-        grow = np.minimum(MAX_FACTOR, factor)
-        grow = np.where(rejected, np.minimum(1.0, grow), grow)
-        h = step * np.where(accepted, grow, np.maximum(MIN_FACTOR, factor))[:, None]
-        rejected = ~accepted
-
-        # the samples in (t, t_new] of each accepted column; those strictly
-        # inside the step need the three extra stages of the dense output and
-        # one evaluation each
-        first = samples.queued[live]
-        due = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="right") - first, 0)
-        inside = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="left") - first, 0)
-        samples.steps[live] += accepted
-        samples.rhs_evals[live] += 12 + np.where(inside > 0, 3 + inside, 0)
-        if due.any():
-            sel = np.flatnonzero(due)
-            dense = sel[inside[sel] > 0]
-            samples.take(live[sel], x_new[sel], f_new[sel], due[sel], inside[sel],
-                         (t[dense, 0], step[dense, 0], w[dense]), stepped=1)
-
-        for now, new in ((t, t_new), (x, x_new), (f, f_new)):
-            np.copyto(now, new, where=accepted[:, None])
-        leaving = accepted & (t_new[:, 0] == t_final)
+def _lift(x: np.ndarray, sector: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pump-frame states of the sector coordinates ``x``, their trace drift and lowest eigenvalue."""
+    full = np.zeros((len(x), d * d))
+    full[:, sector] = x
+    # stacked matmuls sum each row in the same order whatever the number of
+    # rows; a reduction along axis 1 need not.  The sector starts with the d
+    # diagonal coordinates.
+    drift = np.abs(np.matmul(x[:, None, :d], np.ones((d, 1)))[:, 0, 0] - 1.0)
+    rho = from_coordinates(full)
+    return rho, drift, np.linalg.eigvalsh(rho).min(axis=1)
 
 
 def spin_temperature_state(
@@ -1017,22 +574,23 @@ def spin_temperature_state(
 ) -> np.ndarray:
     """Spin-temperature state rho ~ exp(beta * n.F), n the unit vector along ``axis``.
 
-    Along z it is diagonal in the coupled basis, with populations
-    proportional to exp(beta * m_F).  At beta = +inf (-inf) it is the pure
-    stretched state m_F = F (m_F = -F) along n.
+    It is R diag(p) R^dag, with R = :func:`pump_frame` of n and the populations
+    p proportional to exp(beta * m_F), so along +-z it is exactly diagonal in
+    the coupled basis.  At beta = +inf (-inf) it is the pure stretched state
+    m_F = F (m_F = -F) along n.
     """
     n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
+    if np.linalg.norm(n) == 0.0:
         raise ValueError("axis must be a nonzero vector")
-    n = n / norm
-    gen = n[0] * ops.f_ops[0] + n[1] * ops.f_ops[1] + n[2] * ops.f_ops[2]
-    w, u = np.linalg.eigh(gen)
-    shift = w - (w.min() if beta < 0.0 else w.max())
+    m = np.array([m_f for _, m_f in ops.labels], dtype=float)
+    if n[0] == n[1] == 0.0 and n[2] < 0.0:  # the pump frame of -z is the identity
+        m = -m
+    shift = m - (m.min() if beta < 0.0 else m.max())
     # exp(beta * shift) with the extreme level at exactly 1, also at beta = +-inf
     p = np.exp(np.multiply(beta, shift, out=np.zeros_like(shift), where=shift != 0.0))
     p /= p.sum()
-    return (u * p) @ u.conj().T
+    frame = pump_frame(ops, n)
+    return (frame * p) @ frame.conj().T
 
 
 def fit_spin_temperature(

@@ -311,8 +311,8 @@ def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str],
 
 
 def off_diagonal_mass(rho: np.ndarray) -> float:
-    """sum_{i != j} |rho_ij|^2 — coherence weight in the given basis."""
-    return float(np.sum(np.abs(rho) ** 2) - np.sum(np.abs(np.diag(rho)) ** 2))
+    """sum_{i != j} |rho_ij|^2 — coherence weight in the given basis, summed over the off-diagonal entries alone."""
+    return float(np.sum(np.abs(rho[~np.eye(len(rho), dtype=bool)]) ** 2))
 
 
 def steady_state_columns(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vaporspin import dynamics
+from vaporspin import dynamics, stepper
 from vaporspin.dynamics import (
     PhysicsViolationError,
     PumpParams,
@@ -25,7 +25,7 @@ from vaporspin.dynamics import (
     to_coordinates,
 )
 from vaporspin.config import RunConfig
-from vaporspin.pipeline import build_simulation
+from vaporspin.pipeline import build_simulation, steady_state_columns
 from vaporspin.spin_algebra import build_coupled_operators
 
 from conftest import random_density_matrix
@@ -328,9 +328,9 @@ class TestIntegrate:
         # column's steady stop lands inside a chunk, past which it was stepped
         block = [params(r_op=r_op) for r_op in (0.25, 1.0, 4.0)]
         kwargs = dict(t_end=2.0, sample_every=10, stop_at_steady=stop_at_steady, steady_tol=0.03)
-        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 10**9)
         at_the_end = integrate_block(block, ops, **kwargs)
-        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
         chunked = integrate_block(block, ops, **kwargs)
         if stop_at_steady:  # the 0.25 G_SE column stops first
             assert at_the_end[0].reached_steady and len(at_the_end[0]) < len(at_the_end[1])
@@ -370,15 +370,15 @@ class TestIntegrate:
         p = params(r_op=0.25)
         kwargs = dict(t_end=2.0, sample_every=10, steady_tol=0.03)
         stopped = integrate(p, ops, stop_at_steady=True, **kwargs)
-        real, calls = dynamics._error_norm, []
+        real, calls = stepper._error_norm, []
 
         def failing_past_the_stop(w, x, x_new):
             calls.append(None)
             err = real(w, x, x_new)
             return np.full_like(err, np.nan) if len(calls) > stopped.steps + 20 else err
 
-        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 10**9)
-        monkeypatch.setattr(dynamics, "_error_norm", failing_past_the_stop)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 10**9)
+        monkeypatch.setattr(stepper, "_error_norm", failing_past_the_stop)
         with pytest.raises(PhysicsViolationError, match="non-finite"):
             integrate(p, ops, **kwargs)
         calls.clear()
@@ -389,7 +389,7 @@ class TestIntegrate:
         for name in ("steady_index", "max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
             assert getattr(again, name) == getattr(stopped, name), name
 
-    @pytest.mark.parametrize("chunk", [dynamics.SAMPLE_CHUNK, 1])
+    @pytest.mark.parametrize("chunk", [stepper.SAMPLE_CHUNK, 1])
     def test_batched_guard_raises_for_the_first_failing_sample(self, monkeypatch, chunk):
         # the four polarizations of the sweep benchmark reach minimum
         # eigenvalues of 0.104, 0.084, 0.067 and 0.052 over 1 T_SE; under a
@@ -399,7 +399,7 @@ class TestIntegrate:
         sims = [build_simulation(dataclasses.replace(base, s_magnitude=s)) for s in (0.25, 0.5, 0.75, 1.0)]
         ops8, block = sims[0][0], [p for *_, p in sims]
         monkeypatch.setattr(dynamics, "EIGENVALUE_FLOOR", 0.09)
-        monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
         with pytest.raises(PhysicsViolationError, match="eigenvalue 8.995e-02") as caught:
             integrate_block(block, ops8, t_end=block[0].t_se,
                             dt=default_dt(block[0]), sample_every=10)
@@ -415,6 +415,16 @@ class TestIntegrate:
 
 class TestPumpFrame:
     """Runs step in their pump frame, on the Delta m_F = 0 coordinates of the mixed state."""
+
+    def test_lift_chunk_does_not_change_the_result(self, ops, monkeypatch):
+        # an x pump's samples are turned back to the lab frame chunk by chunk
+        block = [params(s=(0.5, 0, 0)), params(r_op=2.0)]
+        whole = integrate_block(block, ops, t_end=0.5, sample_every=3)
+        assert len(whole[0]) > 7
+        monkeypatch.setattr(dynamics, "LIFT_CHUNK", 7)
+        for a, b in zip(integrate_block(block, ops, t_end=0.5, sample_every=3), whole):
+            assert np.array_equal(a.states, b.states)
+            assert (a.max_trace_drift, a.min_eigenvalue) == (b.max_trace_drift, b.min_eigenvalue)
 
     @pytest.mark.parametrize("nuclear_spin, width, nuclear, spins",
                              [(0.5, 6, 2, 1), (1.5, 14, 4, 1), (2.5, 22, 6, 1), (3.5, 30, 8, 1), (4.5, 38, 10, 1)])
@@ -558,6 +568,17 @@ class TestSpinTemperatureState:
         sx = np.trace(ops.s_ops[0] @ rho_x).real
         assert sx == pytest.approx(sz, rel=1e-12)
         assert np.trace(rho_x).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.7, math.inf])
+    def test_minus_z_is_plus_z_at_minus_beta(self, ops, beta):
+        assert np.array_equal(spin_temperature_state(beta, ops, axis=(0, 0, -2)), spin_temperature_state(-beta, ops))
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    def test_z_pump_steady_state_is_exactly_diagonal(self, nuclear_spin):
+        cfg = RunConfig(nuclear_spin=nuclear_spin).validate()
+        ops_i, _, p = build_simulation(cfg)
+        rho, _ = solve_steady_state(p, ops_i)
+        assert steady_state_columns(cfg, ops_i, p, rho)["off_diag_mass_pump_frame"] == 0.0
 
     def test_zero_axis_rejected(self, ops):
         with pytest.raises(ValueError):
