@@ -31,15 +31,17 @@ projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
 the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
 I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone
-(:meth:`MasterSuperops.restrict`).  :mod:`vaporspin.stepper` steps them
-(DOP853 under error control; ``fixed_step=True``: RK4 at the step ``dt``)
-and knows nothing of rho: this module hands it the right-hand side of each
-block of columns and the guards (trace and positivity, in the pump frame),
-then lifts each stored sample to all d^2 coordinates and turns it back to
-the lab frame, so trajectories hold lab-frame states.  Samples fall on
-the grid ``(k * sample_every) * dt`` plus the end.  Steady states are
-detected along a trajectory (``Trajectory.steady_index``) or solved for
-directly with a Newton iteration from their closed form
+(``build_superops(..., in_frame=True)``).  :mod:`vaporspin.stepper` steps
+them (DOP853 under error control; ``fixed_step=True``: RK4 at the step
+``dt``) and knows nothing of rho: this module hands it the right-hand side
+of each block of columns and the guards.  A pump-frame state is
+block-diagonal in m_F, with blocks of one or two levels, so its spectrum is
+closed form (:func:`block_spectra`); the guards read trace and positivity
+off it.  A :class:`Trajectory` keeps the sector coordinates as stepped, and
+its frame; its lab-frame states R rho R^dag are lifted only when read.
+Samples fall on the grid ``(k * sample_every) * dt`` plus the end.  Steady
+states are detected along a trajectory (``Trajectory.steady_index``) or
+solved for directly with a Newton iteration from their closed form
 (:func:`solve_steady_state`).
 """
 
@@ -71,6 +73,8 @@ __all__ = [
     "block_rhs",
     "pump_frame",
     "pump_sector",
+    "mf_blocks",
+    "block_spectra",
     "default_dt",
     "sampling_plan",
     "integrate",
@@ -89,9 +93,6 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
 # populations within this of one stretched level fit to beta = +-inf
 STRETCHED_TOL = 1e-12
-# stored samples lifted to d x d states per pass at the end of a run, which
-# bounds the pass's temporaries; the result does not depend on it
-LIFT_CHUNK = 1024
 # 1 and the electron spin matrices S_k = sigma_k / 2 of the electron factor
 _SIGMA = np.stack([np.eye(2, dtype=complex), *build_spin_matrices(0.5)])
 
@@ -261,52 +262,68 @@ class MasterSuperops:
 
 
 @functools.lru_cache(maxsize=None)
-def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _superop_factors(nuclear_spin: float, in_sector: bool = False) -> tuple:
     """The factors of :func:`build_superops` that do not depend on the parameters.
 
     They depend on the nuclear spin alone, so they are built once per nuclear
     spin and shared, read-only: ``reduce``, ``constant`` (x @ constant[k] =
-    (G_k n)^T for k = 0..3) and ``spin_rows``, the last 3 m^2 rows of
-    ``expand`` before their factor 2 G_SE.
+    (G_k n)^T for k = 0..3), ``spin_rows``, the last rows of ``expand``
+    before their factor 2 G_SE, ``spin_columns``, and the levels (i, j) of
+    each coherence coordinate, real parts first.  With ``in_sector`` they
+    are :meth:`MasterSuperops.restrict` of the full factors to
+    :func:`pump_sector`.
     """
     ops = build_coupled_operators(nuclear_spin)
     d, m = ops.dim, ops.dim // 2
-    # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
-    # basis of the nuclear factor; n_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
-    nuclear = hermitian_basis(m)
-    product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
-    coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
-    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)
-    # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
-    reduce = np.vstack([g[0], to_coordinates(ops.s_ops)]).T
-    constant = np.matmul(g[0].T, g)
-    spin_rows = g[1:].reshape(-1, d * d)
-    for factor in (reduce, constant, spin_rows):
+    if in_sector:
+        reduce, constant, spin_rows, _, _ = _superop_factors(nuclear_spin)
+        blocks = mf_blocks(ops)
+        n = blocks.sector.size
+        stacked = np.concatenate([constant, np.broadcast_to(spin_rows, (4, *spin_rows.shape))], axis=1)
+        part = MasterSuperops(reduce=reduce, expand=stacked).restrict(blocks.sector)
+        factors = (part.reduce, part.expand[:, :n], part.expand[0, n:], part.spin_columns,
+                   (blocks.upper, blocks.lower))
+    else:
+        # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
+        # basis of the nuclear factor; n_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
+        nuclear = hermitian_basis(m)
+        product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
+        coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
+        g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)
+        # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
+        factors = (np.vstack([g[0], to_coordinates(ops.s_ops)]).T, np.matmul(g[0].T, g),
+                   g[1:].reshape(-1, d * d), 3, _pairs(d))
+    for factor in factors[:3]:
         factor.setflags(write=False)
-    return reduce, constant, spin_rows
+    return factors
 
 
 def build_superops(
-    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet
+    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet, *, in_frame: bool = False
 ) -> MasterSuperops:
     """Low-rank factors for one parameter set, or one column per set of a sequence.
 
     Each column's ``expand`` combines the cached parameter-free factors with
-    its own rates and the rotation by its own H0 = A I.S.
+    its own rates and the rotation by its own H0 = A I.S.  With ``in_frame``
+    each column is taken to its pump frame (s along z with its |s|) and the
+    factors act on the coordinates of :func:`pump_sector` alone: the
+    right-hand side that a run steps.
     """
     params_seq = [params] if isinstance(params, PumpParams) else list(params)
-    reduce, constant, spin_rows = _superop_factors(ops.nuclear_spin)
-    d = ops.dim
-    d2 = d * d
+    if in_frame:  # pumped along z with its own |s|
+        params_seq = [p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
+                      for p in params_seq]
+    reduce, constant, spin_rows, spin_columns, (i, j) = _superop_factors(ops.nuclear_spin, in_frame)
+    n = constant.shape[1]
     # the commutator rotates each off-diagonal pair:
     # d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
-    i, j = _pairs(d)
-    sym, anti = d + np.arange(i.size), d + i.size + np.arange(i.size)
-    diagonal = np.arange(d2)
-    expand = np.empty((len(params_seq), d2 + len(spin_rows), d2))
+    sym = ops.dim + np.arange(i.size)
+    anti = sym + i.size
+    diagonal = np.arange(n)
+    expand = np.empty((len(params_seq), n + len(spin_rows), n))
     for b, p in enumerate(params_seq):
         energy = (p.a_hfs * ops.i_dot_s).diagonal().real
-        rotation = np.zeros((d2, d2))
+        rotation = np.zeros((n, n))
         rotation[anti, sym] = energy[i] - energy[j]
         rotation[sym, anti] = energy[j] - energy[i]
         decay = p.r_op + p.gamma_se + p.gamma_sd
@@ -314,9 +331,9 @@ def build_superops(
         for k in range(3):
             linear += (p.r_op * p.s[k]) * constant[1 + k]
         linear[diagonal, diagonal] -= decay
-        expand[b, :d2] = linear
-        expand[b, d2:] = (2.0 * p.gamma_se) * spin_rows
-    return MasterSuperops(reduce=reduce, expand=expand)
+        expand[b, :n] = linear
+        expand[b, n:] = (2.0 * p.gamma_se) * spin_rows
+    return MasterSuperops(reduce=reduce, expand=expand, spin_columns=spin_columns)
 
 
 def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
@@ -329,11 +346,89 @@ def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
     the sector the right-hand side vanishes there too, so ``restrict`` of
     it is exact along the run.
     """
+    return mf_blocks(ops).sector
+
+
+@dataclass(frozen=True)
+class MFBlocks:
+    """The :func:`pump_sector` coordinates of a pump-frame state, and where its m_F blocks sit among them.
+
+    Two levels share an m_F only across the manifolds F = I +- 1/2, so each
+    block has one or two levels.  ``single`` are the two levels alone in
+    theirs, m_F = +-(I + 1/2).  Pair k, m_F descending, is the level
+    ``upper[k]`` of F = I + 1/2 and ``lower[k]`` of F = I - 1/2; its
+    coherence rho[upper, lower] is (x[d + k] + i x[d + 2I + k]) / sqrt 2.
+    ``levels`` lists every block, m_F descending, as [upper, lower], with
+    -1 for the missing level of a block of one: the first and the last.
+    """
+
+    sector: np.ndarray
+    single: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    levels: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _mf_blocks(nuclear_spin: float) -> MFBlocks:
+    ops = build_coupled_operators(nuclear_spin)
     d = ops.dim
     i, j = _pairs(d)
     m_f = np.array([m for _, m in ops.labels])
     equal = np.flatnonzero(m_f[i] == m_f[j])
-    return np.concatenate([np.arange(d), d + equal, d + i.size + equal])
+    upper, lower = i[equal], j[equal]
+    single = np.flatnonzero(np.abs(m_f) == m_f.max())
+    pad = np.array([-1])
+    blocks = MFBlocks(
+        sector=np.concatenate([np.arange(d), d + equal, d + i.size + equal]),
+        single=single,
+        upper=upper,
+        lower=lower,
+        levels=np.stack([np.concatenate([single[:1], upper, single[1:]]),
+                         np.concatenate([pad, lower, pad])], axis=1),
+    )
+    for index in vars(blocks).values():
+        index.setflags(write=False)
+    return blocks
+
+
+def mf_blocks(ops: SpinOperatorSet) -> MFBlocks:
+    """The sector and the m_F blocks of a pump-frame state, built once per nuclear spin."""
+    return _mf_blocks(ops.nuclear_spin)
+
+
+def block_spectra(x: np.ndarray, ops: SpinOperatorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form spectra of pump-frame states from their sector coordinates ``x``, shape (..., d + 4I).
+
+    A level alone in its m_F block (:func:`mf_blocks`) is its own
+    eigenvalue.  A pair with populations a (upper) and c (lower) and
+    coherence b has the eigenvalues mu +- r, mu = (a + c)/2,
+    r = sqrt(delta^2 + |b|^2), delta = (a - c)/2, with the eigenvectors
+    (cos t, e^{-i phi} sin t) and (-e^{i phi} sin t, cos t) on
+    (upper, lower), t = theta/2.  Returns the eigenvalues, shape (..., d),
+    with mu + r at each pair's upper level and mu - r at its lower, and
+    each pair's rotation angles theta = atan2(|b|, delta) and phi = arg b,
+    shape (..., 2I).
+    """
+    blocks = mf_blocks(ops)
+    d, pairs = ops.dim, blocks.upper.size
+    a, c = x[..., blocks.upper], x[..., blocks.lower]
+    re = x[..., d : d + pairs] * math.sqrt(0.5)
+    im = x[..., d + pairs :] * math.sqrt(0.5)
+    size, delta, mu = np.hypot(re, im), 0.5 * (a - c), 0.5 * (a + c)
+    r = np.hypot(delta, size)
+    w = np.empty(x.shape[:-1] + (d,))
+    w[..., blocks.single] = x[..., blocks.single]
+    w[..., blocks.upper] = mu + r
+    w[..., blocks.lower] = mu - r
+    return w, np.arctan2(size, delta), np.arctan2(im, re)
+
+
+def _trace_drift(x: np.ndarray, d: int) -> np.ndarray:
+    """|Tr rho - 1| of each row of coordinates ``x``, whose first d are the populations."""
+    # stacked matmuls sum each row in the same order whatever the number of
+    # rows; a reduction along axis 1 need not
+    return np.abs(np.matmul(x[:, None, :d], np.ones((d, 1)))[:, 0, 0] - 1.0)
 
 
 def pump_frame(ops: SpinOperatorSet, s: Sequence[float]) -> np.ndarray:
@@ -341,14 +436,24 @@ def pump_frame(ops: SpinOperatorSet, s: Sequence[float]) -> np.ndarray:
 
     In the pump frame, rho' = R^dag rho R, the pump lies along z; n is the
     unit vector along z x s and theta the angle between z and s.  For s along
-    z, or s = 0, R is the identity.
+    z, or s = 0, R is the identity.  The last frames built are kept, read-only,
+    so a run, its observable pass and its steady state share one.
     """
-    sx, sy, sz = (float(c) for c in s)
+    return _pump_frame(ops.nuclear_spin, tuple(float(c) for c in s))
+
+
+@functools.lru_cache(maxsize=64)
+def _pump_frame(nuclear_spin: float, s: tuple[float, float, float]) -> np.ndarray:
+    ops = build_coupled_operators(nuclear_spin)
+    sx, sy, sz = s
     across = math.hypot(sx, sy)
     if across == 0.0:
-        return np.eye(ops.dim, dtype=complex)
-    w, v = np.linalg.eigh((-sy / across) * ops.f_ops[0] + (sx / across) * ops.f_ops[1])
-    return (v * np.exp(-1j * math.atan2(across, sz) * w)) @ v.conj().T
+        frame = np.eye(ops.dim, dtype=complex)
+    else:
+        w, v = np.linalg.eigh((-sy / across) * ops.f_ops[0] + (sx / across) * ops.f_ops[1])
+        frame = (v * np.exp(-1j * math.atan2(across, sz) * w)) @ v.conj().T
+    frame.setflags(write=False)
+    return frame
 
 
 class _RhsScratch:
@@ -411,18 +516,43 @@ def sampling_plan(t_end: float, dt: float, sample_every: int) -> tuple[int, int]
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one integration run."""
+    """Sampled solution of one integration run.
+
+    The samples are kept as they were stepped: ``coordinates`` are the
+    :func:`pump_sector` coordinates of each state rho' in the pump frame
+    ``frame`` = R, where the lab-frame state is R rho' R^dag.  ``states``,
+    ``max_trace_drift`` and ``min_eigenvalue`` are read off them on access.
+    """
 
     times: np.ndarray  # (n,) seconds
-    states: np.ndarray  # (n, dim, dim)
+    coordinates: np.ndarray  # (n, d + 4I) pump-frame sector coordinates
+    frame: np.ndarray  # (d, d) pump_frame(ops, params.s)
     rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
     params: PumpParams
+    ops: SpinOperatorSet = field(repr=False)
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
     steady_index: int | None
-    max_trace_drift: float
-    min_eigenvalue: float
     steps: int  # accepted steps
     rhs_evals: int  # evaluations of drho/dt, the samples' included
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """The lab-frame states, shape (n, d, d), lifted from ``coordinates`` on first access."""
+        d = self.ops.dim
+        full = np.zeros((len(self), d * d))
+        full[:, pump_sector(self.ops)] = self.coordinates
+        rho = from_coordinates(full)
+        if (self.frame == np.eye(d)).all():
+            return rho
+        return self.frame @ rho @ self.frame.conj().T
+
+    @property
+    def max_trace_drift(self) -> float:
+        return float(_trace_drift(self.coordinates, self.ops.dim).max())
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(block_spectra(self.coordinates, self.ops)[0].min())
 
     @property
     def reached_steady(self) -> bool:
@@ -504,11 +634,9 @@ def integrate_block(
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
     # in its pump frame a column is pumped along z with its own |s|
-    frames = np.stack([pump_frame(ops, p.s) for p in params_seq])
-    in_frame = [p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
-                for p in params_seq]
+    frames = [pump_frame(ops, p.s) for p in params_seq]
     sector = pump_sector(ops)
-    sup = build_superops(in_frame, ops).restrict(sector)
+    sup = build_superops(params_seq, ops, in_frame=True)
     # the maximally mixed state is the same in every frame
     x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
     d = ops.dim
@@ -518,7 +646,7 @@ def integrate_block(
         return functools.partial(block_rhs, sup=part, scratch=_RhsScratch(len(columns), part))
 
     def check(x: np.ndarray) -> np.ndarray:
-        _, drift, eig_min = _lift(x, sector, d)
+        drift, eig_min = _trace_drift(x, d), block_spectra(x, ops)[0].min(axis=1)
         failure = np.full(len(x), "", dtype=object)
         low = eig_min < EIGENVALUE_FLOOR
         failure[low] = [f"eigenvalue {e:.3e} below -1e-6" for e in eig_min[low]]
@@ -536,37 +664,19 @@ def integrate_block(
     trajectories = []
     for j, p in enumerate(params_seq):
         kept, steady_index = samples.taken[j], int(samples.steady[j])
-        states, drift, eig_min = np.empty((kept, d, d), dtype=complex), np.empty(kept), np.empty(kept)
-        turned = not (frames[j] == np.eye(d)).all()
-        for i in range(0, kept, LIFT_CHUNK):
-            part = slice(i, min(i + LIFT_CHUNK, kept))
-            rho, drift[part], eig_min[part] = _lift(samples.states[j, part], sector, d)
-            states[part] = frames[j] @ rho @ frames[j].conj().T if turned else rho  # R rho R^dag, in the lab
         trajectories.append(Trajectory(
             times=times[:kept],
-            states=states,
+            coordinates=samples.states[j, :kept],
+            frame=frames[j],
             rhs_norms=samples.rhs_norms[j, :kept],
             params=p,
+            ops=ops,
             dt=dt,
             steady_index=steady_index if steady_index >= 0 else None,
-            max_trace_drift=float(drift.max()),
-            min_eigenvalue=float(eig_min.min()),
             steps=int(samples.steps[j]),
             rhs_evals=int(samples.rhs_evals[j]),
         ))
     return trajectories
-
-
-def _lift(x: np.ndarray, sector: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pump-frame states of the sector coordinates ``x``, their trace drift and lowest eigenvalue."""
-    full = np.zeros((len(x), d * d))
-    full[:, sector] = x
-    # stacked matmuls sum each row in the same order whatever the number of
-    # rows; a reduction along axis 1 need not.  The sector starts with the d
-    # diagonal coordinates.
-    drift = np.abs(np.matmul(x[:, None, :d], np.ones((d, 1)))[:, 0, 0] - 1.0)
-    rho = from_coordinates(full)
-    return rho, drift, np.linalg.eigvalsh(rho).min(axis=1)
 
 
 def spin_temperature_state(

@@ -115,7 +115,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
             f"R_op = {r_op:g} G_SE", exc.step, exc.t,
         ) from exc
     bundles = {
-        key: {**stacked_observables(traj.states, params, ops), "t_norm": traj.t_norm}
+        key: {**stacked_observables(traj.coordinates, params, ops), "t_norm": traj.t_norm}
         for key, (ops, _, params, traj) in zip(SERIES, runs)
     }
     grid = bundles[SERIES[0]]["t_norm"]

@@ -1,5 +1,11 @@
 """End-to-end runs: config -> rates -> integration -> observables -> CSV.
 
+Trajectories keep their samples as the integrator stepped them, as
+pump-frame coordinates on the Delta m_F = 0 sector.  The observable pass
+(:func:`stacked_observables`) reads every sample there, and the steady state
+too, off the closed-form spectra of its m_F blocks: no state is
+diagonalized or lifted to a d x d matrix on the way to the CSVs.
+
 Output conventions shared by every writer here:
   * floats are written with ``%.12g`` (full double precision, stable across
     runs, so identical inputs give byte-identical files),
@@ -12,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,13 +34,16 @@ from .dynamics import (
     SteadyStateInfo,
     Trajectory,
     block_rhs,
+    block_spectra,
     build_superops,
     default_dt,
     fit_spin_temperature,
     integrate,  # noqa: F401 — not called here; kept only because perfbench/traced.py wraps it
     integrate_block,
+    mf_blocks,
     pump_frame,
     pump_polarization,
+    pump_sector,
     sampling_plan,
     solve_steady_state,
     to_coordinates,
@@ -60,8 +71,8 @@ __all__ = [
     "format_value",
 ]
 
-# states per batched eigendecomposition in stacked_observables; a fixed block
-# keeps the pass's scratch memory independent of the trajectory length
+# states per pass of stacked_observables; a fixed block keeps the pass's
+# scratch memory independent of the trajectory length
 OBSERVABLE_BLOCK = 64
 
 # largest sample store of one integrator block, all columns together; one run
@@ -210,102 +221,165 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-def _observable_block(
-    rho: np.ndarray, sup: MasterSuperops, eps: np.ndarray, observed: np.ndarray,
-    params: PumpParams, ops: SpinOperatorSet,
-) -> dict[str, np.ndarray]:
-    """Observables of one (m, d, d) block from a single batched eigh.
+@functools.lru_cache(maxsize=None)
+def _pass_tables(nuclear_spin: float) -> tuple[np.ndarray, ...]:
+    """What the observable pass reads off the labels alone, built once per nuclear spin.
 
-    ``observed`` holds the coordinates of F_k, S_k and H0 as columns, so
-    their expectation values are one product with the states' coordinates,
-    Tr(A rho) = x_A . x_rho.
+    ``fx[k]`` is F_x between the levels of m_F blocks k and k + 1, as
+    [upper, lower] x [upper, lower] (:class:`~vaporspin.dynamics.MFBlocks`),
+    0 where a block has one level.  ``odd`` holds F_z and S_z as columns,
+    on the population differences x[plus] - x[minus] of each level with
+    m_F > 0 and its m_F -> -m_F mirror in the same manifold, then on the
+    coherence coordinates: both operators are odd under that mirror, so a
+    state symmetric under it reads exactly 0, whatever the rounding of
+    their matrix elements.  Returns (fx, plus, minus, odd).
     """
-    d = ops.dim
-    x = to_coordinates(rho)
-    expectation = x @ observed
-    w, u = np.linalg.eigh(rho)
-    u_h = u.conj().swapaxes(1, 2)
+    ops = build_coupled_operators(nuclear_spin)
+    d, blocks = ops.dim, mf_blocks(ops)
+    present = blocks.levels >= 0
+    fx = np.where(present[:-1, :, None] & present[1:, None, :],
+                  ops.f_ops[0][blocks.levels[:-1, :, None], blocks.levels[1:, None, :]], 0.0)
+    index = {label: k for k, label in enumerate(ops.labels)}
+    plus = np.array([k for k, (_, m) in enumerate(ops.labels) if m > 0])
+    minus = np.array([index[f, -m] for f, m in (ops.labels[k] for k in plus)])
+    coordinates = to_coordinates(np.stack([ops.f_ops[2], ops.s_ops[2]]))[:, blocks.sector]
+    odd = np.concatenate([coordinates[:, plus], coordinates[:, d:]], axis=1).T
+    for table in (fx, plus, minus, odd):
+        table.setflags(write=False)
+    return fx, plus, minus, odd
+
+
+def _observable_block(
+    x: np.ndarray, sup: MasterSuperops, energy: np.ndarray, eps: np.ndarray, axis: np.ndarray,
+    lab: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
+) -> dict[str, np.ndarray]:
+    """Observables of one (m, d + 4I) block of pump-frame sector coordinates, from their block spectra.
+
+    ``energy`` is the diagonal of H0 and ``eps`` its spectrum, ascending;
+    ``axis`` is the lab direction of the frame's z axis and ``lab`` the
+    sector coordinates of R^dag |a><a| R as columns, one per level a.
+    """
+    d, blocks, (fx, plus, minus, odd) = ops.dim, mf_blocks(ops), _pass_tables(ops.nuclear_spin)
+    pairs = blocks.upper.size
+    w, theta, phi = block_spectra(x, ops)
+    # each pair's eigenvectors are (c, e^{-i phi} s) and (-e^{i phi} s, c)
+    c, s, turn = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
     out: dict[str, np.ndarray] = {}
 
     # entropy and its production (thermo.von_neumann_entropy and
     # thermo.entropy_production_rate, one row per state)
     clipped = np.clip(w, EIG_CLIP, 1.0)
-    log_rho = (u * np.log(clipped)[:, None, :]) @ u_h
     occupied = np.where(w > EIG_CLIP, clipped, 0.0)  # a level at or below EIG_CLIP is empty
     p = occupied / occupied.sum(axis=1, keepdims=True)
-    s_vn = 0.0 - np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)  # a pure state reads 0, not -0
-    out["s_vn"] = s_vn
-    out["sigma"] = np.maximum(np.log(d) - s_vn, 0.0)  # D(rho || 1/d) >= 0; roundoff reads 0
-    # Tr(drho/dt log rho), as the dot product of real coordinates
-    drho = block_rhs(x, sup)
-    rate = np.einsum("ni,ni->n", drho, to_coordinates(log_rho))
+    occupied_p = np.where(p > 0.0, p, 1.0)
+    out["s_vn"] = 0.0 - np.sum(p * np.log(occupied_p), axis=1)  # a pure state reads 0, not -0
+    # D(rho || 1/d) = sum p ln(d p) = ln d - S, without the cancellation of
+    # the difference; it is >= 0, so roundoff below reads 0
+    out["sigma"] = np.maximum(np.sum(p * np.log(d * occupied_p), axis=1), 0.0)
+    # Tr(drho/dt log rho) in the pump frame, as the dot product of sector
+    # coordinates; each pair's part of log rho is L+ v+ v+^dag + L- v- v-^dag
+    log_w = np.log(clipped)
+    up, low = log_w[:, blocks.upper], log_w[:, blocks.lower]
+    c2, s2 = c * c, s * s
+    log_x = np.empty_like(x)
+    log_x[:, :d] = log_w
+    log_x[:, blocks.upper] = up * c2 + low * s2
+    log_x[:, blocks.lower] = up * s2 + low * c2
+    coherence = (up - low) * (math.sqrt(2.0) * c * s)  # sqrt 2 |<upper|log rho|lower>|
+    log_x[:, d : d + pairs] = coherence * turn.real
+    log_x[:, d + pairs :] = coherence * turn.imag
+    rate = np.einsum("ni,ni->n", block_rhs(x, sup), log_x)
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 
     # energy above the ground state, ergotropy and efficiency from sorted
-    # spectra (thermo.ergotropy and thermo.efficiency)
-    energy_raw = expectation[:, -1]
-    energy = energy_raw - eps[0]
-    erg = np.maximum(energy_raw - w[:, ::-1] @ eps, 0.0)
-    stored = np.isfinite(energy) & (energy > ENERGY_FLOOR * (eps[-1] - eps[0]))
-    eff = np.zeros_like(energy)
-    eff[stored] = np.clip(erg[stored] / energy[stored], 0.0, 1.0)
+    # spectra (thermo.ergotropy and thermo.efficiency); H0 is diagonal in
+    # |F, m_F> and invariant under the frame's rotation
+    energy_raw = x[:, :d] @ energy
+    energy_above = energy_raw - eps[0]
+    erg = np.maximum(energy_raw - np.sort(w, axis=1)[:, ::-1] @ eps, 0.0)
+    stored = np.isfinite(energy_above) & (energy_above > ENERGY_FLOOR * (eps[-1] - eps[0]))
+    eff = np.zeros_like(energy_above)
+    eff[stored] = np.clip(erg[stored] / energy_above[stored], 0.0, 1.0)
     scale = params.a_hfs if params.a_hfs > 0.0 else 1.0
-    out["energy_over_a"] = energy / scale
+    out["energy_over_a"] = energy_above / scale
     out["ergotropy_over_a"] = erg / scale
     out["efficiency"] = eff
 
-    # QFI about each axis (metrology.quantum_fisher_information): the pair
-    # weights depend on the spectrum only, one basis change per generator
+    # QFI (metrology.quantum_fisher_information).  The state commutes with
+    # the frame's F_z, so its QFI matrix is q (1 - n n^T), with q about the
+    # frame's x axis: F_x joins neighbouring m_F blocks only
     lam = np.clip(w, 0.0, None)
-    li, lj = lam[:, :, None], lam[:, None, :]
+    block_lam = np.where(blocks.levels >= 0, lam[:, blocks.levels], 0.0)  # (m, blocks, 2)
+    vectors = np.zeros(block_lam.shape + (2,), dtype=complex)  # the eigenvectors as columns
+    vectors[:, [0, -1], 0, 0] = vectors[:, [0, -1], 1, 1] = 1.0  # the blocks of one
+    vectors[:, 1:-1, 0, 0] = vectors[:, 1:-1, 1, 1] = c
+    vectors[:, 1:-1, 0, 1] = -turn * s
+    vectors[:, 1:-1, 1, 0] = turn.conj() * s
+    g_eig = vectors[:, :-1].conj().swapaxes(-1, -2) @ fx @ vectors[:, 1:]
+    li, lj = block_lam[:, :-1, :, None], block_lam[:, 1:, None, :]
     denom = li + lj
-    keep = denom > PAIR_CUTOFF * np.maximum(lam.sum(axis=1), 1e-300)[:, None, None]
+    keep = denom > PAIR_CUTOFF * np.maximum(lam.sum(axis=1), 1e-300)[:, None, None, None]
     weight = np.where(keep, (li - lj) ** 2 / np.where(keep, denom, 1.0), 0.0)
-    for axis, g in zip("xyz", ops.f_ops):
-        g_eig = u_h @ g @ u
-        qfi = 2.0 * np.sum(weight * np.abs(g_eig) ** 2, axis=(1, 2))
-        resolved = qfi > qfi_floor(w, g)
-        out[f"qfi_{axis}"] = np.where(resolved, qfi, 0.0)
-        out[f"crb_{axis}"] = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
-
-    for i, name in enumerate(TRAJECTORY_COLUMNS[14:]):  # fx ... sz
-        out[name] = expectation[:, i]
-    out["populations"] = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
+    transverse = 4.0 * np.sum(weight * np.abs(g_eig) ** 2, axis=(1, 2, 3))  # both orders of each pair
+    qfi = transverse[:, None] * (1.0 - axis**2)
+    resolved = qfi > qfi_floor(w, ops.f_ops[2])[:, None]  # ||F_k||_F is the same for every axis
+    crb = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
+    qfi = np.where(resolved, qfi, 0.0)
+    # <F> and <S> lie along the frame's z axis; + 0.0 writes a -0 as 0
+    along = np.concatenate([x[:, plus] - x[:, minus], x[:, d:]], axis=1) @ odd
+    spin = along[:, :, None] * axis + 0.0
+    for k, name in enumerate("xyz"):
+        out[f"qfi_{name}"], out[f"crb_{name}"] = qfi[:, k], crb[:, k]
+        out[f"f{name}"], out[f"s{name}"] = spin[:, 0, k], spin[:, 1, k]
+    out["populations"] = np.clip(x @ lab, 0.0, None)
     return out
 
 
-def stacked_observables(
-    states: np.ndarray, params: PumpParams, ops: SpinOperatorSet
-) -> dict[str, np.ndarray]:
-    """Every per-sample observable of a stack of states, shape (n, d, d).
+def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> dict[str, np.ndarray]:
+    """Every per-sample observable of pump-frame states, from their sector coordinates ``x``, shape (n, d + 4I).
 
-    Returns one array per trajectory.csv observable column (``s_vn`` through
-    ``sz``), each of shape (n,), plus ``populations`` of shape (n, d).  Each
-    state is diagonalized once; the superoperators and the spectrum of H0 are
-    built once per call.  This pass serves trajectories, the figure series and
-    steady states (a stack of one), and it applies the floors of
+    ``x`` holds each state's :func:`~vaporspin.dynamics.pump_sector`
+    coordinates in the pump frame of ``params``
+    (:func:`~vaporspin.dynamics.pump_frame`), as a
+    :class:`~vaporspin.dynamics.Trajectory` keeps them.  Returns one array
+    per trajectory.csv observable column (``s_vn`` through ``sz``), each of
+    shape (n,), plus the lab-frame ``populations`` of shape (n, d).  Each
+    state is read off the closed-form spectra of its m_F blocks
+    (:func:`~vaporspin.dynamics.block_spectra`); none is diagonalized or
+    turned to the lab.  The entropy production rate is the in-frame
+    right-hand side dotted with the coordinates of log rho.  The state
+    commutes with the frame's F_z, so in the lab <F> and <S> lie along n,
+    the lab direction of the frame's z axis (s/|s|, or z for pumps along +-z
+    and for s = 0), and the QFI about lab axis k is q (1 - n_k^2), q the QFI
+    about the frame's x axis.  This pass serves trajectories, the figure
+    series and steady states (a stack of one), and it applies the floors of
     :func:`~vaporspin.metrology.qfi_floor` and
     :func:`~vaporspin.thermo.production_rate_floor`: a QFI or entropy
     production rate below its floor is exactly 0, and the QFI's bound inf.
     The scalar routines in :mod:`vaporspin.thermo` and
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
-    sup = build_superops(params, ops)
-    h0 = params.a_hfs * ops.i_dot_s
-    eps = np.linalg.eigvalsh(h0)
-    observed = to_coordinates(np.concatenate([ops.f_ops, ops.s_ops, h0[None]])).T
-    blocks = [
-        _observable_block(states[i : i + OBSERVABLE_BLOCK], sup, eps, observed, params, ops)
-        for i in range(0, len(states), OBSERVABLE_BLOCK)
+    sup = build_superops(params, ops, in_frame=True)
+    energy = (params.a_hfs * ops.i_dot_s).diagonal().real
+    eps = np.sort(energy)
+    s = params.s_vec
+    axis = s / np.linalg.norm(s) if s[0] != 0.0 or s[1] != 0.0 else np.array([0.0, 0.0, 1.0])
+    # the sector coordinates of R^dag |a><a| R, one column per level a
+    frame, blocks = pump_frame(ops, params.s), mf_blocks(ops)
+    coherence = math.sqrt(2.0) * (frame[:, blocks.upper].conj() * frame[:, blocks.lower]).T
+    lab = np.vstack([(frame.conj() * frame).real.T, coherence.real, coherence.imag])
+    parts = [
+        _observable_block(x[i : i + OBSERVABLE_BLOCK], sup, energy, eps, axis, lab, params, ops)
+        for i in range(0, len(x), OBSERVABLE_BLOCK)
     ]
-    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], np.ndarray]:
     """Per-sample observables table for trajectory.csv: the header, and one float row per sample."""
     header = TRAJECTORY_COLUMNS + _population_columns(ops)
-    obs = stacked_observables(traj.states, traj.params, ops)
+    obs = stacked_observables(traj.coordinates, traj.params, ops)
     columns = [traj.times, traj.t_norm] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
     return header, np.column_stack(columns + [obs["populations"]])
 
@@ -323,7 +397,7 @@ def steady_state_columns(
     rho_pump = frame.conj().T @ rho @ frame
     pops = np.clip(np.diag(rho_pump).real, 0.0, None)
     beta_fit, beta_resid = fit_spin_temperature(pops, ops.labels)
-    obs = stacked_observables(rho[None], params, ops)
+    obs = stacked_observables(to_coordinates(rho_pump)[None, pump_sector(ops)], params, ops)
     return {
         "s_along_pump": float(obs[f"s{cfg.pump_axis}"][0]),
         "s_along_pump_predicted": 0.5 * pump_polarization(params),

@@ -9,6 +9,7 @@ from vaporspin.dynamics import (
     PhysicsViolationError,
     PumpParams,
     block_rhs,
+    block_spectra,
     build_superops,
     default_dt,
     from_coordinates,
@@ -416,15 +417,21 @@ class TestIntegrate:
 class TestPumpFrame:
     """Runs step in their pump frame, on the Delta m_F = 0 coordinates of the mixed state."""
 
-    def test_lift_chunk_does_not_change_the_result(self, ops, monkeypatch):
-        # an x pump's samples are turned back to the lab frame chunk by chunk
-        block = [params(s=(0.5, 0, 0)), params(r_op=2.0)]
-        whole = integrate_block(block, ops, t_end=0.5, sample_every=3)
-        assert len(whole[0]) > 7
-        monkeypatch.setattr(dynamics, "LIFT_CHUNK", 7)
-        for a, b in zip(integrate_block(block, ops, t_end=0.5, sample_every=3), whole):
-            assert np.array_equal(a.states, b.states)
-            assert (a.max_trace_drift, a.min_eigenvalue) == (b.max_trace_drift, b.min_eigenvalue)
+    def test_guard_margins_are_read_off_the_block_spectra(self):
+        # x, y, z and oblique pumps in one block, at I = 3/2 and 5/2: the closed-form
+        # spectra of the m_F blocks against eigvalsh and the trace of the lab-frame states
+        block = [params(s=(0.5, 0, 0)), params(s=(0, 0.75, 0), r_op=4.0), params(r_op=2.0),
+                 params(s=(0.3, -0.4, 0.2))]
+        for nuclear_spin in (1.5, 2.5):
+            ops = build_coupled_operators(nuclear_spin)
+            for traj in integrate_block(block, ops, t_end=0.5, sample_every=3):
+                lifted = traj.states
+                eig = np.linalg.eigvalsh(lifted)
+                spectra = np.sort(block_spectra(traj.coordinates, ops)[0], axis=1)
+                assert np.max(np.abs(spectra - eig)) <= 1e-15
+                assert abs(traj.min_eigenvalue - eig.min()) <= 1e-15
+                drift = np.abs(np.trace(lifted, axis1=1, axis2=2).real - 1.0).max()
+                assert abs(traj.max_trace_drift - drift) <= 1e-15
 
     @pytest.mark.parametrize("nuclear_spin, width, nuclear, spins",
                              [(0.5, 6, 2, 1), (1.5, 14, 4, 1), (2.5, 22, 6, 1), (3.5, 30, 8, 1), (4.5, 38, 10, 1)])

@@ -10,6 +10,7 @@ from vaporspin.metrology import (
     reparametrize_monotone,
     second_divided_differences,
 )
+from vaporspin.dynamics import pump_sector
 from vaporspin.pipeline import stacked_observables
 
 from conftest import random_density_matrix
@@ -99,9 +100,9 @@ class TestCramerRaoBound:
         assert cramer_rao_bound(1e-320) == math.inf
 
     def test_sample_bundles_three_axes(self, ops8, make_params):
-        rho = np.zeros((1, 8, 8), dtype=complex)
-        rho[0, 0, 0] = 1.0
-        sample = stacked_observables(rho, make_params(), ops8)
+        x = np.zeros((1, pump_sector(ops8).size))
+        x[0, 0] = 1.0  # the stretched level |F = 2, m_F = 2>
+        sample = stacked_observables(x, make_params(), ops8)
         assert sample["qfi_x"][0] == pytest.approx(4.0, abs=1e-10)
         assert sample["crb_x"][0] == pytest.approx(0.5, abs=1e-10)
         assert sample["qfi_z"][0] == pytest.approx(0.0, abs=1e-10)

@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 
 import vaporspin
-from vaporspin import cli, figures, metrology, thermo
+from vaporspin import cli, dynamics, figures, metrology, thermo
 from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
     fit_spin_temperature,
+    from_coordinates,
+    mf_blocks,
     pump_frame,
+    pump_sector,
     solve_steady_state,
+    to_coordinates,
 )
 from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
+from vaporspin.spin_algebra import build_coupled_operators
 from vaporspin.pipeline import (
     OBSERVABLE_BLOCK,
     TRAJECTORY_COLUMNS,
@@ -40,7 +45,7 @@ from vaporspin.pipeline import (
 from vaporspin.thermo import thermo_sample
 import vaporspin.pipeline as pipeline
 
-from conftest import assert_matches_closed_form, random_density_matrix, random_unitary
+from conftest import assert_matches_closed_form
 
 POPULATION_COLUMNS = [
     "p_f2_m2", "p_f2_m1", "p_f2_m0", "p_f2_mm1", "p_f2_mm2",
@@ -231,12 +236,60 @@ def oracle_observables(rho, params, ops) -> dict[str, float]:
     return ref
 
 
-class TestStackedObservables:
-    """The one-eigh-per-state pass against the scalar oracles, at 1e-12."""
+# the pump directions whose frames turn the test states to the lab
+FRAMES = {"x": (0.7, 0.0, 0.0), "y": (0.0, 0.7, 0.0), "z": (0.0, 0.0, 0.7), "oblique": (0.3, -0.4, 0.2)}
 
-    def check(self, states, params, ops):
-        got = stacked_observables(states, params, ops)
+
+def block_coordinates(ops, w, theta, phi) -> np.ndarray:
+    """Sector coordinates of pump-frame states with the m_F block spectra ``w`` (n, d) and pair angles (n, 2I).
+
+    The inverse of :func:`block_spectra`: each pair's eigenvalue at its upper
+    level goes with (cos t, e^{-i phi} sin t), t = theta / 2.
+    """
+    blocks = mf_blocks(ops)
+    d, pairs = ops.dim, blocks.upper.size
+    plus, minus = w[:, blocks.upper], w[:, blocks.lower]
+    cos2, sin2 = np.cos(0.5 * theta) ** 2, np.sin(0.5 * theta) ** 2
+    x = np.zeros((len(w), d + 2 * pairs))
+    x[:, blocks.single] = w[:, blocks.single]
+    x[:, blocks.upper] = plus * cos2 + minus * sin2
+    x[:, blocks.lower] = plus * sin2 + minus * cos2
+    coherence = (plus - minus) * np.sin(theta) / math.sqrt(2.0)
+    x[:, d : d + pairs] = coherence * np.cos(phi)
+    x[:, d + pairs :] = coherence * np.sin(phi)
+    return x
+
+
+def random_block_states(rng, ops, n) -> np.ndarray:
+    """n random pump-frame states: random levels, each pair block a random 2 x 2 density matrix."""
+    w = rng.uniform(size=(n, ops.dim))
+    pairs = mf_blocks(ops).upper.size
+    return block_coordinates(ops, w / w.sum(axis=1, keepdims=True),
+                             rng.uniform(0.0, math.pi, size=(n, pairs)), rng.uniform(-math.pi, math.pi, size=(n, pairs)))
+
+
+def lab_states(x, params, ops) -> np.ndarray:
+    """The lab-frame states R rho R^dag of pump-frame sector coordinates ``x``."""
+    d = ops.dim
+    full = np.zeros((len(x), d * d))
+    full[:, pump_sector(ops)] = x
+    frame = pump_frame(ops, params.s)
+    return frame @ from_coordinates(full) @ frame.conj().T
+
+
+def frame_coordinates(rho, params, ops) -> np.ndarray:
+    """The pump-frame sector coordinates of a lab-frame state, as one row."""
+    frame = pump_frame(ops, params.s)
+    return to_coordinates(frame.conj().T @ rho @ frame)[None, pump_sector(ops)]
+
+
+class TestStackedObservables:
+    """The block-spectra pass against the scalar oracles on the lab-frame states, at 1e-12."""
+
+    def check(self, x, params, ops):
+        got = stacked_observables(x, params, ops)
         assert set(got) == set(TRAJECTORY_COLUMNS[2:]) | {"populations"}
+        states = lab_states(x, params, ops)
         refs = [oracle_observables(rho, params, ops) for rho in states]
         for key in TRAJECTORY_COLUMNS[2:]:
             want = np.array([r[key] for r in refs])
@@ -248,44 +301,82 @@ class TestStackedObservables:
                 got[key][finite], want[finite], rtol=0.0, atol=1e-12 * scale, err_msg=key
             )
         pops = np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
-        np.testing.assert_array_equal(got["populations"], pops)
+        if params.s[0] == params.s[1] == 0.0:  # no turn: the populations are the coordinates
+            np.testing.assert_array_equal(got["populations"], pops)
+        else:
+            np.testing.assert_allclose(got["populations"], pops, rtol=0.0, atol=1e-15)
         return got
 
     @pytest.mark.parametrize("n", [1, OBSERVABLE_BLOCK, 2 * OBSERVABLE_BLOCK + 13])
     def test_random_full_rank_states(self, ops8, make_params, rng, n):
-        states = np.stack([random_density_matrix(rng) for _ in range(n)])
-        self.check(states, make_params(s=0.7, axis="x"), ops8)
+        self.check(random_block_states(rng, ops8, n), make_params(s=0.7, axis="x"), ops8)
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("frame", list(FRAMES))
+    def test_random_states_in_every_frame(self, make_params, rng, nuclear_spin, frame):
+        ops = build_coupled_operators(nuclear_spin)
+        self.check(random_block_states(rng, ops, 40), dataclasses.replace(make_params(), s=FRAMES[frame]), ops)
 
     def test_pure_states(self, ops8, make_params, rng):
-        states = np.stack([random_density_matrix(rng, rank=1) for _ in range(5)])
-        got = self.check(states, make_params(), ops8)
-        assert np.all(got["s_vn"] < 1e-12)
+        # one level of a block of one, or a pure state of one pair block,
+        # Haar-random within it as random_density_matrix(rank=1) is in the full space
+        blocks, n = mf_blocks(ops8), 6
+        pairs = blocks.upper.size
+        w = np.zeros((n, 8))
+        w[0, blocks.single[0]] = 1.0
+        w[np.arange(1, n), blocks.upper[rng.integers(pairs, size=n - 1)]] = 1.0
+        theta = 2.0 * np.arccos(np.sqrt(rng.uniform(size=(n, pairs))))  # |<upper|psi>|^2 uniform
+        x = block_coordinates(ops8, w, theta, rng.uniform(-math.pi, math.pi, size=(n, pairs)))
+        for s in FRAMES.values():
+            got = self.check(x, dataclasses.replace(make_params(), s=s), ops8)
+            assert np.all(got["s_vn"] < 1e-12)
 
     def test_ground_state_has_no_efficiency(self, ops8, make_params):
-        states = np.zeros((4, 8, 8), dtype=complex)
-        for i, k in enumerate((5, 6, 7)):
-            states[i, k, k] = 1.0
-        states[3, 5:, 5:] = np.eye(3) / 3.0
-        got = self.check(states, make_params(), ops8)
-        assert np.all(np.abs(got["energy_over_a"]) < 1e-12)
-        assert np.all(got["efficiency"] == 0.0)
+        # the F = 1 levels are the lower levels of the three pairs
+        lower = mf_blocks(ops8).lower
+        x = np.zeros((4, pump_sector(ops8).size))
+        x[np.arange(3), lower] = 1.0
+        x[3, lower] = 1.0 / 3.0
+        for s in FRAMES.values():
+            got = self.check(x, dataclasses.replace(make_params(), s=s), ops8)
+            assert np.all(np.abs(got["energy_over_a"]) < 1e-12)
+            assert np.all(got["efficiency"] == 0.0)
 
     def test_near_zero_eigenvalue_pairs(self, ops8, make_params, rng):
-        # pairs straddling the QFI pair cutoff: kept, dropped, and exact zeros
+        # pairs straddling the QFI pair cutoff, within a block and across
+        # neighbouring ones: kept, dropped, and exact zeros.  Levels 0 and 4
+        # are blocks of one; (1, 5), (2, 6) and (3, 7) are pairs, turned at
+        # random.  Each small eigenvalue shares its block with a small or an
+        # empty level, so the stored coordinates fix it to its own precision.
+        # The states stay in the pump frame: the oracle's diagonalization of
+        # a turned, dense lab state moves a 1e-13 eigenvalue by eps, 1e-3 of
+        # itself, which its logarithm and the pair cutoff carry into
+        # sigma_rate_per_s (2e-5) and the QFI (1.5e-12).
         spectra = [
-            [0.6, 0.4 - 3e-13, 1e-13, 2e-13, 0.0, 0.0, 0.0, 0.0],
-            [0.5, 0.5 - 2e-12, 1e-12, 1e-12, 0.0, 0.0, 0.0, 0.0],
-            [1.0 - 4e-15, 1e-15, 1e-15, 1e-15, 1e-15, 0.0, 0.0, 0.0],
+            [0.6, 0.0, 1e-13, 0.0, 0.4 - 3e-13, 0.0, 2e-13, 0.0],
+            [0.5, 1e-12, 0.0, 0.0, 0.5 - 2e-12, 1e-12, 0.0, 0.0],
+            [1.0 - 4e-15, 1e-15, 1e-15, 0.0, 1e-15, 0.0, 1e-15, 0.0],
         ]
-        states = []
-        for lam in spectra:
-            u = random_unitary(rng, 8)
-            states.append((u * np.array(lam)) @ u.conj().T)
-        self.check(np.stack(states), make_params(s=0.3, axis="y"), ops8)
+        w = np.array(spectra * 3)
+        pairs = mf_blocks(ops8).upper.size
+        x = block_coordinates(ops8, w, rng.uniform(0.0, math.pi, size=(len(w), pairs)),
+                              rng.uniform(-math.pi, math.pi, size=(len(w), pairs)))
+        self.check(x, make_params(s=0.3, axis="z"), ops8)
 
     def test_trajectory_states(self):
         result = simulate(fast_config(pump_axis="x", sample_every=20))
-        self.check(result.traj.states, result.params, result.ops)
+        self.check(result.traj.coordinates, result.params, result.ops)
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    def test_qfi_vanishes_along_the_pump_and_is_equal_across_it(self, make_params, rng, nuclear_spin):
+        # a pump-frame state commutes with the frame's F_z
+        ops = build_coupled_operators(nuclear_spin)
+        x = random_block_states(rng, ops, 20)
+        for axis in "xyz":
+            got = stacked_observables(x, make_params(axis=axis), ops)
+            across = [got[f"qfi_{a}"] for a in "xyz" if a != axis]
+            assert np.all(got[f"qfi_{axis}"] == 0.0) and np.all(got[f"crb_{axis}"] == math.inf)
+            assert np.array_equal(*across) and np.all(across[0] > 0.0)
 
 
 class TestPumpFrame:
@@ -406,6 +497,28 @@ class TestPumpAxisRelabelling:
                     np.testing.assert_allclose(turned_column, z_column, rtol=1e-10, atol=1e-14)
                 else:  # transverse: exactly 0 in the z run
                     assert np.all(z_column == 0.0) and np.max(np.abs(turned_column)) < 1e-14, name + lab
+
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_trajectory_csv_is_the_relabelled_z_file(self, tmp_path, axis, nuclear_spin):
+        # in its frame the run is the z run bit for bit, and the pass reads it
+        # there: only the lab axes and the lab populations move
+        tables = {}
+        for pump in ("z", axis):
+            cfg = RunConfig(pump_axis=pump, nuclear_spin=nuclear_spin, t_end_over_t_se=0.2).validate()
+            run_single(cfg, tmp_path / pump)
+            tables[pump] = read_csv(tmp_path / pump / "trajectory.csv")
+        (header, z_rows), (turned_header, rows) = tables["z"], tables[axis]
+        assert turned_header == header and len(rows) == len(z_rows)
+        per_axis = {f"{name}{lab}" for name in ("qfi_", "crb_", "f", "s") for lab in "xyz"}
+        for k, name in enumerate(header):
+            if name.startswith("p_f"):
+                continue
+            z_name = name[:-1] + self.RELABEL[axis][name[-1]] if name in per_axis else name
+            assert [r[k] for r in rows] == [r[header.index(z_name)] for r in z_rows], name
+            if name[:1] in "fs" and name in per_axis and name[-1] != axis:
+                assert {r[k] for r in rows} == {"0"}, name
 
 
 class TestHeadlineClaim:
@@ -649,11 +762,37 @@ class TestOneObservablePath:
         assert sigma[0] == "0"
         assert min(float(v) for v in sigma) >= 0.0
 
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    def test_the_mixed_start_reads_zero_spin_and_entropy_production(self, tmp_path, nuclear_spin):
+        # <F> and <S> are read off m_F -> -m_F differences, which vanish at the start
+        run_single(RunConfig(nuclear_spin=nuclear_spin, t_end_over_t_se=0.2).validate(), tmp_path)
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        names = TRAJECTORY_COLUMNS[14:] + ["sigma"]
+        assert {name: rows[0][header.index(name)] for name in names} == dict.fromkeys(names, "0")
+
+    def test_run_sweep_and_figures_decompose_no_sample_stack(self, tmp_path, monkeypatch):
+        # every sample is read off its closed-form m_F block spectra; what is
+        # left is pump_frame's eigh of one d x d generator and Newton's check
+        dynamics._pump_frame.cache_clear()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, real=getattr(np.linalg, name), **kwargs):
+                calls.append((sys._getframe(1).f_code.co_name, np.shape(a)))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_single(fast_config(pump_axis="x"), tmp_path / "run")
+        cfg = fast_config(pump_axis="y", sweep_variable="s_magnitude", sweep_values=(0.25, 1.0))
+        assert run_sweep(cfg, tmp_path / "sweep")[1] == ["ok", "ok"]
+        figures.reproduce_figures(RunConfig(dt_steps_per_rate=1.0).validate(), tmp_path / "figures")
+        assert {caller for caller, _ in calls} == {"_pump_frame", "solve_steady_state"}
+        assert all(len(shape) == 2 for _, shape in calls)
+
     def test_scalar_oracles_apply_the_same_floors(self, ops8, make_params):
         params = make_params(s=1.0, axis="x")
         rho, info = solve_steady_state(params, ops8)
         assert info.converged
-        got = stacked_observables(rho[None], params, ops8)
+        got = stacked_observables(frame_coordinates(rho, params, ops8), params, ops8)
         qfi = quantum_fisher_information(rho, ops8.f_ops[0])
         assert qfi == got["qfi_x"][0] == 0.0
         assert cramer_rao_bound(qfi) == got["crb_x"][0] == math.inf

@@ -255,7 +255,7 @@ class TestThermoSample:
     def test_series_matches_pointwise(self, ops8, make_params):
         p = make_params(s=0.5)
         traj = integrate(p, ops8, t_end=0.5 * p.t_se, sample_every=500)
-        series = stacked_observables(traj.states, p, ops8)
+        series = stacked_observables(traj.coordinates, p, ops8)
         assert len(series["sigma"]) == len(traj)
         one = thermo_sample(traj.states[-1], p, ops8)
         assert series["sigma"][-1] == pytest.approx(one.sigma, abs=1e-14)
