@@ -24,6 +24,7 @@ from .dynamics import (
     default_dt,
     fit_spin_temperature,
     integrate,
+    lab_states,
     master_rhs,
     nuclear_part,
     solve_steady_state,
@@ -54,7 +55,7 @@ __all__ = [
     # dynamics
     "PumpParams", "PhysicsViolationError", "Trajectory",
     "nuclear_part", "master_rhs", "build_superops", "default_dt",
-    "integrate", "solve_steady_state",
+    "integrate", "solve_steady_state", "lab_states",
     "spin_temperature_state", "fit_spin_temperature",
     # thermodynamics
     "von_neumann_entropy", "relative_entropy", "entropy_production",

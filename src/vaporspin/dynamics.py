@@ -37,12 +37,11 @@ them (DOP853 under error control; ``fixed_step=True``: RK4 at the step
 of each block of columns and the guards.  A pump-frame state is
 block-diagonal in m_F, with blocks of one or two levels, so its spectrum is
 closed form (:func:`block_spectra`); the guards read trace and positivity
-off it.  A :class:`Trajectory` keeps the sector coordinates as stepped, and
-its frame; its lab-frame states R rho R^dag are lifted only when read.
+off it.  A :class:`Trajectory` keeps the sector coordinates as stepped.
 Samples fall on the grid ``(k * sample_every) * dt`` plus the end.  Steady
 states are detected along a trajectory (``Trajectory.steady_index``) or
-solved for directly with a Newton iteration from their closed form
-(:func:`solve_steady_state`).
+solved for on the sector with a Newton iteration from their closed form
+(:func:`solve_steady_state`); :func:`lab_states` lifts either to the lab.
 """
 
 from __future__ import annotations
@@ -73,6 +72,7 @@ __all__ = [
     "block_rhs",
     "pump_frame",
     "pump_sector",
+    "lab_states",
     "mf_blocks",
     "block_spectra",
     "default_dt",
@@ -406,7 +406,8 @@ def block_spectra(x: np.ndarray, ops: SpinOperatorSet) -> tuple[np.ndarray, np.n
     r = sqrt(delta^2 + |b|^2), delta = (a - c)/2, with the eigenvectors
     (cos t, e^{-i phi} sin t) and (-e^{i phi} sin t, cos t) on
     (upper, lower), t = theta/2.  Returns the eigenvalues, shape (..., d),
-    with mu + r at each pair's upper level and mu - r at its lower, and
+    with mu + r at each pair's upper level and mu - r = (ac - |b|^2)/(mu + r),
+    to ulps where b = 0, at its lower (mu - r itself where mu + r = 0), and
     each pair's rotation angles theta = atan2(|b|, delta) and phi = arg b,
     shape (..., 2I).
     """
@@ -419,9 +420,19 @@ def block_spectra(x: np.ndarray, ops: SpinOperatorSet) -> tuple[np.ndarray, np.n
     r = np.hypot(delta, size)
     w = np.empty(x.shape[:-1] + (d,))
     w[..., blocks.single] = x[..., blocks.single]
-    w[..., blocks.upper] = mu + r
-    w[..., blocks.lower] = mu - r
+    w[..., blocks.upper] = top = mu + r
+    w[..., blocks.lower] = np.divide(a * c - (re * re + im * im), top, out=mu - r, where=top != 0.0)
     return w, np.arctan2(size, delta), np.arctan2(im, re)
+
+
+def lab_states(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> np.ndarray:
+    """Lab-frame states R rho R^dag, shape (..., d, d), of pump-frame sector coordinates ``x``."""
+    full = np.zeros(x.shape[:-1] + (ops.dim**2,))
+    full[..., pump_sector(ops)] = x
+    rho, frame = from_coordinates(full), pump_frame(ops, params.s)
+    if (frame == np.eye(ops.dim)).all():
+        return rho
+    return frame @ rho @ frame.conj().T
 
 
 def _trace_drift(x: np.ndarray, d: int) -> np.ndarray:
@@ -519,14 +530,13 @@ class Trajectory:
     """Sampled solution of one integration run.
 
     The samples are kept as they were stepped: ``coordinates`` are the
-    :func:`pump_sector` coordinates of each state rho' in the pump frame
-    ``frame`` = R, where the lab-frame state is R rho' R^dag.  ``states``,
+    :func:`pump_sector` coordinates of each state rho' in the pump frame R
+    of ``params.s``, where the lab-frame state is R rho' R^dag.  ``states``,
     ``max_trace_drift`` and ``min_eigenvalue`` are read off them on access.
     """
 
     times: np.ndarray  # (n,) seconds
     coordinates: np.ndarray  # (n, d + 4I) pump-frame sector coordinates
-    frame: np.ndarray  # (d, d) pump_frame(ops, params.s)
     rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
     params: PumpParams
     ops: SpinOperatorSet = field(repr=False)
@@ -538,13 +548,7 @@ class Trajectory:
     @functools.cached_property
     def states(self) -> np.ndarray:
         """The lab-frame states, shape (n, d, d), lifted from ``coordinates`` on first access."""
-        d = self.ops.dim
-        full = np.zeros((len(self), d * d))
-        full[:, pump_sector(self.ops)] = self.coordinates
-        rho = from_coordinates(full)
-        if (self.frame == np.eye(d)).all():
-            return rho
-        return self.frame @ rho @ self.frame.conj().T
+        return lab_states(self.coordinates, self.params, self.ops)
 
     @property
     def max_trace_drift(self) -> float:
@@ -633,9 +637,8 @@ def integrate_block(
 
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
-    # in its pump frame a column is pumped along z with its own |s|
-    frames = [pump_frame(ops, p.s) for p in params_seq]
     sector = pump_sector(ops)
+    # in its pump frame a column is pumped along z with its own |s|
     sup = build_superops(params_seq, ops, in_frame=True)
     # the maximally mixed state is the same in every frame
     x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
@@ -667,7 +670,6 @@ def integrate_block(
         trajectories.append(Trajectory(
             times=times[:kept],
             coordinates=samples.states[j, :kept],
-            frame=frames[j],
             rhs_norms=samples.rhs_norms[j, :kept],
             params=p,
             ops=ops,
@@ -740,9 +742,11 @@ def pump_polarization(params: PumpParams) -> float:
 
 
 def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.ndarray, SteadyStateInfo]:
-    """Newton solve of drho/dt = 0 with the trace pinned to 1, from the closed form.
+    """Newton solve of drho/dt = 0 with the trace pinned to 1, on the pump-frame sector, from the closed form.
 
-    Newton starts from rho ~ exp(beta n.F) along the pump axis n, with
+    Returns :func:`pump_sector` coordinates, as a :class:`Trajectory` keeps
+    them, the same for x, y and z pumps of one |s|.  Newton starts from
+    rho ~ exp(beta n.F) along the in-frame pump axis n (+-z), with
     beta = ln((1 + P) / (1 - P)), inf at P = 1, and P = :func:`pump_polarization`.
     That is an exact fixed point: rho = rho_I (x) rho_S commutes with H0 = A I.S, and
     phi = rho_I (x) 1/2, so the collision and pump terms reduce to
@@ -750,24 +754,24 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
     So Newton stops at its first residual check (below ``NEWTON_TOL`` of the
     fastest collisional or pumping rate, within ``NEWTON_MAX_ITER`` iterations),
     and the result depends on ``(params, ops)`` alone.  With every rate zero
-    it is the maximally mixed state.
+    it is the maximally mixed state.  ``converged`` asks too that
+    :func:`block_spectra` stay above -1e-9.
     """
-    d = ops.dim
-    sup = build_superops(params, ops)
+    d, sector = ops.dim, pump_sector(ops)
+    x = to_coordinates(ops.maximally_mixed())[sector]
     scale = max(params.gamma_se, params.r_op, params.gamma_sd)
     if scale <= 0.0:
-        return ops.maximally_mixed(), SteadyStateInfo(converged=True, residual=0.0, iterations=0)
+        return x, SteadyStateInfo(converged=True, residual=0.0, iterations=0)
 
+    sup = build_superops(params, ops, in_frame=True)
     pol = pump_polarization(params)
-    rho = ops.maximally_mixed()
     if pol > 0.0:  # at P = 1, beta = inf: the pure stretched state
         beta = math.log((1.0 + pol) / (1.0 - pol)) if pol < 1.0 else math.inf
-        rho = spin_temperature_state(beta, ops, axis=params.s_vec)
-    x = to_coordinates(rho)
-    trace_row = np.zeros(d * d)
-    trace_row[:d] = 1.0
-    residual = math.inf
-    iterations = 0
+        # in its frame a pump lies along +z, or keeps its -z and its frame, the identity
+        axis = (0.0, 0.0, params.s[2] if params.s[0] == params.s[1] == 0.0 else 1.0)
+        x = to_coordinates(spin_temperature_state(beta, ops, axis=axis))[sector]
+    trace_row = np.concatenate([np.ones(d), np.zeros(len(sector) - d)])
+    residual, iterations = math.inf, 0
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         f = block_rhs(x[None], sup)[0]
         residual = float(np.linalg.norm(f))
@@ -778,13 +782,12 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
         delta, *_ = np.linalg.lstsq(system, target, rcond=None)
         x = x + delta
 
-    rho = from_coordinates(x)
-    converged = bool(residual < NEWTON_TOL * scale and np.linalg.eigvalsh(rho).min() > -1e-9)
-    return rho, SteadyStateInfo(converged=converged, residual=residual, iterations=iterations)
+    converged = bool(residual < NEWTON_TOL * scale and block_spectra(x, ops)[0].min() > -1e-9)
+    return x, SteadyStateInfo(converged=converged, residual=residual, iterations=iterations)
 
 
 def _jacobian(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
-    """d(block_rhs)/dx of a one-column ``sup`` at the coordinates ``x``, shape (d^2, d^2).
+    """d(block_rhs)/dx of a one-column ``sup`` at the coordinates ``x``, shape (n, n) for n = len(x).
 
     With f = x @ A + sum_k <S_k> n @ E_k, where (n, <S_k>) = x @ reduce and
     E_k are the spin rows of ``expand``, the derivative of f_i by x_j is

@@ -84,14 +84,14 @@ def _radius_point(base: RunConfig, radius: float) -> dict[str, object]:
         r_op_over_gamma_se=RADIUS_SWEEP_R_OP,
     )
     ops, _, params = build_simulation(cfg)
-    rho, info = solve_steady_state(params, ops)
+    ness, info = solve_steady_state(params, ops)
     if not info.converged:
         raise RuntimeError(f"steady-state solve failed at radius {radius} cm")
     return {
         "radius_cm": cfg.radius_cm,
         "gamma_se_per_s": params.gamma_se,
         "gamma_sd_per_s": params.gamma_sd,
-        **steady_state_columns(cfg, ops, params, rho),
+        **steady_state_columns(cfg, ops, params, ness),
     }
 
 

@@ -1,10 +1,10 @@
 """End-to-end runs: config -> rates -> integration -> observables -> CSV.
 
-Trajectories keep their samples as the integrator stepped them, as
-pump-frame coordinates on the Delta m_F = 0 sector.  The observable pass
-(:func:`stacked_observables`) reads every sample there, and the steady state
-too, off the closed-form spectra of its m_F blocks: no state is
-diagonalized or lifted to a d x d matrix on the way to the CSVs.
+Trajectories keep their samples as the integrator stepped them, and Newton
+its steady state, as pump-frame coordinates on the Delta m_F = 0 sector.  The
+observable pass (:func:`stacked_observables`) reads each state there off the
+closed-form spectra of its m_F blocks: no state is diagonalized, turned or
+lifted to a d x d matrix on the way to the CSVs.
 
 Output conventions shared by every writer here:
   * floats are written with ``%.12g`` (full double precision, stable across
@@ -40,10 +40,10 @@ from .dynamics import (
     fit_spin_temperature,
     integrate,  # noqa: F401 — not called here; kept only because perfbench/traced.py wraps it
     integrate_block,
+    lab_states,
     mf_blocks,
     pump_frame,
     pump_polarization,
-    pump_sector,
     sampling_plan,
     solve_steady_state,
     to_coordinates,
@@ -131,8 +131,13 @@ class SimulationResult:
     rates: RateSet
     params: PumpParams
     traj: Trajectory
-    ness_rho: np.ndarray
+    ness: np.ndarray  # (d + 4I,) pump-frame sector coordinates of the steady state
     ness_info: SteadyStateInfo
+
+    @property
+    def ness_rho(self) -> np.ndarray:
+        """The steady state in the lab frame, a d x d matrix lifted from ``ness``."""
+        return lab_states(self.ness, self.params, self.ops)
 
 
 def integrate_runs(
@@ -168,11 +173,9 @@ def integrate_runs(
 def simulate(cfg: RunConfig) -> SimulationResult:
     """Integrate from the maximally mixed state, and solve for the steady state.
 
-    The steady state does not depend on the trajectory: Newton starts from the
-    closed-form spin-temperature state, an exact fixed point (rho = rho_I (x) rho_S
-    commutes with H0, and with phi = rho_I (x) 1/2 the collision and pump terms
-    cancel at P = |s| R_op / (R_op + G_SD)).  A run whose samples would need more
-    than ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError` before integrating.
+    The steady state does not depend on the trajectory: Newton starts from its
+    closed form (:func:`~vaporspin.dynamics.solve_steady_state`).  A run whose samples
+    would need more than ``MAX_TRAJECTORY_BYTES`` raises :class:`ConfigError` before integrating.
     """
     [(ops, rates, params, traj)] = integrate_runs([cfg])
     return SimulationResult(cfg, ops, rates, params, traj, *solve_steady_state(params, ops))
@@ -384,26 +387,19 @@ def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str],
     return header, np.column_stack(columns + [obs["populations"]])
 
 
-def off_diagonal_mass(rho: np.ndarray) -> float:
-    """sum_{i != j} |rho_ij|^2 — coherence weight in the given basis, summed over the off-diagonal entries alone."""
-    return float(np.sum(np.abs(rho[~np.eye(len(rho), dtype=bool)]) ** 2))
-
-
 def steady_state_columns(
-    cfg: RunConfig, ops: SpinOperatorSet, params: PumpParams, rho: np.ndarray
+    cfg: RunConfig, ops: SpinOperatorSet, params: PumpParams, x: np.ndarray
 ) -> dict[str, object]:
-    """Observables of a steady state ``rho`` (the closing columns of summary.csv)."""
-    frame = pump_frame(ops, params.s)
-    rho_pump = frame.conj().T @ rho @ frame
-    pops = np.clip(np.diag(rho_pump).real, 0.0, None)
-    beta_fit, beta_resid = fit_spin_temperature(pops, ops.labels)
-    obs = stacked_observables(to_coordinates(rho_pump)[None, pump_sector(ops)], params, ops)
+    """The steady-state columns of summary.csv, read off pump-frame sector coordinates ``x``."""
+    d = ops.dim
+    beta_fit, beta_resid = fit_spin_temperature(np.clip(x[:d], 0.0, None), ops.labels)
+    obs = stacked_observables(x[None], params, ops)
     return {
         "s_along_pump": float(obs[f"s{cfg.pump_axis}"][0]),
         "s_along_pump_predicted": 0.5 * pump_polarization(params),
         "beta_fit": beta_fit,
         "beta_fit_residual": beta_resid,
-        "off_diag_mass_pump_frame": off_diagonal_mass(rho_pump),
+        "off_diag_mass_pump_frame": float(np.sum(x[d:] ** 2)),  # sum_{i != j} |rho_ij|^2
         **{key: float(obs[key][0]) for key in TRAJECTORY_COLUMNS[2:14]},
     }
 
@@ -434,7 +430,7 @@ def steady_state_row(result: SimulationResult) -> dict[str, object]:
         "ness_converged": result.ness_info.converged,
         "ness_residual_per_s": result.ness_info.residual,
         "ness_iterations": result.ness_info.iterations,
-        **steady_state_columns(cfg, result.ops, params, result.ness_rho),
+        **steady_state_columns(cfg, result.ops, params, result.ness),
     }
 
 

@@ -13,6 +13,7 @@ from vaporspin.config import RunConfig
 from vaporspin.dynamics import (
     PumpParams,
     build_superops,
+    lab_states,
     master_rhs,
     pump_polarization,
     solve_steady_state,
@@ -38,7 +39,7 @@ def slowest_rates(params: PumpParams, nuclear_spin: float) -> tuple[np.ndarray, 
     transverse pair the slowest two at |Delta m_F| = 1.
     """
     ops = build_coupled_operators(nuclear_spin)
-    rho, _ = solve_steady_state(params, ops)
+    rho = lab_states(solve_steady_state(params, ops)[0], params, ops)
     jacobian = dynamics._jacobian(to_coordinates(rho), build_superops(params, ops))
     m_f = np.array([m for _, m in ops.labels])
     i, j = dynamics._pairs(ops.dim)

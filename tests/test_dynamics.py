@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from vaporspin.dynamics import (
     hermitian_basis,
     integrate,
     integrate_block,
+    lab_states,
     master_rhs,
+    mf_blocks,
     nuclear_part,
     pump_frame,
     pump_sector,
@@ -584,8 +587,8 @@ class TestSpinTemperatureState:
     def test_z_pump_steady_state_is_exactly_diagonal(self, nuclear_spin):
         cfg = RunConfig(nuclear_spin=nuclear_spin).validate()
         ops_i, _, p = build_simulation(cfg)
-        rho, _ = solve_steady_state(p, ops_i)
-        assert steady_state_columns(cfg, ops_i, p, rho)["off_diag_mass_pump_frame"] == 0.0
+        x, _ = solve_steady_state(p, ops_i)
+        assert steady_state_columns(cfg, ops_i, p, x)["off_diag_mass_pump_frame"] == 0.0
 
     def test_zero_axis_rejected(self, ops):
         with pytest.raises(ValueError):
@@ -619,11 +622,62 @@ class TestSpinTemperatureState:
         assert residual > 0.05
 
 
+class TestBlockSpectra:
+    """The closed-form eigenvalues of a pair block against the exact ones of its stored coordinates."""
+
+    @staticmethod
+    def pair_state(ops, upper, lower, theta, phi):
+        """Sector coordinates with one pair block of eigenvalues (upper, lower), turned by theta, phase phi."""
+        blocks = mf_blocks(ops)
+        d, pairs = ops.dim, blocks.upper.size
+        x = np.zeros(d + 2 * pairs)
+        cos2, sin2 = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
+        x[blocks.upper[0]] = upper * cos2 + lower * sin2
+        x[blocks.lower[0]] = upper * sin2 + lower * cos2
+        coherence = (upper - lower) * math.sin(theta) / math.sqrt(2.0)
+        x[d], x[d + pairs] = coherence * math.cos(phi), coherence * math.sin(phi)
+        return x
+
+    @staticmethod
+    def exact_lower(ops, x):
+        """The lower eigenvalue of pair 0 of ``x``, in rational arithmetic on the stored floats."""
+        blocks, d = mf_blocks(ops), ops.dim
+        a, c = Fraction(x[blocks.upper[0]]), Fraction(x[blocks.lower[0]])
+        b2 = (Fraction(x[d]) ** 2 + Fraction(x[d + blocks.upper.size]) ** 2) / 2  # |b|^2
+        # mu + r adds non-negative terms, so a float square root costs it no precision
+        top = (a + c) / 2 + Fraction(math.sqrt((a - c) ** 2 / 4 + b2))
+        return float((a * c - b2) / top)
+
+    def test_small_eigenvalue_beside_a_large_one(self, ops, rng):
+        # 1e-13 shares a pair block with 0.4: unturned or slightly turned, it
+        # keeps its relative precision; turned at random, its absolute one
+        lower = mf_blocks(ops).lower[0]
+        for theta in (0.0, 1e-8, 1e-7, 1e-6):
+            x = self.pair_state(ops, 0.4, 1e-13, theta, rng.uniform(-math.pi, math.pi))
+            want = self.exact_lower(ops, x)
+            assert abs(block_spectra(x, ops)[0][lower] / want - 1.0) <= 1e-15, theta
+        for theta in rng.uniform(0.0, math.pi, size=50):
+            x = self.pair_state(ops, 0.4, 1e-13, theta, rng.uniform(-math.pi, math.pi))
+            w = block_spectra(x, ops)[0]
+            assert abs(w[lower] - self.exact_lower(ops, x)) <= 4 * np.finfo(float).eps * 0.4, theta
+
+    def test_empty_and_negative_pairs(self, ops):
+        blocks = mf_blocks(ops)
+        x = np.zeros(pump_sector(ops).size)
+        assert np.all(block_spectra(x, ops)[0] == 0.0)
+        # mu + r = 0 with a negative level: the guard still sees it
+        x[blocks.lower[0]] = -2e-6
+        assert block_spectra(x, ops)[0][blocks.lower[0]] == -2e-6
+
+
 class TestSolveSteadyState:
-    def test_newton_jacobian_matches_finite_differences(self, ops, rng):
+    @pytest.mark.parametrize("in_frame", [False, True])
+    def test_newton_jacobian_matches_finite_differences(self, ops, rng, in_frame):
         p = params(s=(0.3, -0.2, 0.5), r_op=0.7, gamma_sd=0.02)
-        sup = build_superops(p, ops)
+        sup = build_superops(p, ops, in_frame=in_frame)
         x = to_coordinates(random_density_matrix(rng))
+        if in_frame:  # Newton's system: the sector coordinates in the pump frame
+            x = x[pump_sector(ops)]
         h = 1e-6
         columns = [(block_rhs((x + h * e)[None], sup)[0] - block_rhs((x - h * e)[None], sup)[0]) / (2 * h)
                    for e in np.eye(x.size)]
@@ -632,8 +686,9 @@ class TestSolveSteadyState:
 
     def test_matches_analytic_polarization(self, ops):
         p = params(s=(0, 0, 0.5), r_op=1.0, gamma_sd=0.0027)
-        rho, info = solve_steady_state(p, ops)
+        x, info = solve_steady_state(p, ops)
         assert info.converged
+        rho = lab_states(x, p, ops)
         sz = np.trace(ops.s_ops[2] @ rho).real
         expected = 0.25 * p.r_op / (p.r_op + p.gamma_sd)
         assert sz == pytest.approx(expected, abs=1e-11)
@@ -647,15 +702,38 @@ class TestSolveSteadyState:
             sample_every=100, stop_at_steady=True, steady_tol=1e-9,
         )
         assert traj.reached_steady
-        rho, info = solve_steady_state(p, ops)
+        x, info = solve_steady_state(p, ops)
         assert info.converged
+        rho = lab_states(x, p, ops)
         assert np.max(np.abs(rho - traj.states[-1])) < 1e-7
+
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_every_pump_axis_solves_the_same_sector_equations(self, nuclear_spin, s):
+        # in its pump frame every pump lies along z with its |s|, so x, y and z
+        # pumps return the same coordinates and report bit for bit
+        ops_i = build_coupled_operators(nuclear_spin)
+        (x, info), *turned = [solve_steady_state(params(s=vec), ops_i) for vec in ((0, 0, s), (s, 0, 0), (0, s, 0))]
+        assert info.converged and x.shape == pump_sector(ops_i).shape
+        assert np.all(x[ops_i.dim:] == 0.0)  # diagonal in the pump frame
+        for other, other_info in turned:
+            assert np.array_equal(other, x) and other_info == info
+
+    def test_minus_z_pump_starts_at_its_mirrored_closed_form(self, ops):
+        # a -z pump keeps its frame, the identity, and its closed form is the
+        # +z one with m_F -> -m_F: Newton stops there at its first check
+        up, info_up = solve_steady_state(params(s=(0, 0, 0.5)), ops)
+        down, info_down = solve_steady_state(params(s=(0, 0, -0.5)), ops)
+        assert info_up.iterations == info_down.iterations == 1 and info_down.converged
+        mirror = [ops.labels.index((f, -m)) for f, m in ops.labels]
+        np.testing.assert_allclose(down[:ops.dim], up[:ops.dim][mirror], rtol=1e-15, atol=0.0)
+        assert np.all(down[ops.dim:] == 0.0)
 
     def test_x_pump_steady_state_is_rotated_z_solution(self, ops):
         pz = params(s=(0, 0, 0.5), gamma_sd=0.01)
         px = params(s=(0.5, 0, 0), gamma_sd=0.01)
-        rho_z, _ = solve_steady_state(pz, ops)
-        rho_x, _ = solve_steady_state(px, ops)
+        rho_z = lab_states(solve_steady_state(pz, ops)[0], pz, ops)
+        rho_x = lab_states(solve_steady_state(px, ops)[0], px, ops)
         assert np.trace(ops.s_ops[0] @ rho_x).real == pytest.approx(
             np.trace(ops.s_ops[2] @ rho_z).real, abs=1e-10
         )
@@ -663,12 +741,14 @@ class TestSolveSteadyState:
 
     def test_unpolarized_drive_gives_mixed_state(self, ops):
         p = params(s=(0, 0, 0), r_op=1.0, gamma_sd=0.1)
-        rho, info = solve_steady_state(p, ops)
+        x, info = solve_steady_state(p, ops)
         assert info.converged
+        rho = lab_states(x, p, ops)
         assert np.allclose(rho, np.eye(8) / 8.0, atol=1e-10)
 
     def test_all_rates_zero_returns_seed(self, ops):
         p = PumpParams(r_op=0, s=(0, 0, 0), gamma_se=0, gamma_sd=0, a_hfs=0)
-        rho, info = solve_steady_state(p, ops)
+        x, info = solve_steady_state(p, ops)
         assert info.converged
+        rho = lab_states(x, p, ops)
         assert np.allclose(rho, np.eye(8) / 8.0)

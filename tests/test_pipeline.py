@@ -17,12 +17,11 @@ from vaporspin.dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
     fit_spin_temperature,
-    from_coordinates,
+    lab_states,
     mf_blocks,
     pump_frame,
     pump_sector,
     solve_steady_state,
-    to_coordinates,
 )
 from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
 from vaporspin.spin_algebra import build_coupled_operators
@@ -31,7 +30,6 @@ from vaporspin.pipeline import (
     TRAJECTORY_COLUMNS,
     build_simulation,
     format_value,
-    off_diagonal_mass,
     run_single,
     run_sweep,
     simulate,
@@ -268,21 +266,6 @@ def random_block_states(rng, ops, n) -> np.ndarray:
                              rng.uniform(0.0, math.pi, size=(n, pairs)), rng.uniform(-math.pi, math.pi, size=(n, pairs)))
 
 
-def lab_states(x, params, ops) -> np.ndarray:
-    """The lab-frame states R rho R^dag of pump-frame sector coordinates ``x``."""
-    d = ops.dim
-    full = np.zeros((len(x), d * d))
-    full[:, pump_sector(ops)] = x
-    frame = pump_frame(ops, params.s)
-    return frame @ from_coordinates(full) @ frame.conj().T
-
-
-def frame_coordinates(rho, params, ops) -> np.ndarray:
-    """The pump-frame sector coordinates of a lab-frame state, as one row."""
-    frame = pump_frame(ops, params.s)
-    return to_coordinates(frame.conj().T @ rho @ frame)[None, pump_sector(ops)]
-
-
 class TestStackedObservables:
     """The block-spectra pass against the scalar oracles on the lab-frame states, at 1e-12."""
 
@@ -381,9 +364,13 @@ class TestStackedObservables:
 
 class TestPumpFrame:
     def test_x_pump_steady_state_is_diagonal_in_pump_frame(self, ops8, make_params):
+        def off_diagonal_mass(rho):
+            return float(np.sum(np.abs(rho - np.diag(np.diag(rho))) ** 2))
+
         p = make_params(s=0.5, axis="x")
-        rho, info = solve_steady_state(p, ops8)
+        x, info = solve_steady_state(p, ops8)
         assert info.converged
+        rho = lab_states(x, p, ops8)
         frame = pump_frame(ops8, p.s)
         rho_pump = frame.conj().T @ rho @ frame
         assert off_diagonal_mass(rho_pump) < 1e-12
@@ -393,7 +380,7 @@ class TestPumpFrame:
         betas = {}
         for axis in ("x", "y", "z"):
             p = make_params(s=0.5, axis=axis)
-            rho, _ = solve_steady_state(p, ops8)
+            rho = lab_states(solve_steady_state(p, ops8)[0], p, ops8)
             frame = pump_frame(ops8, p.s)
             pops = np.clip(np.diag(frame.conj().T @ rho @ frame).real, 0.0, None)
             beta, resid = fit_spin_temperature(pops, ops8.labels)
@@ -411,17 +398,12 @@ class TestPumpFrame:
         cfg = RunConfig(pump_axis=axis, s_magnitude=1.0, r_op_over_gamma_se=r_op,
                         temperature_c=temperature_c).validate()
         ops, _, params = build_simulation(cfg)
-        rho, info = solve_steady_state(params, ops)
+        x, info = solve_steady_state(params, ops)
         assert info.converged
         pol = params.r_op / (params.r_op + params.gamma_sd)
         beta = math.log((1.0 + pol) / (1.0 - pol))
-        got = steady_state_columns(cfg, ops, params, rho)["beta_fit"]
+        got = steady_state_columns(cfg, ops, params, x)["beta_fit"]
         assert got == pytest.approx(beta, rel=1e-9)
-
-    def test_off_diagonal_mass_by_hand(self):
-        m = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        assert off_diagonal_mass(m) == pytest.approx(0.18, rel=1e-12)
-        assert off_diagonal_mass(np.diag([0.25, 0.75]).astype(complex)) == 0.0
 
 
 class TestClosedFormSteadyState:
@@ -463,7 +445,7 @@ class TestFullPolarization:
         # a pure state: its levels at or below EIG_CLIP are empty, so S = 0 (not -0) and Sigma = ln 8
         assert (row["s_vn"], row["sigma"]) == ("0", f"{math.log(8):.12g}")
         ops, _, params = build_simulation(cfg)
-        rho, _ = solve_steady_state(params, ops)
+        rho = lab_states(solve_steady_state(params, ops)[0], params, ops)
         s_vn = thermo.von_neumann_entropy(rho)
         assert (s_vn, math.copysign(1.0, s_vn), thermo.entropy_production(rho)) == (0.0, 1.0, math.log(8))
 
@@ -520,6 +502,25 @@ class TestPumpAxisRelabelling:
             if name[:1] in "fs" and name in per_axis and name[-1] != axis:
                 assert {r[k] for r in rows} == {"0"}, name
 
+    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_summary_csv_is_the_relabelled_z_file(self, tmp_path, s, nuclear_spin):
+        # Newton solves in the pump frame too, so the steady state's cells,
+        # its fit residual and coherence weight included, are the z pump's
+        rows = {}
+        for pump in "zxy":
+            cfg = RunConfig(pump_axis=pump, s_magnitude=s, nuclear_spin=nuclear_spin, t_end_over_t_se=0.2)
+            run_single(cfg.validate(), tmp_path / pump)
+            header, [rows[pump]] = read_csv(tmp_path / pump / "summary.csv")
+        z_row = dict(zip(header, rows["z"]))
+        assert z_row["off_diag_mass_pump_frame"] == "0"
+        for axis in "xy":
+            row = dict(zip(header, rows[axis]))
+            assert row.pop("pump_axis") == axis
+            want = {name: z_row[name[:-1] + self.RELABEL[axis][name[-1]] if name[:4] in ("qfi_", "crb_") else name]
+                    for name in row}
+            assert row == want, axis
+
 
 class TestHeadlineClaim:
     """The abstract: a more efficiently pumped NESS is a better rotation probe and less entropic."""
@@ -532,9 +533,9 @@ class TestHeadlineClaim:
                 cfg = RunConfig(pump_axis=axis, s_magnitude=float(s), r_op_over_gamma_se=r_op,
                                 nuclear_spin=nuclear_spin).validate()
                 ops, _, params = build_simulation(cfg)
-                rho, info = solve_steady_state(params, ops)
+                x, info = solve_steady_state(params, ops)
                 assert info.converged
-                rows.append(steady_state_columns(cfg, ops, params, rho))
+                rows.append(steady_state_columns(cfg, ops, params, x))
         rows.sort(key=lambda row: row["efficiency"])
         assert np.all(np.diff([row["efficiency"] for row in rows]) > 0.0)
         for transverse in "xyz".replace(axis, ""):
@@ -771,8 +772,8 @@ class TestOneObservablePath:
         assert {name: rows[0][header.index(name)] for name in names} == dict.fromkeys(names, "0")
 
     def test_run_sweep_and_figures_decompose_no_sample_stack(self, tmp_path, monkeypatch):
-        # every sample is read off its closed-form m_F block spectra; what is
-        # left is pump_frame's eigh of one d x d generator and Newton's check
+        # every sample, and the steady state, is read off its closed-form m_F
+        # block spectra; what is left is pump_frame's eigh of one d x d generator
         dynamics._pump_frame.cache_clear()
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -785,14 +786,15 @@ class TestOneObservablePath:
         cfg = fast_config(pump_axis="y", sweep_variable="s_magnitude", sweep_values=(0.25, 1.0))
         assert run_sweep(cfg, tmp_path / "sweep")[1] == ["ok", "ok"]
         figures.reproduce_figures(RunConfig(dt_steps_per_rate=1.0).validate(), tmp_path / "figures")
-        assert {caller for caller, _ in calls} == {"_pump_frame", "solve_steady_state"}
+        assert {caller for caller, _ in calls} == {"_pump_frame"}
         assert all(len(shape) == 2 for _, shape in calls)
 
     def test_scalar_oracles_apply_the_same_floors(self, ops8, make_params):
         params = make_params(s=1.0, axis="x")
-        rho, info = solve_steady_state(params, ops8)
+        x, info = solve_steady_state(params, ops8)
         assert info.converged
-        got = stacked_observables(frame_coordinates(rho, params, ops8), params, ops8)
+        rho = lab_states(x, params, ops8)
+        got = stacked_observables(x[None], params, ops8)
         qfi = quantum_fisher_information(rho, ops8.f_ops[0])
         assert qfi == got["qfi_x"][0] == 0.0
         assert cramer_rao_bound(qfi) == got["crb_x"][0] == math.inf
