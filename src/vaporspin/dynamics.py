@@ -13,11 +13,11 @@ anticommutator form is the Hermitian symmetrization of the operator products
 ``phi*(1 + 2 s.S)`` and ``phi*(1 + 4<S>.S)``.
 
 Two equivalent evaluation routes are provided: a readable matrix form
-(:func:`master_rhs`, the oracle) and an exact low-rank form over a block of
-states (:func:`block_rhs`), used by the integrators, the Newton solve and the
-entropy production rate.  The low-rank form works in real coordinates: a
-state is x in R^(d^2), its coefficients on the orthonormal Hermitian basis of
-:func:`hermitian_basis` (|i><i|, then (|i><j| + |j><i|)/sqrt 2, then
+(:func:`master_rhs`, the oracle) and an exact low-rank form on the pump-frame
+sector over a block of states (:func:`block_rhs`), used by the integrators,
+the Newton solve and the entropy production rate.  The low-rank form works in
+real coordinates: a state's coefficients on the orthonormal Hermitian basis
+of :func:`hermitian_basis` (|i><i|, then (|i><j| + |j><i|)/sqrt 2, then
 i(|i><j| - |j><i|)/sqrt 2 for i < j).  So ||rho||_F = ||x||,
 Tr(AB) = x_A . x_B, and every state stepped is Hermitian by construction;
 :func:`to_coordinates` and :func:`from_coordinates` convert.
@@ -30,8 +30,8 @@ so there the column is the z-pumped run with the same |s|, and the
 projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
 the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
-I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone
-(``build_superops(..., in_frame=True)``).  :mod:`vaporspin.stepper` steps
+I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone, with the
+factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps
 them (DOP853 under error control; ``fixed_step=True``: RK4 at the step
 ``dt``) and knows nothing of rho: this module hands it the right-hand side
 of each block of columns and the guards.  A pump-frame state is
@@ -212,128 +212,100 @@ def from_coordinates(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MasterSuperops:
-    """Exact low-rank form of the equation of motion for a block of B columns.
+    """Exact low-rank form of the pump-frame sector equations for a block of B columns.
 
     The electron-depolarized part is phi = Tr_S(rho) (x) 1/2 (Appelt et al.,
-    PRA 58, 1412 (1998)).  With x the real coordinates of rho, n those of
-    Tr_S(rho) in the uncoupled |m_I> basis (m^2 of them, m = dim/2; 16 for
-    I = 3/2) and G_k n the coordinates of U (n (x) sigma_k) U^dag mapped back
-    to the coupled basis (sigma_0 = 1, sigma_k = S_k), the right-hand side is
+    PRA 58, 1412 (1998)).  In its pump frame a column is pumped along z, with
+    s_z = +-|s|, and its state stays on :func:`pump_sector`, where it commutes
+    with F_z.  There x holds the n = d + 4I sector coordinates of rho,
+    Tr_S(rho) is diagonal in the uncoupled |m_I> basis with populations q
+    (m = 2I + 1 of them), only <S_z> of <S> is nonzero, and G_k q are the
+    sector coordinates of U (diag q (x) sigma_k) U^dag in the coupled basis
+    (sigma_0 = 1, sigma_z = S_z).  The right-hand side is
 
-        f(x) = L x + (c/2) G_0 n + sum_k alpha_k G_k n,
-        c = R_op + G_SE + G_SD,  alpha_k = R_op s_k + 2 G_SE <S_k>,
+        f(x) = L x + (c/2) G_0 q + alpha G_z q,
+        c = R_op + G_SE + G_SD,  alpha = R_op s_z + 2 G_SE <S_z>,
 
     with L the commutator with H0 (H0 is diagonal in |F, m_F>, so L rotates
-    each pair of off-diagonal coordinates) minus c.  As row vectors, ``reduce``
-    gives (n, <S_k>) = x @ reduce, and ``expand[b]`` is column b's
-    (d^2 + 3 m^2) x d^2 factor: its first d^2 rows fold in L and the constant
-    terms (c/2) G_0 + R_op s.G (n is linear in x), the rest hold
-    2 G_SE G_k^T, so f(x) = [x, <S> (x) n] @ expand[b].
-
-    :meth:`restrict` keeps n of the coordinates, with the nuclear coordinates
-    and spin components they feed (``spin_columns`` of them), so ``reduce``
-    and ``expand`` may be narrower than the shapes below.
+    each pair of coherence coordinates) minus c.  As row vectors, ``reduce``
+    gives (q, <S_z>) = x @ reduce, and ``expand[b]`` is column b's
+    (n + m) x n factor: its first n rows fold in L and the constant terms
+    (c/2) G_0 + R_op s_z G_z (q is linear in x), the rest hold 2 G_SE G_z^T,
+    so f(x) = [x, <S_z> q] @ expand[b].
     """
 
-    reduce: np.ndarray = field(repr=False)  # (d^2, m^2 + 3)
-    expand: np.ndarray = field(repr=False)  # (B, d^2 + 3 m^2, d^2)
-    spin_columns: int = 3
+    reduce: np.ndarray = field(repr=False)  # (n, m + 1)
+    expand: np.ndarray = field(repr=False)  # (B, n + m, n)
 
     def take(self, columns: np.ndarray) -> MasterSuperops:
         """The columns selected by an index or boolean array."""
         return dataclasses.replace(self, expand=self.expand[columns])
 
-    def restrict(self, kept: np.ndarray) -> MasterSuperops:
-        """The factors on the coordinates ``kept`` alone.
-
-        Keeps the nuclear coordinates and spin components where the rows
-        ``kept`` of ``reduce`` are nonzero, and the rows of ``expand`` of
-        ``kept`` and of those (spin, nuclear) pairs, so on states that vanish
-        off ``kept`` it gives the full right-hand side on ``kept``.
-        """
-        m2 = self.reduce.shape[1] - self.spin_columns
-        fed = (self.reduce[kept] != 0).any(axis=0)
-        nuclear, spin = np.flatnonzero(fed[:m2]), np.flatnonzero(fed[m2:])
-        rows = np.concatenate([kept, (self.expand.shape[2] + spin[:, None] * m2 + nuclear).ravel()])
-        # stored as the transpose of a contiguous array, as _superop_factors stores it
-        reduce = np.ascontiguousarray(self.reduce[np.ix_(kept, np.concatenate([nuclear, m2 + spin]))].T).T
-        expand = np.ascontiguousarray(self.expand[:, rows][:, :, kept])
-        return MasterSuperops(reduce=reduce, expand=expand, spin_columns=spin.size)
-
 
 @functools.lru_cache(maxsize=None)
-def _superop_factors(nuclear_spin: float, in_sector: bool = False) -> tuple:
+def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factors of :func:`build_superops` that do not depend on the parameters.
 
     They depend on the nuclear spin alone, so they are built once per nuclear
-    spin and shared, read-only: ``reduce``, ``constant`` (x @ constant[k] =
-    (G_k n)^T for k = 0..3), ``spin_rows``, the last rows of ``expand``
-    before their factor 2 G_SE, ``spin_columns``, and the levels (i, j) of
-    each coherence coordinate, real parts first.  With ``in_sector`` they
-    are :meth:`MasterSuperops.restrict` of the full factors to
-    :func:`pump_sector`.
+    spin and shared, read-only: ``reduce``, ``constant`` (x @ constant[0] =
+    (G_0 q)^T and x @ constant[1] = (G_z q)^T) and ``spin_rows``, the last
+    rows of ``expand`` before their factor 2 G_SE.
     """
     ops = build_coupled_operators(nuclear_spin)
     d, m = ops.dim, ops.dim // 2
-    if in_sector:
-        reduce, constant, spin_rows, _, _ = _superop_factors(nuclear_spin)
-        blocks = mf_blocks(ops)
-        n = blocks.sector.size
-        stacked = np.concatenate([constant, np.broadcast_to(spin_rows, (4, *spin_rows.shape))], axis=1)
-        part = MasterSuperops(reduce=reduce, expand=stacked).restrict(blocks.sector)
-        factors = (part.reduce, part.expand[:, :n], part.expand[0, n:], part.spin_columns,
-                   (blocks.upper, blocks.lower))
-    else:
-        # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
-        # basis of the nuclear factor; n_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
-        nuclear = hermitian_basis(m)
-        product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
-        coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
-        g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)
-        # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
-        factors = (np.vstack([g[0], to_coordinates(ops.s_ops)]).T, np.matmul(g[0].T, g),
-                   g[1:].reshape(-1, d * d), 3, _pairs(d))
-    for factor in factors[:3]:
+    sector = mf_blocks(ops).sector
+    # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
+    # basis of the nuclear factor; q_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
+    nuclear = hermitian_basis(m)
+    product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
+    coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
+    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)[[0, 3]]
+    # a sector state feeds the populations of m_I, the first m of B_b, and <S_z>
+    fed = g[:, :m, sector]
+    # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
+    reduce = np.ascontiguousarray(np.vstack([fed[0], to_coordinates(ops.s_ops[2])[sector]])).T
+    # formed at full width, then cut: formed from cut operands, the sums run
+    # in another order and the last bits change
+    constant = np.matmul(g[0].T, g)[:, sector[:, None], sector]
+    factors = (reduce, constant, fed[1])
+    for factor in factors:
         factor.setflags(write=False)
     return factors
 
 
-def build_superops(
-    params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet, *, in_frame: bool = False
-) -> MasterSuperops:
-    """Low-rank factors for one parameter set, or one column per set of a sequence.
+def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet) -> MasterSuperops:
+    """The factors of the pump-frame sector equations, for one parameter set or one column per set of a sequence.
 
-    Each column's ``expand`` combines the cached parameter-free factors with
-    its own rates and the rotation by its own H0 = A I.S.  With ``in_frame``
-    each column is taken to its pump frame (s along z with its |s|) and the
-    factors act on the coordinates of :func:`pump_sector` alone: the
-    right-hand side that a run steps.
+    Each column is taken to its pump frame, where s lies along z with its
+    |s| (a -z pump keeps its sign, and the identity frame), and its factors
+    act on the coordinates of :func:`pump_sector` alone: the right-hand side
+    that a run steps.  Each column's ``expand`` combines the cached
+    parameter-free factors with its own rates and the rotation by its own
+    H0 = A I.S.
     """
     params_seq = [params] if isinstance(params, PumpParams) else list(params)
-    if in_frame:  # pumped along z with its own |s|
-        params_seq = [p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
-                      for p in params_seq]
-    reduce, constant, spin_rows, spin_columns, (i, j) = _superop_factors(ops.nuclear_spin, in_frame)
+    reduce, constant, spin_rows = _superop_factors(ops.nuclear_spin)
+    blocks = mf_blocks(ops)
+    upper, lower = blocks.upper, blocks.lower
     n = constant.shape[1]
-    # the commutator rotates each off-diagonal pair:
-    # d/dt (x_s + i x_a) = -i (E_i - E_j) (x_s + i x_a)
-    sym = ops.dim + np.arange(i.size)
-    anti = sym + i.size
+    # the commutator rotates each coherence pair:
+    # d/dt (x_s + i x_a) = -i (E_upper - E_lower) (x_s + i x_a)
+    sym = ops.dim + np.arange(upper.size)
+    anti = sym + upper.size
     diagonal = np.arange(n)
     expand = np.empty((len(params_seq), n + len(spin_rows), n))
     for b, p in enumerate(params_seq):
+        s_z = p.s[2] if p.s[0] == p.s[1] == 0.0 else math.hypot(*p.s)
         energy = (p.a_hfs * ops.i_dot_s).diagonal().real
         rotation = np.zeros((n, n))
-        rotation[anti, sym] = energy[i] - energy[j]
-        rotation[sym, anti] = energy[j] - energy[i]
+        rotation[anti, sym] = energy[upper] - energy[lower]
+        rotation[sym, anti] = energy[lower] - energy[upper]
         decay = p.r_op + p.gamma_se + p.gamma_sd
-        linear = rotation + (0.5 * decay) * constant[0]
-        for k in range(3):
-            linear += (p.r_op * p.s[k]) * constant[1 + k]
+        linear = rotation + (0.5 * decay) * constant[0] + (p.r_op * s_z) * constant[1]
         linear[diagonal, diagonal] -= decay
         expand[b, :n] = linear
         expand[b, n:] = (2.0 * p.gamma_se) * spin_rows
-    return MasterSuperops(reduce=reduce, expand=expand, spin_columns=spin_columns)
+    return MasterSuperops(reduce=reduce, expand=expand)
 
 
 def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
@@ -343,8 +315,9 @@ def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
     the coherence between each pair of levels with equal m_F: d + 4I
     coordinates.  A z pump conserves F_z, so from a state diagonal in m_F
     no coherence with Delta m_F != 0 ever grows; on states that vanish off
-    the sector the right-hand side vanishes there too, so ``restrict`` of
-    it is exact along the run.
+    the sector the right-hand side vanishes there too, so
+    :func:`build_superops`, which acts on the sector alone, is exact along
+    the run.
     """
     return mf_blocks(ops).sector
 
@@ -470,30 +443,29 @@ def _pump_frame(nuclear_spin: float, s: tuple[float, float, float]) -> np.ndarra
 class _RhsScratch:
     """The buffers of :func:`block_rhs` for a block of ``b`` rows, with their views.
 
-    ``w`` is [x, <S> (x) n] per row, shape (b, 1, n + k m) for n coordinates,
-    m nuclear coordinates and k spin components, ``x`` its first n columns as
-    (b, n) and ``x3`` the same memory as (b, 1, n); ``r`` holds (n, <S_k>)
-    and ``f`` the result.  A state written into ``x`` is read where it lies.
+    ``w`` is [x, <S_z> q] per row, shape (b, 1, n + m) for n coordinates and
+    m nuclear populations q, ``x`` its first n columns as (b, n) and ``x3``
+    the same memory as (b, 1, n); ``r`` holds (q, <S_z>) and ``f`` the
+    result.  A state written into ``x`` is read where it lies.
     """
 
     def __init__(self, b: int, sup: MasterSuperops):
-        n, k = sup.expand.shape[2], sup.spin_columns
-        m = sup.reduce.shape[1] - k
+        n, m = sup.expand.shape[2], sup.reduce.shape[1] - 1
         self.w = np.empty((b, 1, sup.expand.shape[1]))
         self.x3 = self.w[:, :, :n]
         self.x = self.x3[:, 0]
         self.x_column = self.x[:, :, None]
-        self.spin = self.w[:, 0, n:].reshape(b, k, m)
-        self.r = np.empty((b, m + k, 1))
+        self.spin = self.w[:, :, n:]
+        self.r = np.empty((b, m + 1, 1))
         self.r_spin, self.r_nuclear = self.r[:, m:], self.r[:, None, :m, 0]
         self.f3 = np.empty((b, 1, n))
         self.f = self.f3[:, 0]
 
 
 def block_rhs(x: np.ndarray, sup: MasterSuperops, scratch: _RhsScratch | None = None) -> np.ndarray:
-    """dx/dt for a (B, n) block of real coordinates; column b uses factor b.
+    """dx/dt for a (B, n) block of pump-frame sector coordinates; column b uses factor b.
 
-    n is d^2, or the width of a restricted ``sup``.  Both products are
+    n = d + 4I is the width of :func:`pump_sector`.  Both products are
     stacked matmuls, one BLAS call per column, so a column's result does not
     depend on the block it sits in.  A one-column
     ``sup`` applies to every row of ``x``.  A stepper passes its block's
@@ -505,8 +477,8 @@ def block_rhs(x: np.ndarray, sup: MasterSuperops, scratch: _RhsScratch | None = 
         scratch = _RhsScratch(len(x), sup)
     if x is not scratch.x:
         scratch.x[...] = x
-    np.matmul(sup.reduce.T, scratch.x_column, out=scratch.r)  # (n, <S_k>) as columns
-    np.multiply(scratch.r_spin, scratch.r_nuclear, out=scratch.spin)  # <S> (x) n
+    np.matmul(sup.reduce.T, scratch.x_column, out=scratch.r)  # (q, <S_z>) as columns
+    np.multiply(scratch.r_spin, scratch.r_nuclear, out=scratch.spin)  # <S_z> q
     np.matmul(scratch.w, sup.expand, out=scratch.f3)
     return scratch.f
 
@@ -639,7 +611,7 @@ def integrate_block(
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
     sector = pump_sector(ops)
     # in its pump frame a column is pumped along z with its own |s|
-    sup = build_superops(params_seq, ops, in_frame=True)
+    sup = build_superops(params_seq, ops)
     # the maximally mixed state is the same in every frame
     x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
     d = ops.dim
@@ -763,7 +735,7 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
     if scale <= 0.0:
         return x, SteadyStateInfo(converged=True, residual=0.0, iterations=0)
 
-    sup = build_superops(params, ops, in_frame=True)
+    sup = build_superops(params, ops)
     pol = pump_polarization(params)
     if pol > 0.0:  # at P = 1, beta = inf: the pure stretched state
         beta = math.log((1.0 + pol) / (1.0 - pol)) if pol < 1.0 else math.inf
@@ -789,14 +761,14 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
 def _jacobian(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
     """d(block_rhs)/dx of a one-column ``sup`` at the coordinates ``x``, shape (n, n) for n = len(x).
 
-    With f = x @ A + sum_k <S_k> n @ E_k, where (n, <S_k>) = x @ reduce and
-    E_k are the spin rows of ``expand``, the derivative of f_i by x_j is
-    A_ji + reduce_j,<S_k> (n @ E_k)_i + (reduce_j,n @ sum_k <S_k> E_k)_i.
+    With f = x @ A + <S_z> q @ E, where (q, <S_z>) = x @ reduce and E are
+    the spin rows of ``expand``, the derivative of f_i by x_j is
+    A_ji + reduce_j,<S_z> (q @ E)_i + <S_z> (reduce_j,q @ E)_i.
     """
-    d2 = len(x)
-    m2 = sup.reduce.shape[1] - sup.spin_columns
+    n = len(x)
+    m = sup.reduce.shape[1] - 1
     r = x @ sup.reduce
-    spin_rows = sup.expand[0, d2:].reshape(sup.spin_columns, m2, d2)
-    transposed = sup.expand[0, :d2] + sup.reduce[:, m2:] @ (r[:m2] @ spin_rows)
-    transposed += sup.reduce[:, :m2] @ np.tensordot(r[m2:], spin_rows, axes=1)
+    spin_rows = sup.expand[0, n:]
+    transposed = sup.expand[0, :n] + np.outer(sup.reduce[:, m], r[:m] @ spin_rows)
+    transposed += sup.reduce[:, :m] @ (r[m] * spin_rows)
     return transposed.T

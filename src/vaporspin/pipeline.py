@@ -363,7 +363,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     The scalar routines in :mod:`vaporspin.thermo` and
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
-    sup = build_superops(params, ops, in_frame=True)
+    sup = build_superops(params, ops)
     energy = (params.a_hfs * ops.i_dot_s).diagonal().real
     eps = np.sort(energy)
     s = params.s_vec

@@ -12,7 +12,7 @@ from vaporspin import dynamics
 from vaporspin.config import RunConfig
 from vaporspin.dynamics import (
     PumpParams,
-    build_superops,
+    hermitian_basis,
     lab_states,
     master_rhs,
     pump_polarization,
@@ -40,7 +40,9 @@ def slowest_rates(params: PumpParams, nuclear_spin: float) -> tuple[np.ndarray, 
     """
     ops = build_coupled_operators(nuclear_spin)
     rho = lab_states(solve_steady_state(params, ops)[0], params, ops)
-    jacobian = dynamics._jacobian(to_coordinates(rho), build_superops(params, ops))
+    # master_rhs is quadratic in rho, so central differences with unit steps are exact
+    jacobian = np.stack([to_coordinates(master_rhs(rho + e, params, ops) - master_rhs(rho - e, params, ops)) / 2.0
+                         for e in hermitian_basis(ops.dim)], axis=1)
     m_f = np.array([m for _, m in ops.labels])
     i, j = dynamics._pairs(ops.dim)
     order = np.concatenate([np.zeros(ops.dim), np.tile(np.abs(m_f[i] - m_f[j]), 2)])

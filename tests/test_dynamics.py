@@ -46,6 +46,24 @@ def params(s=(0, 0, 0.5), r_op=1.0, gamma_sd=0.003, a_hfs=100.0):
     return PumpParams(r_op=r_op * G, s=s, gamma_se=G, gamma_sd=gamma_sd * G, a_hfs=a_hfs * G)
 
 
+def in_frame(p):
+    """The parameters of ``p`` in its pump frame: pumped along z with its |s| (a -z pump keeps its sign)."""
+    return p if p.s[0] == p.s[1] == 0.0 else dataclasses.replace(p, s=(0.0, 0.0, math.hypot(*p.s)))
+
+
+def pinched(rho, ops):
+    """``rho`` with every coherence between levels of different m_F removed; a state stays a state."""
+    m_f = np.array([m for _, m in ops.labels])
+    return rho * (m_f[:, None] == m_f[None, :])
+
+
+def lift(x, ops):
+    """The Hermitian matrices with pump-sector coordinates ``x`` and zero off the sector."""
+    full = np.zeros(x.shape[:-1] + (ops.dim**2,))
+    full[..., pump_sector(ops)] = x
+    return from_coordinates(full)
+
+
 class TestNuclearPart:
     def test_strips_electron_polarization(self, ops, rng):
         for _ in range(10):
@@ -92,20 +110,23 @@ class TestMasterRhs:
             assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
     def test_superoperator_route_matches_matrix_route(self, ops, rng):
+        # on states diagonal in m_F, the sector right-hand side is master_rhs in the pump frame
         p = params(s=(0.3, 0.1, -0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
-        states = np.stack([random_density_matrix(rng) for _ in range(5)])
-        block = from_coordinates(block_rhs(to_coordinates(states), sup))
+        states = np.stack([pinched(random_density_matrix(rng), ops) for _ in range(5)])
+        sector = pump_sector(ops)
+        block = lift(block_rhs(to_coordinates(states)[:, sector], sup), ops)
         for rho, stacked in zip(states, block):
-            direct = master_rhs(rho, p, ops)
-            vec = from_coordinates(block_rhs(to_coordinates(rho[None]), sup))[0]
+            direct = master_rhs(rho, in_frame(p), ops)
+            vec = lift(block_rhs(to_coordinates(rho)[None, sector], sup), ops)[0]
             assert np.max(np.abs(direct - vec)) < 1e-11 * p.a_hfs
             assert np.max(np.abs(direct - stacked)) < 1e-11 * p.a_hfs
 
     def test_block_rhs_matches_master_rhs_per_column(self, ops):
         # seeded property test: one block mixing pump axes, |s| in {0, 0.5, 1},
         # a column without spin exchange and one dominated by spin destruction;
-        # d = 8 and d = 12
+        # d = 8 and d = 12, each column on states diagonal in m_F against
+        # master_rhs in its pump frame
         block_params = [
             params(s=(0, 0, 0.5)),
             params(s=(0.5, 0, 0), r_op=2.0),
@@ -118,12 +139,13 @@ class TestMasterRhs:
         ]
         for ops in (ops, build_coupled_operators(nuclear_spin=2.5)):
             sup = build_superops(block_params, ops)
+            sector = pump_sector(ops)
             for seed in range(20):
                 rng = np.random.default_rng(seed)
-                states = np.stack([random_density_matrix(rng, dim=ops.dim) for _ in block_params])
-                block = from_coordinates(block_rhs(to_coordinates(states), sup))
+                states = np.stack([pinched(random_density_matrix(rng, dim=ops.dim), ops) for _ in block_params])
+                block = lift(block_rhs(to_coordinates(states)[:, sector], sup), ops)
                 for rho, f, p in zip(states, block, block_params):
-                    direct = master_rhs(rho, p, ops)
+                    direct = master_rhs(rho, in_frame(p), ops)
                     assert np.max(np.abs(f - direct)) <= 1e-13 * np.max(np.abs(direct))
                     assert abs(np.trace(f)) <= 1e-13
                     assert np.max(np.abs(f - f.conj().T)) <= 1e-13 * np.max(np.abs(direct))
@@ -131,10 +153,11 @@ class TestMasterRhs:
     def test_block_rhs_column_does_not_depend_on_its_block(self, ops, rng):
         block_params = [params(s=(0, 0, 0.5)), params(s=(0.5, 0, 0), r_op=2.0), params(s=(0, 0, 0))]
         sup = build_superops(block_params, ops)
-        states = to_coordinates(np.stack([random_density_matrix(rng) for _ in block_params]))
-        block = block_rhs(states, sup)
+        states = np.stack([pinched(random_density_matrix(rng), ops) for _ in block_params])
+        x = to_coordinates(states)[:, pump_sector(ops)]
+        block = block_rhs(x, sup)
         for j in range(len(block_params)):
-            alone = block_rhs(states[j : j + 1], build_superops(block_params[j], ops))
+            alone = block_rhs(x[j : j + 1], build_superops(block_params[j], ops))
             assert np.array_equal(alone[0], block[j])
 
     def test_unpolarized_pump_leaves_mixed_state_stationary(self, ops):
@@ -450,28 +473,42 @@ class TestPumpFrame:
         m_f = np.array([m for _, m in ops.labels])
         pairs = ops.dim + np.flatnonzero(m_f[i] == m_f[j])
         assert np.array_equal(kept[ops.dim :], np.concatenate([pairs, pairs + i.size]))
-        restricted = sup.restrict(kept)
-        assert restricted.spin_columns == spins
-        assert restricted.reduce.shape == (width, nuclear + spins)
-        assert restricted.expand.shape == (3, width + spins * nuclear, width)
+        assert sup.reduce.shape == (width, nuclear + spins)
+        assert sup.expand.shape == (3, width + spins * nuclear, width)
+
+    # z pumps, undriven, -z, without hyperfine coupling and without spin destruction
+    Z_PUMPS = [params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0), params(gamma_sd=50.0),
+               params(a_hfs=0.0), params(gamma_sd=0.0)]
 
     @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5, 3.5, 4.5])
-    def test_restricted_rhs_is_the_full_rhs_on_the_reachable_set(self, nuclear_spin):
-        # z pumps, undriven, -z, without hyperfine coupling and without spin destruction
+    def test_sector_rhs_is_master_rhs_on_the_sector(self, nuclear_spin):
         ops = build_coupled_operators(nuclear_spin)
-        block = [params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0), params(gamma_sd=50.0),
-                 params(a_hfs=0.0), params(gamma_sd=0.0)]
-        sup = build_superops(block, ops)
+        sup = build_superops(self.Z_PUMPS, ops)
+        kept = pump_sector(ops)
+        for seed in range(10):
+            x = np.random.default_rng(seed).normal(size=(len(self.Z_PUMPS), kept.size))
+            full = to_coordinates(np.stack([master_rhs(rho, p, ops) for rho, p in zip(lift(x, ops), self.Z_PUMPS)]))
+            assert np.max(np.abs(block_rhs(x, sup) - full[:, kept])) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5, 3.5, 4.5])
+    def test_only_the_sector_moves_and_only_sz_feeds_it(self, nuclear_spin):
+        # a z pump conserves F_z: on states diagonal in m_F, master_rhs is
+        # diagonal in m_F too, and of <S> only <S_z> is nonzero there, so the
+        # factors carry one spin column, <S_z>, with one row per m_I population
+        ops = build_coupled_operators(nuclear_spin)
         kept = pump_sector(ops)
         off = np.setdiff1d(np.arange(ops.dim**2), kept)
-        restricted = sup.restrict(kept)
         for seed in range(10):
-            x = np.zeros((len(block), ops.dim**2))
-            x[:, kept] = np.random.default_rng(seed).normal(size=(len(block), kept.size))
-            full = block_rhs(x, sup)
-            assert np.all(full[:, off] == 0.0)
-            assert np.max(np.abs(block_rhs(x[:, kept], restricted) - full[:, kept])) <= (
-                1e-13 * np.max(np.abs(full)))
+            rng = np.random.default_rng(seed)
+            for p in self.Z_PUMPS:
+                f = to_coordinates(master_rhs(pinched(random_density_matrix(rng, dim=ops.dim), ops), p, ops))
+                assert np.max(np.abs(f[off])) <= 1e-13 * np.max(np.abs(f))
+        spin = to_coordinates(ops.s_ops)[:, kept]
+        assert np.all(spin[:2] == 0.0) and np.any(spin[2] != 0.0)
+        sup, m = build_superops(self.Z_PUMPS, ops), ops.dim // 2
+        assert sup.reduce.shape == (kept.size, m + 1)
+        assert np.array_equal(sup.reduce[:, m], spin[2])
+        assert sup.expand.shape == (len(self.Z_PUMPS), kept.size + m, kept.size)
 
     @pytest.mark.parametrize("s", [(0.5, 0, 0), (0, -0.75, 0), (0.3, -0.4, 0.2), (0, 0, -1.0), (0, 0, 0)])
     def test_the_frame_turns_the_pump_onto_z(self, ops, rng, s):
@@ -484,10 +521,9 @@ class TestPumpFrame:
             assert np.array_equal(frame, np.eye(8))
         else:  # R^dag (s.F) R = |s| F_z, and f_lab(R rho R^dag) = R f_frame(rho) R^dag
             assert np.max(np.abs(along_z - np.linalg.norm(s) * ops.f_ops[2])) < 1e-14
-            in_frame = dataclasses.replace(p, s=(0.0, 0.0, float(np.linalg.norm(s))))
             rho = random_density_matrix(rng)
             lab = frame.conj().T @ master_rhs(frame @ rho @ frame.conj().T, p, ops) @ frame
-            assert np.max(np.abs(lab - master_rhs(rho, in_frame, ops))) < 1e-11 * p.a_hfs
+            assert np.max(np.abs(lab - master_rhs(rho, in_frame(p), ops))) < 1e-11 * p.a_hfs
 
     @pytest.mark.parametrize("stop_at_steady", [False, True])
     def test_block_mixing_pump_axes_matches_standalone_runs(self, ops, stop_at_steady):
@@ -671,13 +707,11 @@ class TestBlockSpectra:
 
 
 class TestSolveSteadyState:
-    @pytest.mark.parametrize("in_frame", [False, True])
-    def test_newton_jacobian_matches_finite_differences(self, ops, rng, in_frame):
+    def test_newton_jacobian_matches_finite_differences(self, ops, rng):
+        # Newton's system: the sector coordinates in the pump frame
         p = params(s=(0.3, -0.2, 0.5), r_op=0.7, gamma_sd=0.02)
-        sup = build_superops(p, ops, in_frame=in_frame)
-        x = to_coordinates(random_density_matrix(rng))
-        if in_frame:  # Newton's system: the sector coordinates in the pump frame
-            x = x[pump_sector(ops)]
+        sup = build_superops(p, ops)
+        x = to_coordinates(random_density_matrix(rng))[pump_sector(ops)]
         h = 1e-6
         columns = [(block_rhs((x + h * e)[None], sup)[0] - block_rhs((x - h * e)[None], sup)[0]) / (2 * h)
                    for e in np.eye(x.size)]
