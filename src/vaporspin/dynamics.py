@@ -13,10 +13,11 @@ anticommutator form is the Hermitian symmetrization of the operator products
 ``phi*(1 + 2 s.S)`` and ``phi*(1 + 4<S>.S)``.
 
 Two equivalent evaluation routes are provided: a readable matrix form
-(:func:`master_rhs`, the oracle) and an exact low-rank form on the pump-frame
-sector over a block of states (:func:`block_rhs`), used by the integrators,
-the Newton solve and the entropy production rate.  The low-rank form works in
-real coordinates: a state's coefficients on the orthonormal Hermitian basis
+(:func:`master_rhs`, the oracle) and, over a block of states on the
+pump-frame sector, the exact quadratic field f(x) = x A + (x . r)(x K) of
+:func:`build_superops` (:func:`block_rhs`), used by the integrators, the
+Newton solve and the entropy production rate.  The field works in real
+coordinates: a state's coefficients on the orthonormal Hermitian basis
 of :func:`hermitian_basis` (|i><i|, then (|i><j| + |j><i|)/sqrt 2, then
 i(|i><j| - |j><i|)/sqrt 2 for i < j).  So ||rho||_F = ||x||,
 Tr(AB) = x_A . x_B, and every state stepped is Hermitian by construction;
@@ -31,10 +32,10 @@ projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
 the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
 I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone, with the
-factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps
-them (DOP853 under error control; ``fixed_step=True``: RK4 at the step
-``dt``) and knows nothing of rho: this module hands it the right-hand side
-of each block of columns and the guards.  A pump-frame state is
+factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps them
+(an order-24 Taylor series under error control; ``fixed_step=True``: RK4 at
+the step ``dt``) and knows nothing of rho: this module hands it the factors
+A, K and r of each block of columns and the guards.  A pump-frame state is
 block-diagonal in m_F, with blocks of one or two levels, so its spectrum is
 closed form (:func:`block_spectra`); the guards read trace and positivity
 off it.  A :class:`Trajectory` keeps the sector coordinates as stepped.
@@ -46,7 +47,6 @@ solved for on the sector with a Newton iteration from their closed form
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Sequence
@@ -212,14 +212,14 @@ def from_coordinates(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MasterSuperops:
-    """Exact low-rank form of the pump-frame sector equations for a block of B columns.
+    """The pump-frame sector equations of a block of B columns, as the factors of a quadratic field.
 
     The electron-depolarized part is phi = Tr_S(rho) (x) 1/2 (Appelt et al.,
     PRA 58, 1412 (1998)).  In its pump frame a column is pumped along z, with
     s_z = +-|s|, and its state stays on :func:`pump_sector`, where it commutes
     with F_z.  There x holds the n = d + 4I sector coordinates of rho,
     Tr_S(rho) is diagonal in the uncoupled |m_I> basis with populations q
-    (m = 2I + 1 of them), only <S_z> of <S> is nonzero, and G_k q are the
+    (linear in x), only <S_z> = x . r of <S> is nonzero, and G_k q are the
     sector coordinates of U (diag q (x) sigma_k) U^dag in the coupled basis
     (sigma_0 = 1, sigma_z = S_z).  The right-hand side is
 
@@ -227,19 +227,16 @@ class MasterSuperops:
         c = R_op + G_SE + G_SD,  alpha = R_op s_z + 2 G_SE <S_z>,
 
     with L the commutator with H0 (H0 is diagonal in |F, m_F>, so L rotates
-    each pair of coherence coordinates) minus c.  As row vectors, ``reduce``
-    gives (q, <S_z>) = x @ reduce, and ``expand[b]`` is column b's
-    (n + m) x n factor: its first n rows fold in L and the constant terms
-    (c/2) G_0 + R_op s_z G_z (q is linear in x), the rest hold 2 G_SE G_z^T,
-    so f(x) = [x, <S_z> q] @ expand[b].
+    each pair of coherence coordinates) minus c.  As row vectors that is
+    f(x) = x A + (x . r)(x K) (:func:`vaporspin.stepper.field`): ``A[b]``
+    folds in L and the constant terms (c/2) G_0 + R_op s_z G_z of column b,
+    ``K[b]`` is 2 G_SE times the map x -> G_z q, and ``r`` holds the sector
+    coordinates of S_z, shared by every column.
     """
 
-    reduce: np.ndarray = field(repr=False)  # (n, m + 1)
-    expand: np.ndarray = field(repr=False)  # (B, n + m, n)
-
-    def take(self, columns: np.ndarray) -> MasterSuperops:
-        """The columns selected by an index or boolean array."""
-        return dataclasses.replace(self, expand=self.expand[columns])
+    A: np.ndarray = field(repr=False)  # (B, n, n)
+    K: np.ndarray = field(repr=False)  # (B, n, n)
+    r: np.ndarray = field(repr=False)  # (n,)
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,9 +244,9 @@ def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.nd
     """The factors of :func:`build_superops` that do not depend on the parameters.
 
     They depend on the nuclear spin alone, so they are built once per nuclear
-    spin and shared, read-only: ``reduce``, ``constant`` (x @ constant[0] =
-    (G_0 q)^T and x @ constant[1] = (G_z q)^T) and ``spin_rows``, the last
-    rows of ``expand`` before their factor 2 G_SE.
+    spin and shared, read-only: ``r``, ``constant`` (x @ constant[0] =
+    (G_0 q)^T and x @ constant[1] = (G_z q)^T) and ``spin``, the map
+    x -> (G_z q)^T that K scales by 2 G_SE.
     """
     ops = build_coupled_operators(nuclear_spin)
     d, m = ops.dim, ops.dim // 2
@@ -262,29 +259,28 @@ def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.nd
     g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)[[0, 3]]
     # a sector state feeds the populations of m_I, the first m of B_b, and <S_z>
     fed = g[:, :m, sector]
-    # stored as the transpose of a contiguous array, so block_rhs reads reduce.T in order
-    reduce = np.ascontiguousarray(np.vstack([fed[0], to_coordinates(ops.s_ops[2])[sector]])).T
+    r = to_coordinates(ops.s_ops[2])[sector]
     # formed at full width, then cut: formed from cut operands, the sums run
     # in another order and the last bits change
     constant = np.matmul(g[0].T, g)[:, sector[:, None], sector]
-    factors = (reduce, constant, fed[1])
+    factors = (r, constant, fed[0].T @ fed[1])
     for factor in factors:
         factor.setflags(write=False)
     return factors
 
 
 def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet) -> MasterSuperops:
-    """The factors of the pump-frame sector equations, for one parameter set or one column per set of a sequence.
+    """The factors A, K and r of the pump-frame sector equations, for one parameter set or one column per set of a sequence.
 
     Each column is taken to its pump frame, where s lies along z with its
     |s| (a -z pump keeps its sign, and the identity frame), and its factors
     act on the coordinates of :func:`pump_sector` alone: the right-hand side
-    that a run steps.  Each column's ``expand`` combines the cached
-    parameter-free factors with its own rates and the rotation by its own
-    H0 = A I.S.
+    f(x) = x A + (x . r)(x K) that a run steps.  Each column's A combines
+    the cached parameter-free factors with its own rates and the rotation by
+    its own H0 = A I.S, and its K is 2 G_SE times the cached spin factor.
     """
     params_seq = [params] if isinstance(params, PumpParams) else list(params)
-    reduce, constant, spin_rows = _superop_factors(ops.nuclear_spin)
+    r, constant, spin = _superop_factors(ops.nuclear_spin)
     blocks = mf_blocks(ops)
     upper, lower = blocks.upper, blocks.lower
     n = constant.shape[1]
@@ -293,7 +289,8 @@ def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorS
     sym = ops.dim + np.arange(upper.size)
     anti = sym + upper.size
     diagonal = np.arange(n)
-    expand = np.empty((len(params_seq), n + len(spin_rows), n))
+    linear = np.empty((len(params_seq), n, n))
+    quadratic = np.empty((len(params_seq), n, n))
     for b, p in enumerate(params_seq):
         s_z = p.s[2] if p.s[0] == p.s[1] == 0.0 else math.hypot(*p.s)
         energy = (p.a_hfs * ops.i_dot_s).diagonal().real
@@ -301,11 +298,10 @@ def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorS
         rotation[anti, sym] = energy[upper] - energy[lower]
         rotation[sym, anti] = energy[lower] - energy[upper]
         decay = p.r_op + p.gamma_se + p.gamma_sd
-        linear = rotation + (0.5 * decay) * constant[0] + (p.r_op * s_z) * constant[1]
-        linear[diagonal, diagonal] -= decay
-        expand[b, :n] = linear
-        expand[b, n:] = (2.0 * p.gamma_se) * spin_rows
-    return MasterSuperops(reduce=reduce, expand=expand)
+        linear[b] = rotation + (0.5 * decay) * constant[0] + (p.r_op * s_z) * constant[1]
+        linear[b, diagonal, diagonal] -= decay
+        quadratic[b] = (2.0 * p.gamma_se) * spin
+    return MasterSuperops(A=linear, K=quadratic, r=r)
 
 
 def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
@@ -440,47 +436,16 @@ def _pump_frame(nuclear_spin: float, s: tuple[float, float, float]) -> np.ndarra
     return frame
 
 
-class _RhsScratch:
-    """The buffers of :func:`block_rhs` for a block of ``b`` rows, with their views.
+def block_rhs(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
+    """dx/dt = x A + (x . r)(x K) for a (B, n) block of pump-frame sector coordinates; column b uses factor b.
 
-    ``w`` is [x, <S_z> q] per row, shape (b, 1, n + m) for n coordinates and
-    m nuclear populations q, ``x`` its first n columns as (b, n) and ``x3``
-    the same memory as (b, 1, n); ``r`` holds (q, <S_z>) and ``f`` the
-    result.  A state written into ``x`` is read where it lies.
+    n = d + 4I is the width of :func:`pump_sector`.  This is
+    :func:`vaporspin.stepper.field`, the evaluation the steppers make: its
+    products are stacked matmuls, one per column, so a column's result does
+    not depend on the block it sits in.  A one-column ``sup`` applies to
+    every row of ``x``.
     """
-
-    def __init__(self, b: int, sup: MasterSuperops):
-        n, m = sup.expand.shape[2], sup.reduce.shape[1] - 1
-        self.w = np.empty((b, 1, sup.expand.shape[1]))
-        self.x3 = self.w[:, :, :n]
-        self.x = self.x3[:, 0]
-        self.x_column = self.x[:, :, None]
-        self.spin = self.w[:, :, n:]
-        self.r = np.empty((b, m + 1, 1))
-        self.r_spin, self.r_nuclear = self.r[:, m:], self.r[:, None, :m, 0]
-        self.f3 = np.empty((b, 1, n))
-        self.f = self.f3[:, 0]
-
-
-def block_rhs(x: np.ndarray, sup: MasterSuperops, scratch: _RhsScratch | None = None) -> np.ndarray:
-    """dx/dt for a (B, n) block of pump-frame sector coordinates; column b uses factor b.
-
-    n = d + 4I is the width of :func:`pump_sector`.  Both products are
-    stacked matmuls, one BLAS call per column, so a column's result does not
-    depend on the block it sits in.  A one-column
-    ``sup`` applies to every row of ``x``.  A stepper passes its block's
-    ``scratch``, so that the call allocates nothing (``x`` may be
-    ``scratch.x`` itself); the result is then ``scratch.f``, valid until the
-    next call.
-    """
-    if scratch is None:
-        scratch = _RhsScratch(len(x), sup)
-    if x is not scratch.x:
-        scratch.x[...] = x
-    np.matmul(sup.reduce.T, scratch.x_column, out=scratch.r)  # (q, <S_z>) as columns
-    np.multiply(scratch.r_spin, scratch.r_nuclear, out=scratch.spin)  # <S_z> q
-    np.matmul(scratch.w, sup.expand, out=scratch.f3)
-    return scratch.f
+    return stepper.field(x, sup.A, sup.K, sup.r)
 
 
 def default_dt(params: PumpParams, steps_per_rate: float = 50.0) -> float:
@@ -515,7 +480,9 @@ class Trajectory:
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
     steady_index: int | None
     steps: int  # accepted steps
-    rhs_evals: int  # evaluations of drho/dt, the samples' included
+    # evaluations of drho/dt: TAYLOR_ORDER per Taylor step and one per sample
+    # (under fixed_step, four per RK4 step and one at the end)
+    rhs_evals: int
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -560,8 +527,8 @@ def integrate(
 ) -> Trajectory:
     """Propagate the maximally mixed state and sample it every ``sample_every * dt`` (plus the end).
 
-    The stepper is :func:`vaporspin.stepper.dop853` under error control,
-    sampled through its dense output; ``fixed_step`` selects classical RK4
+    The stepper is :func:`vaporspin.stepper.taylor` under error control,
+    sampled off each step's series; ``fixed_step`` selects classical RK4
     with step ``dt`` instead.  At each sample the state is checked: trace
     drift beyond 1e-6 or an eigenvalue below -1e-6 raises
     :class:`PhysicsViolationError` (no silent projection back to the
@@ -616,10 +583,6 @@ def integrate_block(
     x = np.tile(to_coordinates(ops.maximally_mixed())[sector], (len(params_seq), 1))
     d = ops.dim
 
-    def rhs_for(columns: np.ndarray):
-        part = sup.take(columns)
-        return functools.partial(block_rhs, sup=part, scratch=_RhsScratch(len(columns), part))
-
     def check(x: np.ndarray) -> np.ndarray:
         drift, eig_min = _trace_drift(x, d), block_spectra(x, ops)[0].min(axis=1)
         failure = np.full(len(x), "", dtype=object)
@@ -629,11 +592,11 @@ def integrate_block(
         return failure
 
     samples = stepper.Samples(times, [steady_tol * p.gamma_se for p in params_seq], stop_at_steady,
-                              rhs_for, check, len(sector))
+                              sup.A, sup.K, sup.r, check)
     if fixed_step:
         stepper.rk4(samples, x, dt, sample_every, n_steps)
     else:
-        stepper.dop853(samples, x, dt, width=d * d)
+        stepper.taylor(samples, x, dt, width=d * d)
     samples.flush()
 
     trajectories = []
@@ -761,14 +724,8 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
 def _jacobian(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
     """d(block_rhs)/dx of a one-column ``sup`` at the coordinates ``x``, shape (n, n) for n = len(x).
 
-    With f = x @ A + <S_z> q @ E, where (q, <S_z>) = x @ reduce and E are
-    the spin rows of ``expand``, the derivative of f_i by x_j is
-    A_ji + reduce_j,<S_z> (q @ E)_i + <S_z> (reduce_j,q @ E)_i.
+    With f = x A + (x . r)(x K), the derivative of f_i by x_j is
+    A_ji + r_j (x K)_i + (x . r) K_ji.
     """
-    n = len(x)
-    m = sup.reduce.shape[1] - 1
-    r = x @ sup.reduce
-    spin_rows = sup.expand[0, n:]
-    transposed = sup.expand[0, :n] + np.outer(sup.reduce[:, m], r[:m] @ spin_rows)
-    transposed += sup.reduce[:, :m] @ (r[m] * spin_rows)
-    return transposed.T
+    a, k = sup.A[0], sup.K[0]
+    return (a + np.outer(sup.r, x @ k) + (x @ sup.r) * k).T

@@ -1,161 +1,51 @@
-"""A physics-free stepper for a block of states, the rows of a (B, n) float array.
+"""A physics-free stepper for a block of states under a quadratic field.
 
-Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
-sec. II.4-II.6), steps each row with its own step and clock under error
-control (``RTOL``, ``ATOL``); the samples, on a given grid of times, are read
-off its order-7 dense output, so the step never has to land on them.
-:func:`rk4` is classical RK4 at a fixed step.  As SciPy's ``solve_ivp`` keeps
-the right-hand side, the dense output and the events apart (the idiom; SciPy
-is not used), the caller hands :class:`Samples` two callables:
-``rhs_for(columns)`` returns x -> dx/dt for those rows (its result may be a
-buffer that the next call reuses), and ``check(x)`` returns each finite
-row's guard failure, an object array of strings, empty where the row passes.
-A stepper only steps and queues what its samples need; everything else runs
-in stacked passes of up to ``SAMPLE_CHUNK`` samples, with the results, stops
-and failures of checking each sample when it is taken.
+The states are the rows x of a (B, n) float array, and row b follows
+
+    dx/dt = x A_b + (x . r)(x K_b)                                   (:func:`field`)
+
+with x a row vector, A_b and K_b (n, n) and r (n,) shared by every row.  For
+such a field the Taylor coefficients of x(t) at any order follow from a short
+recurrence (Jorba & Zou, *Exp. Math.* 14, 99 (2005)), so :func:`taylor` steps
+each row with its own step and clock by its order-``TAYLOR_ORDER`` series,
+with the step set from the series' last two terms under the tolerance
+(``RTOL``, ``ATOL``); no step is rejected, and the samples, on a given grid of
+times, are read off the step's polynomial.  :func:`rk4` is classical RK4 at a
+fixed step.  The caller hands :class:`Samples` the factors A, K and r and
+``check(x)``, which returns each finite row's guard failure, an object array
+of strings, empty where the row passes.  A stepper only steps and queues what
+its samples need; everything else runs in stacked passes of up to
+``SAMPLE_CHUNK`` samples, with the results, stops and failures of checking
+each sample when it is taken.  Every product is stacked, one per row, so a
+row's result does not depend on the block it sits in.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["PhysicsViolationError", "Samples", "dop853", "rk4"]
+__all__ = ["PhysicsViolationError", "Samples", "field", "rk4", "taylor"]
 
 # queued samples per stacked sample pass; the result does not depend on it
 SAMPLE_CHUNK = 64
 
-# error control of the adaptive stepper, on each coordinate
+# error control of the Taylor stepper, on each coordinate
 RTOL = 1e-10
 ATOL = 1e-12
+# order of the Taylor series of a step; the work per unit time, order times
+# steps, is flat from 24 to 32 on the sector equations
+TAYLOR_ORDER = 24
 # a step below this fraction of the sample interval (times[1], or the whole
 # horizon if that is shorter) is a guard failure, so that a column the
 # controller cannot follow stops instead of crawling; the floor never exceeds
-# MAX_FLOOR_GRID_FRACTION of the first step dt, so a sparse sample grid cannot
+# MAX_FLOOR_GRID_FRACTION of the grid unit dt, so a sparse sample grid cannot
 # trip it on a healthy run
 MIN_STEP_FRACTION = 1e-6
 MAX_FLOOR_GRID_FRACTION = 1e-3
-# step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-ERROR_EXPONENT = -1.0 / 8.0
-
-# Dormand-Prince 8(5,3), the tableau of Hairer's DOP853 code (ibid., sec. II.5
-# and II.6), row by row as {stage: coefficient}: stages 1-11, the 8th-order
-# weights (stage 12 is dx/dt at the new point), then the three extra stages
-# of the dense output
-_DOP853_A = (
-    {0: 0.05260015195876773},
-    {0: 0.0197250569845379, 1: 0.0591751709536137},
-    {0: 0.02958758547680685, 2: 0.08876275643042054},
-    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
-    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
-    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
-    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
-     5: -0.015319437748624402, 6: 0.008273789163814023},
-    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
-     6: 20.154067550477894, 7: -43.48988418106996},
-    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
-     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
-     8: -0.020331201708508627},
-    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
-     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
-    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
-     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
-     10: 0.6433927460157636},
-    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
-     8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034,
-     11: 0.04471061572777259},
-    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
-     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
-     11: 0.007567897660545699, 12: -0.008298},
-    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
-     7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
-     12: -0.00034046500868740456, 13: 0.1413124436746325},
-    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
-     8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
-     14: -9.15095847217987},
-)
-# 5th- and 3rd-order error estimators over stages 0-12
-_DOP853_E = (
-    {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-     7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-     10: 0.08192320648511571, 11: -0.022355307863886294},
-    {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
-     8: -0.4226823213237919, 9: -0.1521609496625161, 10: 0.20136540080403034,
-     11: 0.02265179219836082},
-)
-# dense output: the coefficients of x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3
-_DOP853_D = (
-    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
-     8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
-     12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356,
-     15: -4.436036387594894},
-    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
-     8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398,
-     11: -9.332130526430229, 12: 15.697238121770845, 13: -31.139403219565178,
-     14: -9.35292435884448, 15: 35.81684148639408},
-    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
-     8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
-     12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
-     15: 11.99229113618279},
-    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
-     8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
-     12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
-     15: -149.72683625798564},
-)
-
-
-def _tableau(rows: tuple[dict[int, float], ...], width: int, offset: int = 0) -> np.ndarray:
-    out = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        for j, value in row.items():
-            out[i, offset + j] = value
-    return out
-
-
-# A step keeps, per column, w[0] = the state at the start of the step and
-# w[1 + i] = step * stage i, so every stage input, the new state, the error
-# estimates and the dense output are one (1, m) @ (m, n) product each.  The
-# stepper fills w[:_STEP_ROWS] (stages 0-12); the sample pass adds the dense
-# output's stages 13-15.  Stage s (the new state for s = 12) from w[:s + 1]:
-_STEP_ROWS = 14
-_DOP853_STAGES = [None] + [
-    np.hstack([np.ones((1, 1)), _tableau(_DOP853_A[s - 1 : s], s)]) for s in range(1, 16)
-]
-_DOP853_ERROR = _tableau(_DOP853_E, _STEP_ROWS, offset=1)  # from w[:_STEP_ROWS]
-
-
-def _dense_output_rows() -> np.ndarray:
-    """Hairer's continuous extension of DOP853 as one row of w-coefficients per power of x.
-
-    y(x) = y0 + x F0 + x(1-x) F1 + x^2(1-x) F2 + x^2(1-x)^2 F3 + x^3(1-x)^2 F4
-    + x^3(1-x)^3 F5 + x^4(1-x)^3 F6, with F0 = dy, F1 = h k0 - dy,
-    F2 = 2 dy - h (k0 + k12) and F3..F6 = h D k.  Regrouped over y0, dy = B h k,
-    h k0, h k12 and the rows of D, the weights are 1, 3x^2 - 2x^3, x(1-x)^2,
-    -x^2(1-x), x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3.
-    """
-    weights_in_powers = np.array([  # one column per weight, x^0 to x^7 down
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 3, -2, -1, 1, 0, 0, 0],
-        [0, -2, 1, 1, -2, 1, 1, 0],
-        [0, 0, 0, 0, 1, -2, -3, 1],
-        [0, 0, 0, 0, 0, 1, 3, -3],
-        [0, 0, 0, 0, 0, 0, -1, 3],
-        [0, 0, 0, 0, 0, 0, 0, -1],
-    ], dtype=float)
-    return weights_in_powers @ np.vstack([
-        np.eye(1, 17),
-        _tableau(_DOP853_A[11:12], 17, offset=1),
-        np.eye(1, 17, 1),
-        np.eye(1, 17, 13),
-        _tableau(_DOP853_D, 17, offset=1),
-    ])
-
-
-_DOP853_DENSE = _dense_output_rows()
+# a step is at most this many times the last one
+MAX_FACTOR = 10.0
 
 
 class PhysicsViolationError(RuntimeError):
@@ -172,22 +62,43 @@ class PhysicsViolationError(RuntimeError):
         self.column = int(column)
 
 
-class Samples:
-    """Sample store, steady detection and work counts of a block of columns.
+def field(x: np.ndarray, a: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """dx/dt = x A + (x . r)(x K) for each row of ``x``, with row b's A = ``a[b]`` and K = ``k[b]``.
 
-    Every array is indexed by block column: the stored ``states`` and
-    ``rhs_norms`` (the norm of dx/dt), ``taken`` (samples stored), ``steady``
-    (the first sample with a norm below ``threshold``, or -1), ``steps`` and
-    ``rhs_evals``.  A stepper only steps: for the samples due in a step it
-    queues one record per column with :meth:`take` (the step's end state and
-    dx/dt there; for a DOP853 step with samples inside it also the start
-    time, the step and the stages; the sample range; and ``steps`` and
-    ``rhs_evals`` as they stand after the step).  :meth:`flush` turns the
-    queue into samples as stacks, once at least ``SAMPLE_CHUNK`` samples are
-    queued, when the stepper fails and at the end of the run: the three
-    extra stages and the order-7 interpolation of the dense output, dx/dt at
-    the samples inside a step (one ``rhs_for`` call over all of them), the
-    norms, steady detection, the guards and the store.
+    ``a`` and ``k`` are (B, n, n), or (1, n, n) for every row, and ``r`` is
+    (n,).  The products are stacked matmuls, one per row.
+    """
+    rows = x[:, None, :]
+    f = np.matmul(rows, k)
+    f *= np.matmul(rows, r[:, None])
+    f += np.matmul(rows, a)
+    return f[:, 0]
+
+
+def _series(coefficients: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Each row's polynomial sum_j X_j tau^j, from its coefficients X (B, p + 1, n) and its own tau (B,)."""
+    powers = tau[:, None, None] ** np.arange(coefficients.shape[1])
+    return np.matmul(powers, coefficients)[:, 0]
+
+
+class Samples:
+    """Sample store, steady detection and work counts of a block of columns under :func:`field`.
+
+    ``a``, ``k`` and ``r`` are the factors of the block's field, one A and K
+    per column.  Every array is indexed by block column: the stored
+    ``states`` and ``rhs_norms`` (the norm of dx/dt), ``taken`` (samples
+    stored), ``steady`` (the first sample with a norm below ``threshold``,
+    or -1), ``steps`` and ``rhs_evals``.  A stepper only steps: for the
+    samples due in a step it queues one record per column with :meth:`take`
+    (the step's end state, and dx/dt there if the stepper has it; for a
+    Taylor step with samples inside it also the start time, the time unit
+    and the series; the sample range; and ``steps`` and ``rhs_evals`` as
+    they stand after the step).  :meth:`flush` turns the queue into samples
+    as stacks, once at least ``SAMPLE_CHUNK`` samples are queued, when the
+    stepper fails and at the end of the run: the states inside a step, read
+    off its series, dx/dt at the samples the stepper gave none for (one
+    :func:`field` call over all of them), the norms, steady detection, the
+    guards and the store.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
@@ -198,10 +109,11 @@ class Samples:
     """
 
     def __init__(self, times: np.ndarray, thresholds: Sequence[float], stop_at_steady: bool,
-                 rhs_for: Callable, check: Callable, n: int):
-        b = len(thresholds)
+                 a: np.ndarray, k: np.ndarray, r: np.ndarray, check: Callable):
+        b, n = len(thresholds), a.shape[1]
         self.times, self.threshold = times, np.asarray(thresholds, dtype=float)
-        self.stop_at_steady, self.rhs_for, self.check = stop_at_steady, rhs_for, check
+        self.stop_at_steady, self.check = stop_at_steady, check
+        self.a, self.k, self.r = a, k, r
         self.states = np.empty((b, len(times), n))
         self.rhs_norms = np.empty((b, len(times)))
         self.queued = np.zeros(b, dtype=int)  # samples handed to take
@@ -210,7 +122,7 @@ class Samples:
         self.stopped = np.zeros(b, dtype=bool)
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
-        self._no_dense = (np.empty(0), np.empty(0), np.empty((0, _STEP_ROWS, n)))
+        self._no_series = (np.empty(0), np.empty(0), np.empty((0, TAYLOR_ORDER + 1, n)))
         self._queue: list[tuple[np.ndarray, ...]] = []
         self._pending = 0
 
@@ -224,23 +136,25 @@ class Samples:
         if not self.stopped[column]:
             raise PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
 
-    def take(self, cols: np.ndarray, x: np.ndarray, f: np.ndarray, due: np.ndarray | None = None,
-             inside: np.ndarray | None = None, dense: tuple[np.ndarray, ...] | None = None,
+    def take(self, cols: np.ndarray, x: np.ndarray, f: np.ndarray | None = None, due: np.ndarray | None = None,
+             inside: np.ndarray | None = None, series: tuple[np.ndarray, ...] | None = None,
              stepped: int = 0) -> None:
         """Queue the next ``due`` samples (default 1) of columns ``cols``, one record each.
 
-        ``x`` and ``f`` are each column's state and dx/dt at the end of its
-        step, which is the time of its last sample unless that lies inside
-        the step.  The first ``inside`` samples (default none) lie inside it;
-        ``dense`` gives the start time, the step and ``w[:_STEP_ROWS]`` of
-        each column with ``inside > 0``.  A failure reports the step count
-        less ``stepped``, the count before this step.
+        ``x`` is each column's state at the end of its step, which is the
+        time of its last sample unless that lies inside the step, and ``f``
+        its dx/dt there, or None for the sample pass to evaluate.  The first
+        ``inside`` samples (default none) lie inside the step; ``series``
+        gives the start time t0, the time unit u and the coefficients X of
+        each column with ``inside > 0``: its state at t is
+        sum_j X_j ((t - t0)/u)^j.  A failure reports the step count less
+        ``stepped``, the count before this step.
         """
         due = np.ones(len(cols), dtype=int) if due is None else due
         inside = np.zeros(len(cols), dtype=int) if inside is None else inside
         steps = self.steps[cols]
         self._queue.append((cols, self.queued[cols], due, inside, steps - stepped, steps,
-                            self.rhs_evals[cols], x, f, *(self._no_dense if dense is None else dense)))
+                            self.rhs_evals[cols], x, *(self._no_series if series is None else series), f))
         self.queued[cols] += due
         self._pending += int(due.sum())
         if self._pending >= SAMPLE_CHUNK:
@@ -258,20 +172,24 @@ class Samples:
             return
         queue, self._queue, self._pending = self._queue, [], 0
         call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
-        cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, f_end, t0, h, w = (
-            np.concatenate(part) for part in zip(*queue)
+        *parts, given = zip(*queue)
+        cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, t0, unit, coefficients = (
+            np.concatenate(part) for part in parts
         )
         record = np.repeat(np.arange(len(cols)), due)  # one row per sample
         offset = np.arange(record.size) - np.repeat(np.cumsum(due) - due, due)
         k = first[record] + offset
-        x, f = x_end[record], f_end[record]
+        x = x_end[record]
         interior = np.flatnonzero(offset < inside[record])
         if interior.size:
-            dense = inside > 0
-            x[interior], f[interior] = self._dense_output(
-                k[interior], cols[record[interior]], (np.cumsum(dense) - 1)[record[interior]],
-                cols[dense], t0, h, w)
+            step_of = (np.cumsum(inside > 0) - 1)[record[interior]]
+            tau = (self.times[k[interior]] - t0[step_of]) / unit[step_of]
+            x[interior] = _series(coefficients[step_of], tau)
         call, cols = call[record], cols[record]
+        if any(f is None for f in given):
+            f = field(x, self.a[cols], self.k[cols], self.r)
+        else:
+            f = np.concatenate(given)[record]
         norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
         fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
@@ -304,35 +222,21 @@ class Samples:
         self.rhs_norms[cols, k] = norms[kept]
         np.maximum.at(self.taken, cols, k + 1)
 
-    def _dense_output(self, k: np.ndarray, cols: np.ndarray, step_of: np.ndarray, step_cols: np.ndarray,
-                      t0: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """States and dx/dt at samples ``k`` of columns ``cols`` from DOP853's dense output.
-
-        Sample i lies inside step ``step_of[i]``, which column ``step_cols``
-        took from ``t0`` over ``h`` with stages ``w[:, :_STEP_ROWS]``.
-        """
-        stages = np.empty((len(w), 17, w.shape[2]))
-        stages[:, :_STEP_ROWS] = w
-        rhs = self.rhs_for(step_cols)
-        for s in range(13, 16):
-            y = np.matmul(_DOP853_STAGES[s], stages[:, : s + 1])[:, 0]
-            stages[:, s + 1] = h[:, None] * rhs(y)
-        theta = (self.times[k] - t0[step_of]) / h[step_of]
-        powers = theta[:, None, None] ** np.arange(8)
-        x = np.matmul(np.matmul(powers, _DOP853_DENSE), stages[step_of])[:, 0]
-        return x, self.rhs_for(cols)(x)
-
 
 def rk4(samples: Samples, x: np.ndarray, dt: float, sample_every: int, n_steps: int) -> None:
-    """Classical RK4 at the fixed step ``dt`` from ``x``, sampled every ``sample_every`` steps and at the last."""
+    """Classical RK4 at the fixed step ``dt`` from ``x``, sampled every ``sample_every`` steps and at the last.
+
+    ``rhs_evals`` counts four evaluations per step, plus one for dx/dt at
+    the last sample.
+    """
     live = np.arange(len(x))
-    rhs = samples.rhs_for(live)
+    a, k, r = samples.a, samples.k, samples.r
     for step in range(n_steps + 1):
         k1 = None
         if step % sample_every == 0 or step == n_steps:
             # four evaluations a step; the one at this sample is the next step's k1
             samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
-            k1 = rhs(x).copy()
+            k1 = field(x, a, k, r)
             samples.take(live, x, k1)
             if step == n_steps:
                 break
@@ -342,109 +246,117 @@ def rk4(samples: Samples, x: np.ndarray, dt: float, sample_every: int, n_steps: 
                 live, x, k1 = live[keep], x[keep], k1[keep]
                 if not live.size:
                     break
-                rhs = samples.rhs_for(live)
+                a, k = samples.a[live], samples.k[live]
         if k1 is None:
-            k1 = rhs(x).copy()
-        k2 = rhs(x + (0.5 * dt) * k1).copy()
-        k3 = rhs(x + (0.5 * dt) * k2).copy()
-        k4 = rhs(x + dt * k3)
+            k1 = field(x, a, k, r)
+        k2 = field(x + (0.5 * dt) * k1, a, k, r)
+        k3 = field(x + (0.5 * dt) * k2, a, k, r)
+        k4 = field(x + dt * k3, a, k, r)
         x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _error_norm(w: np.ndarray, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
-    """DOP853's blend of its 5th- and 3rd-order error estimates, per column, as an RMS over the width of x."""
-    b, n = x.shape
-    scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
-    err = np.matmul(_DOP853_ERROR, w)
-    err /= scale[:, None, :]
-    squares = np.matmul(err, err.swapaxes(1, 2))  # per column: [[|e5|^2, .], [., |e3|^2]]
-    e5, e3 = squares[:, 0, 0], squares[:, 1, 1]
-    denom = e5 + 0.01 * e3
-    return np.divide(e5, np.sqrt(denom * n), out=np.zeros(b), where=denom != 0.0)
+def _step_estimate(coefficients: np.ndarray, x: np.ndarray, width: int) -> np.ndarray:
+    """Each row's step, in the time unit of its series, from the last two of its p + 1 coefficients X.
+
+    0.9 min over j in {p - 1, p} of ||X_j||^(-1/j) (Jorba & Zou, sec. 3.2),
+    with ||.|| the RMS over ``width`` >= n coordinates of
+    X_j / (ATOL + RTOL |x|): the step at which those terms reach the
+    tolerance.  A series that ends in zeros allows any step (inf), one with
+    an infinite coefficient none (0), and one with a NaN reads NaN.
+    """
+    p = coefficients.shape[1] - 1
+    tail = coefficients[:, p - 1 :] / (ATOL + RTOL * np.abs(x))[:, None, :]
+    squares = np.matmul(tail, tail.swapaxes(1, 2))  # per row: [[|X_{p-1}|^2, .], [., |X_p|^2]]
+    with np.errstate(divide="ignore"):
+        return 0.9 * np.minimum((squares[:, 0, 0] / width) ** (-0.5 / (p - 1)),
+                                (squares[:, 1, 1] / width) ** (-0.5 / p))
 
 
-def dop853(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
-    """DOP853 under error control from ``x``, each column with its own step and clock.
+def taylor(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
+    """Taylor series of order ``TAYLOR_ORDER`` under error control from ``x``, each column with its own step and clock.
 
-    The first step is ``dt``, and the error an RMS over ``width`` >= n
-    coordinates, those not stepped being 0.  A column whose step falls below
-    the floor or whose error estimate is not finite raises
+    With time in units of ``dt``, so that the coefficients stay O(1), each
+    step sets X_0 = x and, for j < p,
+
+        (j + 1) X_{j+1} = X_j A + sum_{i <= j} (X_i . r)(X_{j-i} K),
+
+    then takes the step of :func:`_step_estimate` over ``width`` >= n
+    coordinates (those not stepped being 0), at most ``MAX_FACTOR`` times
+    the last; its end state and its samples are read off the polynomial.
+    Each order is four stacked calls: the product with [A | K], the one with
+    r, the convolution of X_i K with the sigma_i = X_i . r, held reversed and
+    interleaved with the weight 1 of X_j A, and the scale.  A column whose
+    step falls below the floor or whose estimate is not finite raises
     :class:`PhysicsViolationError`, unless the sample pass finds that it
-    stopped at a steady state before.  The stages go into buffers of the
-    live block, rebuilt only when a column leaves; an accepted step with
-    samples due queues them with :meth:`Samples.take`, which works out
-    everything else they need.
+    stopped at a steady state before.  ``rhs_evals`` counts ``TAYLOR_ORDER``
+    per step and one per sample, for its dx/dt.
     """
     times = samples.times
     t_final = times[-1]
     floor = min(MIN_STEP_FRACTION * times[1], MAX_FLOOR_GRID_FRACTION * dt)
-    rms_over_width = math.sqrt(x.shape[1] / width)
+    p, n = TAYLOR_ORDER, x.shape[1]
+    scales = 1.0 / np.arange(1, p + 1)
+    r = samples.r[:, None]
     live = np.arange(len(x))
-    f = samples.rhs_for(live)(x)
     samples.rhs_evals[live] += 1
-    samples.take(live, x.copy(), f.copy())  # x, t and f are updated in place below
-    t = np.zeros((live.size, 1))
-    h = np.full((live.size, 1), dt)
-    rejected = np.zeros(live.size, dtype=bool)
+    samples.take(live, x.copy())
+    t = np.zeros(live.size)
+    last = np.full(live.size, np.inf)  # the first step is the series' own
     leaving = np.zeros(live.size, dtype=bool)
     built = 0
     while True:
         leaving |= samples.stopped[live]
         if leaving.any():
             keep = ~leaving
-            live, t, h, x, f, rejected, leaving = (
-                a[keep] for a in (live, t, h, x, f, rejected, leaving)
-            )
+            live, t, last, x, leaving = (a[keep] for a in (live, t, last, x, leaving))
         if not live.size:
             return
         if built != live.size:
-            # w[:, 0] is the state at the step's start, w[:, 1 + i] the step times stage i
-            w = np.empty((live.size, _STEP_ROWS, x.shape[1]))
-            heads = [w[:, : s + 1] for s in range(_STEP_ROWS)]
-            rows = list(w.swapaxes(0, 1))
-            stage = np.empty((live.size, 1, x.shape[1]))
-            x_new = stage[:, 0]
-            rhs = samples.rhs_for(live)
+            both = dt * np.concatenate((samples.a[live], samples.k[live]), axis=2)  # [A | K] per dt
+            series = np.empty((live.size, p + 1, n))
+            # rows 2j and 2j + 1: X_j A and X_j K
+            products = np.empty((live.size, 2 * p, n))
+            pairs = products.reshape(live.size, p, 1, 2 * n)
+            # from the end: sigma_0, 1, sigma_1, 0, sigma_2, 0, ...; the last
+            # 2j + 2 weigh the first 2j + 2 rows of products into (j + 1) X_{j+1}
+            weights = np.zeros((live.size, 1, 2 * p))
+            weights[:, 0, -2] = 1.0
+            orders = [(series[:, j : j + 1], pairs[:, j], weights[:, :, 2 * (p - j) - 1 : 2 * (p - j)],
+                       weights[:, :, 2 * (p - j - 1) :], products[:, : 2 * j + 2], series[:, j + 1 : j + 2])
+                      for j in range(p)]
             built = live.size
-        small = h[:, 0] < floor
+        series[:, 0] = x
+        for (x_j, pair, sigma_j, head, rows, x_next), scale in zip(orders, scales):
+            np.matmul(x_j, both, out=pair)
+            np.matmul(x_j, r, out=sigma_j)
+            np.matmul(head, rows, out=x_next)
+            np.multiply(x_next, scale, out=x_next)
+        h = dt * _step_estimate(series, x, width)
+        if np.isnan(h).any():
+            j = np.argmax(np.isnan(h))
+            samples.stepper_failure("step error estimate became non-finite", live[j], t[j])
+            continue
+        h = np.minimum(h, MAX_FACTOR * last)
+        small = h < floor
         if small.any():
             j = np.argmax(small)
-            samples.stepper_failure(f"step {h[j, 0]:.3e} s below the floor of {floor:.3e} s", live[j], t[j, 0])
+            samples.stepper_failure(f"step {h[j]:.3e} s below the floor of {floor:.3e} s", live[j], t[j])
             continue
         t_new = np.minimum(t + h, t_final)
         step = t_new - t
-        rows[0][...] = x
-        np.multiply(step, f, out=rows[1])
-        for s in range(1, 13):
-            np.matmul(_DOP853_STAGES[s], heads[s], out=stage)  # stage s's state; at s = 12 the new one
-            f_new = rhs(x_new)
-            np.multiply(f_new, step, out=rows[s + 1])
-        err = _error_norm(w, x, x_new) * rms_over_width
-        if not np.isfinite(err).all():
-            j = np.argmin(np.isfinite(err))
-            samples.stepper_failure("step error estimate became non-finite", live[j], t[j, 0])
-            continue
-        accepted = err < 1.0
-        factor = SAFETY * np.maximum(err, 1e-300) ** ERROR_EXPONENT
-        grow = np.minimum(MAX_FACTOR, factor)
-        grow = np.where(rejected, np.minimum(1.0, grow), grow)
-        h = step * np.where(accepted, grow, np.maximum(MIN_FACTOR, factor))[:, None]
-        rejected = ~accepted
+        x_new = _series(series, step / dt)
 
-        # the samples in (t, t_new] of each accepted column; those strictly
-        # inside the step need the three extra stages of the dense output and
-        # one evaluation each
+        # the samples in (t, t_new] of each column; those strictly inside the
+        # step are read off its series
         first = samples.queued[live]
-        due = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="right") - first, 0)
-        inside = np.where(accepted, np.searchsorted(times, t_new[:, 0], side="left") - first, 0)
-        samples.steps[live] += accepted
-        samples.rhs_evals[live] += 12 + np.where(inside > 0, 3 + inside, 0)
+        due = np.searchsorted(times, t_new, side="right") - first
+        inside = np.searchsorted(times, t_new, side="left") - first
+        samples.steps[live] += 1
+        samples.rhs_evals[live] += p + due
         if due.any():
             sel = np.flatnonzero(due)
             dense = sel[inside[sel] > 0]
-            samples.take(live[sel], x_new[sel], f_new[sel], due[sel], inside[sel],
-                         (t[dense, 0], step[dense, 0], w[dense]), stepped=1)
-
-        for now, new in ((t, t_new), (x, x_new), (f, f_new)):
-            np.copyto(now, new, where=accepted[:, None])
-        leaving = accepted & (t_new[:, 0] == t_final)
+            samples.take(live[sel], x_new[sel], None, due[sel], inside[sel],
+                         (t[dense], np.full(dense.size, dt), series[dense]), stepped=1)
+        t, x, last = t_new, x_new, step
+        leaving = t_new == t_final

@@ -1,4 +1,4 @@
-"""The physics-free stepper on damped rotations, whose solution is closed form."""
+"""The physics-free stepper on fields whose solution is closed form: damped rotations and a logistic."""
 
 import ast
 import sys
@@ -36,9 +36,10 @@ def exact(times: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs_for(columns):
-    part = generators()[columns]
-    return lambda x: np.matmul(part, x[:, :, None])[:, :, 0]
+def rotations(columns):
+    """The damped rotations as the field x A + (x . r)(x K) of row vectors: A = M^T, K = 0."""
+    a = generators()[columns].transpose(0, 2, 1)
+    return a, np.zeros_like(a), np.ones(4)
 
 
 def passes(x):
@@ -48,17 +49,17 @@ def passes(x):
 def solve(times, columns=slice(None), thresholds=None, stop_at_steady=False, rk4=None):
     columns = np.arange(len(OMEGA))[columns]
     thresholds = np.zeros(len(columns)) if thresholds is None else thresholds[columns]
-    samples = stepper.Samples(times, thresholds, stop_at_steady, lambda c: rhs_for(columns[c]), passes, 4)
+    samples = stepper.Samples(times, thresholds, stop_at_steady, *rotations(columns), passes)
     x = np.tile(X0, (len(columns), 1))
     if rk4 is None:
-        stepper.dop853(samples, x, 0.01, width=4)
+        stepper.taylor(samples, x, 0.01, width=4)
     else:
         stepper.rk4(samples, x, *rk4)
     samples.flush()
     return samples
 
 
-def test_dop853_follows_the_closed_form_inside_steps_and_at_the_end():
+def test_taylor_follows_the_closed_form_inside_steps_and_at_the_end():
     times = np.linspace(0.0, 10.0, 401)
     samples = solve(times)
     assert (samples.taken == len(times)).all()
@@ -103,12 +104,37 @@ def test_a_failed_check_raises_for_the_first_failing_sample():
     def check(x):  # fails once the first coordinate turns negative
         return np.where(x[:, 0] < 0.0, "x_0 below 0", "").astype(object)
 
-    samples = stepper.Samples(times, np.zeros(1), False, rhs_for, check, 4)
+    samples = stepper.Samples(times, np.zeros(1), False, *rotations([0]), check)
     with pytest.raises(stepper.PhysicsViolationError, match="x_0 below 0") as caught:
-        stepper.dop853(samples, np.tile(X0, (1, 1)), 0.01, width=4)
+        stepper.taylor(samples, np.tile(X0, (1, 1)), 0.01, width=4)
         samples.flush()
     # cos(t) first turns negative past pi / 2, at the sample t = 1.6
     assert caught.value.t == times[32] and caught.value.column == 0
+
+
+def test_taylor_follows_a_logistic_and_its_quadratic_coupling():
+    # u' = c u (1 - u) and v' = -u v: A = diag(c, 0), K = [[-c, 0], [0, -1]]
+    # and r = (1, 0), so sigma = u and every order reaches the convolution;
+    # u = 1/(1 + B e^{-ct}) with B = 1/u0 - 1, and v = v0 exp(-int u dt)
+    rates = np.array([0.5, 1.0, 3.0])
+    u0, v0 = 0.1, 1.0
+    a = np.zeros((len(rates), 2, 2))
+    a[:, 0, 0] = rates
+    k = np.zeros((len(rates), 2, 2))
+    k[:, 0, 0], k[:, 1, 1] = -rates, -1.0
+    times = np.linspace(0.0, 10.0, 401)
+    samples = stepper.Samples(times, np.zeros(len(rates)), False, a, k, np.array([1.0, 0.0]), passes)
+    stepper.taylor(samples, np.tile([u0, v0], (len(rates), 1)), 0.01, width=2)
+    samples.flush()
+    assert (samples.taken == len(times)).all()
+    assert (samples.steps < len(times) - 1).all()
+    c, t, b = rates[:, None], times[None, :], 1.0 / u0 - 1.0
+    u = 1.0 / (1.0 + b * np.exp(-c * t))
+    v = v0 * np.exp(-t) * ((1.0 + b) / (1.0 + b * np.exp(-c * t))) ** (1.0 / c)
+    err = np.abs(samples.states - np.stack([u, v], axis=2)).max(axis=(1, 2))
+    assert (err < 10 * (stepper.ATOL + stepper.RTOL * max(u0, v0, u.max()))).all(), err
+    # the pass reads dx/dt off the field itself
+    assert np.max(np.abs(samples.rhs_norms - np.hypot(c * u * (1.0 - u), u * v))) < 1e-12
 
 
 def test_the_stepper_imports_only_the_standard_library_and_numpy():
