@@ -480,8 +480,8 @@ class Trajectory:
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
     steady_index: int | None
     steps: int  # accepted steps
-    # evaluations of drho/dt: TAYLOR_ORDER per Taylor step and one per sample
-    # (under fixed_step, four per RK4 step and one at the end)
+    # evaluations of drho/dt: the stepper's own (TAYLOR_ORDER per Taylor step,
+    # under fixed_step four per RK4 step) and one per sample, for its rhs_norm
     rhs_evals: int
 
     @functools.cached_property
@@ -529,10 +529,11 @@ def integrate(
 
     The stepper is :func:`vaporspin.stepper.taylor` under error control,
     sampled off each step's series; ``fixed_step`` selects classical RK4
-    with step ``dt`` instead.  At each sample the state is checked: trace
-    drift beyond 1e-6 or an eigenvalue below -1e-6 raises
-    :class:`PhysicsViolationError` (no silent projection back to the
-    physical cone).  ``steady_tol`` is measured in units of G_SE: a sample
+    with step ``dt`` instead.  ``rhs_evals`` counts the stepper's own
+    evaluations of drho/dt and one per sample.  At each sample the state
+    is checked: trace drift beyond 1e-6 or an eigenvalue below -1e-6
+    raises :class:`PhysicsViolationError` (no silent projection back to
+    the physical cone).  ``steady_tol`` is measured in units of G_SE: a sample
     with ||drho/dt||_F < steady_tol * G_SE marks the trajectory as steady,
     and with ``stop_at_steady`` integration ends there.  This is
     :func:`integrate_block` with one column.

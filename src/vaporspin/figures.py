@@ -5,6 +5,10 @@ the outputs diff cleanly and can be plotted with anything.  The recipes fix
 the pump grids; the cell itself (temperature, fill, radius) comes from the
 active config, so the whole set scales coherently if the cell changes.
 
+Each time series is stepped once, as a z pump: H0 and the collisions are
+invariant under rotations, so in its pump frame an x pump is the z pump with
+the same |s|, and fig2b reads fig2a's z columns in the x pump's frame.
+
 Panel layout:
   fig2a/fig2b     pump-axis spin buildup, z pump / x pump, three polarizations
   fig3a..fig3f    entropy, entropy production, production rate — rows over
@@ -50,19 +54,15 @@ QFI_REPARAM_S = 0.75
 QFI_REPARAM_R_OP = 1.0
 RADIUS_SWEEP_R_OP = 0.5
 
-# the distinct (pump axis, |s|, R_op / G_SE) time series behind fig2-fig4 and
-# fig6, integrated as one block
-SERIES = tuple(dict.fromkeys(
-    [("z", s, 1.0) for s in S_GRID]
-    + [("z", 0.5, r) for r in R_OP_GRID]
-    + [("x", s, 1.0) for s in S_GRID]
-))
+# the distinct (|s|, R_op / G_SE) time series behind fig2-fig4 and fig6,
+# integrated as one block of z pumps
+SERIES = tuple(dict.fromkeys([(s, 1.0) for s in S_GRID] + [(0.5, r) for r in R_OP_GRID]))
 
 
-def _series_config(base: RunConfig, axis: str, s: float, r_op: float) -> RunConfig:
+def _series_config(base: RunConfig, s: float, r_op: float) -> RunConfig:
     return dataclasses.replace(
         base,
-        pump_axis=axis,
+        pump_axis="z",
         s_magnitude=s,
         r_op_over_gamma_se=r_op,
         t_end_over_t_se=FIGURE_T_END,
@@ -109,20 +109,24 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
         need = str(exc).partition(" needs ")[2]
         raise ConfigError(f"dt_steps_per_rate = {base.dt_steps_per_rate:g} needs {need}") from exc
     except PhysicsViolationError as exc:
-        axis, s, r_op = SERIES[exc.column]
+        s, r_op = SERIES[exc.column]
         raise PhysicsViolationError(
-            f"{exc.reason} in the series pumped along {axis} with s = {s:g} and "
+            f"{exc.reason} in the series pumped along z with s = {s:g} and "
             f"R_op = {r_op:g} G_SE", exc.step, exc.t,
         ) from exc
-    bundles = {
-        key: {**stacked_observables(traj.coordinates, params, ops), "t_norm": traj.t_norm}
-        for key, (ops, _, params, traj) in zip(SERIES, runs)
-    }
-    grid = bundles[SERIES[0]]["t_norm"]
+    runs = dict(zip(SERIES, runs))
+    bundles = {key: stacked_observables(traj.coordinates, params, ops)
+               for key, (ops, _, params, traj) in runs.items()}
+    grid = runs[SERIES[0]][3].t_norm
 
-    s_row = [bundles[("z", s, 1.0)] for s in S_GRID]
-    r_row = [bundles[("z", 0.5, r)] for r in R_OP_GRID]
-    x_row = [bundles[("x", s, 1.0)] for s in S_GRID]
+    s_row = [bundles[(s, 1.0)] for s in S_GRID]
+    r_row = [bundles[(0.5, r)] for r in R_OP_GRID]
+    # in its pump frame an x pump is the z column with its |s|: read that in the x pump's frame
+    x_row = []
+    for s in S_GRID:
+        ops, _, _, traj = runs[(s, 1.0)]
+        _, _, x_params = build_simulation(dataclasses.replace(_series_config(base, s, 1.0), pump_axis="x"))
+        x_row.append(stacked_observables(traj.coordinates, x_params, ops))
     s_tags = [f"s{_tag(s)}" for s in S_GRID]
     r_tags = [f"r{_tag(r)}" for r in R_OP_GRID]
 
@@ -162,7 +166,7 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
          "steady state vs cell radius; small cells are wall-relaxation dominated")
 
     # -- fig6: QFI against efficiency and against entropy production -----
-    source = bundles[("z", QFI_REPARAM_S, QFI_REPARAM_R_OP)]
+    source = bundles[(QFI_REPARAM_S, QFI_REPARAM_R_OP)]
     fit_rows = []
     for i, axis in enumerate("xyz"):
         eff_x, eff_y = reparametrize_monotone(source["efficiency"], source[f"qfi_{axis}"])

@@ -90,15 +90,14 @@ class Samples:
     stored), ``steady`` (the first sample with a norm below ``threshold``,
     or -1), ``steps`` and ``rhs_evals``.  A stepper only steps: for the
     samples due in a step it queues one record per column with :meth:`take`
-    (the step's end state, and dx/dt there if the stepper has it; for a
-    Taylor step with samples inside it also the start time, the time unit
-    and the series; the sample range; and ``steps`` and ``rhs_evals`` as
-    they stand after the step).  :meth:`flush` turns the queue into samples
-    as stacks, once at least ``SAMPLE_CHUNK`` samples are queued, when the
-    stepper fails and at the end of the run: the states inside a step, read
-    off its series, dx/dt at the samples the stepper gave none for (one
-    :func:`field` call over all of them), the norms, steady detection, the
-    guards and the store.
+    (the step's end state; for a Taylor step with samples inside it also
+    the start time, the time unit and the series; the sample range; and
+    ``steps`` and ``rhs_evals`` as they stand after the step).
+    :meth:`flush` turns the queue into samples as stacks, once at least
+    ``SAMPLE_CHUNK`` samples are queued, when the stepper fails and at the
+    end of the run: the states inside a step, read off its series, dx/dt at
+    every sample (one :func:`field` call over all of them), the norms,
+    steady detection, the guards and the store.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
@@ -136,14 +135,13 @@ class Samples:
         if not self.stopped[column]:
             raise PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
 
-    def take(self, cols: np.ndarray, x: np.ndarray, f: np.ndarray | None = None, due: np.ndarray | None = None,
+    def take(self, cols: np.ndarray, x: np.ndarray, due: np.ndarray | None = None,
              inside: np.ndarray | None = None, series: tuple[np.ndarray, ...] | None = None,
              stepped: int = 0) -> None:
         """Queue the next ``due`` samples (default 1) of columns ``cols``, one record each.
 
         ``x`` is each column's state at the end of its step, which is the
-        time of its last sample unless that lies inside the step, and ``f``
-        its dx/dt there, or None for the sample pass to evaluate.  The first
+        time of its last sample unless that lies inside the step.  The first
         ``inside`` samples (default none) lie inside the step; ``series``
         gives the start time t0, the time unit u and the coefficients X of
         each column with ``inside > 0``: its state at t is
@@ -154,7 +152,7 @@ class Samples:
         inside = np.zeros(len(cols), dtype=int) if inside is None else inside
         steps = self.steps[cols]
         self._queue.append((cols, self.queued[cols], due, inside, steps - stepped, steps,
-                            self.rhs_evals[cols], x, *(self._no_series if series is None else series), f))
+                            self.rhs_evals[cols], x, *(self._no_series if series is None else series)))
         self.queued[cols] += due
         self._pending += int(due.sum())
         if self._pending >= SAMPLE_CHUNK:
@@ -172,9 +170,8 @@ class Samples:
             return
         queue, self._queue, self._pending = self._queue, [], 0
         call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
-        *parts, given = zip(*queue)
         cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, t0, unit, coefficients = (
-            np.concatenate(part) for part in parts
+            np.concatenate(part) for part in zip(*queue)
         )
         record = np.repeat(np.arange(len(cols)), due)  # one row per sample
         offset = np.arange(record.size) - np.repeat(np.cumsum(due) - due, due)
@@ -186,10 +183,7 @@ class Samples:
             tau = (self.times[k[interior]] - t0[step_of]) / unit[step_of]
             x[interior] = _series(coefficients[step_of], tau)
         call, cols = call[record], cols[record]
-        if any(f is None for f in given):
-            f = field(x, self.a[cols], self.k[cols], self.r)
-        else:
-            f = np.concatenate(given)[record]
+        f = field(x, self.a[cols], self.k[cols], self.r)
         norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
         fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
@@ -226,29 +220,25 @@ class Samples:
 def rk4(samples: Samples, x: np.ndarray, dt: float, sample_every: int, n_steps: int) -> None:
     """Classical RK4 at the fixed step ``dt`` from ``x``, sampled every ``sample_every`` steps and at the last.
 
-    ``rhs_evals`` counts four evaluations per step, plus one for dx/dt at
-    the last sample.
+    ``rhs_evals`` counts four evaluations per step and one per sample, for
+    its dx/dt.
     """
     live = np.arange(len(x))
     a, k, r = samples.a, samples.k, samples.r
     for step in range(n_steps + 1):
-        k1 = None
         if step % sample_every == 0 or step == n_steps:
-            # four evaluations a step; the one at this sample is the next step's k1
-            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + 1
-            k1 = field(x, a, k, r)
-            samples.take(live, x, k1)
+            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + samples.queued[live] + 1
+            samples.take(live, x)
             if step == n_steps:
                 break
             stopped = samples.stopped[live]
             if stopped.any():
                 keep = ~stopped
-                live, x, k1 = live[keep], x[keep], k1[keep]
+                live, x = live[keep], x[keep]
                 if not live.size:
                     break
                 a, k = samples.a[live], samples.k[live]
-        if k1 is None:
-            k1 = field(x, a, k, r)
+        k1 = field(x, a, k, r)
         k2 = field(x + (0.5 * dt) * k1, a, k, r)
         k3 = field(x + (0.5 * dt) * k2, a, k, r)
         k4 = field(x + dt * k3, a, k, r)
@@ -356,7 +346,7 @@ def taylor(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
         if due.any():
             sel = np.flatnonzero(due)
             dense = sel[inside[sel] > 0]
-            samples.take(live[sel], x_new[sel], None, due[sel], inside[sel],
+            samples.take(live[sel], x_new[sel], due[sel], inside[sel],
                          (t[dense], np.full(dense.size, dt), series[dense]), stepped=1)
         t, x, last = t_new, x_new, step
         leaving = t_new == t_final

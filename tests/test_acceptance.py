@@ -36,9 +36,6 @@ from vaporspin.thermo import (
 
 from conftest import assert_matches_closed_form, random_density_matrix
 
-# results shared between criteria that must run in file order
-_shared = {}
-
 
 @contextmanager
 def criterion(capsys, num, name):
@@ -84,23 +81,28 @@ def test_c02_radius_sweep_span(capsys):
         info["detail"] = f"gamma_sd(2.5cm)={big:.4g}/s, gamma_sd(0.01cm)={tiny:.4g}/s"
 
 
-def test_c03_unpolarized_fixed_point(capsys, ops8, make_params):
+@pytest.fixture(scope="module")
+def relax_traj(ops8, make_params):
+    """The unpolarized run over 10 T_SE and its wall time in seconds (shared by c03 and c04)."""
+    p = make_params(s=0.0)
+    t0 = time.perf_counter()
+    traj = integrate(p, ops8, t_end=10.0 * p.t_se, sample_every=10)
+    return traj, time.perf_counter() - t0
+
+
+def test_c03_unpolarized_fixed_point(capsys, ops8, relax_traj):
     with criterion(capsys, 3, "unpolarized fixed point") as info:
-        p = make_params(s=0.0)
-        t0 = time.perf_counter()
-        traj = integrate(p, ops8, t_end=10.0 * p.t_se, sample_every=10)
-        elapsed = time.perf_counter() - t0
+        traj, elapsed = relax_traj
         drift = float(np.linalg.norm(traj.states[-1] - ops8.maximally_mixed()))
         assert drift < 1e-8
         assert elapsed < 10.0
-        _shared["relax_traj"] = traj
         info["detail"] = f"|rho(10 T_SE) - 1/8|_F = {drift:.3g}, {elapsed:.2f} s"
 
 
-def test_c04_conservation_suite(capsys, ops8, make_params, default_run):
+def test_c04_conservation_suite(capsys, ops8, make_params, default_run, relax_traj):
     with criterion(capsys, 4, "conservation suite") as info:
         guards_ok(default_run.traj)
-        guards_ok(_shared["relax_traj"])
+        guards_ok(relax_traj[0])
 
         # halved-step Richardson check of fixed-step RK4 over the full pumped
         # transient, and the error-controlled stepper against its fine end

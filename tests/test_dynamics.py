@@ -587,9 +587,10 @@ class TestErrorControlledStepper:
 
     def test_work(self, one_t_se):
         adaptive, rk4 = one_t_se
-        assert rk4.steps == 10_000 and rk4.rhs_evals == 40_001
-        # RK4 at dt takes 5,000 steps and 20,001 evaluations.  The Taylor
-        # stepper counts TAYLOR_ORDER per step and one per sample, for its rhs_norm
+        # four evaluations per RK4 step, and one per sample for its rhs_norm
+        assert rk4.steps == 10_000 and rk4.rhs_evals == 4 * 10_000 + 501
+        # RK4 at dt takes 5,000 steps and 20,501 evaluations.  The Taylor
+        # stepper counts TAYLOR_ORDER per step and one per sample
         assert len(adaptive) == 501
         assert adaptive.steps <= 60
         assert adaptive.rhs_evals == stepper.TAYLOR_ORDER * adaptive.steps + len(adaptive)

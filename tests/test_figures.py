@@ -11,11 +11,13 @@ from vaporspin.figures import (
     FIGURE_STRIDE,
     FIGURE_T_END,
     R_OP_GRID,
+    S_GRID,
     SERIES,
     _series_config,
+    _tag,
     reproduce_figures,
 )
-from vaporspin.pipeline import build_simulation
+from vaporspin.pipeline import build_simulation, stacked_observables
 
 
 def read_columns(path) -> dict[str, list[str]]:
@@ -48,7 +50,7 @@ def figure_block(cfg):
 @pytest.mark.parametrize("stop_at_steady", [False, True])
 def test_block_columns_match_standalone_runs(stop_at_steady):
     params_seq, ops, dt, t_end = figure_block(RunConfig(dt_steps_per_rate=1.0).validate())
-    # at this tolerance the nine series reach steady state at different samples
+    # at this tolerance the six series reach steady state at different samples
     # the figures step the block with fixed-step RK4
     kwargs = dict(t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE,
                   stop_at_steady=stop_at_steady, steady_tol=0.03, fixed_step=True)
@@ -61,6 +63,25 @@ def test_block_columns_match_standalone_runs(stop_at_steady):
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
         for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue"):
             assert getattr(traj, name) == getattr(alone, name), name
+
+
+def test_fig2b_is_the_x_pumps_own_run(tmp_path):
+    # the block steps z pumps alone; the x pumps, stepped as their own columns
+    # on the block's step and horizon, write fig2b's cells byte for byte
+    cfg = RunConfig(dt_steps_per_rate=1.0).validate()
+    _, ops, dt, t_end = figure_block(cfg)
+    x_params = [build_simulation(dataclasses.replace(_series_config(cfg, s, 1.0), pump_axis="x"))[2]
+                for s in S_GRID]
+    block = integrate_block(x_params, ops, t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE, fixed_step=True)
+    reproduce_figures(cfg, tmp_path)
+    written = read_columns(tmp_path / "fig2b.csv")
+    assert ["%.12g" % t for t in block[0].t_norm] == written["t_norm"]
+    for traj, s in zip(block, S_GRID):
+        assert traj.params.s == (s, 0.0, 0.0)
+        obs = stacked_observables(traj.coordinates, traj.params, ops)
+        for p in "fs":
+            assert ["%.12g" % v for v in obs[f"{p}x"]] == written[f"{p}x_s{_tag(s)}"], (p, s)
+        assert float(written[f"fx_s{_tag(s)}"][-1]) > 0.0
 
 
 def test_series_guard_failure_names_the_series(tmp_path, monkeypatch, capsys):

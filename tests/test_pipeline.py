@@ -706,7 +706,7 @@ class TestOneIntegrationPath:
             ("run", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"),
             ("sweep", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"
                       "sweep_variable = s_magnitude\nsweep_values = 0.25, 0.5, 0.75, 1.0\n"),
-            # nine series and 13 radius points
+            # six series, the three x-pump frames of fig2b and 13 radius points
             ("reproduce-figures", "dt_steps_per_rate = 1\n"),
         ]
         for command, text in commands:
@@ -734,7 +734,7 @@ class TestOneIntegrationPath:
         assert calls[1:] == [(4, False)]
         cfg_path.write_text("dt_steps_per_rate = 1\n")
         assert cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "figs")]) == 0
-        assert calls[2:] == [(len(figures.SERIES), True)] == [(9, True)]
+        assert calls[2:] == [(len(figures.SERIES), True)] == [(6, True)]
 
 
 class TestOneObservablePath:
