@@ -9,12 +9,13 @@ such a field the Taylor coefficients of x(t) at any order follow from a short
 recurrence (Jorba & Zou, *Exp. Math.* 14, 99 (2005)), so :func:`taylor` steps
 each row with its own step and clock by its order-``TAYLOR_ORDER`` series,
 with the step set from the series' last two terms under the tolerance
-(``RTOL``, ``ATOL``); no step is rejected, and the samples, on a given grid of
-times, are read off the step's polynomial.  :func:`rk4` is classical RK4 at a
-fixed step.  The caller hands :class:`Samples` the factors A, K and r and
-``check(x)``, which returns each finite row's guard failure, an object array
-of strings, empty where the row passes.  A stepper only steps and queues what
-its samples need; everything else runs in stacked passes of up to
+(``RTOL``, ``ATOL``); no step is rejected, and the states at the samples, on
+a given grid of times, are read off the step's polynomial.  :func:`rk4` is
+classical RK4 at a fixed step.  The caller hands :class:`Samples` the factors
+A, K and r and ``check(x)``, which returns each finite row's guard failure,
+an object array of strings, empty where the row passes.  A stepper only
+steps and hands :class:`Samples` each sample's state, tagged with its column
+and sample index; everything else runs in stacked passes of up to
 ``SAMPLE_CHUNK`` samples, with the results, stops and failures of checking
 each sample when it is taken.  Every product is stacked, one per row, so a
 row's result does not depend on the block it sits in.
@@ -86,25 +87,24 @@ class Samples:
 
     ``a``, ``k`` and ``r`` are the factors of the block's field, one A and K
     per column.  Every array is indexed by block column: the stored
-    ``states`` and ``rhs_norms`` (the norm of dx/dt), ``taken`` (samples
-    stored), ``steady`` (the first sample with a norm below ``threshold``,
-    or -1), ``steps`` and ``rhs_evals``.  A stepper only steps: for the
-    samples due in a step it queues one record per column with :meth:`take`
-    (the step's end state; for a Taylor step with samples inside it also
-    the start time, the time unit and the series; the sample range; and
-    ``steps`` and ``rhs_evals`` as they stand after the step).
-    :meth:`flush` turns the queue into samples as stacks, once at least
-    ``SAMPLE_CHUNK`` samples are queued, when the stepper fails and at the
-    end of the run: the states inside a step, read off its series, dx/dt at
+    ``states`` and ``rhs_norms`` (the norm of dx/dt), ``queued`` (samples
+    handed to :meth:`take`), ``taken`` (samples stored), ``steady`` (the
+    first sample with a norm below ``threshold``, or -1), ``steps`` and
+    ``rhs_evals``.  A stepper only steps: it hands :meth:`take` the state
+    of every sample due in a step, each row tagged with its column and
+    sample index, and the queue keeps with each row ``steps`` and
+    ``rhs_evals`` as they stand when it is taken.  :meth:`flush` turns the
+    queue into samples as stacks, once at least ``SAMPLE_CHUNK`` samples are
+    queued, when the stepper fails and at the end of the run: dx/dt at
     every sample (one :func:`field` call over all of them), the norms,
     steady detection, the guards and the store.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
-    first steady sample: the rows of the step that holds it are guarded as
-    usual and stored up to it; its later records are dropped unguarded; its
-    ``steps`` and ``rhs_evals`` are those recorded with that step; and it is
-    marked in ``stopped``, for the stepper to drop.
+    first steady sample: the rows of the take that holds it are guarded as
+    usual and stored up to it; its later takes are dropped unguarded; its
+    ``steps`` and ``rhs_evals`` are those recorded with that sample; and it
+    is marked in ``stopped``, for the stepper to drop.
     """
 
     def __init__(self, times: np.ndarray, thresholds: Sequence[float], stop_at_steady: bool,
@@ -115,13 +115,12 @@ class Samples:
         self.a, self.k, self.r = a, k, r
         self.states = np.empty((b, len(times), n))
         self.rhs_norms = np.empty((b, len(times)))
-        self.queued = np.zeros(b, dtype=int)  # samples handed to take
-        self.taken = np.zeros(b, dtype=int)  # samples stored
+        self.queued = np.zeros(b, dtype=int)
+        self.taken = np.zeros(b, dtype=int)
         self.steady = np.full(b, -1)
         self.stopped = np.zeros(b, dtype=bool)
         self.steps = np.zeros(b, dtype=int)
         self.rhs_evals = np.zeros(b, dtype=int)
-        self._no_series = (np.empty(0), np.empty(0), np.empty((0, TAYLOR_ORDER + 1, n)))
         self._queue: list[tuple[np.ndarray, ...]] = []
         self._pending = 0
 
@@ -135,54 +134,33 @@ class Samples:
         if not self.stopped[column]:
             raise PhysicsViolationError(reason, int(self.steps[column]), float(t), column)
 
-    def take(self, cols: np.ndarray, x: np.ndarray, due: np.ndarray | None = None,
-             inside: np.ndarray | None = None, series: tuple[np.ndarray, ...] | None = None,
-             stepped: int = 0) -> None:
-        """Queue the next ``due`` samples (default 1) of columns ``cols``, one record each.
+    def take(self, cols: np.ndarray, k: np.ndarray, x: np.ndarray, stepped: int = 0) -> None:
+        """Queue ``x[i]`` as sample ``k[i]`` of column ``cols[i]``, as one take.
 
-        ``x`` is each column's state at the end of its step, which is the
-        time of its last sample unless that lies inside the step.  The first
-        ``inside`` samples (default none) lie inside the step; ``series``
-        gives the start time t0, the time unit u and the coefficients X of
-        each column with ``inside > 0``: its state at t is
-        sum_j X_j ((t - t0)/u)^j.  A failure reports the step count less
-        ``stepped``, the count before this step.
+        A column may hold several rows, in the order of its samples.  A
+        failure reports the column's step count less ``stepped``, the count
+        before this step.
         """
-        due = np.ones(len(cols), dtype=int) if due is None else due
-        inside = np.zeros(len(cols), dtype=int) if inside is None else inside
         steps = self.steps[cols]
-        self._queue.append((cols, self.queued[cols], due, inside, steps - stepped, steps,
-                            self.rhs_evals[cols], x, *(self._no_series if series is None else series)))
-        self.queued[cols] += due
-        self._pending += int(due.sum())
+        self._queue.append((cols, k, steps - stepped, steps, self.rhs_evals[cols], x))
+        np.maximum.at(self.queued, cols, k + 1)
+        self._pending += len(cols)
         if self._pending >= SAMPLE_CHUNK:
             self.flush()
 
     def flush(self) -> None:
-        """Turn the queued records into stored samples, as one stack.
+        """Turn the queued takes into stored samples, as one stack.
 
         Raises for the sample that a check at :meth:`take` would have raised
         for: the earliest :meth:`take` with a failing row, within it a
         non-finite row first, else the first row that ``check`` fails, with
-        that record's step count.
+        that take's step count.
         """
         if not self._queue:
             return
         queue, self._queue, self._pending = self._queue, [], 0
         call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
-        cols, first, due, inside, guard_steps, steps, rhs_evals, x_end, t0, unit, coefficients = (
-            np.concatenate(part) for part in zip(*queue)
-        )
-        record = np.repeat(np.arange(len(cols)), due)  # one row per sample
-        offset = np.arange(record.size) - np.repeat(np.cumsum(due) - due, due)
-        k = first[record] + offset
-        x = x_end[record]
-        interior = np.flatnonzero(offset < inside[record])
-        if interior.size:
-            step_of = (np.cumsum(inside > 0) - 1)[record[interior]]
-            tau = (self.times[k[interior]] - t0[step_of]) / unit[step_of]
-            x[interior] = _series(coefficients[step_of], tau)
-        call, cols = call[record], cols[record]
+        cols, k, guard_steps, steps, rhs_evals, x = (np.concatenate(part) for part in zip(*queue))
         f = field(x, self.a[cols], self.k[cols], self.r)
         norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
@@ -194,11 +172,11 @@ class Samples:
             if self.stop_at_steady:  # a column's takes after its stop never happened
                 stop = cols[rows]
                 self.stopped[stop] = True
-                self.steps[stop], self.rhs_evals[stop] = steps[record[rows]], rhs_evals[record[rows]]
+                self.steps[stop], self.rhs_evals[stop] = steps[rows], rhs_evals[rows]
                 last_call = np.full(len(self.steady), len(queue))
                 last_call[stop] = call[rows]
                 alive = call <= last_call[cols]
-                call, cols, k, x, norms, record = (a[alive] for a in (call, cols, k, x, norms, record))
+                call, cols, k, x, norms, guard_steps = (a[alive] for a in (call, cols, k, x, norms, guard_steps))
 
         finite = np.isfinite(x).all(axis=1)
         failure = self.check(np.where(finite[:, None], x, 0.0))
@@ -207,7 +185,7 @@ class Samples:
         if failed.any():
             first_failing = call == call[np.argmax(failed)]
             j = np.argmax(first_failing & (~finite if (first_failing & ~finite).any() else failed))
-            raise PhysicsViolationError(failure[j], int(guard_steps[record[j]]), float(self.times[k[j]]), cols[j])
+            raise PhysicsViolationError(failure[j], int(guard_steps[j]), float(self.times[k[j]]), cols[j])
         kept = np.ones(len(cols), dtype=bool)
         if self.stop_at_steady:  # a column keeps no sample past its first steady one
             kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
@@ -220,15 +198,17 @@ class Samples:
 def rk4(samples: Samples, x: np.ndarray, dt: float, sample_every: int, n_steps: int) -> None:
     """Classical RK4 at the fixed step ``dt`` from ``x``, sampled every ``sample_every`` steps and at the last.
 
-    ``rhs_evals`` counts four evaluations per step and one per sample, for
-    its dx/dt.
+    At a sample each live column's state is taken as its next sample,
+    ``queued``.  ``rhs_evals`` counts four evaluations per step and one per
+    sample, for its dx/dt.
     """
     live = np.arange(len(x))
     a, k, r = samples.a, samples.k, samples.r
     for step in range(n_steps + 1):
         if step % sample_every == 0 or step == n_steps:
-            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + samples.queued[live] + 1
-            samples.take(live, x)
+            sample = samples.queued[live]
+            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + sample + 1
+            samples.take(live, sample, x)
             if step == n_steps:
                 break
             stopped = samples.stopped[live]
@@ -272,7 +252,8 @@ def taylor(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
 
     then takes the step of :func:`_step_estimate` over ``width`` >= n
     coordinates (those not stepped being 0), at most ``MAX_FACTOR`` times
-    the last; its end state and its samples are read off the polynomial.
+    the last.  Its end state is read off the polynomial, and so is each
+    sample t_k in (t, t + h], at (t_k - t)/dt, taken with the step counted.
     Each order is four stacked calls: the product with [A | K], the one with
     r, the convolution of X_i K with the sigma_i = X_i . r, held reversed and
     interleaved with the weight 1 of X_j A, and the scale.  A column whose
@@ -289,7 +270,7 @@ def taylor(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
     r = samples.r[:, None]
     live = np.arange(len(x))
     samples.rhs_evals[live] += 1
-    samples.take(live, x.copy())
+    samples.take(live, np.zeros(live.size, dtype=int), x.copy())
     t = np.zeros(live.size)
     last = np.full(live.size, np.inf)  # the first step is the series' own
     leaving = np.zeros(live.size, dtype=bool)
@@ -336,17 +317,14 @@ def taylor(samples: Samples, x: np.ndarray, dt: float, width: int) -> None:
         step = t_new - t
         x_new = _series(series, step / dt)
 
-        # the samples in (t, t_new] of each column; those strictly inside the
-        # step are read off its series
+        # the samples in (t, t_new] of each column, read off its series
         first = samples.queued[live]
         due = np.searchsorted(times, t_new, side="right") - first
-        inside = np.searchsorted(times, t_new, side="left") - first
         samples.steps[live] += 1
         samples.rhs_evals[live] += p + due
         if due.any():
-            sel = np.flatnonzero(due)
-            dense = sel[inside[sel] > 0]
-            samples.take(live[sel], x_new[sel], due[sel], inside[sel],
-                         (t[dense], np.full(dense.size, dt), series[dense]), stepped=1)
+            rows = np.repeat(np.arange(live.size), due)  # one per sample
+            k = first[rows] + np.arange(rows.size) - (np.cumsum(due) - due)[rows]
+            samples.take(live[rows], k, _series(series[rows], (times[k] - t[rows]) / dt), stepped=1)
         t, x, last = t_new, x_new, step
         leaving = t_new == t_final

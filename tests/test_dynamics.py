@@ -567,6 +567,24 @@ class TestPumpFrame:
         assert np.max(np.abs(traj.states[-1] - rho)) < 1e-9
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"s_magnitude": 1.0, "r_op_over_gamma_se": 4.0},
+    {"nuclear_spin": 2.5, "pump_axis": "x"},
+], ids=["defaults", "s1_rop4", "i52_x"])
+def test_f_z_budget_holds_at_every_sample(overrides):
+    # in the pump frame d<F_z>/dt = R_op |s| / 2 - (R_op + G_SD) <S_z>:
+    # spin exchange and H0 conserve F_z, the pump injects and both relax S_z
+    ops8, _, p = build_simulation(RunConfig(**overrides).validate())
+    traj = integrate(p, ops8, t_end=2.0 * p.t_se)
+    sector = pump_sector(ops8)
+    fz, sz = (to_coordinates(op)[sector] for op in (ops8.f_ops[2], ops8.s_ops[2]))
+    injection = 0.5 * p.r_op * math.hypot(*p.s)
+    budget = injection - (p.r_op + p.gamma_sd) * (traj.coordinates @ sz)
+    rate = block_rhs(traj.coordinates, build_superops(p, ops8)) @ fz
+    assert np.max(np.abs(rate - budget)) < 1e-12 * injection
+
+
 @pytest.fixture(scope="module", params=["z", "x"])
 def one_t_se(request):
     """The built-in defaults over 1 T_SE: the default stepper and RK4 at dt/2."""

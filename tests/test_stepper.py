@@ -112,6 +112,43 @@ def test_a_failed_check_raises_for_the_first_failing_sample():
     assert caught.value.t == times[32] and caught.value.column == 0
 
 
+def test_samples_stores_each_row_of_a_take_as_sample_k_of_its_column(monkeypatch):
+    # x[i] is sample k[i] of column cols[i]; the store evaluates the field at it
+    monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 4)
+    times = np.linspace(0.0, 1.0, 6)
+    a, k, r = rotations([0, 1])
+    states = np.tile(X0, (2, len(times), 1)) * np.linspace(1.0, 2.0, len(times))[:, None]
+    states[1, 4:] *= 1e-3  # ||x'|| of column 1 falls below its threshold at sample 4
+    samples = stepper.Samples(times, [0.0, 0.1], False, a, k, r, passes)
+    samples.take(np.array([0, 1]), np.array([0, 0]), states[:, 0])
+    samples.take(np.array([1, 1, 1]), np.array([1, 2, 3]), states[1, 1:4])  # five queued: a flush
+    assert list(samples.taken) == list(samples.queued) == [1, 4]
+    samples.take(np.array([0, 0, 0, 1, 1]), np.array([1, 2, 3, 4, 5]),
+                 np.concatenate((states[0, 1:4], states[1, 4:])))
+    samples.take(np.array([0, 0]), np.array([4, 5]), states[0, 4:])
+    samples.flush()
+    assert list(samples.taken) == list(samples.queued) == [len(times)] * 2
+    assert np.array_equal(samples.states, states)
+    f = stepper.field(states.reshape(-1, 4), np.repeat(a, len(times), axis=0),
+                      np.repeat(k, len(times), axis=0), r)
+    assert np.allclose(samples.rhs_norms, np.linalg.norm(f, axis=1).reshape(2, -1), rtol=1e-14, atol=0.0)
+    assert list(samples.steady) == [-1, 4]
+
+
+def test_a_failed_take_reports_its_step_count_less_stepped():
+    times = np.linspace(0.0, 1.0, 3)
+
+    def check(x):
+        return np.where(x[:, 0] > 10.0, "x_0 above 10", "").astype(object)
+
+    samples = stepper.Samples(times, np.zeros(2), False, *rotations([0, 1]), check)
+    samples.steps[:] = [5, 8]
+    samples.take(np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([X0, X0, 100.0 * X0]), stepped=1)
+    with pytest.raises(stepper.PhysicsViolationError, match="x_0 above 10") as caught:
+        samples.flush()
+    assert (caught.value.step, caught.value.t, caught.value.column) == (7, times[1], 1)
+
+
 def test_taylor_follows_a_logistic_and_its_quadratic_coupling():
     # u' = c u (1 - u) and v' = -u v: A = diag(c, 0), K = [[-c, 0], [0, -1]]
     # and r = (1, 0), so sigma = u and every order reaches the convolution;
