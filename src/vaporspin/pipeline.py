@@ -20,15 +20,17 @@ import csv
 import dataclasses
 import functools
 import math
+import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import stepper
 from .cell_rates import RateSet, compute_rates
 from .config import ConfigError, RunConfig
 from .dynamics import (
-    MasterSuperops,
     PumpParams,
     PhysicsViolationError,
     SteadyStateInfo,
@@ -71,10 +73,6 @@ __all__ = [
     "format_value",
 ]
 
-# states per pass of stacked_observables; a fixed block keeps the pass's
-# scratch memory independent of the trajectory length
-OBSERVABLE_BLOCK = 64
-
 # largest sample store of one integrator block, all columns together; one run
 # at the built-in defaults needs 78 MB, at t_end_over_t_se = 1e5 52 GB
 MAX_TRAJECTORY_BYTES = 2**30
@@ -93,21 +91,30 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: np.ndarray | list[list]) -> Path:
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray | Iterable[np.ndarray]) -> Path:
     """Write ``header`` and ``rows`` as CSV, byte for byte what csv.writer writes ("\\r\\n", no quoting).
 
-    ``rows`` is a 2-D float array, each row written with one format string,
-    or a list of rows, each value through :func:`format_value`.
+    ``rows`` is a list of rows, each value through :func:`format_value`, or
+    float rows, each written with one format string: a 2-D array, or an
+    iterable of 2-D arrays, written block by block as it yields them.  The
+    file is written under a temporary name in its directory and moved into
+    place whole; on failure the temporary file is removed.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
-            fh.writelines(line % tuple(row) for row in rows.tolist())
-        else:
-            writer.writerows([format_value(v) for v in row] for row in rows)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            if isinstance(rows, list):
+                writer.writerows([format_value(v) for v in row] for row in rows)
+            else:
+                line = ",".join(["%.12g"] * len(header)) + "\r\n"
+                for block in [rows] if isinstance(rows, np.ndarray) else rows:
+                    fh.writelines(line % tuple(row) for row in block.tolist())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only by a failure
     return path
 
 
@@ -208,8 +215,7 @@ def trajectory_horizon(
 
 def _population_columns(ops: SpinOperatorSet) -> list[str]:
     def tag(x: float) -> str:
-        text = f"{x:g}".replace("-", "m").replace(".", "_")
-        return text
+        return f"{x:g}".replace("-", "m").replace(".", "_")
 
     return [f"p_f{tag(f)}_m{tag(m)}" for f, m in ops.labels]
 
@@ -252,15 +258,30 @@ def _pass_tables(nuclear_spin: float) -> tuple[np.ndarray, ...]:
     return fx, plus, minus, odd
 
 
-def _observable_block(
-    x: np.ndarray, sup: MasterSuperops, energy: np.ndarray, eps: np.ndarray, axis: np.ndarray,
-    lab: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
-) -> dict[str, np.ndarray]:
-    """Observables of one (m, d + 4I) block of pump-frame sector coordinates, from their block spectra.
+def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> dict[str, np.ndarray]:
+    """Every per-sample observable of pump-frame states, from their sector coordinates ``x``, shape (n, d + 4I).
 
-    ``energy`` is the diagonal of H0 and ``eps`` its spectrum, ascending;
-    ``axis`` is the lab direction of the frame's z axis and ``lab`` the
-    sector coordinates of R^dag |a><a| R as columns, one per level a.
+    ``x`` holds each state's :func:`~vaporspin.dynamics.pump_sector`
+    coordinates in the pump frame of ``params``
+    (:func:`~vaporspin.dynamics.pump_frame`), as a
+    :class:`~vaporspin.dynamics.Trajectory` keeps them.  Returns one array
+    per trajectory.csv observable column (``s_vn`` through ``sz``), each of
+    shape (n,), plus the lab-frame ``populations`` of shape (n, d).  Each
+    state is read off the closed-form spectra of its m_F blocks
+    (:func:`~vaporspin.dynamics.block_spectra`); none is diagonalized or
+    turned to the lab.  The entropy production rate is the in-frame
+    right-hand side dotted with the coordinates of log rho.  The state
+    commutes with the frame's F_z, so in the lab <F> and <S> lie along n,
+    the lab direction of the frame's z axis (s/|s|, or z for pumps along +-z
+    and for s = 0), and the QFI about lab axis k is q (1 - n_k^2), q the QFI
+    about the frame's x axis.  The pass evaluates ``x`` as one stack; it
+    serves trajectories chunk by chunk (:func:`trajectory_table`), the figure
+    series and steady states (a stack of one), and it applies the floors of
+    :func:`~vaporspin.metrology.qfi_floor` and
+    :func:`~vaporspin.thermo.production_rate_floor`: a QFI or entropy
+    production rate below its floor is exactly 0, and the QFI's bound inf.
+    The scalar routines in :mod:`vaporspin.thermo` and
+    :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
     d, blocks, (fx, plus, minus, odd) = ops.dim, mf_blocks(ops), _pass_tables(ops.nuclear_spin)
     pairs = blocks.upper.size
@@ -291,13 +312,15 @@ def _observable_block(
     coherence = (up - low) * (math.sqrt(2.0) * c * s)  # sqrt 2 |<upper|log rho|lower>|
     log_x[:, d : d + pairs] = coherence * turn.real
     log_x[:, d + pairs :] = coherence * turn.imag
-    rate = np.einsum("ni,ni->n", block_rhs(x, sup), log_x)
+    rate = np.einsum("ni,ni->n", block_rhs(x, build_superops(params, ops)), log_x)
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 
     # energy above the ground state, ergotropy and efficiency from sorted
     # spectra (thermo.ergotropy and thermo.efficiency); H0 is diagonal in
     # |F, m_F> and invariant under the frame's rotation
+    energy = (params.a_hfs * ops.i_dot_s).diagonal().real
+    eps = np.sort(energy)
     energy_raw = x[:, :d] @ energy
     energy_above = energy_raw - eps[0]
     erg = np.maximum(energy_raw - np.sort(w, axis=1)[:, ::-1] @ eps, 0.0)
@@ -313,7 +336,7 @@ def _observable_block(
     # the frame's F_z, so its QFI matrix is q (1 - n n^T), with q about the
     # frame's x axis: F_x joins neighbouring m_F blocks only
     lam = np.clip(w, 0.0, None)
-    block_lam = np.where(blocks.levels >= 0, lam[:, blocks.levels], 0.0)  # (m, blocks, 2)
+    block_lam = np.where(blocks.levels >= 0, lam[:, blocks.levels], 0.0)  # (n, blocks, 2)
     vectors = np.zeros(block_lam.shape + (2,), dtype=complex)  # the eigenvectors as columns
     vectors[:, [0, -1], 0, 0] = vectors[:, [0, -1], 1, 1] = 1.0  # the blocks of one
     vectors[:, 1:-1, 0, 0] = vectors[:, 1:-1, 1, 1] = c
@@ -325,6 +348,8 @@ def _observable_block(
     keep = denom > PAIR_CUTOFF * np.maximum(lam.sum(axis=1), 1e-300)[:, None, None, None]
     weight = np.where(keep, (li - lj) ** 2 / np.where(keep, denom, 1.0), 0.0)
     transverse = 4.0 * np.sum(weight * np.abs(g_eig) ** 2, axis=(1, 2, 3))  # both orders of each pair
+    pump = params.s_vec
+    axis = pump / np.linalg.norm(pump) if pump[0] != 0.0 or pump[1] != 0.0 else np.array([0.0, 0.0, 1.0])
     qfi = transverse[:, None] * (1.0 - axis**2)
     resolved = qfi > qfi_floor(w, ops.f_ops[2])[:, None]  # ||F_k||_F is the same for every axis
     crb = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
@@ -335,56 +360,39 @@ def _observable_block(
     for k, name in enumerate("xyz"):
         out[f"qfi_{name}"], out[f"crb_{name}"] = qfi[:, k], crb[:, k]
         out[f"f{name}"], out[f"s{name}"] = spin[:, 0, k], spin[:, 1, k]
+    # the sector coordinates of R^dag |a><a| R, one column per level a
+    frame = pump_frame(ops, params.s)
+    coherence = math.sqrt(2.0) * (frame[:, blocks.upper].conj() * frame[:, blocks.lower]).T
+    lab = np.vstack([(frame.conj() * frame).real.T, coherence.real, coherence.imag])
     out["populations"] = np.clip(x @ lab, 0.0, None)
     return out
 
 
-def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> dict[str, np.ndarray]:
-    """Every per-sample observable of pump-frame states, from their sector coordinates ``x``, shape (n, d + 4I).
+@dataclass(frozen=True)
+class _TrajectoryRows:
+    """The rows of trajectory.csv, one per sample (``len``), as float blocks of ``stepper.SAMPLE_CHUNK`` samples.
 
-    ``x`` holds each state's :func:`~vaporspin.dynamics.pump_sector`
-    coordinates in the pump frame of ``params``
-    (:func:`~vaporspin.dynamics.pump_frame`), as a
-    :class:`~vaporspin.dynamics.Trajectory` keeps them.  Returns one array
-    per trajectory.csv observable column (``s_vn`` through ``sz``), each of
-    shape (n,), plus the lab-frame ``populations`` of shape (n, d).  Each
-    state is read off the closed-form spectra of its m_F blocks
-    (:func:`~vaporspin.dynamics.block_spectra`); none is diagonalized or
-    turned to the lab.  The entropy production rate is the in-frame
-    right-hand side dotted with the coordinates of log rho.  The state
-    commutes with the frame's F_z, so in the lab <F> and <S> lie along n,
-    the lab direction of the frame's z axis (s/|s|, or z for pumps along +-z
-    and for s = 0), and the QFI about lab axis k is q (1 - n_k^2), q the QFI
-    about the frame's x axis.  This pass serves trajectories, the figure
-    series and steady states (a stack of one), and it applies the floors of
-    :func:`~vaporspin.metrology.qfi_floor` and
-    :func:`~vaporspin.thermo.production_rate_floor`: a QFI or entropy
-    production rate below its floor is exactly 0, and the QFI's bound inf.
-    The scalar routines in :mod:`vaporspin.thermo` and
-    :mod:`vaporspin.metrology` are the reference this pass is tested against.
+    Each block's observable pass runs when iteration reaches it; no whole-run table is held.
     """
-    sup = build_superops(params, ops)
-    energy = (params.a_hfs * ops.i_dot_s).diagonal().real
-    eps = np.sort(energy)
-    s = params.s_vec
-    axis = s / np.linalg.norm(s) if s[0] != 0.0 or s[1] != 0.0 else np.array([0.0, 0.0, 1.0])
-    # the sector coordinates of R^dag |a><a| R, one column per level a
-    frame, blocks = pump_frame(ops, params.s), mf_blocks(ops)
-    coherence = math.sqrt(2.0) * (frame[:, blocks.upper].conj() * frame[:, blocks.lower]).T
-    lab = np.vstack([(frame.conj() * frame).real.T, coherence.real, coherence.imag])
-    parts = [
-        _observable_block(x[i : i + OBSERVABLE_BLOCK], sup, energy, eps, axis, lab, params, ops)
-        for i in range(0, len(x), OBSERVABLE_BLOCK)
-    ]
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+    traj: Trajectory
+    ops: SpinOperatorSet
+
+    def __len__(self) -> int:
+        return len(self.traj)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        traj, chunk = self.traj, stepper.SAMPLE_CHUNK
+        for i in range(0, len(traj), chunk):
+            times = traj.times[i : i + chunk]
+            obs = stacked_observables(traj.coordinates[i : i + chunk], traj.params, self.ops)
+            columns = [times, times / traj.t_se] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
+            yield np.column_stack(columns + [obs["populations"]])
 
 
-def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], np.ndarray]:
-    """Per-sample observables table for trajectory.csv: the header, and one float row per sample."""
-    header = TRAJECTORY_COLUMNS + _population_columns(ops)
-    obs = stacked_observables(traj.coordinates, traj.params, ops)
-    columns = [traj.times, traj.t_norm] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
-    return header, np.column_stack(columns + [obs["populations"]])
+def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], _TrajectoryRows]:
+    """Per-sample observables table for trajectory.csv: the header, and the rows chunk by chunk."""
+    return TRAJECTORY_COLUMNS + _population_columns(ops), _TrajectoryRows(traj, ops)
 
 
 def steady_state_columns(
@@ -444,28 +452,23 @@ RATES_COLUMNS = [
 ]
 
 
-def rates_row(rates: RateSet) -> list:
+def write_rates_csv(path: Path, rates: RateSet) -> Path:
     cell = rates.cell
-    return [
+    return write_csv(path, RATES_COLUMNS, [[
         cell.radius_cm, cell.temperature_c, cell.p_he_torr, cell.p_n2_torr,
         rates.vapor_pressure_torr, rates.n_rb_cm3, rates.n_he_cm3, rates.n_n2_cm3,
         rates.v_rbrb_cm_s, rates.v_rbhe_cm_s, rates.v_rbn2_cm_s, rates.d_cm2_s,
         rates.gamma_se, rates.gamma_sd_rbrb, rates.gamma_sd_rbhe,
         rates.gamma_sd_rbn2, rates.gamma_wall, cell.include_wall,
         rates.gamma_sd, rates.se_to_sd_ratio,
-    ]
-
-
-def write_rates_csv(path: Path, rates: RateSet) -> Path:
-    return write_csv(path, RATES_COLUMNS, [rates_row(rates)])
+    ]])
 
 
 def write_run(result: SimulationResult, out_dir: Path) -> dict[str, object]:
     """Write rates.csv, trajectory.csv and summary.csv; returns the summary row."""
     out_dir = Path(out_dir)
     write_rates_csv(out_dir / "rates.csv", result.rates)
-    header, rows = trajectory_table(result.traj, result.ops)
-    write_csv(out_dir / "trajectory.csv", header, rows)
+    write_csv(out_dir / "trajectory.csv", *trajectory_table(result.traj, result.ops))
     summary = steady_state_row(result)
     write_csv(out_dir / "summary.csv", list(summary.keys()), [list(summary.values())])
     return summary
@@ -538,10 +541,6 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
     first_summary = next((summary for *_, summary in outcomes if summary), {})
     summary_cols = [c for c in first_summary if c != cfg.sweep_variable]
     header = [cfg.sweep_variable, "status", "error"] + summary_cols
-    rows = []
-    statuses = []
-    for value, (status, message, summary) in zip(values, outcomes):
-        statuses.append(status)
-        rows.append([value, status, message] + [summary.get(c, "") for c in summary_cols])
-    path = write_csv(out_dir / "sweep.csv", header, rows)
-    return path, statuses
+    rows = [[value, status, message] + [summary.get(c, "") for c in summary_cols]
+            for value, (status, message, summary) in zip(values, outcomes)]
+    return write_csv(out_dir / "sweep.csv", header, rows), [status for status, _, _ in outcomes]

@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["PhysicsViolationError", "Samples", "field", "rk4", "taylor"]
 
-# queued samples per stacked sample pass; the result does not depend on it
+# samples per stacked pass, of the sample store and of trajectory.csv's rows; no result depends on it
 SAMPLE_CHUNK = 64
 
 # error control of the Taylor stepper, on each coordinate

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vaporspin
-from vaporspin import cli, dynamics, figures, metrology, thermo
+from vaporspin import cli, dynamics, figures, metrology, stepper, thermo
 from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import (
     PhysicsViolationError,
@@ -26,7 +26,6 @@ from vaporspin.dynamics import (
 from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
 from vaporspin.spin_algebra import build_coupled_operators
 from vaporspin.pipeline import (
-    OBSERVABLE_BLOCK,
     TRAJECTORY_COLUMNS,
     build_simulation,
     format_value,
@@ -207,14 +206,49 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="cap"):
             simulate(cfg)
 
-    def test_trajectory_table_row_per_sample(self):
+    def test_trajectory_table_row_per_sample(self, monkeypatch):
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 4)
         cfg = fast_config(sample_every=200)
         result = simulate(cfg)
         header, rows = trajectory_table(result.traj, result.ops)
-        assert len(rows) == len(result.traj)
-        assert len(header) == len(rows[0])
-        t_col = [r[0] for r in rows]
-        assert t_col == sorted(t_col)
+        blocks = list(rows)
+        assert {len(block) for block in blocks[:-1]} == {4} and 1 <= len(blocks[-1]) <= 4
+        table = np.concatenate(blocks)
+        assert len(rows) == len(table) == len(result.traj)
+        assert table.shape[1] == len(header)
+        np.testing.assert_array_equal(table[:, 0], result.traj.times)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sample_every=20),  # 101 samples
+        dict(stop_at_steady=True, steady_tol=0.03, t_end_over_t_se=10.0, sample_every=10),  # stops at sample 604
+    ], ids=["no_stop", "steady_stop"])
+    def test_chunking_never_changes_bytes(self, tmp_path, monkeypatch, overrides):
+        written = {}
+        for chunk in (1, 7, stepper.SAMPLE_CHUNK):
+            monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
+            result = simulate(fast_config(**overrides))
+            header, rows = trajectory_table(result.traj, result.ops)
+            write_csv(tmp_path / f"{chunk}.csv", header, rows)
+            written[chunk] = (tmp_path / f"{chunk}.csv").read_bytes()
+        n = len(result.traj)
+        assert n % 7 and n % 64  # the last chunk is partial at 7 and at 64
+        assert result.traj.reached_steady == overrides.get("stop_at_steady", False)
+        assert written[1] == written[7] == written[stepper.SAMPLE_CHUNK]
+
+    def test_failed_write_leaves_no_trajectory_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fail_on_second_chunk(x, params, ops):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise RuntimeError("the pass failed")
+            return stacked_observables(x, params, ops)
+
+        monkeypatch.setattr(pipeline, "stacked_observables", fail_on_second_chunk)
+        with pytest.raises(RuntimeError, match="the pass failed"):
+            run_single(fast_config(sample_every=20), tmp_path)
+        assert calls == [64, 37]  # the two chunks of 101 samples
+        assert sorted(os.listdir(tmp_path)) == ["rates.csv"]
 
 
 def oracle_observables(rho, params, ops) -> dict[str, float]:
@@ -290,7 +324,7 @@ class TestStackedObservables:
             np.testing.assert_allclose(got["populations"], pops, rtol=0.0, atol=1e-15)
         return got
 
-    @pytest.mark.parametrize("n", [1, OBSERVABLE_BLOCK, 2 * OBSERVABLE_BLOCK + 13])
+    @pytest.mark.parametrize("n", [1, 64, 141])
     def test_random_full_rank_states(self, ops8, make_params, rng, n):
         self.check(random_block_states(rng, ops8, n), make_params(s=0.7, axis="x"), ops8)
 
@@ -463,6 +497,7 @@ class TestPumpAxisRelabelling:
         assert (turned.traj.steps, turned.traj.rhs_evals) == (z.traj.steps, z.traj.rhs_evals)
         header, want = trajectory_table(z.traj, z.ops)
         _, got = trajectory_table(turned.traj, turned.ops)
+        want, got = np.concatenate(list(want)), np.concatenate(list(got))
         column = {name: (got[:, i], want[:, i]) for i, name in enumerate(header)}
 
         def relabelled(name, lab):
