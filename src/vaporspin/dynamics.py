@@ -30,7 +30,7 @@ s lies along z.  H0 and the collision terms are invariant under rotations,
 so there the column is the z-pumped run with the same |s|, and the
 projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
-the Delta m_F = 0 coordinates ever move (:func:`pump_sector`), 14 of 64 for
+the Delta m_F = 0 coordinates ever move (:attr:`MFBlocks.sector`), 14 of 64 for
 I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone, with the
 factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps them
 (an order-24 Taylor series under error control; ``fixed_step=True``: RK4 at
@@ -71,7 +71,6 @@ __all__ = [
     "build_superops",
     "block_rhs",
     "pump_frame",
-    "pump_sector",
     "lab_states",
     "mf_blocks",
     "block_spectra",
@@ -211,12 +210,122 @@ def from_coordinates(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MFBlocks:
+    """What the pump-frame Delta m_F = 0 sector of one nuclear spin fixes (:func:`mf_blocks`).
+
+    ``sector`` lists, in order, the coordinates that a pump-frame run from
+    the maximally mixed state can make nonzero: the d populations, then the
+    real and then the imaginary coordinates of the coherence between each
+    pair of levels with equal m_F, d + 4I coordinates.  A z pump conserves
+    F_z, so from a state diagonal in m_F no coherence with Delta m_F != 0
+    ever grows; on states that vanish off the sector the right-hand side
+    vanishes there too, so :func:`build_superops`, which acts on the sector
+    alone, is exact along the run.
+
+    Two levels share an m_F only across the manifolds F = I +- 1/2, so each
+    block has one or two levels.  ``single`` are the two levels alone in
+    theirs, m_F = +-(I + 1/2).  Pair k, m_F descending, is the level
+    ``upper[k]`` of F = I + 1/2 and ``lower[k]`` of F = I - 1/2; its
+    coherence rho[upper, lower] is (x[d + k] + i x[d + 2I + k]) / sqrt 2.
+    ``levels`` lists every block, m_F descending, as [upper, lower], with
+    -1 for the missing level of a block of one: the first and the last.
+
+    The factors of :func:`build_superops` that do not depend on the
+    parameters (:class:`MasterSuperops` has the notation): ``r``, the
+    sector coordinates of S_z; ``constant``, with x @ constant[0] =
+    (G_0 q)^T and x @ constant[1] = (G_z q)^T; and ``spin``, the map
+    x -> (G_z q)^T that K scales by 2 G_SE.
+
+    The tables of :func:`vaporspin.pipeline.stacked_observables`:
+    ``fx[k]`` is F_x between the levels of m_F blocks k and k + 1, as
+    [upper, lower] x [upper, lower], 0 where a block has one level.
+    ``odd`` holds F_z and S_z as columns, on the population differences
+    x[plus] - x[minus] of each level with m_F > 0 and its m_F -> -m_F
+    mirror in the same manifold, then on the coherence coordinates: both
+    operators are odd under that mirror, so a state symmetric under it
+    reads exactly 0, whatever the rounding of their matrix elements.
+
+    Every array is read-only, since every caller shares it.
+    """
+
+    sector: np.ndarray
+    single: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    levels: np.ndarray
+    r: np.ndarray
+    constant: np.ndarray
+    spin: np.ndarray
+    fx: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    odd: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _mf_blocks(nuclear_spin: float) -> MFBlocks:
+    ops = build_coupled_operators(nuclear_spin)
+    d, d_i = ops.dim, ops.dim // 2
+    i, j = _pairs(d)
+    m_f = np.array([m for _, m in ops.labels])
+    equal = np.flatnonzero(m_f[i] == m_f[j])
+    upper, lower = i[equal], j[equal]
+    single = np.flatnonzero(np.abs(m_f) == m_f.max())
+    pad = np.array([-1])
+    sector = np.concatenate([np.arange(d), d + equal, d + i.size + equal])
+    levels = np.stack([np.concatenate([single[:1], upper, single[1:]]),
+                       np.concatenate([pad, lower, pad])], axis=1)
+
+    # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
+    # basis of the nuclear factor; q_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
+    nuclear = hermitian_basis(d_i)
+    product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
+    coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
+    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, d_i * d_i, d * d)[[0, 3]]
+    # a sector state feeds the populations of m_I, the first d_i of B_b, and <S_z>
+    fed = g[:, :d_i, sector]
+    # formed at full width, then cut: formed from cut operands, the sums run
+    # in another order and the last bits change
+    constant = np.matmul(g[0].T, g)[:, sector[:, None], sector]
+
+    present = levels >= 0
+    index = {label: k for k, label in enumerate(ops.labels)}
+    plus = np.array([k for k, (_, m) in enumerate(ops.labels) if m > 0])
+    coordinates = to_coordinates(np.stack([ops.f_ops[2], ops.s_ops[2]]))[:, sector]
+    blocks = MFBlocks(
+        sector=sector,
+        single=single,
+        upper=upper,
+        lower=lower,
+        levels=levels,
+        # its own contiguous array: a row of ``coordinates`` holds the same
+        # values, but as a strided view, and on it matmul sums in another order
+        r=to_coordinates(ops.s_ops[2])[sector],
+        constant=constant,
+        spin=fed[0].T @ fed[1],
+        fx=np.where(present[:-1, :, None] & present[1:, None, :],
+                    ops.f_ops[0][levels[:-1, :, None], levels[1:, None, :]], 0.0),
+        plus=plus,
+        minus=np.array([index[f, -m] for f, m in (ops.labels[k] for k in plus)]),
+        odd=np.concatenate([coordinates[:, plus], coordinates[:, d:]], axis=1).T,
+    )
+    for table in vars(blocks).values():
+        table.setflags(write=False)
+    return blocks
+
+
+def mf_blocks(ops: SpinOperatorSet) -> MFBlocks:
+    """The sector record of ``ops``' nuclear spin (:class:`MFBlocks`), built once per nuclear spin."""
+    return _mf_blocks(ops.nuclear_spin)
+
+
+@dataclass(frozen=True)
 class MasterSuperops:
     """The pump-frame sector equations of a block of B columns, as the factors of a quadratic field.
 
     The electron-depolarized part is phi = Tr_S(rho) (x) 1/2 (Appelt et al.,
     PRA 58, 1412 (1998)).  In its pump frame a column is pumped along z, with
-    s_z = +-|s|, and its state stays on :func:`pump_sector`, where it commutes
+    s_z = +-|s|, and its state stays on :attr:`MFBlocks.sector`, where it commutes
     with F_z.  There x holds the n = d + 4I sector coordinates of rho,
     Tr_S(rho) is diagonal in the uncoupled |m_I> basis with populations q
     (linear in x), only <S_z> = x . r of <S> is nonzero, and G_k q are the
@@ -239,50 +348,19 @@ class MasterSuperops:
     r: np.ndarray = field(repr=False)  # (n,)
 
 
-@functools.lru_cache(maxsize=None)
-def _superop_factors(nuclear_spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of :func:`build_superops` that do not depend on the parameters.
-
-    They depend on the nuclear spin alone, so they are built once per nuclear
-    spin and shared, read-only: ``r``, ``constant`` (x @ constant[0] =
-    (G_0 q)^T and x @ constant[1] = (G_z q)^T) and ``spin``, the map
-    x -> (G_z q)^T that K scales by 2 G_SE.
-    """
-    ops = build_coupled_operators(nuclear_spin)
-    d, m = ops.dim, ops.dim // 2
-    sector = mf_blocks(ops).sector
-    # g[k, b] = coordinates of U (B_b (x) sigma_k) U^dag, for B_b the Hermitian
-    # basis of the nuclear factor; q_b = Tr((B_b (x) 1) U^dag rho U) = g[0, b] . x
-    nuclear = hermitian_basis(m)
-    product = (nuclear[None, :, :, None, :, None] * _SIGMA[:, None, None, :, None, :]).reshape(-1, d)
-    coupled = np.tensordot(ops.u, (product @ ops.u.conj().T).reshape(-1, d, d), axes=(1, 1))
-    g = to_coordinates(coupled.transpose(1, 0, 2)).reshape(4, m * m, d * d)[[0, 3]]
-    # a sector state feeds the populations of m_I, the first m of B_b, and <S_z>
-    fed = g[:, :m, sector]
-    r = to_coordinates(ops.s_ops[2])[sector]
-    # formed at full width, then cut: formed from cut operands, the sums run
-    # in another order and the last bits change
-    constant = np.matmul(g[0].T, g)[:, sector[:, None], sector]
-    factors = (r, constant, fed[0].T @ fed[1])
-    for factor in factors:
-        factor.setflags(write=False)
-    return factors
-
-
 def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorSet) -> MasterSuperops:
     """The factors A, K and r of the pump-frame sector equations, for one parameter set or one column per set of a sequence.
 
     Each column is taken to its pump frame, where s lies along z with its
     |s| (a -z pump keeps its sign, and the identity frame), and its factors
-    act on the coordinates of :func:`pump_sector` alone: the right-hand side
+    act on the coordinates of :attr:`MFBlocks.sector` alone: the right-hand side
     f(x) = x A + (x . r)(x K) that a run steps.  Each column's A combines
     the cached parameter-free factors with its own rates and the rotation by
     its own H0 = A I.S, and its K is 2 G_SE times the cached spin factor.
     """
     params_seq = [params] if isinstance(params, PumpParams) else list(params)
-    r, constant, spin = _superop_factors(ops.nuclear_spin)
     blocks = mf_blocks(ops)
-    upper, lower = blocks.upper, blocks.lower
+    upper, lower, constant, spin = blocks.upper, blocks.lower, blocks.constant, blocks.spin
     n = constant.shape[1]
     # the commutator rotates each coherence pair:
     # d/dt (x_s + i x_a) = -i (E_upper - E_lower) (x_s + i x_a)
@@ -301,69 +379,7 @@ def build_superops(params: PumpParams | Sequence[PumpParams], ops: SpinOperatorS
         linear[b] = rotation + (0.5 * decay) * constant[0] + (p.r_op * s_z) * constant[1]
         linear[b, diagonal, diagonal] -= decay
         quadratic[b] = (2.0 * p.gamma_se) * spin
-    return MasterSuperops(A=linear, K=quadratic, r=r)
-
-
-def pump_sector(ops: SpinOperatorSet) -> np.ndarray:
-    """The coordinates, in order, that a pump-frame run from the maximally mixed state can make nonzero.
-
-    The d populations, then the real and then the imaginary coordinates of
-    the coherence between each pair of levels with equal m_F: d + 4I
-    coordinates.  A z pump conserves F_z, so from a state diagonal in m_F
-    no coherence with Delta m_F != 0 ever grows; on states that vanish off
-    the sector the right-hand side vanishes there too, so
-    :func:`build_superops`, which acts on the sector alone, is exact along
-    the run.
-    """
-    return mf_blocks(ops).sector
-
-
-@dataclass(frozen=True)
-class MFBlocks:
-    """The :func:`pump_sector` coordinates of a pump-frame state, and where its m_F blocks sit among them.
-
-    Two levels share an m_F only across the manifolds F = I +- 1/2, so each
-    block has one or two levels.  ``single`` are the two levels alone in
-    theirs, m_F = +-(I + 1/2).  Pair k, m_F descending, is the level
-    ``upper[k]`` of F = I + 1/2 and ``lower[k]`` of F = I - 1/2; its
-    coherence rho[upper, lower] is (x[d + k] + i x[d + 2I + k]) / sqrt 2.
-    ``levels`` lists every block, m_F descending, as [upper, lower], with
-    -1 for the missing level of a block of one: the first and the last.
-    """
-
-    sector: np.ndarray
-    single: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    levels: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _mf_blocks(nuclear_spin: float) -> MFBlocks:
-    ops = build_coupled_operators(nuclear_spin)
-    d = ops.dim
-    i, j = _pairs(d)
-    m_f = np.array([m for _, m in ops.labels])
-    equal = np.flatnonzero(m_f[i] == m_f[j])
-    upper, lower = i[equal], j[equal]
-    single = np.flatnonzero(np.abs(m_f) == m_f.max())
-    pad = np.array([-1])
-    blocks = MFBlocks(
-        sector=np.concatenate([np.arange(d), d + equal, d + i.size + equal]),
-        single=single,
-        upper=upper,
-        lower=lower,
-        levels=np.stack([np.concatenate([single[:1], upper, single[1:]]),
-                         np.concatenate([pad, lower, pad])], axis=1),
-    )
-    for index in vars(blocks).values():
-        index.setflags(write=False)
-    return blocks
-
-
-def mf_blocks(ops: SpinOperatorSet) -> MFBlocks:
-    """The sector and the m_F blocks of a pump-frame state, built once per nuclear spin."""
-    return _mf_blocks(ops.nuclear_spin)
+    return MasterSuperops(A=linear, K=quadratic, r=blocks.r)
 
 
 def block_spectra(x: np.ndarray, ops: SpinOperatorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,7 +413,7 @@ def block_spectra(x: np.ndarray, ops: SpinOperatorSet) -> tuple[np.ndarray, np.n
 def lab_states(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> np.ndarray:
     """Lab-frame states R rho R^dag, shape (..., d, d), of pump-frame sector coordinates ``x``."""
     full = np.zeros(x.shape[:-1] + (ops.dim**2,))
-    full[..., pump_sector(ops)] = x
+    full[..., mf_blocks(ops).sector] = x
     rho, frame = from_coordinates(full), pump_frame(ops, params.s)
     if (frame == np.eye(ops.dim)).all():
         return rho
@@ -439,7 +455,7 @@ def _pump_frame(nuclear_spin: float, s: tuple[float, float, float]) -> np.ndarra
 def block_rhs(x: np.ndarray, sup: MasterSuperops) -> np.ndarray:
     """dx/dt = x A + (x . r)(x K) for a (B, n) block of pump-frame sector coordinates; column b uses factor b.
 
-    n = d + 4I is the width of :func:`pump_sector`.  This is
+    n = d + 4I is the width of :attr:`MFBlocks.sector`.  This is
     :func:`vaporspin.stepper.field`, the evaluation the steppers make: its
     products are stacked matmuls, one per column, so a column's result does
     not depend on the block it sits in.  A one-column ``sup`` applies to
@@ -467,7 +483,7 @@ class Trajectory:
     """Sampled solution of one integration run.
 
     The samples are kept as they were stepped: ``coordinates`` are the
-    :func:`pump_sector` coordinates of each state rho' in the pump frame R
+    :attr:`MFBlocks.sector` coordinates of each state rho' in the pump frame R
     of ``params.s``, where the lab-frame state is R rho' R^dag.  ``states``,
     ``max_trace_drift`` and ``min_eigenvalue`` are read off them on access.
     """
@@ -562,7 +578,7 @@ def integrate_block(
     block, and under ``fixed_step`` every column steps with RK4 at ``dt``.
     Each column keeps its own step size, clock, guards, steady index and,
     under ``stop_at_steady``, its own stop.  Each column steps in its pump
-    frame, on the coordinates of :func:`pump_sector`, so a returned
+    frame, on the coordinates of :attr:`MFBlocks.sector`, so a returned
     trajectory equals the standalone run of its parameters bit for bit.  A
     guard failure raises :class:`PhysicsViolationError` with ``column`` set
     to the offending index.
@@ -577,7 +593,7 @@ def integrate_block(
 
     n_steps, n_samples = sampling_plan(t_end, dt, sample_every)
     times = np.minimum(np.arange(n_samples) * sample_every, n_steps) * dt
-    sector = pump_sector(ops)
+    sector = mf_blocks(ops).sector
     # in its pump frame a column is pumped along z with its own |s|
     sup = build_superops(params_seq, ops)
     # the maximally mixed state is the same in every frame
@@ -680,7 +696,7 @@ def pump_polarization(params: PumpParams) -> float:
 def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.ndarray, SteadyStateInfo]:
     """Newton solve of drho/dt = 0 with the trace pinned to 1, on the pump-frame sector, from the closed form.
 
-    Returns :func:`pump_sector` coordinates, as a :class:`Trajectory` keeps
+    Returns :attr:`MFBlocks.sector` coordinates, as a :class:`Trajectory` keeps
     them, the same for x, y and z pumps of one |s|.  Newton starts from
     rho ~ exp(beta n.F) along the in-frame pump axis n (+-z), with
     beta = ln((1 + P) / (1 - P)), inf at P = 1, and P = :func:`pump_polarization`.
@@ -693,7 +709,7 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
     it is the maximally mixed state.  ``converged`` asks too that
     :func:`block_spectra` stay above -1e-9.
     """
-    d, sector = ops.dim, pump_sector(ops)
+    d, sector = ops.dim, mf_blocks(ops).sector
     x = to_coordinates(ops.maximally_mixed())[sector]
     scale = max(params.gamma_se, params.r_op, params.gamma_sd)
     if scale <= 0.0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import math
 import os
 from collections.abc import Iterable, Iterator
@@ -48,7 +47,6 @@ from .dynamics import (
     pump_polarization,
     sampling_plan,
     solve_steady_state,
-    to_coordinates,
 )
 # quantum_fisher_information and thermo_sample: not called here; perfbench/traced.py wraps them
 from .metrology import PAIR_CUTOFF, qfi_floor, quantum_fisher_information  # noqa: F401
@@ -230,38 +228,10 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _pass_tables(nuclear_spin: float) -> tuple[np.ndarray, ...]:
-    """What the observable pass reads off the labels alone, built once per nuclear spin.
-
-    ``fx[k]`` is F_x between the levels of m_F blocks k and k + 1, as
-    [upper, lower] x [upper, lower] (:class:`~vaporspin.dynamics.MFBlocks`),
-    0 where a block has one level.  ``odd`` holds F_z and S_z as columns,
-    on the population differences x[plus] - x[minus] of each level with
-    m_F > 0 and its m_F -> -m_F mirror in the same manifold, then on the
-    coherence coordinates: both operators are odd under that mirror, so a
-    state symmetric under it reads exactly 0, whatever the rounding of
-    their matrix elements.  Returns (fx, plus, minus, odd).
-    """
-    ops = build_coupled_operators(nuclear_spin)
-    d, blocks = ops.dim, mf_blocks(ops)
-    present = blocks.levels >= 0
-    fx = np.where(present[:-1, :, None] & present[1:, None, :],
-                  ops.f_ops[0][blocks.levels[:-1, :, None], blocks.levels[1:, None, :]], 0.0)
-    index = {label: k for k, label in enumerate(ops.labels)}
-    plus = np.array([k for k, (_, m) in enumerate(ops.labels) if m > 0])
-    minus = np.array([index[f, -m] for f, m in (ops.labels[k] for k in plus)])
-    coordinates = to_coordinates(np.stack([ops.f_ops[2], ops.s_ops[2]]))[:, blocks.sector]
-    odd = np.concatenate([coordinates[:, plus], coordinates[:, d:]], axis=1).T
-    for table in (fx, plus, minus, odd):
-        table.setflags(write=False)
-    return fx, plus, minus, odd
-
-
 def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> dict[str, np.ndarray]:
     """Every per-sample observable of pump-frame states, from their sector coordinates ``x``, shape (n, d + 4I).
 
-    ``x`` holds each state's :func:`~vaporspin.dynamics.pump_sector`
+    ``x`` holds each state's :attr:`~vaporspin.dynamics.MFBlocks.sector`
     coordinates in the pump frame of ``params``
     (:func:`~vaporspin.dynamics.pump_frame`), as a
     :class:`~vaporspin.dynamics.Trajectory` keeps them.  Returns one array
@@ -283,7 +253,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     The scalar routines in :mod:`vaporspin.thermo` and
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
-    d, blocks, (fx, plus, minus, odd) = ops.dim, mf_blocks(ops), _pass_tables(ops.nuclear_spin)
+    d, blocks = ops.dim, mf_blocks(ops)
     pairs = blocks.upper.size
     w, theta, phi = block_spectra(x, ops)
     # each pair's eigenvectors are (c, e^{-i phi} s) and (-e^{i phi} s, c)
@@ -342,7 +312,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     vectors[:, 1:-1, 0, 0] = vectors[:, 1:-1, 1, 1] = c
     vectors[:, 1:-1, 0, 1] = -turn * s
     vectors[:, 1:-1, 1, 0] = turn.conj() * s
-    g_eig = vectors[:, :-1].conj().swapaxes(-1, -2) @ fx @ vectors[:, 1:]
+    g_eig = vectors[:, :-1].conj().swapaxes(-1, -2) @ blocks.fx @ vectors[:, 1:]
     li, lj = block_lam[:, :-1, :, None], block_lam[:, 1:, None, :]
     denom = li + lj
     keep = denom > PAIR_CUTOFF * np.maximum(lam.sum(axis=1), 1e-300)[:, None, None, None]
@@ -355,7 +325,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     crb = np.where(resolved, 1.0 / np.sqrt(np.where(resolved, qfi, 1.0)), np.inf)
     qfi = np.where(resolved, qfi, 0.0)
     # <F> and <S> lie along the frame's z axis; + 0.0 writes a -0 as 0
-    along = np.concatenate([x[:, plus] - x[:, minus], x[:, d:]], axis=1) @ odd
+    along = np.concatenate([x[:, blocks.plus] - x[:, blocks.minus], x[:, d:]], axis=1) @ blocks.odd
     spin = along[:, :, None] * axis + 0.0
     for k, name in enumerate("xyz"):
         out[f"qfi_{name}"], out[f"crb_{name}"] = qfi[:, k], crb[:, k]

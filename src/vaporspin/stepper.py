@@ -30,7 +30,7 @@ import numpy as np
 __all__ = ["PhysicsViolationError", "Samples", "field", "rk4", "taylor"]
 
 # samples per stacked pass, of the sample store and of trajectory.csv's rows; no result depends on it
-SAMPLE_CHUNK = 64
+SAMPLE_CHUNK = 256
 
 # error control of the Taylor stepper, on each coordinate
 RTOL = 1e-10

@@ -23,7 +23,6 @@ from vaporspin.dynamics import (
     mf_blocks,
     nuclear_part,
     pump_frame,
-    pump_sector,
     solve_steady_state,
     spin_temperature_state,
     to_coordinates,
@@ -60,7 +59,7 @@ def pinched(rho, ops):
 def lift(x, ops):
     """The Hermitian matrices with pump-sector coordinates ``x`` and zero off the sector."""
     full = np.zeros(x.shape[:-1] + (ops.dim**2,))
-    full[..., pump_sector(ops)] = x
+    full[..., mf_blocks(ops).sector] = x
     return from_coordinates(full)
 
 
@@ -114,7 +113,7 @@ class TestMasterRhs:
         p = params(s=(0.3, 0.1, -0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
         states = np.stack([pinched(random_density_matrix(rng), ops) for _ in range(5)])
-        sector = pump_sector(ops)
+        sector = mf_blocks(ops).sector
         block = lift(block_rhs(to_coordinates(states)[:, sector], sup), ops)
         for rho, stacked in zip(states, block):
             direct = master_rhs(rho, in_frame(p), ops)
@@ -139,7 +138,7 @@ class TestMasterRhs:
         ]
         for ops in (ops, build_coupled_operators(nuclear_spin=2.5)):
             sup = build_superops(block_params, ops)
-            sector = pump_sector(ops)
+            sector = mf_blocks(ops).sector
             for seed in range(20):
                 rng = np.random.default_rng(seed)
                 states = np.stack([pinched(random_density_matrix(rng, dim=ops.dim), ops) for _ in block_params])
@@ -154,7 +153,7 @@ class TestMasterRhs:
         block_params = [params(s=(0, 0, 0.5)), params(s=(0.5, 0, 0), r_op=2.0), params(s=(0, 0, 0))]
         sup = build_superops(block_params, ops)
         states = np.stack([pinched(random_density_matrix(rng), ops) for _ in block_params])
-        x = to_coordinates(states)[:, pump_sector(ops)]
+        x = to_coordinates(states)[:, mf_blocks(ops).sector]
         block = block_rhs(x, sup)
         for j in range(len(block_params)):
             alone = block_rhs(x[j : j + 1], build_superops(block_params[j], ops))
@@ -416,7 +415,7 @@ class TestIntegrate:
         for name in ("steady_index", "max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
             assert getattr(again, name) == getattr(stopped, name), name
 
-    @pytest.mark.parametrize("chunk", [stepper.SAMPLE_CHUNK, 1])
+    @pytest.mark.parametrize("chunk", [stepper.SAMPLE_CHUNK, 64, 1])
     def test_batched_guard_raises_for_the_first_failing_sample(self, monkeypatch, chunk):
         # the four polarizations of the sweep benchmark reach minimum
         # eigenvalues of 0.104, 0.084, 0.067 and 0.052 over 1 T_SE; under a
@@ -466,7 +465,7 @@ class TestPumpFrame:
         # and imaginary part of one coherence: d + 4I coordinates
         ops = build_coupled_operators(nuclear_spin)
         sup = build_superops([params(), params(s=(0, 0, 0)), params(s=(0, 0, -1.0), r_op=3.0)], ops)
-        kept = pump_sector(ops)
+        kept = mf_blocks(ops).sector
         assert kept.size == width == ops.dim + 4 * nuclear_spin
         assert np.array_equal(kept[: ops.dim], np.arange(ops.dim))
         i, j = np.triu_indices(ops.dim, 1)
@@ -485,7 +484,7 @@ class TestPumpFrame:
     def test_sector_rhs_is_master_rhs_on_the_sector(self, nuclear_spin):
         ops = build_coupled_operators(nuclear_spin)
         sup = build_superops(self.Z_PUMPS, ops)
-        kept = pump_sector(ops)
+        kept = mf_blocks(ops).sector
         for seed in range(10):
             x = np.random.default_rng(seed).normal(size=(len(self.Z_PUMPS), kept.size))
             full = to_coordinates(np.stack([master_rhs(rho, p, ops) for rho, p in zip(lift(x, ops), self.Z_PUMPS)]))
@@ -497,7 +496,7 @@ class TestPumpFrame:
         # diagonal in m_F too, and of <S> only <S_z> is nonzero there, so r
         # holds <S_z>'s sector coordinates and K factors through the m_I populations
         ops = build_coupled_operators(nuclear_spin)
-        kept = pump_sector(ops)
+        kept = mf_blocks(ops).sector
         off = np.setdiff1d(np.arange(ops.dim**2), kept)
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -577,7 +576,7 @@ def test_f_z_budget_holds_at_every_sample(overrides):
     # spin exchange and H0 conserve F_z, the pump injects and both relax S_z
     ops8, _, p = build_simulation(RunConfig(**overrides).validate())
     traj = integrate(p, ops8, t_end=2.0 * p.t_se)
-    sector = pump_sector(ops8)
+    sector = mf_blocks(ops8).sector
     fz, sz = (to_coordinates(op)[sector] for op in (ops8.f_ops[2], ops8.s_ops[2]))
     injection = 0.5 * p.r_op * math.hypot(*p.s)
     budget = injection - (p.r_op + p.gamma_sd) * (traj.coordinates @ sz)
@@ -694,6 +693,20 @@ class TestSpinTemperatureState:
         assert residual > 0.05
 
 
+class TestSectorRecord:
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5])
+    def test_one_read_only_record_per_nuclear_spin(self, nuclear_spin):
+        ops = build_coupled_operators(nuclear_spin)
+        blocks = mf_blocks(ops)
+        assert blocks is mf_blocks(build_coupled_operators(nuclear_spin))
+        for name, table in vars(blocks).items():
+            assert isinstance(table, np.ndarray) and not table.flags.writeable, name
+        # S_z's sector coordinates, as the field and the pass read them, bit for bit
+        r, d = blocks.r, ops.dim
+        assert r.tobytes() == to_coordinates(ops.s_ops[2])[blocks.sector].tobytes()
+        assert blocks.odd[:, 1].tobytes() == np.concatenate([r[blocks.plus], r[d:]]).tobytes()
+
+
 class TestBlockSpectra:
     """The closed-form eigenvalues of a pair block against the exact ones of its stored coordinates."""
 
@@ -735,7 +748,7 @@ class TestBlockSpectra:
 
     def test_empty_and_negative_pairs(self, ops):
         blocks = mf_blocks(ops)
-        x = np.zeros(pump_sector(ops).size)
+        x = np.zeros(mf_blocks(ops).sector.size)
         assert np.all(block_spectra(x, ops)[0] == 0.0)
         # mu + r = 0 with a negative level: the guard still sees it
         x[blocks.lower[0]] = -2e-6
@@ -747,7 +760,7 @@ class TestSolveSteadyState:
         # Newton's system: the sector coordinates in the pump frame
         p = params(s=(0.3, -0.2, 0.5), r_op=0.7, gamma_sd=0.02)
         sup = build_superops(p, ops)
-        x = to_coordinates(random_density_matrix(rng))[pump_sector(ops)]
+        x = to_coordinates(random_density_matrix(rng))[mf_blocks(ops).sector]
         h = 1e-6
         columns = [(block_rhs((x + h * e)[None], sup)[0] - block_rhs((x - h * e)[None], sup)[0]) / (2 * h)
                    for e in np.eye(x.size)]
@@ -784,7 +797,7 @@ class TestSolveSteadyState:
         # pumps return the same coordinates and report bit for bit
         ops_i = build_coupled_operators(nuclear_spin)
         (x, info), *turned = [solve_steady_state(params(s=vec), ops_i) for vec in ((0, 0, s), (s, 0, 0), (0, s, 0))]
-        assert info.converged and x.shape == pump_sector(ops_i).shape
+        assert info.converged and x.shape == mf_blocks(ops_i).sector.shape
         assert np.all(x[ops_i.dim:] == 0.0)  # diagonal in the pump frame
         for other, other_info in turned:
             assert np.array_equal(other, x) and other_info == info

@@ -10,7 +10,7 @@ from vaporspin.metrology import (
     reparametrize_monotone,
     second_divided_differences,
 )
-from vaporspin.dynamics import pump_sector
+from vaporspin.dynamics import mf_blocks
 from vaporspin.pipeline import stacked_observables
 
 from conftest import random_density_matrix
@@ -100,7 +100,7 @@ class TestCramerRaoBound:
         assert cramer_rao_bound(1e-320) == math.inf
 
     def test_sample_bundles_three_axes(self, ops8, make_params):
-        x = np.zeros((1, pump_sector(ops8).size))
+        x = np.zeros((1, mf_blocks(ops8).sector.size))
         x[0, 0] = 1.0  # the stretched level |F = 2, m_F = 2>
         sample = stacked_observables(x, make_params(), ops8)
         assert sample["qfi_x"][0] == pytest.approx(4.0, abs=1e-10)

@@ -20,7 +20,6 @@ from vaporspin.dynamics import (
     lab_states,
     mf_blocks,
     pump_frame,
-    pump_sector,
     solve_steady_state,
 )
 from vaporspin.metrology import cramer_rao_bound, quantum_fisher_information
@@ -224,16 +223,16 @@ class TestRunSingle:
     ], ids=["no_stop", "steady_stop"])
     def test_chunking_never_changes_bytes(self, tmp_path, monkeypatch, overrides):
         written = {}
-        for chunk in (1, 7, stepper.SAMPLE_CHUNK):
+        for chunk in (1, 7, 64, stepper.SAMPLE_CHUNK):
             monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
             result = simulate(fast_config(**overrides))
             header, rows = trajectory_table(result.traj, result.ops)
             write_csv(tmp_path / f"{chunk}.csv", header, rows)
             written[chunk] = (tmp_path / f"{chunk}.csv").read_bytes()
         n = len(result.traj)
-        assert n % 7 and n % 64  # the last chunk is partial at 7 and at 64
+        assert n % 7 and n % 64 and n % stepper.SAMPLE_CHUNK  # the last chunk is partial at each size
         assert result.traj.reached_steady == overrides.get("stop_at_steady", False)
-        assert written[1] == written[7] == written[stepper.SAMPLE_CHUNK]
+        assert written[1] == written[7] == written[64] == written[stepper.SAMPLE_CHUNK]
 
     def test_failed_write_leaves_no_trajectory_file(self, tmp_path, monkeypatch):
         calls = []
@@ -245,6 +244,7 @@ class TestRunSingle:
             return stacked_observables(x, params, ops)
 
         monkeypatch.setattr(pipeline, "stacked_observables", fail_on_second_chunk)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 64)
         with pytest.raises(RuntimeError, match="the pass failed"):
             run_single(fast_config(sample_every=20), tmp_path)
         assert calls == [64, 37]  # the two chunks of 101 samples
@@ -351,7 +351,7 @@ class TestStackedObservables:
     def test_ground_state_has_no_efficiency(self, ops8, make_params):
         # the F = 1 levels are the lower levels of the three pairs
         lower = mf_blocks(ops8).lower
-        x = np.zeros((4, pump_sector(ops8).size))
+        x = np.zeros((4, mf_blocks(ops8).sector.size))
         x[np.arange(3), lower] = 1.0
         x[3, lower] = 1.0 / 3.0
         for s in FRAMES.values():
