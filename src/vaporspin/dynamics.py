@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,8 +489,8 @@ class Trajectory:
     """
 
     times: np.ndarray  # (n,) seconds
-    coordinates: np.ndarray  # (n, d + 4I) pump-frame sector coordinates
-    rhs_norms: np.ndarray  # (n,) Frobenius norm of drho/dt at each sample
+    coordinates: np.ndarray | None  # (n, d + 4I) pump-frame sector coordinates; None under a keep
+    rhs_norms: np.ndarray | None  # (n,) Frobenius norm of drho/dt at each sample; None under a keep
     params: PumpParams
     ops: SpinOperatorSet = field(repr=False)
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
@@ -570,6 +570,7 @@ def integrate_block(
     stop_at_steady: bool = False,
     steady_tol: float = 1e-7,
     fixed_step: bool = False,
+    keep: Callable | None = None,
 ) -> list[Trajectory]:
     """:func:`integrate` for B parameter sets at once, one column each.
 
@@ -581,7 +582,8 @@ def integrate_block(
     frame, on the coordinates of :attr:`MFBlocks.sector`, so a returned
     trajectory equals the standalone run of its parameters bit for bit.  A
     guard failure raises :class:`PhysicsViolationError` with ``column`` set
-    to the offending index.
+    to the offending index.  Given a ``keep`` (:class:`~vaporspin.stepper.Samples`),
+    the trajectories store no sample.
     """
     params_seq = list(params_seq)
     if dt is None:
@@ -608,8 +610,15 @@ def integrate_block(
         failure[drift > TRACE_TOL] = "trace drift exceeded 1e-6"  # reported before a low eigenvalue
         return failure
 
+    stored = keep is None
+    if stored:
+        coordinates, rhs_norms = np.empty((len(x), len(times), x.shape[1])), np.empty((len(x), len(times)))
+
+        def keep(cols, k, t, x, f):
+            coordinates[cols, k], rhs_norms[cols, k] = x, stepper.norms(f)
+
     samples = stepper.Samples(times, [steady_tol * p.gamma_se for p in params_seq], stop_at_steady,
-                              sup.A, sup.K, sup.r, check)
+                              sup.A, sup.K, sup.r, check, keep)
     if fixed_step:
         stepper.rk4(samples, x, dt, sample_every, n_steps)
     else:
@@ -621,8 +630,8 @@ def integrate_block(
         kept, steady_index = samples.taken[j], int(samples.steady[j])
         trajectories.append(Trajectory(
             times=times[:kept],
-            coordinates=samples.states[j, :kept],
-            rhs_norms=samples.rhs_norms[j, :kept],
+            coordinates=coordinates[j, :kept] if stored else None,
+            rhs_norms=rhs_norms[j, :kept] if stored else None,
             params=p,
             ops=ops,
             dt=dt,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .dynamics import PhysicsViolationError, solve_steady_state
+from .dynamics import PhysicsViolationError, block_rhs, build_superops, solve_steady_state
 from .metrology import linear_fit, reparametrize_monotone
 from .pipeline import (
     build_simulation,
@@ -114,19 +114,20 @@ def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
             f"{exc.reason} in the series pumped along z with s = {s:g} and "
             f"R_op = {r_op:g} G_SE", exc.step, exc.t,
         ) from exc
-    runs = dict(zip(SERIES, runs))
-    bundles = {key: stacked_observables(traj.coordinates, params, ops)
-               for key, (ops, _, params, traj) in runs.items()}
-    grid = runs[SERIES[0]][3].t_norm
+    runs = {key: (ops, params, traj, block_rhs(traj.coordinates, build_superops(params, ops)))
+            for key, (ops, _, params, traj) in zip(SERIES, runs)}
+    bundles = {key: stacked_observables(traj.coordinates, params, ops, rhs)
+               for key, (ops, params, traj, rhs) in runs.items()}
+    grid = runs[SERIES[0]][2].t_norm
 
     s_row = [bundles[(s, 1.0)] for s in S_GRID]
     r_row = [bundles[(0.5, r)] for r in R_OP_GRID]
-    # in its pump frame an x pump is the z column with its |s|: read that in the x pump's frame
+    # in its pump frame an x pump is the z column with its |s|, dx/dt included: read that in the x pump's frame
     x_row = []
     for s in S_GRID:
-        ops, _, _, traj = runs[(s, 1.0)]
+        ops, _, traj, rhs = runs[(s, 1.0)]
         _, _, x_params = build_simulation(dataclasses.replace(_series_config(base, s, 1.0), pump_axis="x"))
-        x_row.append(stacked_observables(traj.coordinates, x_params, ops))
+        x_row.append(stacked_observables(traj.coordinates, x_params, ops, rhs))
     s_tags = [f"s{_tag(s)}" for s in S_GRID]
     r_tags = [f"r{_tag(r)}" for r in R_OP_GRID]
 

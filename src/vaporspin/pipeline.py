@@ -1,10 +1,10 @@
 """End-to-end runs: config -> rates -> integration -> observables -> CSV.
 
-Trajectories keep their samples as the integrator stepped them, and Newton
-its steady state, as pump-frame coordinates on the Delta m_F = 0 sector.  The
-observable pass (:func:`stacked_observables`) reads each state there off the
-closed-form spectra of its m_F blocks: no state is diagonalized, turned or
-lifted to a d x d matrix on the way to the CSVs.
+Samples and Newton's steady state are pump-frame coordinates on the Delta m_F
+= 0 sector.  The observable pass (:func:`stacked_observables`) reads each
+state off the closed-form spectra of its m_F blocks, with no state
+diagonalized, turned or lifted to a d x d matrix; ``run`` and ``sweep`` hand
+it each flush of the stepper and append its rows to trajectory.csv.
 
 Output conventions shared by every writer here:
   * floats are written with ``%.12g`` (full double precision, stable across
@@ -20,13 +20,12 @@ import csv
 import dataclasses
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import stepper
 from .cell_rates import RateSet, compute_rates
 from .config import ConfigError, RunConfig
 from .dynamics import (
@@ -65,14 +64,13 @@ __all__ = [
     "trajectory_table",
     "write_csv",
     "write_rates_csv",
-    "write_run",
     "run_single",
     "run_sweep",
     "format_value",
 ]
 
-# largest sample store of one integrator block, all columns together; one run
-# at the built-in defaults needs 78 MB, at t_end_over_t_se = 1e5 52 GB
+# largest sample store of one block, as sample_store_bytes counts it, for the stored trajectories of
+# simulate, integrate_runs and the figure series; run and sweep store none but refuse the same configs
 MAX_TRAJECTORY_BYTES = 2**30
 
 # what the configs of one integrator block share: the nuclear spin and the sampling
@@ -89,14 +87,18 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray | Iterable[np.ndarray]) -> Path:
+def _write_floats(fh, rows: np.ndarray) -> None:  # each value with %.12g
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+    fh.writelines(line % tuple(row) for row in rows.tolist())
+
+
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> Path:
     """Write ``header`` and ``rows`` as CSV, byte for byte what csv.writer writes ("\\r\\n", no quoting).
 
     ``rows`` is a list of rows, each value through :func:`format_value`, or
-    float rows, each written with one format string: a 2-D array, or an
-    iterable of 2-D arrays, written block by block as it yields them.  The
-    file is written under a temporary name in its directory and moved into
-    place whole; on failure the temporary file is removed.
+    a 2-D float array, each value written with ``%.12g``.  The file is
+    written under a temporary name in its directory and moved into place
+    whole; on failure the temporary file is removed.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -107,9 +109,7 @@ def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray | Ite
             if isinstance(rows, list):
                 writer.writerows([format_value(v) for v in row] for row in rows)
             else:
-                line = ",".join(["%.12g"] * len(header)) + "\r\n"
-                for block in [rows] if isinstance(rows, np.ndarray) else rows:
-                    fh.writelines(line % tuple(row) for row in block.tolist())
+                _write_floats(fh, rows)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)  # left only by a failure
@@ -146,14 +146,15 @@ class SimulationResult:
 
 
 def integrate_runs(
-    cfgs: list[RunConfig], *, fixed_step: bool = False
+    cfgs: list[RunConfig], *, fixed_step: bool = False, keep: Callable | None = None
 ) -> list[tuple[SpinOperatorSet, RateSet, PumpParams, Trajectory]]:
     """Integrate configs as one block from the maximally mixed state: the path of run, sweep and figures.
 
     The configs must agree on ``BLOCK_KEYS`` (else :class:`ValueError` names the
     key); each keeps its own rates, pump and A.  The block samples on their smallest
     :func:`default_dt`, and is refused with :class:`ConfigError` past
-    ``MAX_TRAJECTORY_BYTES``.  Returns (operators, rates, pump parameters, trajectory) per config.
+    ``MAX_TRAJECTORY_BYTES``.  ``keep(ops, params)``, if given, makes the ``keep`` of :func:`integrate_block`,
+    and the trajectories store no sample.  Returns (operators, rates, pump parameters, trajectory) per config.
     """
     sims = [build_simulation(cfg) for cfg in cfgs]
     shared = [
@@ -167,10 +168,11 @@ def integrate_runs(
     cfg, (ops, _, params) = cfgs[0], sims[0]
     dt = min(default_dt(p, steps_per_rate=c.dt_steps_per_rate) for c, (_, _, p) in zip(cfgs, sims))
     t_end = trajectory_horizon(cfg, params, ops, dt, columns=len(cfgs))
+    params_seq = [p for _, _, p in sims]
     trajs = integrate_block(
-        [p for _, _, p in sims], ops, t_end=t_end, dt=dt,
+        params_seq, ops, t_end=t_end, dt=dt,
         sample_every=cfg.sample_every, stop_at_steady=cfg.stop_at_steady, steady_tol=cfg.steady_tol,
-        fixed_step=fixed_step,
+        fixed_step=fixed_step, keep=None if keep is None else keep(ops, params_seq),
     )
     return [(*sim, traj) for sim, traj in zip(sims, trajs)]
 
@@ -187,7 +189,11 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 
 
 def sample_store_bytes(n_samples: int, dim: int) -> int:
-    """Bytes of one run's samples: each a d x d complex state, its time and its residual norm."""
+    """Bytes the cap counts for one run's samples: each a d x d complex state, its time and its residual norm.
+
+    It bounds the stored trajectories of simulate, integrate_runs and the figure series, 128 bytes a sample
+    at I = 3/2; run and sweep store none but are counted alike, so that they refuse what they always refused.
+    """
     return n_samples * (dim**2 + 1) * 16
 
 
@@ -197,7 +203,7 @@ def trajectory_horizon(
     """Horizon in seconds of ``columns`` runs of ``cfg`` sampled on the grid of ``dt``.
 
     Raises :class:`ConfigError` when their samples, all held at once, would
-    need more than ``MAX_TRAJECTORY_BYTES``.
+    need more than ``MAX_TRAJECTORY_BYTES`` (:func:`sample_store_bytes`).
     """
     t_end = cfg.t_end_over_t_se * params.t_se
     _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
@@ -228,7 +234,8 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet) -> dict[str, np.ndarray]:
+def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
+                        rhs: np.ndarray) -> dict[str, np.ndarray]:
     """Every per-sample observable of pump-frame states, from their sector coordinates ``x``, shape (n, d + 4I).
 
     ``x`` holds each state's :attr:`~vaporspin.dynamics.MFBlocks.sector`
@@ -239,14 +246,13 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     shape (n,), plus the lab-frame ``populations`` of shape (n, d).  Each
     state is read off the closed-form spectra of its m_F blocks
     (:func:`~vaporspin.dynamics.block_spectra`); none is diagonalized or
-    turned to the lab.  The entropy production rate is the in-frame
-    right-hand side dotted with the coordinates of log rho.  The state
-    commutes with the frame's F_z, so in the lab <F> and <S> lie along n,
-    the lab direction of the frame's z axis (s/|s|, or z for pumps along +-z
-    and for s = 0), and the QFI about lab axis k is q (1 - n_k^2), q the QFI
-    about the frame's x axis.  The pass evaluates ``x`` as one stack; it
-    serves trajectories chunk by chunk (:func:`trajectory_table`), the figure
-    series and steady states (a stack of one), and it applies the floors of
+    turned to the lab.  The entropy production rate is ``rhs``, the in-frame
+    dx/dt at each state (:func:`block_rhs`), dotted with the coordinates of
+    log rho.  The state commutes with the frame's F_z, so in the lab <F> and
+    <S> lie along n, the lab direction of the frame's z axis (s/|s|, or z
+    for pumps along +-z and for s = 0), and the QFI about lab axis k is
+    q (1 - n_k^2), q the QFI about the frame's x axis.  The pass evaluates
+    ``x`` as one stack, and it applies the floors of
     :func:`~vaporspin.metrology.qfi_floor` and
     :func:`~vaporspin.thermo.production_rate_floor`: a QFI or entropy
     production rate below its floor is exactly 0, and the QFI's bound inf.
@@ -282,7 +288,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     coherence = (up - low) * (math.sqrt(2.0) * c * s)  # sqrt 2 |<upper|log rho|lower>|
     log_x[:, d : d + pairs] = coherence * turn.real
     log_x[:, d + pairs :] = coherence * turn.imag
-    rate = np.einsum("ni,ni->n", block_rhs(x, build_superops(params, ops)), log_x)
+    rate = np.einsum("ni,ni->n", rhs, log_x)
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
 
@@ -338,31 +344,18 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet)
     return out
 
 
-@dataclass(frozen=True)
-class _TrajectoryRows:
-    """The rows of trajectory.csv, one per sample (``len``), as float blocks of ``stepper.SAMPLE_CHUNK`` samples.
-
-    Each block's observable pass runs when iteration reaches it; no whole-run table is held.
-    """
-
-    traj: Trajectory
-    ops: SpinOperatorSet
-
-    def __len__(self) -> int:
-        return len(self.traj)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        traj, chunk = self.traj, stepper.SAMPLE_CHUNK
-        for i in range(0, len(traj), chunk):
-            times = traj.times[i : i + chunk]
-            obs = stacked_observables(traj.coordinates[i : i + chunk], traj.params, self.ops)
-            columns = [times, times / traj.t_se] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
-            yield np.column_stack(columns + [obs["populations"]])
+def _trajectory_rows(t: np.ndarray, x: np.ndarray, rhs: np.ndarray, params: PumpParams, ops: SpinOperatorSet):
+    """trajectory.csv's rows, as floats, of the states ``x`` at the times ``t`` with dx/dt ``rhs``."""
+    obs = stacked_observables(x, params, ops, rhs)
+    columns = [t, t / params.t_se] + [obs[c] for c in TRAJECTORY_COLUMNS[2:]]
+    return np.column_stack(columns + [obs["populations"]])
 
 
-def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], _TrajectoryRows]:
-    """Per-sample observables table for trajectory.csv: the header, and the rows chunk by chunk."""
-    return TRAJECTORY_COLUMNS + _population_columns(ops), _TrajectoryRows(traj, ops)
+def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of a stored trajectory's trajectory.csv, as one block."""
+    rhs = block_rhs(traj.coordinates, build_superops(traj.params, ops))
+    rows = _trajectory_rows(traj.times, traj.coordinates, rhs, traj.params, ops)
+    return TRAJECTORY_COLUMNS + _population_columns(ops), rows
 
 
 def steady_state_columns(
@@ -371,7 +364,7 @@ def steady_state_columns(
     """The steady-state columns of summary.csv, read off pump-frame sector coordinates ``x``."""
     d = ops.dim
     beta_fit, beta_resid = fit_spin_temperature(np.clip(x[:d], 0.0, None), ops.labels)
-    obs = stacked_observables(x[None], params, ops)
+    obs = stacked_observables(x[None], params, ops, block_rhs(x[None], build_superops(params, ops)))
     return {
         "s_along_pump": float(obs[f"s{cfg.pump_axis}"][0]),
         "s_along_pump_predicted": 0.5 * pump_polarization(params),
@@ -434,19 +427,55 @@ def write_rates_csv(path: Path, rates: RateSet) -> Path:
     ]])
 
 
-def write_run(result: SimulationResult, out_dir: Path) -> dict[str, object]:
-    """Write rates.csv, trajectory.csv and summary.csv; returns the summary row."""
-    out_dir = Path(out_dir)
-    write_rates_csv(out_dir / "rates.csv", result.rates)
-    write_csv(out_dir / "trajectory.csv", *trajectory_table(result.traj, result.ops))
-    summary = steady_state_row(result)
-    write_csv(out_dir / "summary.csv", list(summary.keys()), [list(summary.values())])
-    return summary
+def _run_block(cfgs: list[RunConfig], out_dirs: list[Path]) -> list[dict[str, object] | Exception]:
+    """Run configs as one block, each writing rates.csv, trajectory.csv and summary.csv to its directory.
+
+    Each flush's rows go through the pass to their column's temporary trajectory.csv.  Raises what stepping
+    raises; returns each config's summary row, or what stopped its Newton solve or its files.  A failure
+    leaves no temporary file, no trajectory.csv and no directory made here.
+    """
+    partials = [out_dir / f".trajectory.csv.{os.getpid()}.tmp" for out_dir in out_dirs]
+    made = [d for out_dir in out_dirs for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+
+    def start(ops: SpinOperatorSet, params_seq: list[PumpParams]) -> Callable:
+        for partial in partials:
+            partial.parent.mkdir(parents=True, exist_ok=True)
+            partial.write_text(",".join(TRAJECTORY_COLUMNS + _population_columns(ops)) + "\r\n", newline="")
+
+        def keep(cols, k, t, x, f):  # a column's file is opened per flush, so none stays open
+            for j in np.flatnonzero(np.bincount(cols)):  # np.unique would import numpy.ma, 13 ms cold
+                mine = cols == j
+                with open(partials[j], "a", newline="") as fh:
+                    _write_floats(fh, _trajectory_rows(t[mine], x[mine], f[mine], params_seq[j], ops))
+        return keep
+
+    results = []
+    try:
+        for cfg, partial, (ops, rates, params, traj) in zip(cfgs, partials, integrate_runs(cfgs, keep=start)):
+            try:
+                summary = steady_state_row(
+                    SimulationResult(cfg, ops, rates, params, traj, *solve_steady_state(params, ops)))
+                write_rates_csv(partial.parent / "rates.csv", rates)
+                os.replace(partial, partial.parent / "trajectory.csv")
+                write_csv(partial.parent / "summary.csv", list(summary), [list(summary.values())])
+                results.append(summary)
+            except Exception as exc:  # noqa: BLE001 — recorded per config
+                results.append(exc)
+        return results
+    finally:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        for made_dir in made:
+            if made_dir.is_dir() and not any(made_dir.iterdir()):
+                made_dir.rmdir()
 
 
 def run_single(cfg: RunConfig, out_dir: Path) -> dict[str, object]:
-    """One full run; writes rates.csv, trajectory.csv and summary.csv."""
-    return write_run(simulate(cfg), out_dir)
+    """One full run, a block of one; writes rates.csv, trajectory.csv and summary.csv and returns the summary row."""
+    [summary] = _run_block([cfg], [Path(out_dir)])
+    if isinstance(summary, Exception):
+        raise summary
+    return summary
 
 
 SWEEP_STATUS_OK = "ok"
@@ -460,11 +489,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
-    Points sharing the nuclear spin, the sample grid and the horizon go through
-    :func:`integrate_runs` as blocks of at most ``MAX_TRAJECTORY_BYTES`` of
-    samples; columns are independent, so each point writes what
-    :func:`run_single` would.  A column that trips a guard is recorded as
-    ``physics_violation`` and the rest of its block re-run.
+    Points sharing the nuclear spin, the sample grid and the horizon run as
+    blocks of :func:`run_single`'s path, of at most ``MAX_TRAJECTORY_BYTES``
+    of samples (:func:`sample_store_bytes`); columns are independent, so
+    each point writes what :func:`run_single` would.  A column that trips a
+    guard is recorded as ``physics_violation`` and the rest of its block re-run.
     Returns the aggregate path and the list of per-point statuses.
     """
     if not cfg.sweep_variable:
@@ -488,25 +517,22 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
         _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
         size = MAX_TRAJECTORY_BYTES // sample_store_bytes(n_samples, dim)
         for start in range(0, len(members), size):
-            block, runs = members[start : start + size], []
+            block, results = members[start : start + size], []
             while block:
                 try:
-                    runs = integrate_runs([point for _, point in block])
+                    results = _run_block([p for _, p in block], [out_dir / f"point_{i:02d}" for i, _ in block])
                     break
                 except PhysicsViolationError as exc:
                     outcomes[block.pop(exc.column)[0]] = (SWEEP_STATUS_PHYSICS, str(exc), {})
                 except Exception as exc:  # noqa: BLE001 — the whole block shares the failure
-                    for i, _ in block:
-                        outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
-                    block = []
-            for (i, point), (ops, rates, params, traj) in zip(block, runs):
-                try:
-                    result = SimulationResult(point, ops, rates, params, traj, *solve_steady_state(params, ops))
-                    summary = write_run(result, out_dir / f"point_{i:02d}")
+                    results = [exc] * len(block)
+                    break
+            for (i, _), summary in zip(block, results):
+                if isinstance(summary, Exception):
+                    outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(summary).__name__}: {summary}", {})
+                else:
                     status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
                     outcomes[i] = (status, "", summary)
-                except Exception as exc:  # noqa: BLE001
-                    outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
 
     first_summary = next((summary for *_, summary in outcomes if summary), {})
     summary_cols = [c for c in first_summary if c != cfg.sweep_variable]

@@ -11,14 +11,12 @@ each row with its own step and clock by its order-``TAYLOR_ORDER`` series,
 with the step set from the series' last two terms under the tolerance
 (``RTOL``, ``ATOL``); no step is rejected, and the states at the samples, on
 a given grid of times, are read off the step's polynomial.  :func:`rk4` is
-classical RK4 at a fixed step.  The caller hands :class:`Samples` the factors
-A, K and r and ``check(x)``, which returns each finite row's guard failure,
-an object array of strings, empty where the row passes.  A stepper only
-steps and hands :class:`Samples` each sample's state, tagged with its column
-and sample index; everything else runs in stacked passes of up to
-``SAMPLE_CHUNK`` samples, with the results, stops and failures of checking
-each sample when it is taken.  Every product is stacked, one per row, so a
-row's result does not depend on the block it sits in.
+classical RK4 at a fixed step.  A stepper only steps and hands
+:class:`Samples` each sample's state, tagged with its column and sample
+index; Samples checks them in stacked passes and hands the rows that pass to
+the caller's ``keep``, so nothing here stores a sample.  Every product is
+stacked, one per row, so a row's result does not depend on the block it
+sits in.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["PhysicsViolationError", "Samples", "field", "rk4", "taylor"]
+__all__ = ["PhysicsViolationError", "Samples", "field", "norms", "rk4", "taylor"]
 
-# samples per stacked pass, of the sample store and of trajectory.csv's rows; no result depends on it
+# samples per live column of a stacked pass, and so of trajectory.csv's rows; no result depends on it
 SAMPLE_CHUNK = 256
 
 # error control of the Taylor stepper, on each coordinate
@@ -76,6 +74,11 @@ def field(x: np.ndarray, a: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndar
     return f[:, 0]
 
 
+def norms(f: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``f``, as a stacked product per row."""
+    return np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
+
+
 def _series(coefficients: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Each row's polynomial sum_j X_j tau^j, from its coefficients X (B, p + 1, n) and its own tau (B,)."""
     powers = tau[:, None, None] ** np.arange(coefficients.shape[1])
@@ -83,38 +86,35 @@ def _series(coefficients: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 class Samples:
-    """Sample store, steady detection and work counts of a block of columns under :func:`field`.
+    """Steady detection, guards and work counts of a block of columns under :func:`field`.
 
     ``a``, ``k`` and ``r`` are the factors of the block's field, one A and K
-    per column.  Every array is indexed by block column: the stored
-    ``states`` and ``rhs_norms`` (the norm of dx/dt), ``queued`` (samples
-    handed to :meth:`take`), ``taken`` (samples stored), ``steady`` (the
-    first sample with a norm below ``threshold``, or -1), ``steps`` and
-    ``rhs_evals``.  A stepper only steps: it hands :meth:`take` the state
-    of every sample due in a step, each row tagged with its column and
-    sample index, and the queue keeps with each row ``steps`` and
-    ``rhs_evals`` as they stand when it is taken.  :meth:`flush` turns the
-    queue into samples as stacks, once at least ``SAMPLE_CHUNK`` samples are
-    queued, when the stepper fails and at the end of the run: dx/dt at
-    every sample (one :func:`field` call over all of them), the norms,
-    steady detection, the guards and the store.
+    per column.  Every array is indexed by block column: ``queued``
+    (samples handed to :meth:`take`), ``taken`` (samples kept), ``steady``
+    (the first sample with a norm of dx/dt below ``threshold``, or -1),
+    ``steps`` and ``rhs_evals``, which the queue keeps with each row as
+    they stand when it is taken.  :meth:`flush` runs once ``SAMPLE_CHUNK``
+    samples per live column are queued, when the stepper fails and at the
+    end of the run: one :func:`field` call over the queue, the norms,
+    steady detection and ``check(x)``, each finite row's guard failure (an
+    object array of strings, empty where the row passes).  It hands the
+    rows that pass to ``keep(cols, k, t, x, f)``: their columns, sample
+    indices, times, states and dx/dt, each column's in sample order.
 
     Each column's results, stop and failure are those of checking every
     sample when it is taken.  Under ``stop_at_steady`` a column ends at its
     first steady sample: the rows of the take that holds it are guarded as
-    usual and stored up to it; its later takes are dropped unguarded; its
+    usual and kept up to it; its later takes are dropped unguarded; its
     ``steps`` and ``rhs_evals`` are those recorded with that sample; and it
     is marked in ``stopped``, for the stepper to drop.
     """
 
     def __init__(self, times: np.ndarray, thresholds: Sequence[float], stop_at_steady: bool,
-                 a: np.ndarray, k: np.ndarray, r: np.ndarray, check: Callable):
-        b, n = len(thresholds), a.shape[1]
+                 a: np.ndarray, k: np.ndarray, r: np.ndarray, check: Callable, keep: Callable):
+        b = len(thresholds)
         self.times, self.threshold = times, np.asarray(thresholds, dtype=float)
-        self.stop_at_steady, self.check = stop_at_steady, check
+        self.stop_at_steady, self.check, self.keep = stop_at_steady, check, keep
         self.a, self.k, self.r = a, k, r
-        self.states = np.empty((b, len(times), n))
-        self.rhs_norms = np.empty((b, len(times)))
         self.queued = np.zeros(b, dtype=int)
         self.taken = np.zeros(b, dtype=int)
         self.steady = np.full(b, -1)
@@ -145,11 +145,11 @@ class Samples:
         self._queue.append((cols, k, steps - stepped, steps, self.rhs_evals[cols], x))
         np.maximum.at(self.queued, cols, k + 1)
         self._pending += len(cols)
-        if self._pending >= SAMPLE_CHUNK:
+        if self._pending >= SAMPLE_CHUNK * np.count_nonzero(~self.stopped):
             self.flush()
 
     def flush(self) -> None:
-        """Turn the queued takes into stored samples, as one stack.
+        """Turn the queued takes into kept samples, as one stack.
 
         Raises for the sample that a check at :meth:`take` would have raised
         for: the earliest :meth:`take` with a failing row, within it a
@@ -162,9 +162,7 @@ class Samples:
         call = np.repeat(np.arange(len(queue)), [len(entry[0]) for entry in queue])
         cols, k, guard_steps, steps, rhs_evals, x = (np.concatenate(part) for part in zip(*queue))
         f = field(x, self.a[cols], self.k[cols], self.r)
-        norms = np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
-
-        fresh = (self.steady[cols] < 0) & (norms < self.threshold[cols])
+        fresh = (self.steady[cols] < 0) & (norms(f) < self.threshold[cols])
         if fresh.any():  # each column's first row below the threshold
             below = np.flatnonzero(fresh)
             rows = below[np.unique(cols[below], return_index=True)[1]]
@@ -176,7 +174,7 @@ class Samples:
                 last_call = np.full(len(self.steady), len(queue))
                 last_call[stop] = call[rows]
                 alive = call <= last_call[cols]
-                call, cols, k, x, norms, guard_steps = (a[alive] for a in (call, cols, k, x, norms, guard_steps))
+                call, cols, k, x, f, guard_steps = (a[alive] for a in (call, cols, k, x, f, guard_steps))
 
         finite = np.isfinite(x).all(axis=1)
         failure = self.check(np.where(finite[:, None], x, 0.0))
@@ -190,8 +188,7 @@ class Samples:
         if self.stop_at_steady:  # a column keeps no sample past its first steady one
             kept = (self.steady[cols] < 0) | (k <= self.steady[cols])
         cols, k = cols[kept], k[kept]
-        self.states[cols, k] = x[kept]
-        self.rhs_norms[cols, k] = norms[kept]
+        self.keep(cols, k, self.times[k], x[kept], f[kept])
         np.maximum.at(self.taken, cols, k + 1)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from vaporspin import cli, pipeline
 from vaporspin.config import ConfigError, RunConfig
-from vaporspin.dynamics import default_dt, integrate, integrate_block, sampling_plan
+from vaporspin.dynamics import block_rhs, build_superops, default_dt, integrate, integrate_block, sampling_plan
 from vaporspin.figures import (
     FIGURE_STRIDE,
     FIGURE_T_END,
@@ -78,7 +78,8 @@ def test_fig2b_is_the_x_pumps_own_run(tmp_path):
     assert ["%.12g" % t for t in block[0].t_norm] == written["t_norm"]
     for traj, s in zip(block, S_GRID):
         assert traj.params.s == (s, 0.0, 0.0)
-        obs = stacked_observables(traj.coordinates, traj.params, ops)
+        obs = stacked_observables(traj.coordinates, traj.params, ops,
+                                  block_rhs(traj.coordinates, build_superops(traj.params, ops)))
         for p in "fs":
             assert ["%.12g" % v for v in obs[f"{p}x"]] == written[f"{p}x_s{_tag(s)}"], (p, s)
         assert float(written[f"fx_s{_tag(s)}"][-1]) > 0.0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import (
     PhysicsViolationError,
     SteadyStateInfo,
+    block_rhs,
+    build_superops,
     fit_spin_temperature,
     lab_states,
     mf_blocks,
@@ -205,16 +208,11 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="cap"):
             simulate(cfg)
 
-    def test_trajectory_table_row_per_sample(self, monkeypatch):
-        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 4)
+    def test_trajectory_table_row_per_sample(self):
         cfg = fast_config(sample_every=200)
         result = simulate(cfg)
-        header, rows = trajectory_table(result.traj, result.ops)
-        blocks = list(rows)
-        assert {len(block) for block in blocks[:-1]} == {4} and 1 <= len(blocks[-1]) <= 4
-        table = np.concatenate(blocks)
-        assert len(rows) == len(table) == len(result.traj)
-        assert table.shape[1] == len(header)
+        header, table = trajectory_table(result.traj, result.ops)
+        assert table.shape == (len(result.traj), len(header))
         np.testing.assert_array_equal(table[:, 0], result.traj.times)
 
     @pytest.mark.parametrize("overrides", [
@@ -222,33 +220,60 @@ class TestRunSingle:
         dict(stop_at_steady=True, steady_tol=0.03, t_end_over_t_se=10.0, sample_every=10),  # stops at sample 604
     ], ids=["no_stop", "steady_stop"])
     def test_chunking_never_changes_bytes(self, tmp_path, monkeypatch, overrides):
+        cfg = fast_config(**overrides)
+        sweep = dataclasses.replace(cfg, sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
         written = {}
         for chunk in (1, 7, 64, stepper.SAMPLE_CHUNK):
             monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
-            result = simulate(fast_config(**overrides))
-            header, rows = trajectory_table(result.traj, result.ops)
-            write_csv(tmp_path / f"{chunk}.csv", header, rows)
-            written[chunk] = (tmp_path / f"{chunk}.csv").read_bytes()
-        n = len(result.traj)
-        assert n % 7 and n % 64 and n % stepper.SAMPLE_CHUNK  # the last chunk is partial at each size
-        assert result.traj.reached_steady == overrides.get("stop_at_steady", False)
+            summary = run_single(cfg, tmp_path / f"{chunk}" / "run")
+            assert run_sweep(sweep, tmp_path / f"{chunk}" / "sweep")[1] == ["ok"] * 3
+            files = sorted((tmp_path / f"{chunk}").rglob("*.csv"))
+            written[chunk] = {path.relative_to(tmp_path / f"{chunk}"): path.read_bytes() for path in files}
+        assert len(written[1]) == 3 + 3 * 3 + 1  # the run's files, each point's and sweep.csv
+        n = summary["n_samples"]
+        assert n % 7 and n % 64 and n % stepper.SAMPLE_CHUNK  # a multiple of no chunk size
+        assert summary["reached_steady"] == overrides.get("stop_at_steady", False)
         assert written[1] == written[7] == written[64] == written[stepper.SAMPLE_CHUNK]
 
-    def test_failed_write_leaves_no_trajectory_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, 64, stepper.SAMPLE_CHUNK])
+    def test_failed_write_leaves_no_trajectory_file(self, tmp_path, monkeypatch, chunk):
         calls = []
 
-        def fail_on_second_chunk(x, params, ops):
+        def fail_on_second_call(x, params, ops, rhs):
             calls.append(len(x))
             if len(calls) == 2:
                 raise RuntimeError("the pass failed")
-            return stacked_observables(x, params, ops)
+            return stacked_observables(x, params, ops, rhs)
 
-        monkeypatch.setattr(pipeline, "stacked_observables", fail_on_second_chunk)
-        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 64)
+        monkeypatch.setattr(pipeline, "stacked_observables", fail_on_second_call)
+        monkeypatch.setattr(stepper, "SAMPLE_CHUNK", chunk)
         with pytest.raises(RuntimeError, match="the pass failed"):
-            run_single(fast_config(sample_every=20), tmp_path)
-        assert calls == [64, 37]  # the two chunks of 101 samples
-        assert sorted(os.listdir(tmp_path)) == ["rates.csv"]
+            run_single(fast_config(sample_every=20), tmp_path / "run" / "nested")
+        calls.clear()
+        cfg = fast_config(sample_every=20, sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
+        path, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["error"] * 3  # the pass runs as the block steps, so the block shares the failure
+        # rates.csv is written after stepping, and no directory that a run or point made is left
+        assert sorted(os.listdir(tmp_path)) == ["sweep"]
+        assert os.listdir(tmp_path / "sweep") == ["sweep.csv"]
+
+    def test_run_holds_no_sample_store(self, tmp_path):
+        # 1,001 and 4,001 samples; the store of the 3,000 more would be 3000 (n + 1) 8 bytes
+        def peak(t_end_over_t_se: float) -> int:
+            cfg = fast_config(t_end_over_t_se=t_end_over_t_se, sample_every=1)
+            run_single(cfg, tmp_path / f"warm_{t_end_over_t_se:g}")
+            tracemalloc.start()
+            try:
+                run_single(cfg, tmp_path / f"run_{t_end_over_t_se:g}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = mf_blocks(build_coupled_operators(1.5)).sector.size
+        # the float rows of one flush's trajectory.csv, with their states and dx/dt
+        one_flush = stepper.SAMPLE_CHUNK * (len(TRAJECTORY_COLUMNS + POPULATION_COLUMNS) + 2 * n) * 8
+        assert 3000 * (n + 1) * 8 > 3 * one_flush
+        assert peak(4.0) - peak(1.0) < one_flush
 
 
 def oracle_observables(rho, params, ops) -> dict[str, float]:
@@ -304,7 +329,7 @@ class TestStackedObservables:
     """The block-spectra pass against the scalar oracles on the lab-frame states, at 1e-12."""
 
     def check(self, x, params, ops):
-        got = stacked_observables(x, params, ops)
+        got = stacked_observables(x, params, ops, block_rhs(x, build_superops(params, ops)))
         assert set(got) == set(TRAJECTORY_COLUMNS[2:]) | {"populations"}
         states = lab_states(x, params, ops)
         refs = [oracle_observables(rho, params, ops) for rho in states]
@@ -390,7 +415,8 @@ class TestStackedObservables:
         ops = build_coupled_operators(nuclear_spin)
         x = random_block_states(rng, ops, 20)
         for axis in "xyz":
-            got = stacked_observables(x, make_params(axis=axis), ops)
+            params = make_params(axis=axis)
+            got = stacked_observables(x, params, ops, block_rhs(x, build_superops(params, ops)))
             across = [got[f"qfi_{a}"] for a in "xyz" if a != axis]
             assert np.all(got[f"qfi_{axis}"] == 0.0) and np.all(got[f"crb_{axis}"] == math.inf)
             assert np.array_equal(*across) and np.all(across[0] > 0.0)
@@ -497,7 +523,6 @@ class TestPumpAxisRelabelling:
         assert (turned.traj.steps, turned.traj.rhs_evals) == (z.traj.steps, z.traj.rhs_evals)
         header, want = trajectory_table(z.traj, z.ops)
         _, got = trajectory_table(turned.traj, turned.ops)
-        want, got = np.concatenate(list(want)), np.concatenate(list(got))
         column = {name: (got[:, i], want[:, i]) for i, name in enumerate(header)}
 
         def relabelled(name, lab):
@@ -664,7 +689,9 @@ class TestSweep:
         header, rows = read_csv(path)
         assert rows[1][header.index("error")] == str(caught.value)
         assert "below the floor" in str(caught.value)
+        # the first try's temporary files and directories are gone
         assert not (tmp_path / "sweep" / "point_01").exists()
+        assert not list((tmp_path / "sweep").rglob(".*.tmp"))
         assert_points_match_standalone_runs(cfg, tmp_path, points=(0, 2))
 
     def test_block_failure_is_recorded_for_its_points(self, tmp_path, monkeypatch):
@@ -829,7 +856,7 @@ class TestOneObservablePath:
         x, info = solve_steady_state(params, ops8)
         assert info.converged
         rho = lab_states(x, params, ops8)
-        got = stacked_observables(x[None], params, ops8)
+        got = stacked_observables(x[None], params, ops8, block_rhs(x[None], build_superops(params, ops8)))
         qfi = quantum_fisher_information(rho, ops8.f_ops[0])
         assert qfi == got["qfi_x"][0] == 0.0
         assert cramer_rao_bound(qfi) == got["crb_x"][0] == math.inf

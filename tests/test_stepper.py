@@ -46,17 +46,33 @@ def passes(x):
     return np.full(len(x), "", dtype=object)
 
 
+class Store:
+    """Samples with a keep that stores every kept state and its norm of dx/dt, as (column, sample) arrays."""
+
+    def __init__(self, times, thresholds, stop_at_steady, a, k, r, check):
+        self.states = np.full((len(thresholds), len(times), a.shape[1]), np.nan)
+        self.rhs_norms = np.full((len(thresholds), len(times)), np.nan)
+        self.samples = stepper.Samples(times, thresholds, stop_at_steady, a, k, r, check, self.keep)
+
+    def keep(self, cols, k, t, x, f):
+        self.states[cols, k] = x
+        self.rhs_norms[cols, k] = stepper.norms(f)
+
+    def __getattr__(self, name):
+        return getattr(self.samples, name)
+
+
 def solve(times, columns=slice(None), thresholds=None, stop_at_steady=False, rk4=None):
     columns = np.arange(len(OMEGA))[columns]
     thresholds = np.zeros(len(columns)) if thresholds is None else thresholds[columns]
-    samples = stepper.Samples(times, thresholds, stop_at_steady, *rotations(columns), passes)
+    store = Store(times, thresholds, stop_at_steady, *rotations(columns), passes)
     x = np.tile(X0, (len(columns), 1))
     if rk4 is None:
-        stepper.taylor(samples, x, 0.01, width=4)
+        stepper.taylor(store.samples, x, 0.01, width=4)
     else:
-        stepper.rk4(samples, x, *rk4)
-    samples.flush()
-    return samples
+        stepper.rk4(store.samples, x, *rk4)
+    store.flush()
+    return store
 
 
 def test_taylor_follows_the_closed_form_inside_steps_and_at_the_end():
@@ -104,7 +120,7 @@ def test_a_failed_check_raises_for_the_first_failing_sample():
     def check(x):  # fails once the first coordinate turns negative
         return np.where(x[:, 0] < 0.0, "x_0 below 0", "").astype(object)
 
-    samples = stepper.Samples(times, np.zeros(1), False, *rotations([0]), check)
+    samples = Store(times, np.zeros(1), False, *rotations([0]), check).samples
     with pytest.raises(stepper.PhysicsViolationError, match="x_0 below 0") as caught:
         stepper.taylor(samples, np.tile(X0, (1, 1)), 0.01, width=4)
         samples.flush()
@@ -114,12 +130,12 @@ def test_a_failed_check_raises_for_the_first_failing_sample():
 
 def test_samples_stores_each_row_of_a_take_as_sample_k_of_its_column(monkeypatch):
     # x[i] is sample k[i] of column cols[i]; the store evaluates the field at it
-    monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 4)
+    monkeypatch.setattr(stepper, "SAMPLE_CHUNK", 2)  # per column: a flush at four queued
     times = np.linspace(0.0, 1.0, 6)
     a, k, r = rotations([0, 1])
     states = np.tile(X0, (2, len(times), 1)) * np.linspace(1.0, 2.0, len(times))[:, None]
     states[1, 4:] *= 1e-3  # ||x'|| of column 1 falls below its threshold at sample 4
-    samples = stepper.Samples(times, [0.0, 0.1], False, a, k, r, passes)
+    samples = Store(times, [0.0, 0.1], False, a, k, r, passes)
     samples.take(np.array([0, 1]), np.array([0, 0]), states[:, 0])
     samples.take(np.array([1, 1, 1]), np.array([1, 2, 3]), states[1, 1:4])  # five queued: a flush
     assert list(samples.taken) == list(samples.queued) == [1, 4]
@@ -141,7 +157,7 @@ def test_a_failed_take_reports_its_step_count_less_stepped():
     def check(x):
         return np.where(x[:, 0] > 10.0, "x_0 above 10", "").astype(object)
 
-    samples = stepper.Samples(times, np.zeros(2), False, *rotations([0, 1]), check)
+    samples = Store(times, np.zeros(2), False, *rotations([0, 1]), check).samples
     samples.steps[:] = [5, 8]
     samples.take(np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([X0, X0, 100.0 * X0]), stepped=1)
     with pytest.raises(stepper.PhysicsViolationError, match="x_0 above 10") as caught:
@@ -160,8 +176,8 @@ def test_taylor_follows_a_logistic_and_its_quadratic_coupling():
     k = np.zeros((len(rates), 2, 2))
     k[:, 0, 0], k[:, 1, 1] = -rates, -1.0
     times = np.linspace(0.0, 10.0, 401)
-    samples = stepper.Samples(times, np.zeros(len(rates)), False, a, k, np.array([1.0, 0.0]), passes)
-    stepper.taylor(samples, np.tile([u0, v0], (len(rates), 1)), 0.01, width=2)
+    samples = Store(times, np.zeros(len(rates)), False, a, k, np.array([1.0, 0.0]), passes)
+    stepper.taylor(samples.samples, np.tile([u0, v0], (len(rates), 1)), 0.01, width=2)
     samples.flush()
     assert (samples.taken == len(times)).all()
     assert (samples.steps < len(times) - 1).all()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from vaporspin.dynamics import (
-    PumpParams, integrate, integrate_block, lab_states, pump_frame, solve_steady_state, spin_temperature_state,
+    PumpParams, block_rhs, build_superops, integrate, integrate_block, lab_states, pump_frame, solve_steady_state,
+    spin_temperature_state,
 )
 from vaporspin.spin_algebra import build_coupled_operators
 from vaporspin.thermo import (
@@ -256,7 +257,7 @@ class TestThermoSample:
     def test_series_matches_pointwise(self, ops8, make_params):
         p = make_params(s=0.5)
         traj = integrate(p, ops8, t_end=0.5 * p.t_se, sample_every=500)
-        series = stacked_observables(traj.coordinates, p, ops8)
+        series = stacked_observables(traj.coordinates, p, ops8, block_rhs(traj.coordinates, build_superops(p, ops8)))
         assert len(series["sigma"]) == len(traj)
         one = thermo_sample(traj.states[-1], p, ops8)
         assert series["sigma"][-1] == pytest.approx(one.sigma, abs=1e-14)
