@@ -38,7 +38,8 @@ the step ``dt``) and knows nothing of rho: this module hands it the factors
 A, K and r of each block of columns and the guards.  A pump-frame state is
 block-diagonal in m_F, with blocks of one or two levels, so its spectrum is
 closed form (:func:`block_spectra`); the guards read trace and positivity
-off it.  A :class:`Trajectory` keeps the sector coordinates as stepped.
+off it.  A :class:`Trajectory` keeps the sector coordinates as stepped,
+with the dx/dt that steady detection evaluated at each of them.
 Samples fall on the grid ``(k * sample_every) * dt`` plus the end.  Steady
 states are detected along a trajectory (``Trajectory.steady_index``) or
 solved for on the sector with a Newton iteration from their closed form
@@ -484,20 +485,22 @@ class Trajectory:
 
     The samples are kept as they were stepped: ``coordinates`` are the
     :attr:`MFBlocks.sector` coordinates of each state rho' in the pump frame R
-    of ``params.s``, where the lab-frame state is R rho' R^dag.  ``states``,
-    ``max_trace_drift`` and ``min_eigenvalue`` are read off them on access.
+    of ``params.s``, where the lab-frame state is R rho' R^dag, and ``rhs``
+    is their dx/dt from the stepper's steady detection, so no reader
+    evaluates the field again.  ``states``, ``max_trace_drift`` and
+    ``min_eigenvalue`` are read off the coordinates on access.
     """
 
     times: np.ndarray  # (n,) seconds
     coordinates: np.ndarray | None  # (n, d + 4I) pump-frame sector coordinates; None under a keep
-    rhs_norms: np.ndarray | None  # (n,) Frobenius norm of drho/dt at each sample; None under a keep
+    rhs: np.ndarray | None  # (n, d + 4I) their dx/dt, as the stepper evaluated it; None under a keep
     params: PumpParams
     ops: SpinOperatorSet = field(repr=False)
     dt: float  # grid unit: samples at multiples of sample_every * dt (under fixed_step, the step)
     steady_index: int | None
     steps: int  # accepted steps
     # evaluations of drho/dt: the stepper's own (TAYLOR_ORDER per Taylor step,
-    # under fixed_step four per RK4 step) and one per sample, for its rhs_norm
+    # under fixed_step four per RK4 step) and one per sample, for its dx/dt
     rhs_evals: int
 
     @functools.cached_property
@@ -612,10 +615,10 @@ def integrate_block(
 
     stored = keep is None
     if stored:
-        coordinates, rhs_norms = np.empty((len(x), len(times), x.shape[1])), np.empty((len(x), len(times)))
+        coordinates, rhs = np.empty((2, len(x), len(times), x.shape[1]))
 
         def keep(cols, k, t, x, f):
-            coordinates[cols, k], rhs_norms[cols, k] = x, stepper.norms(f)
+            coordinates[cols, k], rhs[cols, k] = x, f
 
     samples = stepper.Samples(times, [steady_tol * p.gamma_se for p in params_seq], stop_at_steady,
                               sup.A, sup.K, sup.r, check, keep)
@@ -631,7 +634,7 @@ def integrate_block(
         trajectories.append(Trajectory(
             times=times[:kept],
             coordinates=coordinates[j, :kept] if stored else None,
-            rhs_norms=rhs_norms[j, :kept] if stored else None,
+            rhs=rhs[j, :kept] if stored else None,
             params=p,
             ops=ops,
             dt=dt,

@@ -189,10 +189,11 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 
 
 def sample_store_bytes(n_samples: int, dim: int) -> int:
-    """Bytes the cap counts for one run's samples: each a d x d complex state, its time and its residual norm.
+    """Bytes the cap counts for one run's samples: 16 (d^2 + 1) each, a d x d complex state and two floats.
 
-    It bounds the stored trajectories of simulate, integrate_runs and the figure series, 128 bytes a sample
-    at I = 3/2; run and sweep store none but are counted alike, so that they refuse what they always refused.
+    It bounds the stored trajectories of simulate, integrate_runs and the figure series, which hold 232 bytes
+    a sample at I = 3/2 (its sector coordinates, their dx/dt and its time); run and sweep store none but are
+    counted alike, so that they refuse what they always refused.
     """
     return n_samples * (dim**2 + 1) * 16
 
@@ -353,8 +354,7 @@ def _trajectory_rows(t: np.ndarray, x: np.ndarray, rhs: np.ndarray, params: Pump
 
 def trajectory_table(traj: Trajectory, ops: SpinOperatorSet) -> tuple[list[str], np.ndarray]:
     """The header and the rows of a stored trajectory's trajectory.csv, as one block."""
-    rhs = block_rhs(traj.coordinates, build_superops(traj.params, ops))
-    rows = _trajectory_rows(traj.times, traj.coordinates, rhs, traj.params, ops)
+    rows = _trajectory_rows(traj.times, traj.coordinates, traj.rhs, traj.params, ops)
     return TRAJECTORY_COLUMNS + _population_columns(ops), rows
 
 

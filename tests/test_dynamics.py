@@ -287,7 +287,8 @@ class TestIntegrate:
         traj = integrate(p, ops, t_end=2.0, sample_every=1,
                          stop_at_steady=True, steady_tol=0.03)
         assert traj.reached_steady and traj.steady_index == len(traj) - 1
-        assert traj.rhs_norms[-1] < 0.03 * G <= traj.rhs_norms[:-1].min()
+        rhs_norms = stepper.norms(traj.rhs)
+        assert rhs_norms[-1] < 0.03 * G <= rhs_norms[:-1].min()
 
     def test_oversized_step_raises_physics_violation(self, ops):
         p = params()
@@ -340,7 +341,7 @@ class TestIntegrate:
             assert len(trajs[0]) < len(trajs[1]) == len(trajs[2])
         for traj, p in zip(trajs, block):
             alone = integrate(p, ops, **kwargs)
-            for name in ("times", "states", "rhs_norms"):
+            for name in ("times", "states", "rhs"):
                 assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
                          "steps", "rhs_evals"):
@@ -361,7 +362,7 @@ class TestIntegrate:
         if stop_at_steady:  # the 0.25 G_SE column stops first
             assert at_the_end[0].reached_steady and len(at_the_end[0]) < len(at_the_end[1])
         for a, b in zip(chunked, at_the_end):
-            for name in ("times", "states", "rhs_norms"):
+            for name in ("times", "states", "rhs"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
                          "steps", "rhs_evals"):
@@ -384,7 +385,7 @@ class TestIntegrate:
             integrate(p, ops, **kwargs)
         again = integrate(p, ops, stop_at_steady=True, **kwargs)
         assert again.steady_index == stopped.steady_index == len(again) - 1 < k
-        for name in ("times", "states", "rhs_norms"):
+        for name in ("times", "states", "rhs"):
             assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
         for name in ("max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
             assert getattr(again, name) == getattr(stopped, name), name
@@ -410,7 +411,7 @@ class TestIntegrate:
         calls.clear()
         again = integrate(p, ops, stop_at_steady=True, **kwargs)
         assert len(calls) > stopped.steps + 20
-        for name in ("times", "states", "rhs_norms"):
+        for name in ("times", "states", "rhs"):
             assert np.array_equal(getattr(again, name), getattr(stopped, name)), name
         for name in ("steady_index", "max_trace_drift", "min_eigenvalue", "steps", "rhs_evals"):
             assert getattr(again, name) == getattr(stopped, name), name
@@ -533,11 +534,26 @@ class TestPumpFrame:
         trajs = integrate_block(block, ops, **kwargs)
         for traj, p in zip(trajs, block):
             alone = integrate(p, ops, **kwargs)
-            for name in ("times", "states", "rhs_norms"):
+            for name in ("times", "states", "rhs"):
                 assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
             for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue",
                          "steps", "rhs_evals"):
                 assert getattr(traj, name) == getattr(alone, name), name
+
+    @pytest.mark.parametrize("fixed_step", [False, True], ids=["taylor", "rk4"])
+    def test_stored_rhs_is_the_field_of_the_stored_state(self, ops, fixed_step):
+        # z, x and oblique pumps with their own |s|, R_op and A in one block: each sample keeps the
+        # dx/dt that steady detection evaluated, the field of its own state and parameters bit for bit
+        block = [params(r_op=0.25), params(s=(0.75, 0, 0), r_op=1.0, a_hfs=80.0),
+                 params(s=(0.3, -0.4, 0.2), r_op=4.0, a_hfs=120.0)]
+        dt = 1.0 / (10.0 * 120.0) if fixed_step else None  # RK4 at 10 steps per fastest period
+        trajs = integrate_block(block, ops, t_end=2.0, dt=dt, sample_every=10, steady_tol=0.03,
+                                fixed_step=fixed_step)
+        for traj in trajs:
+            assert np.array_equal(traj.rhs, block_rhs(traj.coordinates, build_superops(traj.params, ops)))
+            below = np.flatnonzero(stepper.norms(traj.rhs) < 0.03 * traj.params.gamma_se)
+            assert traj.steady_index == (below[0] if below.size else None)
+        assert trajs[0].reached_steady
 
     def test_x_pump_is_the_turned_z_run(self, ops):
         # in its frame the x pump is the z pump from the mixed state turned by R,
@@ -546,7 +562,7 @@ class TestPumpFrame:
         z = integrate(params(), ops, **kwargs)
         x = integrate(params(s=(0.5, 0, 0)), ops, **kwargs)
         assert (x.steps, x.rhs_evals) == (z.steps, z.rhs_evals)
-        assert np.max(np.abs(x.rhs_norms / z.rhs_norms - 1.0)) < 1e-13
+        assert np.max(np.abs(stepper.norms(x.rhs) / stepper.norms(z.rhs) - 1.0)) < 1e-13
         frame = pump_frame(ops, (1.0, 0, 0))
         assert np.max(np.abs(x.states - frame @ z.states @ frame.conj().T)) < 1e-15
 
@@ -600,11 +616,11 @@ class TestErrorControlledStepper:
         adaptive, rk4 = one_t_se
         assert np.array_equal(adaptive.times, rk4.times)
         assert np.max(np.abs(adaptive.states - rk4.states)) < 1e-9
-        assert np.max(np.abs(adaptive.rhs_norms / rk4.rhs_norms - 1.0)) < 1e-6
+        assert np.max(np.abs(stepper.norms(adaptive.rhs) / stepper.norms(rk4.rhs) - 1.0)) < 1e-6
 
     def test_work(self, one_t_se):
         adaptive, rk4 = one_t_se
-        # four evaluations per RK4 step, and one per sample for its rhs_norm
+        # four evaluations per RK4 step, and one per sample for its dx/dt
         assert rk4.steps == 10_000 and rk4.rhs_evals == 4 * 10_000 + 501
         # RK4 at dt takes 5,000 steps and 20,501 evaluations.  The Taylor
         # stepper counts TAYLOR_ORDER per step and one per sample

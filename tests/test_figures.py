@@ -59,7 +59,7 @@ def test_block_columns_match_standalone_runs(stop_at_steady):
         assert len({len(traj) for traj in block}) > 1
     for traj, params in zip(block, params_seq):
         alone = integrate(params, ops, **kwargs)
-        for name in ("times", "states", "rhs_norms"):
+        for name in ("times", "states", "rhs"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
         for name in ("steady_index", "reached_steady", "max_trace_drift", "min_eigenvalue"):
             assert getattr(traj, name) == getattr(alone, name), name

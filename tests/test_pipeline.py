@@ -201,7 +201,7 @@ class TestRunSingle:
     def test_trajectory_cap_counts_the_preallocated_bytes(self, monkeypatch):
         cfg = fast_config(sample_every=7)
         traj = simulate(cfg).traj
-        n_bytes = traj.states.nbytes + traj.times.nbytes + traj.rhs_norms.nbytes
+        n_bytes = traj.states.nbytes + 2 * traj.times.nbytes
         monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", n_bytes)
         simulate(cfg)
         monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", n_bytes - 1)
@@ -649,7 +649,7 @@ class TestSweep:
 
     def test_blocks_are_cut_at_the_trajectory_cap(self, tmp_path, monkeypatch):
         traj = simulate(fast_config()).traj
-        n_bytes = traj.states.nbytes + traj.times.nbytes + traj.rhs_norms.nbytes
+        n_bytes = traj.states.nbytes + 2 * traj.times.nbytes
         monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", 2 * n_bytes)
         blocks = spy_on_blocks(monkeypatch)
         cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
@@ -759,7 +759,7 @@ class TestOneIntegrationPath:
             assert params == alone_params
             assert np.array_equal(traj.times, alone.times)
             assert np.array_equal(traj.states, alone.states)
-            assert np.array_equal(traj.rhs_norms, alone.rhs_norms)
+            assert np.array_equal(traj.rhs, alone.rhs)
 
     def test_run_sweep_and_figures_each_build_the_operators_once(self, tmp_path):
         build = pipeline.build_coupled_operators
@@ -768,7 +768,7 @@ class TestOneIntegrationPath:
             ("run", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"),
             ("sweep", "a_hfs_over_gamma_se = 20\nt_end_over_t_se = 0.5\nsample_every = 100\n"
                       "sweep_variable = s_magnitude\nsweep_values = 0.25, 0.5, 0.75, 1.0\n"),
-            # six series, the three x-pump frames of fig2b and 13 radius points
+            # six series and 13 radius points
             ("reproduce-figures", "dt_steps_per_rate = 1\n"),
         ]
         for command, text in commands:
@@ -797,6 +797,34 @@ class TestOneIntegrationPath:
         cfg_path.write_text("dt_steps_per_rate = 1\n")
         assert cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "figs")]) == 0
         assert calls[2:] == [(len(figures.SERIES), True)] == [(6, True)]
+
+    def test_figures_pass_each_series_once_with_its_stored_rhs(self, tmp_path, monkeypatch):
+        # one observable pass per series and per radius point; a series reads the dx/dt that the
+        # stepper stored, so the field is evaluated only on the one-row states of the Newton solves
+        passes: list[int] = []
+        fields: list[int] = []
+        real_pass, real_rhs = pipeline.stacked_observables, dynamics.block_rhs
+
+        def spy_pass(x, params, ops, rhs):
+            passes.append(len(x))
+            return real_pass(x, params, ops, rhs)
+
+        def spy_rhs(x, sup):
+            fields.append(len(x))
+            return real_rhs(x, sup)
+
+        for module in (pipeline, figures):
+            monkeypatch.setattr(module, "stacked_observables", spy_pass)
+        for module in (pipeline, dynamics):
+            monkeypatch.setattr(module, "block_rhs", spy_rhs)
+        assert not hasattr(figures, "block_rhs") and not hasattr(figures, "build_superops")
+        cfg_path = tmp_path / "figures.cfg"
+        cfg_path.write_text("dt_steps_per_rate = 1\n")
+        assert cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "figs")]) == 0
+        series_samples = len(read_csv(tmp_path / "figs" / "fig3a.csv")[1])
+        assert len(passes) == len(figures.SERIES) + len(figures.RADIUS_GRID) == 19
+        assert sorted(passes) == [1] * len(figures.RADIUS_GRID) + [series_samples] * len(figures.SERIES)
+        assert fields and set(fields) == {1}
 
 
 class TestOneObservablePath:
