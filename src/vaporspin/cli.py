@@ -1,10 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: ``vaporspin COMMAND [--config PATH] [--out DIR] [--jobs N]``.
 
-Subcommands:
-  rates               collision/wall rate budget for the configured cell
-  run                 integrate one configuration, write CSV outputs
-  sweep               one run per sweep value, plus an aggregate table
-  reproduce-figures   write the full set of headline result CSVs
+The commands and their one-line help are ``COMMANDS``; every command takes
+the same three options.
 
 Exit codes: 0 success; 2 bad usage or bad config; 3 a run left the physical
 state space (trace/positivity guard tripped); 4 any other runtime failure;
@@ -46,30 +43,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vaporspin",
-        description="Driven-dissipative spin dynamics of an optically pumped alkali vapor cell",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, metavar="PATH",
-                         help="key=value config file (built-in defaults when omitted)")
-        cmd.add_argument("--out", type=Path, default=None, metavar="DIR",
-                         help="output directory (default: out_dir from the config)")
-        cmd.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="accepted and ignored; every command runs in one process")
-        return cmd
-
-    add_command("rates", "compute the cell's collision and wall rates")
-    add_command("run", "integrate one run and write rates/trajectory/summary CSVs")
-    add_command("sweep", "run every sweep value and write per-point dirs + sweep.csv")
-    add_command("reproduce-figures", "write all headline figure CSVs and a manifest")
-    return parser
 
 
 def _cmd_rates(cfg: RunConfig, out_dir: Path) -> int:
@@ -129,20 +102,38 @@ def _cmd_figures(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "rates": (_cmd_rates, "compute the cell's collision and wall rates"),
+    "run": (_cmd_run, "integrate one run and write rates/trajectory/summary CSVs"),
+    "sweep": (_cmd_sweep, "run every sweep value and write per-point dirs + sweep.csv"),
+    "reproduce-figures": (_cmd_figures, "write all headline figure CSVs and a manifest"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vaporspin",
+        description="Driven-dissipative spin dynamics of an optically pumped alkali vapor cell",
+        epilog="commands:\n" + "\n".join(f"  {name:<19} {text}" for name, (_, text) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="one of the commands below")
+    parser.add_argument("--config", type=Path, default=None, metavar="PATH",
+                        help="key=value config file (built-in defaults when omitted)")
+    parser.add_argument("--out", type=Path, default=None, metavar="DIR",
+                        help="output directory (default: out_dir from the config)")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="accepted and ignored; every command runs in one process")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig().validate()
         out_dir = args.out if args.out is not None else Path(cfg.out_dir)
-        if args.command == "rates":
-            return _cmd_rates(cfg, out_dir)
-        if args.command == "run":
-            return _cmd_run(cfg, out_dir)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir)
-        if args.command == "reproduce-figures":
-            return _cmd_figures(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        handler, _ = COMMANDS[args.command]
+        return handler(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,10 +32,11 @@ projection of F on the pump axis is conserved (Happer, Rev. Mod. Phys. 44,
 169 (1972)).  The mixed state is the same in every frame, and from it only
 the Delta m_F = 0 coordinates ever move (:attr:`MFBlocks.sector`), 14 of 64 for
 I = 3/2 and 22 of 144 for I = 5/2; the block steps those alone, with the
-factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps them
-(an order-24 Taylor series under error control; ``fixed_step=True``: RK4 at
-the step ``dt``) and knows nothing of rho: this module hands it the factors
-A, K and r of each block of columns and the guards.  A pump-frame state is
+factors of :func:`build_superops`.  :mod:`vaporspin.stepper` steps them (an
+order-24 Taylor series under error control, which may stop a column at its
+steady state; ``fixed_step=True``: RK4 at the step ``dt`` to the end) and
+knows nothing of rho: this module hands it the factors A, K and r of each
+block of columns and the guards.  A pump-frame state is
 block-diagonal in m_F, with blocks of one or two levels, so its spectrum is
 closed form (:func:`block_spectra`); the guards read trace and positivity
 off it.  A :class:`Trajectory` keeps the sector coordinates as stepped,
@@ -554,7 +555,8 @@ def integrate(
     raises :class:`PhysicsViolationError` (no silent projection back to
     the physical cone).  ``steady_tol`` is measured in units of G_SE: a sample
     with ||drho/dt||_F < steady_tol * G_SE marks the trajectory as steady,
-    and with ``stop_at_steady`` integration ends there.  This is
+    and with ``stop_at_steady`` integration ends there; RK4 steps to the
+    end, and refuses that stop with :class:`ValueError`.  This is
     :func:`integrate_block` with one column.
     """
     return integrate_block(
@@ -579,14 +581,15 @@ def integrate_block(
 
     Every column starts from the maximally mixed state and is sampled on the
     same grid; ``dt`` defaults to the smallest :func:`default_dt` of the
-    block, and under ``fixed_step`` every column steps with RK4 at ``dt``.
-    Each column keeps its own step size, clock, guards, steady index and,
-    under ``stop_at_steady``, its own stop.  Each column steps in its pump
-    frame, on the coordinates of :attr:`MFBlocks.sector`, so a returned
-    trajectory equals the standalone run of its parameters bit for bit.  A
-    guard failure raises :class:`PhysicsViolationError` with ``column`` set
-    to the offending index.  Given a ``keep`` (:class:`~vaporspin.stepper.Samples`),
-    the trajectories store no sample.
+    block, and under ``fixed_step`` every column steps with RK4 at ``dt`` to
+    the end.  Each column keeps its own step size, clock, guards, steady
+    index and, under ``stop_at_steady`` (the Taylor stepper's alone), its
+    own stop.  Each column steps in its pump frame, on the coordinates of
+    :attr:`MFBlocks.sector`, so a returned trajectory equals the standalone
+    run of its parameters bit for bit.  A guard failure raises
+    :class:`PhysicsViolationError` with ``column`` set to the offending
+    index.  Given a ``keep`` (:class:`~vaporspin.stepper.Samples`), the
+    trajectories store no sample.
     """
     params_seq = list(params_seq)
     if dt is None:
@@ -735,7 +738,7 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
         axis = (0.0, 0.0, params.s[2] if params.s[0] == params.s[1] == 0.0 else 1.0)
         x = to_coordinates(spin_temperature_state(beta, ops, axis=axis))[sector]
     trace_row = np.concatenate([np.ones(d), np.zeros(len(sector) - d)])
-    residual, iterations = math.inf, 0
+    iterations = 0
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         f = block_rhs(x[None], sup)[0]
         residual = float(np.linalg.norm(f))
@@ -745,6 +748,8 @@ def solve_steady_state(params: PumpParams, ops: SpinOperatorSet) -> tuple[np.nda
         target = np.concatenate([-f, [1.0 - trace_row @ x]])
         delta, *_ = np.linalg.lstsq(system, target, rcond=None)
         x = x + delta
+    else:  # out of iterations: the residual of the x returned, after its last update
+        residual = float(np.linalg.norm(block_rhs(x[None], sup)[0]))
 
     converged = bool(residual < NEWTON_TOL * scale and block_spectra(x, ops)[0].min() > -1e-9)
     return x, SteadyStateInfo(converged=converged, residual=residual, iterations=iterations)

@@ -99,7 +99,6 @@ def _radius_point(base: RunConfig, radius: float) -> dict[str, object]:
 def reproduce_figures(base: RunConfig, out_dir: Path) -> Path:
     """Write every figure CSV plus manifest.csv; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # -- the time series, one block on one grid --------------------------
     # one RK4 step for the block, set by the fastest pump

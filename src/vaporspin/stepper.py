@@ -11,12 +11,12 @@ each row with its own step and clock by its order-``TAYLOR_ORDER`` series,
 with the step set from the series' last two terms under the tolerance
 (``RTOL``, ``ATOL``); no step is rejected, and the states at the samples, on
 a given grid of times, are read off the step's polynomial.  :func:`rk4` is
-classical RK4 at a fixed step.  A stepper only steps and hands
-:class:`Samples` each sample's state, tagged with its column and sample
-index; Samples checks them in stacked passes and hands the rows that pass to
-the caller's ``keep``, so nothing here stores a sample.  Every product is
-stacked, one per row, so a row's result does not depend on the block it
-sits in.
+classical RK4 at a fixed step, every column to the end.  A stepper only
+steps and hands :class:`Samples` each sample's state, tagged with its column
+and sample index; Samples checks them in stacked passes and hands the rows
+that pass to the caller's ``keep``, so nothing here stores a sample.  Every
+product is stacked, one per row, so a row's result does not depend on the
+block it sits in.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class Samples:
     first steady sample: the rows of the take that holds it are guarded as
     usual and kept up to it; its later takes are dropped unguarded; its
     ``steps`` and ``rhs_evals`` are those recorded with that sample; and it
-    is marked in ``stopped``, for the stepper to drop.
+    is marked in ``stopped``, for :func:`taylor` to drop.
     """
 
     def __init__(self, times: np.ndarray, thresholds: Sequence[float], stop_at_steady: bool,
@@ -195,26 +195,23 @@ class Samples:
 def rk4(samples: Samples, x: np.ndarray, dt: float, sample_every: int, n_steps: int) -> None:
     """Classical RK4 at the fixed step ``dt`` from ``x``, sampled every ``sample_every`` steps and at the last.
 
-    At a sample each live column's state is taken as its next sample,
-    ``queued``.  ``rhs_evals`` counts four evaluations per step and one per
-    sample, for its dx/dt.
+    Every column steps to ``n_steps``, and at a sample every column's state
+    is taken as its next sample, ``queued``.  ``rhs_evals`` counts four
+    evaluations per step and one per sample, for its dx/dt.  The steady stop
+    is :func:`taylor`'s alone: ``samples`` built with ``stop_at_steady``
+    raise :class:`ValueError` before the first step.
     """
-    live = np.arange(len(x))
+    if samples.stop_at_steady:
+        raise ValueError("rk4 steps every column to its end; only the Taylor stepper stops at a steady state")
+    cols = np.arange(len(x))
     a, k, r = samples.a, samples.k, samples.r
     for step in range(n_steps + 1):
         if step % sample_every == 0 or step == n_steps:
-            sample = samples.queued[live]
-            samples.steps[live], samples.rhs_evals[live] = step, 4 * step + sample + 1
-            samples.take(live, sample, x)
+            sample = samples.queued.copy()
+            samples.steps[:], samples.rhs_evals[:] = step, 4 * step + sample + 1
+            samples.take(cols, sample, x)
             if step == n_steps:
                 break
-            stopped = samples.stopped[live]
-            if stopped.any():
-                keep = ~stopped
-                live, x = live[keep], x[keep]
-                if not live.size:
-                    break
-                a, k = samples.a[live], samples.k[live]
         k1 = field(x, a, k, r)
         k2 = field(x + (0.5 * dt) * k1, a, k, r)
         k3 = field(x + (0.5 * dt) * k2, a, k, r)

@@ -838,6 +838,16 @@ class TestSolveSteadyState:
         )
         assert np.linalg.eigvalsh(rho_x) == pytest.approx(np.linalg.eigvalsh(rho_z), abs=1e-10)
 
+    def test_out_of_iterations_reports_the_state_it_returns(self, monkeypatch):
+        # with no tolerance Newton never stops early: its residual and its
+        # convergence are those of the x it returns, after the last update
+        monkeypatch.setattr(dynamics, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 3)
+        ops_i, _, p = build_simulation(RunConfig().validate())
+        x, info = solve_steady_state(p, ops_i)
+        assert info.iterations == 3 and not info.converged
+        assert info.residual == float(np.linalg.norm(block_rhs(x[None], build_superops(p, ops_i))[0]))
+
     def test_unpolarized_drive_gives_mixed_state(self, ops):
         p = params(s=(0, 0, 0), r_op=1.0, gamma_sd=0.1)
         x, info = solve_steady_state(p, ops)

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vaporspin import cli, pipeline
+from vaporspin import cli, pipeline, stepper
 from vaporspin.config import ConfigError, RunConfig
 from vaporspin.dynamics import block_rhs, build_superops, default_dt, integrate, integrate_block, sampling_plan
 from vaporspin.figures import (
@@ -48,15 +48,23 @@ def figure_block(cfg):
 
 
 @pytest.mark.parametrize("stop_at_steady", [False, True])
-def test_block_columns_match_standalone_runs(stop_at_steady):
+def test_block_columns_match_standalone_runs(stop_at_steady, monkeypatch):
     params_seq, ops, dt, t_end = figure_block(RunConfig(dt_steps_per_rate=1.0).validate())
-    # at this tolerance the six series reach steady state at different samples
-    # the figures step the block with fixed-step RK4
+    # the figures step the block with fixed-step RK4, every series to its end;
+    # at this tolerance the series turn steady at different samples
     kwargs = dict(t_end=t_end, dt=dt, sample_every=FIGURE_STRIDE,
                   stop_at_steady=stop_at_steady, steady_tol=0.03, fixed_step=True)
+    if stop_at_steady:  # only the Taylor stepper stops; RK4 refuses a stop before it evaluates the field
+        def forbidden(*args):
+            raise AssertionError("stepper.field ran")
+
+        monkeypatch.setattr(stepper, "field", forbidden)
+        for run in (lambda: integrate_block(params_seq, ops, **kwargs), lambda: integrate(params_seq[0], ops, **kwargs)):
+            with pytest.raises(ValueError, match="only the Taylor stepper"):
+                run()
+        return
     block = integrate_block(params_seq, ops, **kwargs)
-    if stop_at_steady:
-        assert len({len(traj) for traj in block}) > 1
+    assert len({traj.steady_index for traj in block}) > 1
     for traj, params in zip(block, params_seq):
         alone = integrate(params, ops, **kwargs)
         for name in ("times", "states", "rhs"):

@@ -198,6 +198,17 @@ class TestRunSingle:
         assert "t_end_over_t_se" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_figures_refused_before_making_their_directory(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_block ran")
+
+        monkeypatch.setattr(pipeline, "integrate_block", forbidden)
+        cfg_path = tmp_path / "fine.cfg"
+        cfg_path.write_text("dt_steps_per_rate = 1e7\n")
+        assert cli.main(["reproduce-figures", "--config", str(cfg_path), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert "dt_steps_per_rate" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_trajectory_cap_counts_the_preallocated_bytes(self, monkeypatch):
         cfg = fast_config(sample_every=7)
         traj = simulate(cfg).traj

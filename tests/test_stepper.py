@@ -102,6 +102,10 @@ def test_a_column_stopped_at_its_threshold_equals_its_standalone_run(rk4):
     # for gamma = 0.3 and t = 23 for gamma = 0.1; the gamma = 0.05 column never stops
     times = np.linspace(0.0, 30.0, 61)
     thresholds = 0.2 * OMEGA
+    if rk4 is not None:  # only the Taylor stepper stops; RK4 refuses a stop before its first step
+        with pytest.raises(ValueError, match="only the Taylor stepper"):
+            solve(times, thresholds=thresholds, stop_at_steady=True, rk4=rk4)
+        return
     block = solve(times, thresholds=thresholds, stop_at_steady=True, rk4=rk4)
     assert block.steady[0] == -1 and 0 < block.steady[1] < block.steady[2] == block.taken[2] - 1
     for b in range(len(OMEGA)):
