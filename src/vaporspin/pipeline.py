@@ -69,8 +69,9 @@ __all__ = [
     "format_value",
 ]
 
-# largest sample store of one block, as sample_store_bytes counts it, for the stored trajectories of
-# simulate, integrate_runs and the figure series; run and sweep store none but refuse the same configs
+# largest sample store of one block at 16 (d^2 + 1) bytes a sample, a d x d complex state and two floats: it bounds
+# the stored trajectories of simulate and the figure series, 232 bytes a sample at I = 3/2 (sector coordinates, their
+# dx/dt and the time); run and sweep store none but count one column a block, so they refuse what they always refused
 MAX_TRAJECTORY_BYTES = 2**30
 
 # what the configs of one integrator block share: the nuclear spin and the sampling
@@ -145,29 +146,30 @@ class SimulationResult:
         return lab_states(self.ness, self.params, self.ops)
 
 
+def _block_key(cfg: RunConfig, params: PumpParams) -> tuple:
+    """The values of ``BLOCK_KEYS`` for ``cfg``, whose pump parameters are ``params``."""
+    return cfg.nuclear_spin, cfg.t_end_over_t_se * params.t_se, cfg.sample_every, cfg.stop_at_steady, cfg.steady_tol
+
+
 def integrate_runs(
     cfgs: list[RunConfig], *, fixed_step: bool = False, keep: Callable | None = None
 ) -> list[tuple[SpinOperatorSet, RateSet, PumpParams, Trajectory]]:
     """Integrate configs as one block from the maximally mixed state: the path of run, sweep and figures.
 
     The configs must agree on ``BLOCK_KEYS`` (else :class:`ValueError` names the
-    key); each keeps its own rates, pump and A.  The block samples on their smallest
-    :func:`default_dt`, and is refused with :class:`ConfigError` past
-    ``MAX_TRAJECTORY_BYTES``.  ``keep(ops, params)``, if given, makes the ``keep`` of :func:`integrate_block`,
+    key); each keeps its own rates, pump and A.  The block samples on their smallest :func:`default_dt`, and is
+    refused with :class:`ConfigError` past ``MAX_TRAJECTORY_BYTES`` of samples: those of every column, or given a
+    ``keep``, those of one.  ``keep(ops, params_seq)``, if given, makes the ``keep`` of :func:`integrate_block`,
     and the trajectories store no sample.  Returns (operators, rates, pump parameters, trajectory) per config.
     """
     sims = [build_simulation(cfg) for cfg in cfgs]
-    shared = [
-        (cfg.nuclear_spin, cfg.t_end_over_t_se * params.t_se,
-         cfg.sample_every, cfg.stop_at_steady, cfg.steady_tol)
-        for cfg, (_, _, params) in zip(cfgs, sims)
-    ]
-    for key, values in zip(BLOCK_KEYS, zip(*shared)):
+    keys = [_block_key(cfg, params) for cfg, (_, _, params) in zip(cfgs, sims)]
+    for key, values in zip(BLOCK_KEYS, zip(*keys)):
         if len(set(values)) > 1:
             raise ValueError(f"the configs of one block differ in {key}: {sorted(set(values))}")
     cfg, (ops, _, params) = cfgs[0], sims[0]
     dt = min(default_dt(p, steps_per_rate=c.dt_steps_per_rate) for c, (_, _, p) in zip(cfgs, sims))
-    t_end = trajectory_horizon(cfg, params, ops, dt, columns=len(cfgs))
+    t_end = trajectory_horizon(cfg, params, ops, dt, columns=len(cfgs) if keep is None else 1)
     params_seq = [p for _, _, p in sims]
     trajs = integrate_block(
         params_seq, ops, t_end=t_end, dt=dt,
@@ -188,27 +190,15 @@ def simulate(cfg: RunConfig) -> SimulationResult:
     return SimulationResult(cfg, ops, rates, params, traj, *solve_steady_state(params, ops))
 
 
-def sample_store_bytes(n_samples: int, dim: int) -> int:
-    """Bytes the cap counts for one run's samples: 16 (d^2 + 1) each, a d x d complex state and two floats.
-
-    It bounds the stored trajectories of simulate, integrate_runs and the figure series, which hold 232 bytes
-    a sample at I = 3/2 (its sector coordinates, their dx/dt and its time); run and sweep store none but are
-    counted alike, so that they refuse what they always refused.
-    """
-    return n_samples * (dim**2 + 1) * 16
-
-
-def trajectory_horizon(
-    cfg: RunConfig, params: PumpParams, ops: SpinOperatorSet, dt: float, columns: int = 1
-) -> float:
+def trajectory_horizon(cfg: RunConfig, params: PumpParams, ops: SpinOperatorSet, dt: float, columns: int) -> float:
     """Horizon in seconds of ``columns`` runs of ``cfg`` sampled on the grid of ``dt``.
 
-    Raises :class:`ConfigError` when their samples, all held at once, would
-    need more than ``MAX_TRAJECTORY_BYTES`` (:func:`sample_store_bytes`).
+    Raises :class:`ConfigError` when their samples, all held at once at 16 (d^2 + 1)
+    bytes each, would need more than ``MAX_TRAJECTORY_BYTES``.
     """
     t_end = cfg.t_end_over_t_se * params.t_se
     _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
-    n_bytes = columns * sample_store_bytes(n_samples, ops.dim)
+    n_bytes = columns * n_samples * (ops.dim**2 + 1) * 16
     if n_bytes > MAX_TRAJECTORY_BYTES:
         runs = f" for each of {columns} runs" if columns > 1 else ""
         raise ConfigError(f"t_end_over_t_se = {cfg.t_end_over_t_se:g} at dt_steps_per_rate = "
@@ -405,26 +395,31 @@ def steady_state_row(result: SimulationResult) -> dict[str, object]:
     }
 
 
-RATES_COLUMNS = [
-    "radius_cm", "temperature_c", "p_he_torr", "p_n2_torr",
-    "vapor_pressure_torr", "n_rb_cm3", "n_he_cm3", "n_n2_cm3",
-    "v_rbrb_cm_s", "v_rbhe_cm_s", "v_rbn2_cm_s", "d_cm2_s",
-    "gamma_se_per_s", "gamma_sd_rbrb_per_s", "gamma_sd_rbhe_per_s",
-    "gamma_sd_rbn2_per_s", "gamma_wall_per_s", "include_wall",
-    "gamma_sd_per_s", "se_to_sd_ratio",
-]
-
-
 def write_rates_csv(path: Path, rates: RateSet) -> Path:
     cell = rates.cell
-    return write_csv(path, RATES_COLUMNS, [[
-        cell.radius_cm, cell.temperature_c, cell.p_he_torr, cell.p_n2_torr,
-        rates.vapor_pressure_torr, rates.n_rb_cm3, rates.n_he_cm3, rates.n_n2_cm3,
-        rates.v_rbrb_cm_s, rates.v_rbhe_cm_s, rates.v_rbn2_cm_s, rates.d_cm2_s,
-        rates.gamma_se, rates.gamma_sd_rbrb, rates.gamma_sd_rbhe,
-        rates.gamma_sd_rbn2, rates.gamma_wall, cell.include_wall,
-        rates.gamma_sd, rates.se_to_sd_ratio,
-    ]])
+    row = {
+        "radius_cm": cell.radius_cm,
+        "temperature_c": cell.temperature_c,
+        "p_he_torr": cell.p_he_torr,
+        "p_n2_torr": cell.p_n2_torr,
+        "vapor_pressure_torr": rates.vapor_pressure_torr,
+        "n_rb_cm3": rates.n_rb_cm3,
+        "n_he_cm3": rates.n_he_cm3,
+        "n_n2_cm3": rates.n_n2_cm3,
+        "v_rbrb_cm_s": rates.v_rbrb_cm_s,
+        "v_rbhe_cm_s": rates.v_rbhe_cm_s,
+        "v_rbn2_cm_s": rates.v_rbn2_cm_s,
+        "d_cm2_s": rates.d_cm2_s,
+        "gamma_se_per_s": rates.gamma_se,
+        "gamma_sd_rbrb_per_s": rates.gamma_sd_rbrb,
+        "gamma_sd_rbhe_per_s": rates.gamma_sd_rbhe,
+        "gamma_sd_rbn2_per_s": rates.gamma_sd_rbn2,
+        "gamma_wall_per_s": rates.gamma_wall,
+        "include_wall": cell.include_wall,
+        "gamma_sd_per_s": rates.gamma_sd,
+        "se_to_sd_ratio": rates.se_to_sd_ratio,
+    }
+    return write_csv(path, list(row), [list(row.values())])
 
 
 def _run_block(cfgs: list[RunConfig], out_dirs: list[Path]) -> list[dict[str, object] | Exception]:
@@ -489,11 +484,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
 
     Points are laid out in out_dir/point_NN (ordered by ascending value) and
     failures are recorded per point without aborting the rest of the sweep.
-    Points sharing the nuclear spin, the sample grid and the horizon run as
-    blocks of :func:`run_single`'s path, of at most ``MAX_TRAJECTORY_BYTES``
-    of samples (:func:`sample_store_bytes`); columns are independent, so
-    each point writes what :func:`run_single` would.  A column that trips a
-    guard is recorded as ``physics_violation`` and the rest of its block re-run.
+    Points that agree on ``BLOCK_KEYS`` and on their :func:`default_dt` run as
+    one block of :func:`run_single`'s path; columns are independent, so each
+    point writes what :func:`run_single` would, and a point that ``run`` refuses
+    reads ``error`` with the same text.  A column that trips a guard is recorded
+    as ``physics_violation`` and the rest of its block re-run.
     Returns the aggregate path and the list of per-point statuses.
     """
     if not cfg.sweep_variable:
@@ -505,34 +500,30 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> tuple[Path, list[str]]:
     for i, value in enumerate(values):
         point = dataclasses.replace(cfg, sweep_variable="", sweep_values=(), **{cfg.sweep_variable: value})
         try:
-            ops, _, params = build_simulation(point.validate())
-            dt = default_dt(params, steps_per_rate=point.dt_steps_per_rate)
-            key = (ops.dim, dt, trajectory_horizon(point, params, ops, dt))
+            _, _, params = build_simulation(point.validate())
+            key = (_block_key(point, params), default_dt(params, steps_per_rate=point.dt_steps_per_rate))
         except Exception as exc:  # noqa: BLE001 — a sweep must report, not die
             outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(exc).__name__}: {exc}", {})
             continue
         groups.setdefault(key, []).append((i, point))
 
-    for (dim, dt, t_end), members in groups.items():
-        _, n_samples = sampling_plan(t_end, dt, cfg.sample_every)
-        size = MAX_TRAJECTORY_BYTES // sample_store_bytes(n_samples, dim)
-        for start in range(0, len(members), size):
-            block, results = members[start : start + size], []
-            while block:
-                try:
-                    results = _run_block([p for _, p in block], [out_dir / f"point_{i:02d}" for i, _ in block])
-                    break
-                except PhysicsViolationError as exc:
-                    outcomes[block.pop(exc.column)[0]] = (SWEEP_STATUS_PHYSICS, str(exc), {})
-                except Exception as exc:  # noqa: BLE001 — the whole block shares the failure
-                    results = [exc] * len(block)
-                    break
-            for (i, _), summary in zip(block, results):
-                if isinstance(summary, Exception):
-                    outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(summary).__name__}: {summary}", {})
-                else:
-                    status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
-                    outcomes[i] = (status, "", summary)
+    for block in groups.values():
+        results = []
+        while block:
+            try:
+                results = _run_block([p for _, p in block], [out_dir / f"point_{i:02d}" for i, _ in block])
+                break
+            except PhysicsViolationError as exc:
+                outcomes[block.pop(exc.column)[0]] = (SWEEP_STATUS_PHYSICS, str(exc), {})
+            except Exception as exc:  # noqa: BLE001 — the whole block shares the failure, the cap's included
+                results = [exc] * len(block)
+                break
+        for (i, _), summary in zip(block, results):
+            if isinstance(summary, Exception):
+                outcomes[i] = (SWEEP_STATUS_ERROR, f"{type(summary).__name__}: {summary}", {})
+            else:
+                status = SWEEP_STATUS_OK if summary["ness_converged"] else SWEEP_STATUS_NOT_CONVERGED
+                outcomes[i] = (status, "", summary)
 
     first_summary = next((summary for *_, summary in outcomes if summary), {})
     summary_cols = [c for c in first_summary if c != cfg.sweep_variable]

@@ -636,6 +636,15 @@ class TestSweep:
         (dict(sweep_variable="temperature_c", sweep_values=(130.0, 110.0, 120.0)), [1, 1, 1]),
         # the pump sets the step, so only A differs, and each column has its own
         (dict(sweep_variable="a_hfs_over_gamma_se", sweep_values=(1.5, 1.0), r_op_over_gamma_se=2.0), [2]),
+        # A, the fastest rate, sets the step
+        (dict(sweep_variable="a_hfs_over_gamma_se", sweep_values=(10.0, 20.0)), [1, 1]),
+        (dict(sweep_variable="t_end_over_t_se", sweep_values=(2.0, 1.0)), [1, 1]),
+        # neither G_SE nor the fastest rate moves: one block
+        (dict(sweep_variable="radius_cm", sweep_values=(1.0, 2.0)), [2]),
+        (dict(sweep_variable="p_he_torr", sweep_values=(100.0, 300.0)), [2]),
+        (dict(sweep_variable="p_n2_torr", sweep_values=(50.0, 100.0)), [2]),
+        (dict(sweep_variable="s_magnitude", sweep_values=(0.25, 1.0)), [2]),
+        (dict(sweep_variable="r_op_over_gamma_se", sweep_values=(0.5, 10.0)), [2]),
     ])
     def test_points_in_separate_groups_match_standalone_runs(self, tmp_path, monkeypatch, overrides,
                                                              expected_blocks):
@@ -658,15 +667,46 @@ class TestSweep:
         assert samples == [276, 1001, 1001]
         assert_points_match_standalone_runs(cfg, tmp_path)
 
-    def test_blocks_are_cut_at_the_trajectory_cap(self, tmp_path, monkeypatch):
+    def test_a_group_runs_as_one_block_past_the_cap_on_stored_samples(self, tmp_path, monkeypatch):
+        # a sweep stores no sample, so the cap counts one column of its block, once
         traj = simulate(fast_config()).traj
         n_bytes = traj.states.nbytes + 2 * traj.times.nbytes
         monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", 2 * n_bytes)
         blocks = spy_on_blocks(monkeypatch)
+        callers = []
+        real = pipeline.trajectory_horizon
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "trajectory_horizon", spy)
         cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.25, 0.5, 0.75))
         _, statuses = run_sweep(cfg, tmp_path / "sweep")
         assert statuses == ["ok"] * 3
-        assert blocks == [2, 1]
+        assert blocks == [3]
+        assert callers == ["integrate_runs"]
+        assert_points_match_standalone_runs(cfg, tmp_path)
+
+    def test_points_past_the_cap_read_their_standalone_error(self, tmp_path, monkeypatch):
+        traj = simulate(fast_config()).traj
+        monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", traj.states.nbytes + 2 * traj.times.nbytes - 1)
+        cfg = fast_config(sweep_variable="s_magnitude", sweep_values=(0.5, 0.25))
+        errors = []
+        for value in (0.25, 0.5):
+            with pytest.raises(ConfigError, match="cap") as caught:
+                run_single(fast_config(s_magnitude=value), tmp_path / "standalone")
+            errors.append(f"ConfigError: {caught.value}")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_block ran")
+
+        monkeypatch.setattr(pipeline, "integrate_block", forbidden)
+        path, statuses = run_sweep(cfg, tmp_path / "sweep")
+        assert statuses == ["error", "error"]
+        header, rows = read_csv(path)
+        assert [r[header.index("error")] for r in rows] == errors
+        assert not list((tmp_path / "sweep").glob("point_*"))
 
     def test_failed_point_recorded_not_fatal(self, tmp_path):
         cfg = fast_config(sweep_variable="radius_cm", sweep_values=(-1.0, 1.5))
@@ -759,6 +799,18 @@ class TestOneIntegrationPath:
         with pytest.raises(ValueError, match=f"differ in {key}:"):
             pipeline.integrate_runs([fast_config(), fast_config(**overrides)])
         assert blocks == []
+
+    def test_cap_counts_one_column_given_a_keep(self, monkeypatch):
+        # stored, the block holds every column's samples; handed to a keep, none
+        cfg = fast_config()
+        traj = simulate(cfg).traj
+        monkeypatch.setattr(pipeline, "MAX_TRAJECTORY_BYTES", 2 * (traj.states.nbytes + 2 * traj.times.nbytes))
+        kept = []
+        runs = pipeline.integrate_runs([cfg] * 3, keep=lambda ops, params_seq: lambda cols, *rows: kept.append(cols))
+        assert len(runs) == 3
+        assert np.array_equal(np.bincount(np.concatenate(kept)), [len(traj)] * 3)
+        with pytest.raises(ConfigError, match="for each of 3 runs"):
+            pipeline.integrate_runs([cfg] * 3)
 
     def test_block_of_configs_that_differ_in_a_hfs_matches_standalone_runs(self):
         # R_op is the fastest rate, so the three share dt; each column has its own A
