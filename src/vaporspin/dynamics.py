@@ -239,8 +239,9 @@ class MFBlocks:
     x -> (G_z q)^T that K scales by 2 G_SE.
 
     The tables of :func:`vaporspin.pipeline.stacked_observables`:
-    ``fx[k]`` is F_x between the levels of m_F blocks k and k + 1, as
-    [upper, lower] x [upper, lower], 0 where a block has one level.
+    ``fx[k]``, real, is F_x from m_F block k to k + 1 as [upper -> upper,
+    lower -> lower], 0 where a block has one level: F_x conserves F, so it
+    joins no upper level to a lower one (those elements are 0 to rounding).
     ``odd`` holds F_z and S_z as columns, on the population differences
     x[plus] - x[minus] of each level with m_F > 0 and its m_F -> -m_F
     mirror in the same manifold, then on the coherence coordinates: both
@@ -305,8 +306,7 @@ def _mf_blocks(nuclear_spin: float) -> MFBlocks:
         r=to_coordinates(ops.s_ops[2])[sector],
         constant=constant,
         spin=fed[0].T @ fed[1],
-        fx=np.where(present[:-1, :, None] & present[1:, None, :],
-                    ops.f_ops[0][levels[:-1, :, None], levels[1:, None, :]], 0.0),
+        fx=np.where(present[:-1] & present[1:], ops.f_ops[0][levels[:-1], levels[1:]].real, 0.0),
         plus=plus,
         minus=np.array([index[f, -m] for f, m in (ops.labels[k] for k in plus)]),
         odd=np.concatenate([coordinates[:, plus], coordinates[:, d:]], axis=1).T,
@@ -588,8 +588,8 @@ def integrate_block(
     :attr:`MFBlocks.sector`, so a returned trajectory equals the standalone
     run of its parameters bit for bit.  A guard failure raises
     :class:`PhysicsViolationError` with ``column`` set to the offending
-    index.  Given a ``keep`` (:class:`~vaporspin.stepper.Samples`), the
-    trajectories store no sample.
+    index.  Given a ``keep``, the callable that :class:`~vaporspin.stepper.Samples`
+    hands each flush to, the trajectories store no sample.
     """
     params_seq = list(params_seq)
     if dt is None:

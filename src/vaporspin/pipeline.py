@@ -251,10 +251,9 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
     :mod:`vaporspin.metrology` are the reference this pass is tested against.
     """
     d, blocks = ops.dim, mf_blocks(ops)
-    pairs = blocks.upper.size
     w, theta, phi = block_spectra(x, ops)
-    # each pair's eigenvectors are (c, e^{-i phi} s) and (-e^{i phi} s, c)
-    c, s, turn = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
+    # each pair's eigenvectors are (c, e^{-i phi} s) and (-e^{i phi} s, c) on (upper, lower)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
     out: dict[str, np.ndarray] = {}
 
     # entropy and its production (thermo.von_neumann_entropy and
@@ -277,8 +276,7 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
     log_x[:, blocks.upper] = up * c2 + low * s2
     log_x[:, blocks.lower] = up * s2 + low * c2
     coherence = (up - low) * (math.sqrt(2.0) * c * s)  # sqrt 2 |<upper|log rho|lower>|
-    log_x[:, d : d + pairs] = coherence * turn.real
-    log_x[:, d + pairs :] = coherence * turn.imag
+    log_x[:, d:] = np.concatenate([coherence * np.cos(phi), coherence * np.sin(phi)], axis=1)
     rate = np.einsum("ni,ni->n", rhs, log_x)
     resolved = np.abs(rate) > production_rate_floor(clipped, params, ops)
     out["sigma_rate_per_s"] = np.where(resolved, rate, 0.0)
@@ -299,22 +297,24 @@ def stacked_observables(x: np.ndarray, params: PumpParams, ops: SpinOperatorSet,
     out["ergotropy_over_a"] = erg / scale
     out["efficiency"] = eff
 
-    # QFI (metrology.quantum_fisher_information).  The state commutes with
-    # the frame's F_z, so its QFI matrix is q (1 - n n^T), with q about the
-    # frame's x axis: F_x joins neighbouring m_F blocks only
+    # QFI (metrology.quantum_fisher_information).  The state commutes with the
+    # frame's F_z, so its QFI matrix is q (1 - n n^T), q about the frame's x axis.
+    # F_x joins neighbouring m_F blocks k, k + 1 only and conserves F, so with
+    # (fx_u, fx_l) = MFBlocks.fx[k], u = (c, -s) and l = (s, c) over the eigenvectors,
+    # |<a|F_x|b>|^2 = A^2 + B^2 + 2AB cos(phi_k - phi_k+1), A = fx_u u_a u'_b, B = fx_l l_a l'_b
     lam = np.clip(w, 0.0, None)
     block_lam = np.where(blocks.levels >= 0, lam[:, blocks.levels], 0.0)  # (n, blocks, 2)
-    vectors = np.zeros(block_lam.shape + (2,), dtype=complex)  # the eigenvectors as columns
-    vectors[:, [0, -1], 0, 0] = vectors[:, [0, -1], 1, 1] = 1.0  # the blocks of one
-    vectors[:, 1:-1, 0, 0] = vectors[:, 1:-1, 1, 1] = c
-    vectors[:, 1:-1, 0, 1] = -turn * s
-    vectors[:, 1:-1, 1, 0] = turn.conj() * s
-    g_eig = vectors[:, :-1].conj().swapaxes(-1, -2) @ blocks.fx @ vectors[:, 1:]
+    cb, sb = np.ones(block_lam.shape[:2]), np.zeros(block_lam.shape[:2])  # a block of one: c = 1, s = phi = 0
+    cb[:, 1:-1], sb[:, 1:-1] = c, s
+    u, l = np.stack([cb, -sb], axis=2), np.stack([sb, cb], axis=2)  # (n, blocks, 2)
+    a = blocks.fx[:, 0, None, None] * u[:, :-1, :, None] * u[:, 1:, None, :]
+    b = blocks.fx[:, 1, None, None] * l[:, :-1, :, None] * l[:, 1:, None, :]
+    g2 = a * a + b * b + 2.0 * a * b * np.cos(np.diff(phi, axis=1, prepend=0.0, append=0.0))[:, :, None, None]
     li, lj = block_lam[:, :-1, :, None], block_lam[:, 1:, None, :]
     denom = li + lj
     keep = denom > PAIR_CUTOFF * np.maximum(lam.sum(axis=1), 1e-300)[:, None, None, None]
     weight = np.where(keep, (li - lj) ** 2 / np.where(keep, denom, 1.0), 0.0)
-    transverse = 4.0 * np.sum(weight * np.abs(g_eig) ** 2, axis=(1, 2, 3))  # both orders of each pair
+    transverse = 4.0 * np.sum(weight * g2, axis=(1, 2, 3))  # both orders of each pair
     pump = params.s_vec
     axis = pump / np.linalg.norm(pump) if pump[0] != 0.0 or pump[1] != 0.0 else np.array([0.0, 0.0, 1.0])
     qfi = transverse[:, None] * (1.0 - axis**2)

@@ -722,6 +722,23 @@ class TestSectorRecord:
         assert r.tobytes() == to_coordinates(ops.s_ops[2])[blocks.sector].tobytes()
         assert blocks.odd[:, 1].tobytes() == np.concatenate([r[blocks.plus], r[d:]]).tobytes()
 
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5])
+    def test_fx_conserves_f(self, nuclear_spin):
+        # F_x between neighbouring m_F blocks: upper -> upper and lower -> lower
+        # are the whole of it, and the cross-manifold elements are 0 to rounding
+        ops = build_coupled_operators(nuclear_spin)
+        blocks = mf_blocks(ops)
+        f_x, (here, there) = ops.f_ops[0], (blocks.levels[:-1], blocks.levels[1:])
+        assert blocks.fx.dtype == float and blocks.fx.shape == (blocks.levels.shape[0] - 1, 2)
+        both = (here >= 0) & (there >= 0)
+        assert np.array_equal(blocks.fx[both], f_x[here[both], there[both]])
+        assert np.all(blocks.fx[~both] == 0.0)
+        assert not both[[0, -1], 1].any()  # a block of one has no lower level
+        for a, b in ((0, 1), (1, 0)):
+            joined = (here[:, a] >= 0) & (there[:, b] >= 0)
+            assert joined.sum() == len(joined) - 1  # all but the end pair where a block of one lacks the lower level
+            assert np.all(np.abs(f_x[here[joined, a], there[joined, b]]) < 1e-15)
+
 
 class TestBlockSpectra:
     """The closed-form eigenvalues of a pair block against the exact ones of its stored coordinates."""

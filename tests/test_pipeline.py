@@ -364,7 +364,7 @@ class TestStackedObservables:
     def test_random_full_rank_states(self, ops8, make_params, rng, n):
         self.check(random_block_states(rng, ops8, n), make_params(s=0.7, axis="x"), ops8)
 
-    @pytest.mark.parametrize("nuclear_spin", [1.5, 2.5])
+    @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("frame", list(FRAMES))
     def test_random_states_in_every_frame(self, make_params, rng, nuclear_spin, frame):
         ops = build_coupled_operators(nuclear_spin)
